@@ -571,9 +571,15 @@ def verify_certificate(data: dict) -> tuple[bool, str]:
     map of each stage, g against s_prev∘t, the coordinate chain, the branch
     and gap-window conditions when stabilization data is present, and that
     every recomputed zigzag verdict matches the stored one.  Returns
-    (ok, message).
+    (ok, message); malformed input is a failure with its reason, never an
+    exception.
     """
-    cert = certificate_from_dict(data)
+    try:
+        cert = certificate_from_dict(data)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        return False, f"malformed certificate: {type(exc).__name__}: {exc}"
+    if len(cert.stages) < 2:
+        return False, "need at least two stages to run any zigzag check"
     f = cert.base_map
     try:
         validate_orbit(f, cert.orbit)
@@ -588,7 +594,7 @@ def verify_certificate(data: dict) -> tuple[bool, str]:
         if block_len <= 0:
             return False, f"stage {st.index}: non-increasing orbit index"
         block = cache.power(block_len)
-        if compose(st.pair.t, st.pair.s) != block:
+        if st.pair.base_map != block:
             return False, f"stage {st.index}: t∘s differs from the block map"
         x = cert.orbit.value_at(st.n)
         if st.pair.s(x) != st.coordinate:

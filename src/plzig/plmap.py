@@ -9,7 +9,7 @@ decidable and composition identities can be checked exactly.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -179,20 +179,9 @@ def make_plmap(points: Iterable[tuple]) -> PLMap:
         raise ValueError(f"first breakpoint must have x=0, got x={pts[0][0]}")
     if pts[-1][0] != ONE:
         raise ValueError(f"last breakpoint must have x=1, got x={pts[-1][0]}")
-    merged: list[tuple[Fraction, Fraction]] = []
-    dropped = 0
-    for p in pts:
-        while len(merged) >= 2:
-            (ax, ay), (bx, by) = merged[-2], merged[-1]
-            # exact collinearity: slope(a,b) == slope(b,p)
-            if (by - ay) * (p[0] - bx) == (p[1] - by) * (bx - ax):
-                merged.pop()
-                dropped += 1
-            else:
-                break
-        merged.append(p)
-    if dropped:
-        log.debug("merged %d collinear interior breakpoint(s)", dropped)
+    merged = _merge_collinear(pts)
+    if len(merged) < len(pts):
+        log.debug("merged %d collinear interior breakpoint(s)", len(pts) - len(merged))
     return PLMap(tuple(merged))
 
 
@@ -224,18 +213,57 @@ def compose(outer: PLMap, inner: PLMap, budget: int | None = None) -> PLMap:
     Breakpoints of the result live at inner's breakpoints plus every
     preimage under inner of an outer breakpoint x-value; between two such
     consecutive points the composition is a single linear piece, so this
-    candidate set is exhaustive.  The result is normalized.
+    candidate set is exhaustive.  One walk over inner's segments finds the
+    outer breakpoints strictly inside each segment's y-range by bisection on
+    ``outer.xs`` and emits their preimages in x order, merging collinear
+    points as they are emitted: O(|inner|·log|outer| + |output|) rational
+    operations.  The result is normalized.
+
+    The budget bounds the distinct candidate breakpoints before merging:
+    inner's breakpoints plus the strictly interior preimages.  Exceeding it
+    raises :class:`BudgetExceededError`.
     """
     limit = DEFAULT_BREAKPOINT_BUDGET if budget is None else budget
-    candidates = set(inner.xs)
-    for v, _ in outer.points:
-        candidates.update(level_crossings(inner, v))
-        if len(candidates) > limit:
-            raise BudgetExceededError(
-                f"composition needs more than {limit} breakpoints"
-            )
-    xs = sorted(candidates)
-    return make_plmap([(x, outer(inner(x))) for x in xs])
+    return PLMap(tuple(_merge_collinear(_compose_candidates(outer, inner, limit))))
+
+
+def _compose_candidates(outer: PLMap, inner: PLMap, limit: int):
+    """Yield every candidate point of ``outer ∘ inner`` in increasing x."""
+    oxs, oys = outer.xs, outer.ys
+    ixs, iys = inner.xs, inner.ys
+    # outer.xs[lo[i]:hi[i]] holds the outer breakpoint equal to iys[i], if any
+    lo = [bisect_left(oxs, y) for y in iys]
+    hi = [bisect_right(oxs, y) for y in iys]
+    count = len(ixs)  # distinct candidates so far, for the budget
+    for i in range(len(ixs) - 1):
+        x0, y0, y1 = ixs[i], iys[i], iys[i + 1]
+        # outer breakpoints strictly between y0 and y1, in the order inner meets them
+        js = range(hi[i], lo[i + 1]) if y0 < y1 else range(lo[i] - 1, hi[i + 1] - 1, -1)
+        count += len(js)
+        if count > limit:
+            raise BudgetExceededError(f"composition needs more than {limit} breakpoints")
+        yield x0, outer(y0)
+        if js:
+            run = (ixs[i + 1] - x0) / (y1 - y0)
+            for j in js:
+                yield x0 + (oxs[j] - y0) * run, oys[j]
+    yield ixs[-1], outer(iys[-1])
+
+
+def _merge_collinear(points: Iterable[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
+    """One stack pass over points in order, dropping each interior point
+    collinear with its kept neighbours."""
+    merged: list[tuple[Fraction, Fraction]] = []
+    for p in points:
+        while len(merged) >= 2:
+            (ax, ay), (bx, by) = merged[-2], merged[-1]
+            # exact collinearity: slope(a,b) == slope(b,p)
+            if (by - ay) * (p[0] - bx) == (p[1] - by) * (bx - ax):
+                merged.pop()
+            else:
+                break
+        merged.append(p)
+    return merged
 
 
 def iterate(f: PLMap, n: int, budget: int | None = None) -> PLMap:

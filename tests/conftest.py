@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from plzig.plmap import PLMap, make_plmap
+from plzig.plmap import (
+    DEFAULT_BREAKPOINT_BUDGET,
+    BudgetExceededError,
+    PLMap,
+    level_crossings,
+    make_plmap,
+)
 from plzig.zigzag import witness_is_valid
 from plzig.factorize import minc_map
 
@@ -82,3 +88,27 @@ def naive_lap_witness(f: PLMap, ck: Fraction, ck1: Fraction, candidates=None):
             if witness_is_valid(f, ck, ck1, a, b):
                 return (a, b)
     return None
+
+
+def compose_candidates(outer: PLMap, inner: PLMap) -> set[Fraction]:
+    """Every candidate breakpoint of ``outer ∘ inner``: inner's breakpoints
+    and every solution of inner(x) = v for an outer breakpoint v."""
+    out = set(inner.xs)
+    for v in outer.xs:
+        out.update(level_crossings(inner, v))
+    return out
+
+
+def naive_compose(outer: PLMap, inner: PLMap, budget=None) -> PLMap:
+    """Reference composition by the candidate-set algorithm.
+
+    Independent of the production segment walk: solves inner(x) = v over
+    all of inner for each outer breakpoint v, refuses when the distinct
+    candidates exceed the budget, evaluates outer(inner(x)) at every
+    candidate and normalizes with make_plmap.
+    """
+    limit = DEFAULT_BREAKPOINT_BUDGET if budget is None else budget
+    candidates = compose_candidates(outer, inner)
+    if len(candidates) > limit:
+        raise BudgetExceededError(f"composition needs more than {limit} breakpoints")
+    return make_plmap([(x, outer(inner(x))) for x in sorted(candidates)])

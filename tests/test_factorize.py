@@ -397,6 +397,22 @@ class TestCertificateSerialization:
         ok, _ = verify_certificate(data)
         assert not ok
 
+    @pytest.mark.parametrize(
+        "tamper, reason",
+        [
+            (lambda d: d.pop("map"), "KeyError"),
+            (lambda d: d["stages"][0].update(beta="1/0"), "ZeroDivisionError"),
+            (lambda d: d.update(stages=[]), "at least two stages"),
+            (lambda d: d.update(stages=d["stages"][:1]), "at least two stages"),
+        ],
+        ids=["missing-map", "zero-denominator", "no-stages", "single-stage"],
+    )
+    def test_verify_reports_malformed_input(self, tamper, reason):
+        data = certificate_to_dict(certify_minc(BackwardOrbit.constant(F(1, 2)), stages=4))
+        tamper(data)
+        ok, msg = verify_certificate(data)
+        assert not ok and reason in msg
+
     def test_transform_point_rejects_mismatched_orbit(self, minc):
         cert = certify_minc(BackwardOrbit.constant(F(1, 2)), stages=4)
         with pytest.raises(CertifyError):

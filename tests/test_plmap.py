@@ -5,6 +5,7 @@ import pytest
 
 from plzig.plmap import (
     BudgetExceededError,
+    PLMap,
     compose,
     critical_set,
     dumps_map,
@@ -20,7 +21,30 @@ from plzig.plmap import (
     format_rational,
 )
 
-from conftest import random_map
+from conftest import compose_candidates, naive_compose, random_map
+
+
+def _random_pair(rng):
+    """Two random maps; coarse grids make inner values hit outer breakpoints,
+    and now and then outer carries a collinear interior point (legal for a
+    directly built PLMap) so merging also happens between inner breakpoints."""
+    den = rng.choice([4, 8, 64])
+    outer = random_map(rng, max_breakpoints=10, denominator=den)
+    inner = random_map(rng, max_breakpoints=10, denominator=den)
+    if rng.random() < 0.25:
+        i = rng.randrange(len(outer.points) - 1)
+        (x0, y0), (x1, y1) = outer.points[i], outer.points[i + 1]
+        mid = ((x0 + x1) / 2, (y0 + y1) / 2)
+        outer = PLMap(outer.points[: i + 1] + (mid,) + outer.points[i + 1 :])
+    return outer, inner
+
+
+def _refuses(compose_fn, outer, inner, budget) -> bool:
+    try:
+        compose_fn(outer, inner, budget=budget)
+    except BudgetExceededError:
+        return True
+    return False
 
 
 class TestRational:
@@ -118,6 +142,28 @@ class TestCompose:
     def test_budget_guard(self, minc):
         with pytest.raises(BudgetExceededError):
             compose(minc, iterate(minc, 3), budget=50)
+
+    def test_matches_candidate_set_oracle(self, minc):
+        rng = random.Random(13)
+        pairs = [_random_pair(rng) for _ in range(200)]
+        pairs += [(minc, iterate(minc, 3)), (iterate(minc, 3), minc)]
+        for outer, inner in pairs:
+            assert compose(outer, inner) == naive_compose(outer, inner), (outer, inner)
+
+    def test_budget_refusal_matches_oracle(self):
+        rng = random.Random(14)
+        for _ in range(40):
+            outer, inner = _random_pair(rng)
+            for budget in range(1, len(compose_candidates(outer, inner)) + 2):
+                expected = _refuses(naive_compose, outer, inner, budget)
+                assert _refuses(compose, outer, inner, budget) == expected, (outer, inner, budget)
+
+    def test_budget_boundary_is_candidate_count(self, minc):
+        inner = iterate(minc, 3)
+        count = len(compose_candidates(minc, inner))
+        assert compose(minc, inner, budget=count) == naive_compose(minc, inner)
+        with pytest.raises(BudgetExceededError, match=f"more than {count - 1} breakpoints"):
+            compose(minc, inner, budget=count - 1)
 
 
 class TestIterate:
