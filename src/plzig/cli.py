@@ -131,7 +131,7 @@ def render_svg(
 
 def cmd_plot(args) -> int:
     f = _load_source(args)
-    if args.iterate > 1:
+    if args.iterate != 1:
         f = iterate(f, args.iterate)
     guides = [parse_rational(tok) for tok in args.guides.split(",")] if args.guides else []
     marks = []
@@ -180,7 +180,7 @@ def analysis_report(f: PLMap, eps: Fraction | None = None, orbit_budget: int = 1
 
 def cmd_analyze(args) -> int:
     f = _load_source(args)
-    if args.iterate > 1:
+    if args.iterate != 1:
         f = iterate(f, args.iterate)
     eps = parse_rational(args.eps) if args.eps else None
     report = analysis_report(f, eps, orbit_budget=args.orbit_budget)

@@ -14,9 +14,13 @@ the library relies on).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from math import lcm
+from operator import ge, gt, le, lt
+from typing import Callable, Optional, Sequence
 
 from .plmap import (
     ONE,
@@ -79,18 +83,97 @@ class ZigzagVerdict:
         )
 
 
-def _index_of(xs: tuple[Fraction, ...], x: Fraction) -> int:
-    # lap boundaries are always breakpoints, so a binary search hit is exact
-    lo, hi = 0, len(xs) - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if xs[mid] == x:
-            return mid
-        if xs[mid] < x:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    raise ValueError(f"{x} is not a breakpoint")
+def _exact_keys(ys: Sequence[Fraction]) -> list[int]:
+    """Integers ordered exactly as ``ys``: each value scaled to the least
+    common denominator.  The witness search only compares values, so it can
+    run on these instead of on ``Fraction`` objects."""
+    scale = lcm(*(y.denominator for y in ys))
+    return [y.numerator * (scale // y.denominator) for y in ys]
+
+
+def _nearest(keys: list[int], forward: bool, hit: Callable[[int, int], bool]) -> list[int]:
+    """For each i, the nearest index j on one side of i (before it when
+    ``forward``, after it otherwise) with ``hit(keys[j], keys[i])``; -1 or
+    ``len(keys)`` when there is none.  One monotone-stack pass: an index
+    popped by i can never answer a later query that i does not answer from
+    nearer, since ``hit`` is one of the four order relations."""
+    n = len(keys)
+    out = [-1 if forward else n] * n
+    stack: list[int] = []
+    for i in range(n) if forward else range(n - 1, -1, -1):
+        k = keys[i]
+        while stack and not hit(keys[stack[-1]], k):
+            stack.pop()
+        if stack:
+            out[i] = stack[-1]
+        stack.append(i)
+    return out
+
+
+class _Chains:
+    """Nearest-smaller and nearest-larger pointers over one orientation of
+    the keys, in which the queried laps fall.
+
+    With ``<`` read as ``<=`` (and ``<=`` as ``<``) when ``strict`` is false:
+
+    * ``prev_low[i]``: previous index with key < key[i].  Followed from a
+      lap's right end q it visits exactly the usable a's, the breakpoints
+      left of the lap whose value is below every later value up to q,
+      nearest first.
+    * ``next_low[i]``: next index with key <= key[i], where a trough
+      condition started at i first fails.
+    * ``next_high[i]``: next index with key > key[i].
+    * ``prev_high[i]``: previous index with key strictly above key[i], in
+      both modes; its chain from p passes through the rightmost argmax of
+      every window [a, p].
+    """
+
+    __slots__ = ("prev_low", "next_low", "next_high", "prev_high")
+
+    def __init__(self, keys: list[int], strict: bool) -> None:
+        below, at_or_below, above = (lt, le, gt) if strict else (le, lt, ge)
+        self.prev_low = _nearest(keys, True, below)
+        self.next_low = _nearest(keys, False, at_or_below)
+        self.next_high = _nearest(keys, False, above)
+        self.prev_high = _nearest(keys, True, gt)
+
+    def witness(self, xs: Sequence[Fraction], p: int, q: int) -> Optional[Interval]:
+        """Witness for the lap [xs[p], xs[q]], falling in this orientation.
+
+        A pair (a, b) = (xs[i], xs[j]) with i < p and j > q works when f(a)
+        is strictly below every later value up to b and f(b) strictly above
+        every earlier value from a on.  Restricting candidates to breakpoints
+        is lossless: an interior a can always be slid to its segment's left
+        end without breaking either attainment condition.
+
+        The a's come from the ``prev_low`` chain, nearest first.  For each,
+        m is the rightmost argmax of [a, p], found by walking ``prev_high``
+        left from p; the lap falls from p, so f(m) is the highest value up
+        to the lap's end and j = ``next_high[m]`` is the first index past
+        the lap that clears it: the nearest usable b for this a.  The pair
+        fails only if f dips to f(a) or below before j, that is when
+        ``next_low[a] <= j``.  No j means no b clears the peak of this a or
+        of any farther one, whose peaks are no lower.  The first a that
+        succeeds gives the pair nearest the lap, the same pair the
+        two-pointer sweep over both record lists finds.  a and m only move
+        left, so a query costs O(length of the two chains it walks).
+        """
+        n = len(xs)
+        prev_low, next_low, next_high, prev_high = (
+            self.prev_low, self.next_low, self.next_high, self.prev_high,
+        )
+        a = prev_low[q]
+        m = p
+        while a >= 0:
+            while prev_high[m] >= a:
+                m = prev_high[m]
+            j = next_high[m]
+            if j == n:
+                return None
+            if j < next_low[a]:
+                return (xs[a], xs[j])
+            a = prev_low[a]
+        return None
 
 
 def _search_witness(
@@ -100,87 +183,58 @@ def _search_witness(
     q: int,
     strict: bool,
 ) -> Optional[Interval]:
-    """Witness search for one lap in the decreasing sense (ys[p] > ys[q]).
+    """Witness search for one lap in the decreasing sense (ys strictly
+    decreasing on [p, q]): build the pointers for ``ys`` and answer one
+    query.  See :meth:`_Chains.witness`."""
+    return _Chains(_exact_keys(ys), strict).witness(xs, p, q)
 
-    A pair (a, b) = (xs[i], xs[j]) with i < p and j > q works when f(a) is
-    strictly below every later value up to b and f(b) strictly above every
-    earlier value from a on.  Candidates on each side are "records": going
-    left from c_k the usable a's have strictly decreasing values, going
-    right from c_{k+1} the usable b's have strictly increasing values, and
-    the two cross conditions are monotone along those lists, so a linear
-    two-pointer sweep decides existence and returns the pair nearest the
-    lap.  Restricting candidates to breakpoints is lossless: an interior a
-    can always be slid to its segment's left end without breaking either
-    attainment condition.
+
+class _WitnessIndex:
+    """Witness search for any number of laps of one map.
+
+    Holds the exact integer keys of ``f.ys`` and builds the pointers of each
+    orientation on first use: the keys for falling laps, the negated keys
+    for rising ones.  Everything is O(n) to build, after which each lap is
+    one walk along the pointer chains.
     """
-    n = len(ys)
-    lap_min = min(ys[p : q + 1])
-    lap_max = max(ys[p : q + 1])
 
-    def lt(u, v):
-        return u < v if strict else u <= v
+    def __init__(self, f: PLMap, strict: bool) -> None:
+        self.xs = f.xs
+        self.keys = _exact_keys(f.ys)
+        self.strict = strict
 
-    # left records: (value at a, running max over [a, c_k))
-    a_recs: list[tuple[int, Fraction, Fraction]] = []
-    runmin = lap_min
-    runpeak: Optional[Fraction] = None
-    for i in range(p - 1, -1, -1):
-        runpeak = ys[i] if runpeak is None else max(runpeak, ys[i])
-        if lt(ys[i], runmin):
-            a_recs.append((i, ys[i], runpeak))
-        if ys[i] < runmin:
-            runmin = ys[i]
+    @cached_property
+    def _falling(self) -> _Chains:
+        return _Chains(self.keys, self.strict)
 
-    if not a_recs:
-        return None
+    @cached_property
+    def _rising(self) -> _Chains:
+        return _Chains([-k for k in self.keys], self.strict)
 
-    # right records: (value at b, running min over (c_{k+1}, b])
-    b_recs: list[tuple[int, Fraction, Fraction]] = []
-    runmax = lap_max
-    runtrough: Optional[Fraction] = None
-    for j in range(q + 1, n):
-        runtrough = ys[j] if runtrough is None else min(runtrough, ys[j])
-        if lt(runmax, ys[j]):
-            b_recs.append((j, ys[j], runtrough))
-        if ys[j] > runmax:
-            runmax = ys[j]
-
-    if not b_recs:
-        return None
-
-    j_trough = 0  # prefix of b records whose trough stays above the current a value
-    j_peak = 0  # first b record rising above the current a-side peak
-    nb = len(b_recs)
-    for i_a, ya, peak in a_recs:
-        while j_trough < nb and lt(ya, b_recs[j_trough][2]):
-            j_trough += 1
-        while j_peak < nb and not lt(peak, b_recs[j_peak][1]):
-            j_peak += 1
-        if j_peak < j_trough:
-            return (xs[i_a], xs[b_recs[j_peak][0]])
-    return None
+    def witness(self, lap: Lap) -> Optional[Interval]:
+        """Witness for one interior lap, located by its end points."""
+        xs = self.xs
+        p = bisect_left(xs, lap.left)
+        q = bisect_left(xs, lap.right, p)
+        if xs[p] != lap.left or xs[q] != lap.right:
+            raise ValueError(f"lap ({lap.left}, {lap.right}) does not end at breakpoints")
+        chains = self._falling if self.keys[p] > self.keys[q] else self._rising
+        return chains.witness(xs, p, q)
 
 
 def _lap_witness(f: PLMap, lap: Lap, strict: bool) -> Optional[Interval]:
     """Witness for one interior lap, handling both orientations."""
-    p = _index_of(f.xs, lap.left)
-    q = _index_of(f.xs, lap.right)
-    if f.ys[p] > f.ys[q]:
-        return _search_witness(f.xs, f.ys, p, q, strict)
-    neg = tuple(-y for y in f.ys)
-    return _search_witness(f.xs, neg, p, q, strict)
+    return _WitnessIndex(f, strict).witness(lap)
 
 
 def _witness_table(f: PLMap, strict: bool) -> tuple[list[Lap], list[Optional[Interval]]]:
     """Witness (or None) for every lap; boundary laps never have one."""
     lap_list = laps(f)
+    index = _WitnessIndex(f, strict)
     table: list[Optional[Interval]] = []
     last = len(lap_list) - 1
     for k, lap in enumerate(lap_list):
-        if k == 0 or k == last:
-            table.append(None)
-        else:
-            table.append(_lap_witness(f, lap, strict))
+        table.append(None if k == 0 or k == last else index.witness(lap))
     return lap_list, table
 
 
@@ -203,10 +257,11 @@ def is_in_zigzag(f: PLMap, y, strict: bool = True) -> ZigzagVerdict:
             witnesses=(None,) * len(applicable),
             failing_lap=(lap_list[boundary].left, lap_list[boundary].right),
         )
+    index = _WitnessIndex(f, strict)
     witnesses: list[Optional[Interval]] = []
     failing: Optional[Interval] = None
     for k in containing:
-        w = _lap_witness(f, lap_list[k], strict)
+        w = index.witness(lap_list[k])
         witnesses.append(w)
         if w is None and failing is None:
             failing = (lap_list[k].left, lap_list[k].right)
@@ -237,8 +292,6 @@ def zigzag_set(f: PLMap, strict: bool = True) -> tuple[Interval, ...]:
             if start is not None:
                 out.append((start, lap.left))
                 start = None
-    if start is not None:  # unreachable: the last lap never carries a witness
-        out.append((start, ONE))
     return tuple(out)
 
 

@@ -90,6 +90,69 @@ def naive_lap_witness(f: PLMap, ck: Fraction, ck1: Fraction, candidates=None):
     return None
 
 
+def two_pointer_witness(xs, ys, p: int, q: int, strict: bool = True):
+    """Reference witness search for one lap in the decreasing sense
+    (ys[p] > ys[q]), by a linear two-pointer sweep over both record lists.
+
+    Independent of the production pointer chains: the a-side records are the
+    strict running minima leftward from the lap, the b-side records the
+    running maxima rightward, each with its running peak or trough, compared
+    as ``Fraction``s.  Returns the pair nearest the lap, as production must.
+    """
+    n = len(ys)
+    lap_min = min(ys[p : q + 1])
+    lap_max = max(ys[p : q + 1])
+
+    def lt(u, v):
+        return u < v if strict else u <= v
+
+    # left records: (index of a, value at a, running max over [a, c_k))
+    a_recs = []
+    runmin = lap_min
+    runpeak = None
+    for i in range(p - 1, -1, -1):
+        runpeak = ys[i] if runpeak is None else max(runpeak, ys[i])
+        if lt(ys[i], runmin):
+            a_recs.append((i, ys[i], runpeak))
+        if ys[i] < runmin:
+            runmin = ys[i]
+    if not a_recs:
+        return None
+
+    # right records: (index of b, value at b, running min over (c_{k+1}, b])
+    b_recs = []
+    runmax = lap_max
+    runtrough = None
+    for j in range(q + 1, n):
+        runtrough = ys[j] if runtrough is None else min(runtrough, ys[j])
+        if lt(runmax, ys[j]):
+            b_recs.append((j, ys[j], runtrough))
+        if ys[j] > runmax:
+            runmax = ys[j]
+    if not b_recs:
+        return None
+
+    j_trough = 0  # prefix of b records whose trough stays above the current a value
+    j_peak = 0  # first b record rising above the current a-side peak
+    nb = len(b_recs)
+    for i_a, ya, peak in a_recs:
+        while j_trough < nb and lt(ya, b_recs[j_trough][2]):
+            j_trough += 1
+        while j_peak < nb and not lt(peak, b_recs[j_peak][1]):
+            j_peak += 1
+        if j_peak < j_trough:
+            return (xs[i_a], xs[b_recs[j_peak][0]])
+    return None
+
+
+def two_pointer_lap_witness(f: PLMap, lap, strict: bool = True):
+    """:func:`two_pointer_witness` for a lap of f in either orientation."""
+    p = f.xs.index(lap.left)
+    q = f.xs.index(lap.right)
+    ys = f.ys if f.ys[p] > f.ys[q] else tuple(-y for y in f.ys)
+    return two_pointer_witness(f.xs, ys, p, q, strict)
+
+
 def compose_candidates(outer: PLMap, inner: PLMap) -> set[Fraction]:
     """Every candidate breakpoint of ``outer ∘ inner``: inner's breakpoints
     and every solution of inner(x) = v for an outer breakpoint v."""

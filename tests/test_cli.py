@@ -2,6 +2,8 @@ import json
 import re
 from fractions import Fraction as F
 
+import pytest
+
 from plzig.cli import main, render_svg
 from plzig.plmap import dumps_map, load_map, loads_map, make_plmap
 from plzig.factorize import minc_map, verify_certificate
@@ -191,6 +193,13 @@ class TestMapAlgebraCommands:
         bad.write_text("0 zero\n1 1\n")
         code, _, err = run(capsys, "plot", "--map", str(bad))
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "plot"])
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_iterate_below_one_rejected(self, capsys, command, count):
+        code, out, err = run(capsys, command, "--builtin", "minc", "--iterate", count)
+        assert code == 2 and out == ""
+        assert "error: iteration count must be at least 1" in err
 
     def test_missing_source(self, capsys):
         code, _, err = run(capsys, "analyze")

@@ -5,6 +5,8 @@ import pytest
 
 from plzig.plmap import compose, critical_set, iterate, laps, make_plmap
 from plzig.zigzag import (
+    _lap_witness,
+    _witness_table,
     composition_property_check,
     is_in_zigzag,
     lemma_witness,
@@ -14,7 +16,7 @@ from plzig.zigzag import (
 )
 from plzig.factorize import MINC_BETA_LOW, MINC_BETA_HIGH, split_case1, split_case2
 
-from conftest import naive_lap_witness, random_map
+from conftest import naive_lap_witness, random_map, two_pointer_lap_witness
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +111,40 @@ class TestIsInZigzag:
         y = F(3, 10)
         assert not in_zz(w_map, y)
         assert is_in_zigzag(w_map, y, strict=False).in_zigzag
+
+
+class TestWitnessIdentity:
+    """Certificates and reports serialize the exact witness pair, so the
+    pointer-chain search must return the two-pointer sweep's pair, not just
+    some valid one."""
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_pairs_match_two_pointer_oracle(self, minc, strict):
+        rng = random.Random(27)
+        # small value denominators make equal values, where the strict and
+        # ties-allowed readings part ways
+        maps = [
+            random_map(rng, max_breakpoints=40, denominator=rng.choice([12, 16, 64]))
+            for _ in range(300)
+        ]
+        maps += [iterate(minc, k) for k in range(1, 5)]
+        for f in maps:
+            lap_list, table = _witness_table(f, strict)
+            assert table[0] is None and table[-1] is None
+            for lap, w in zip(lap_list[1:-1], table[1:-1]):
+                ref = two_pointer_lap_witness(f, lap, strict)
+                assert w == ref, (f.points, lap)
+                assert _lap_witness(f, lap, strict) == ref, (f.points, lap)
+
+    def test_minc4_table_revalidates(self, minc):
+        f = iterate(minc, 4)
+        lap_list, table = _witness_table(f, strict=True)
+        found = 0
+        for lap, w in zip(lap_list, table):
+            if w is not None:
+                assert witness_is_valid(f, lap.left, lap.right, *w)
+                found += 1
+        assert found > 0
 
 
 class TestZigzagSet:
