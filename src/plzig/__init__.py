@@ -10,7 +10,6 @@ from .plmap import (
     Rational,
     compose,
     critical_set,
-    evaluate,
     format_rational,
     is_onto,
     iterate,
@@ -32,6 +31,7 @@ from .zigzag import (
 from .dynamics import (
     BackwardOrbit,
     BranchResult,
+    MapFacts,
     NSequence,
     OrbitTable,
     OrbitValidationError,
@@ -41,6 +41,7 @@ from .dynamics import (
     is_leo,
     is_post_critically_finite,
     leo_uniform_N,
+    map_facts,
     markov_partition,
     post_critical_orbits,
     transition_matrix,
@@ -53,7 +54,6 @@ from .factorize import (
     Certificate,
     CertifyError,
     FactorPair,
-    build_g_sequence,
     certificate_from_json,
     certificate_to_json,
     certify_general,
@@ -63,7 +63,6 @@ from .factorize import (
     minc_stage_choice,
     split_case1,
     split_case2,
-    transform_point,
     verify_certificate,
 )
 

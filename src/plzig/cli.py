@@ -36,11 +36,9 @@ from .zigzag import zigzag_set
 from .dynamics import (
     BackwardOrbit,
     OrbitValidationError,
-    is_leo,
     leo_uniform_N,
     load_orbit,
-    markov_partition,
-    post_critical_orbits,
+    map_facts,
 )
 from .factorize import (
     CertifyError,
@@ -147,10 +145,9 @@ def cmd_plot(args) -> int:
 # ---------------------------------------------------------------------------
 
 def analysis_report(f: PLMap, eps: Fraction | None = None, orbit_budget: int = 10_000) -> dict:
-    table = post_critical_orbits(f, budget=orbit_budget)
-    pcf = True if table.all_closed() else None
+    facts = map_facts(f, orbit_budget)
     orbit_rows = []
-    for e in table.entries:
+    for e in facts.orbits.entries:
         shown = e.orbit if e.closed else e.orbit[:16]
         row = {
             "point": str(e.point),
@@ -169,9 +166,9 @@ def analysis_report(f: PLMap, eps: Fraction | None = None, orbit_budget: int = 1
         "critical_set": [str(c) for c in critical_set(f)],
         "zigzag_set": [[str(a), str(b)] for a, b in zigzag_set(f)],
         "post_critical_orbits": orbit_rows,
-        "post_critically_finite": pcf,
-        "markov_partition": [str(p) for p in markov_partition(f, orbit_budget)] if pcf else None,
-        "leo": is_leo(f, orbit_budget=orbit_budget),
+        "post_critically_finite": facts.post_critically_finite,
+        "markov_partition": [str(p) for p in facts.markov] if facts.markov is not None else None,
+        "leo": facts.leo,
     }
     if eps is not None:
         report["uniform_covering"] = {"eps": str(eps), "N": leo_uniform_N(f, eps)}

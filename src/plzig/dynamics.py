@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .plmap import (
     ONE,
@@ -18,6 +18,7 @@ from .plmap import (
     BudgetExceededError,
     PLMap,
     _as_rational,
+    _laps_at,
     compose,
     is_onto,
     laps,
@@ -29,12 +30,14 @@ __all__ = [
     "BranchResult",
     "OrbitEntry",
     "OrbitTable",
+    "MapFacts",
     "BackwardOrbit",
     "OrbitValidationError",
     "NSequence",
     "StabilizationData",
     "branch",
     "post_critical_orbits",
+    "map_facts",
     "is_post_critically_finite",
     "markov_partition",
     "transition_matrix",
@@ -87,8 +90,7 @@ def branch(f: PLMap, y) -> BranchResult:
     y = _as_rational(y)
     if not (ZERO <= y <= ONE):
         raise ValueError(f"point {y} outside [0, 1]")
-    lap_list = laps(f)
-    containing = [lap for lap in lap_list if lap.left <= y <= lap.right]
+    containing = [f._laps[k] for k in _laps_at(f, y)]
     if len(containing) == 1:
         lap = containing[0]
         J = (lap.left, lap.right)
@@ -153,6 +155,38 @@ def post_critical_orbits(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitT
     return OrbitTable(tuple(_orbit_of(f, pt, budget) for pt in points))
 
 
+def _orbit_closure(table: OrbitTable) -> Optional[tuple[Fraction, ...]]:
+    """The sorted union of the critical orbits and the endpoints, or None
+    when some orbit stayed open.  Each closed orbit holds the image of each
+    of its points, so the union is forward invariant."""
+    if not table.all_closed():
+        return None
+    return tuple(sorted(table.point_set() | {ZERO, ONE}))
+
+
+@dataclass(frozen=True)
+class MapFacts:
+    """The hypotheses of the embedding theorem for one map, all read from
+    one critical-orbit table: ``markov`` is the Markov partition (None when
+    some orbit stays open) and ``leo`` the verdict of :func:`is_leo`."""
+
+    orbits: OrbitTable
+    markov: Optional[tuple[Fraction, ...]]
+    leo: Optional[bool]
+
+    @property
+    def post_critically_finite(self) -> Optional[bool]:
+        return True if self.markov is not None else None
+
+
+def map_facts(f: PLMap, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> MapFacts:
+    """Critical orbits, Markov partition and leo verdict of f from a single
+    :func:`post_critical_orbits` call."""
+    orbits = post_critical_orbits(f, orbit_budget)
+    markov = _orbit_closure(orbits)
+    return MapFacts(orbits, markov, _leo(f, markov))
+
+
 def is_post_critically_finite(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> Optional[bool]:
     """True when every critical orbit closes within the budget; None when
     the budget ran out first (indeterminate, not a refutation)."""
@@ -163,17 +197,13 @@ def is_post_critically_finite(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> O
 def markov_partition(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> list[Fraction]:
     """Smallest forward-invariant finite set containing the critical set and
     the endpoints: the orbit closure of those points, sorted."""
-    table = post_critical_orbits(f, budget)
-    if not table.all_closed():
+    pts = _orbit_closure(post_critical_orbits(f, budget))
+    if pts is None:
         raise BudgetExceededError(
             "critical orbits did not close within the budget; "
             "no finite Markov partition is available"
         )
-    pts = sorted(table.point_set() | {ZERO, ONE})
-    for p in pts:
-        if f(p) not in pts:
-            raise AssertionError("orbit closure is not forward invariant")
-    return pts
+    return list(pts)
 
 
 def transition_matrix(f: PLMap, partition: list[Fraction]) -> list[list[int]]:
@@ -290,13 +320,24 @@ def is_leo(
     provably grows under iteration, covering is checked for one scale via
     exact preimage spacing; the result is None when neither route concludes.
     """
+    if markov is None and is_onto(f) and len(laps(f)) > 1:
+        markov = _orbit_closure(post_critical_orbits(f, orbit_budget))
+    return _leo(f, markov, fallback_depth, budget)
+
+
+def _leo(
+    f: PLMap,
+    markov: Optional[Sequence[Fraction]],
+    fallback_depth: int = 32,
+    budget: Optional[int] = None,
+) -> Optional[bool]:
+    """:func:`is_leo` once the Markov partition is known, or known to be
+    unavailable (None)."""
     if not is_onto(f):
         return False
     if len(laps(f)) == 1:
         # a monotone onto map is a bijection; proper subintervals never cover
         return False
-    if markov is None and is_post_critically_finite(f, orbit_budget) is True:
-        markov = markov_partition(f, orbit_budget)
     if markov is not None:
         return is_primitive(transition_matrix(f, markov))
 
@@ -421,7 +462,10 @@ def validate_orbit(f: PLMap, orbit: BackwardOrbit) -> None:
     wrap-around; raises OrbitValidationError on the first mismatch."""
     span = len(orbit.prefix) + len(orbit.period_block)
     for i in range(span):
-        got = f(orbit.value_at(i + 1))
+        try:
+            got = f(orbit.value_at(i + 1))
+        except ValueError as exc:  # an entry outside [0, 1]
+            raise OrbitValidationError(f"orbit entry {i + 1}: {exc}") from exc
         want = orbit.value_at(i)
         if got != want:
             raise OrbitValidationError(
@@ -546,18 +590,21 @@ def branch_stabilization(
 ) -> StabilizationData:
     """Extract (a, b, epsilon, side, n-sequence) for the certificate pipeline.
 
-    Requires a post-critically finite leo map and a valid backward orbit.
-    The branch limit [a, b] is detected along one orbit residue, the gap
+    Requires a post-critically finite leo map and a valid backward orbit:
+    the orbit is validated and both hypotheses are read from one
+    :func:`map_facts` table, raising ValueError when one fails.  The branch
+    limit [a, b] is detected along one orbit residue, the gap
     side and epsilon come from the residue's tracked value, and the block
     length is the least period multiple that restores the branch [a, b] and
     covers [0, 1] from every interval of diameter epsilon/2 (both facts
     checked exactly on the chosen block map).
     """
     validate_orbit(f, orbit)
-    if is_post_critically_finite(f) is not True:
-        raise ValueError("map is not verifiably post-critically finite")
-    if is_leo(f) is not True:
-        raise ValueError("map must be locally eventually onto")
+    facts = map_facts(f)
+    if facts.post_critically_finite is not True:
+        raise ValueError("map is not verifiably post-critically finite at this budget")
+    if facts.leo is not True:
+        raise ValueError("map is not locally eventually onto (or undecided)")
 
     p = orbit.minimal_period()
     q = len(orbit.prefix)
@@ -604,15 +651,6 @@ def branch_stabilization(
             f"no block length up to {max_block_multiple} periods satisfies the "
             "branch and covering conditions"
         )
-
-    # the emitted window must avoid every subsequence value; the subsequence
-    # sits on one residue, so this re-checks the construction
-    for i in range(2):
-        x = orbit.value_at(n0 + (i + 1) * gap)
-        if side == "left-gap":
-            assert not (a <= x < a + eps)
-        else:
-            assert not (b - eps < x <= b)
 
     return StabilizationData(
         a=a,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .plmap import (
@@ -32,11 +33,10 @@ from .dynamics import (
     BackwardOrbit,
     IterateCache,
     NSequence,
+    OrbitValidationError,
     StabilizationData,
     branch,
     branch_stabilization,
-    is_leo,
-    is_post_critically_finite,
     uniformly_onto,
     validate_orbit,
 )
@@ -55,8 +55,6 @@ __all__ = [
     "split_case2",
     "find_beta",
     "minc_stage_choice",
-    "build_g_sequence",
-    "transform_point",
     "certify_minc",
     "certify_general",
     "certificate_to_dict",
@@ -198,16 +196,6 @@ def minc_stage_choice(x) -> str:
     return CASE2 if x <= MINC_BETA_LOW else CASE1
 
 
-def build_g_sequence(pairs: list[FactorPair]) -> list[PLMap]:
-    """Rebonded maps g_i = s_i ∘ t_{i+1} for consecutive factor pairs."""
-    if not pairs:
-        raise ValueError("need at least one factor pair")
-    for left, right in zip(pairs, pairs[1:]):
-        if left.base_map != right.base_map:
-            raise ValueError("consecutive factor pairs must split the same block map")
-    return [compose(left.s, right.t) for left, right in zip(pairs, pairs[1:])]
-
-
 # ---------------------------------------------------------------------------
 # Certificates
 # ---------------------------------------------------------------------------
@@ -220,8 +208,6 @@ class StageRecord:
 
     index: int
     n: int
-    case: str
-    beta: Fraction
     pair: FactorPair
     g: Optional[PLMap]
     coordinate: Fraction
@@ -241,16 +227,6 @@ class Certificate:
     @property
     def passed(self) -> bool:
         return self.result == "pass"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _stage_state(orbit: BackwardOrbit, n_prev: int, n_cur: int) -> tuple:
-    return (orbit.value_at(n_prev), orbit.value_at(n_cur))
 
 
 def _assemble(
@@ -307,7 +283,7 @@ def _assemble(
                 verdict = verdict_cache[vkey] = is_in_zigzag(g, coordinate)
             if verdict.in_zigzag:
                 stage_ok = False
-            state = (prev_pair.case, pair.case) + _stage_state(orbit, n_of(i - 1), n_i)
+            state = (prev_pair.case, pair.case, orbit.value_at(n_of(i - 1)), x)
             if repeat_index is None:
                 if state in seen_states:
                     repeat_index = i
@@ -319,8 +295,6 @@ def _assemble(
             StageRecord(
                 index=i,
                 n=n_i,
-                case=pair.case,
-                beta=pair.beta,
                 pair=pair,
                 g=g,
                 coordinate=coordinate,
@@ -352,7 +326,7 @@ def certify_minc(orbit: BackwardOrbit, stages: int) -> Certificate:
         CASE2: split_case2(block, MINC_BETA_HIGH),
     }
     p = orbit.minimal_period()
-    stage_period = p // _gcd(2, p)
+    stage_period = p // gcd(2, p)
     return _assemble(
         base_map=f,
         orbit=orbit,
@@ -372,25 +346,26 @@ def certify_general(
 ) -> Certificate:
     """Full certificate pipeline for a post-critically finite leo map.
 
-    Verifies the dynamical hypotheses, extracts the stabilized branch
-    window, picks the fold inside the gap window, and checks every stage:
-    the branch of the block map at the tracked coordinate equals [a, b],
-    the coordinate avoids the gap window, the fold identities hold exactly,
-    and the coordinate is outside every zigzag of the rebonded map.
+    :func:`branch_stabilization` checks the orbit and the dynamical
+    hypotheses (a failed hypothesis raises :class:`CertifyError`, an
+    inconsistent orbit :class:`OrbitValidationError`) and extracts the
+    stabilized branch window.  Then the fold inside the gap window is
+    picked and every stage is checked: the branch of the block map at the
+    tracked coordinate equals [a, b], the coordinate avoids the gap window,
+    the fold identities hold exactly, and the coordinate is outside every
+    zigzag of the rebonded map.
     """
     if not is_onto(f):
         raise CertifyError("base map must be onto")
-    validate_orbit(f, orbit)
-    if is_post_critically_finite(f) is not True:
-        raise CertifyError("map is not verifiably post-critically finite at this budget")
-    if is_leo(f) is not True:
-        raise CertifyError("map is not locally eventually onto (or undecided)")
-    stab = branch_stabilization(f, orbit, budget=budget)
+    try:
+        stab = branch_stabilization(f, orbit, budget=budget)
+    except OrbitValidationError:
+        raise
+    except ValueError as exc:
+        raise CertifyError(str(exc)) from exc
     gap = stab.n_sequence.step
     n0 = stab.n_sequence.head[0]
     block = iterate(f, gap, budget=budget)
-    if not uniformly_onto(block, stab.epsilon / 2):
-        raise CertifyError("block map lost the covering condition")  # unreachable
     if stab.side == "left-gap":
         case = CASE1
         window = (stab.a, stab.a + stab.epsilon)
@@ -417,7 +392,7 @@ def certify_general(
         return None
 
     p = orbit.minimal_period()
-    stage_period = p // _gcd(gap, p)
+    stage_period = p // gcd(gap, p)
     return _assemble(
         base_map=f,
         orbit=orbit,
@@ -430,37 +405,13 @@ def certify_general(
     )
 
 
-def transform_point(orbit: BackwardOrbit, certificate: Certificate) -> list[Fraction]:
-    """Coordinates of the orbit in the rebonded inverse limit: s_i(x_{n_i})
-    per stage, re-verified against the certificate's own bonding maps."""
-    coords: list[Fraction] = []
-    prev: Optional[Fraction] = None
-    for st in certificate.stages:
-        c = st.pair.s(orbit.value_at(st.n))
-        if c != st.coordinate:
-            raise CertifyError(
-                f"stage {st.index}: coordinate {c} disagrees with certificate value {st.coordinate}"
-            )
-        if st.g is not None and st.g(c) != prev:
-            raise CertifyError(
-                f"stage {st.index}: rebonded map does not send coordinate to its predecessor"
-            )
-        coords.append(c)
-        prev = c
-    return coords
-
-
 # ---------------------------------------------------------------------------
 # Serialization: JSON with all rationals as p/q strings.  Round trips are
 # bit exact, and a serialized certificate re-verifies from its own data.
 # ---------------------------------------------------------------------------
 
-def _enc_q(q: Fraction) -> str:
-    return str(q)
-
-
 def _enc_map(f: PLMap) -> list[list[str]]:
-    return [[_enc_q(x), _enc_q(y)] for x, y in f.points]
+    return [[str(x), str(y)] for x, y in f.points]
 
 
 def _dec_map(data) -> PLMap:
@@ -472,28 +423,28 @@ def certificate_to_dict(cert: Certificate) -> dict:
     if cert.stabilization is not None:
         s = cert.stabilization
         stab = {
-            "a": _enc_q(s.a),
-            "b": _enc_q(s.b),
-            "epsilon": _enc_q(s.epsilon),
+            "a": str(s.a),
+            "b": str(s.b),
+            "epsilon": str(s.epsilon),
             "side": s.side,
             "n-sequence": {"head": list(s.n_sequence.head), "step": s.n_sequence.step},
         }
     return {
         "map": _enc_map(cert.base_map),
         "orbit": {
-            "prefix": [_enc_q(v) for v in cert.orbit.prefix],
-            "period": [_enc_q(v) for v in cert.orbit.period_block],
+            "prefix": [str(v) for v in cert.orbit.prefix],
+            "period": [str(v) for v in cert.orbit.period_block],
         },
         "stabilization": stab,
         "stages": [
             {
                 "n_i": st.n,
-                "case": st.case,
-                "beta": _enc_q(st.beta),
+                "case": st.pair.case,
+                "beta": str(st.pair.beta),
                 "s": _enc_map(st.pair.s),
                 "t": _enc_map(st.pair.t),
                 "g": _enc_map(st.g) if st.g is not None else None,
-                "coordinate": _enc_q(st.coordinate),
+                "coordinate": str(st.coordinate),
                 "zigzag_verdict": st.verdict.to_dict() if st.verdict is not None else None,
             }
             for st in cert.stages
@@ -535,8 +486,6 @@ def certificate_from_dict(data: dict) -> Certificate:
             StageRecord(
                 index=idx,
                 n=st["n_i"],
-                case=st["case"],
-                beta=Fraction(st["beta"]),
                 pair=pair,
                 g=_dec_map(st["g"]) if st["g"] is not None else None,
                 coordinate=Fraction(st["coordinate"]),

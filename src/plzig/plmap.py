@@ -26,7 +26,6 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "make_plmap",
-    "evaluate",
     "compose",
     "iterate",
     "critical_set",
@@ -143,6 +142,10 @@ class PLMap:
         out.append(Lap(start, ONE, INCREASING if sign > 0 else DECREASING))
         return tuple(out)
 
+    @cached_property
+    def _lap_lefts(self) -> tuple[Fraction, ...]:
+        return tuple(lap.left for lap in self._laps)
+
     def __call__(self, x) -> Fraction:
         """Exact evaluation by linear interpolation on the containing segment."""
         x = _as_rational(x)
@@ -185,11 +188,6 @@ def make_plmap(points: Iterable[tuple]) -> PLMap:
     return PLMap(tuple(merged))
 
 
-def evaluate(f: PLMap, x) -> Fraction:
-    """Module-level alias for ``f(x)``."""
-    return f(x)
-
-
 def _slope_sign(p: tuple[Fraction, Fraction], q: tuple[Fraction, Fraction]) -> int:
     return 1 if q[1] > p[1] else -1
 
@@ -197,6 +195,17 @@ def _slope_sign(p: tuple[Fraction, Fraction], q: tuple[Fraction, Fraction]) -> i
 def laps(f: PLMap) -> list[Lap]:
     """Maximal monotone intervals, alternating direction, covering [0, 1]."""
     return list(f._laps)
+
+
+def _laps_at(f: PLMap, y: Fraction) -> list[int]:
+    """Indices, in increasing order, of the laps of f whose closed interval
+    holds y: two at a critical point, one elsewhere in [0, 1], none outside.
+    One bisection of the lap boundaries."""
+    if not (ZERO <= y <= ONE):
+        return []
+    lefts = f._lap_lefts
+    k = bisect_right(lefts, y) - 1
+    return [k - 1, k] if k > 0 and lefts[k] == y else [k]
 
 
 def critical_set(f: PLMap, include_endpoints: bool = False) -> list[Fraction]:

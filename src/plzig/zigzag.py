@@ -5,11 +5,6 @@ containing y admits a bracketing pair a < c_k < c_{k+1} < b over which f
 attains its minimum exclusively at one end and its maximum exclusively at
 the other, oriented against the lap's direction.  Points meeting the first
 or last lap are never inside a zigzag.
-
-Exclusive attainment is the default reading; `strict=False` switches to a
-ties-allowed reading kept for experimentation (it breaks the boundary-value
-shortcut of :func:`remark_no_zigzag`, so the default is what the rest of
-the library relies on).
 """
 
 from __future__ import annotations
@@ -19,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import ge, gt, le, lt
+from operator import gt, le, lt
 from typing import Callable, Optional, Sequence
 
 from .plmap import (
@@ -28,6 +23,7 @@ from .plmap import (
     Lap,
     PLMap,
     _as_rational,
+    _laps_at,
     compose,
     laps,
     level_crossings,
@@ -114,8 +110,6 @@ class _Chains:
     """Nearest-smaller and nearest-larger pointers over one orientation of
     the keys, in which the queried laps fall.
 
-    With ``<`` read as ``<=`` (and ``<=`` as ``<``) when ``strict`` is false:
-
     * ``prev_low[i]``: previous index with key < key[i].  Followed from a
       lap's right end q it visits exactly the usable a's, the breakpoints
       left of the lap whose value is below every later value up to q,
@@ -123,18 +117,16 @@ class _Chains:
     * ``next_low[i]``: next index with key <= key[i], where a trough
       condition started at i first fails.
     * ``next_high[i]``: next index with key > key[i].
-    * ``prev_high[i]``: previous index with key strictly above key[i], in
-      both modes; its chain from p passes through the rightmost argmax of
-      every window [a, p].
+    * ``prev_high[i]``: previous index with key > key[i]; its chain from p
+      passes through the rightmost argmax of every window [a, p].
     """
 
     __slots__ = ("prev_low", "next_low", "next_high", "prev_high")
 
-    def __init__(self, keys: list[int], strict: bool) -> None:
-        below, at_or_below, above = (lt, le, gt) if strict else (le, lt, ge)
-        self.prev_low = _nearest(keys, True, below)
-        self.next_low = _nearest(keys, False, at_or_below)
-        self.next_high = _nearest(keys, False, above)
+    def __init__(self, keys: list[int]) -> None:
+        self.prev_low = _nearest(keys, True, lt)
+        self.next_low = _nearest(keys, False, le)
+        self.next_high = _nearest(keys, False, gt)
         self.prev_high = _nearest(keys, True, gt)
 
     def witness(self, xs: Sequence[Fraction], p: int, q: int) -> Optional[Interval]:
@@ -181,12 +173,11 @@ def _search_witness(
     ys: tuple[Fraction, ...],
     p: int,
     q: int,
-    strict: bool,
 ) -> Optional[Interval]:
     """Witness search for one lap in the decreasing sense (ys strictly
     decreasing on [p, q]): build the pointers for ``ys`` and answer one
     query.  See :meth:`_Chains.witness`."""
-    return _Chains(_exact_keys(ys), strict).witness(xs, p, q)
+    return _Chains(_exact_keys(ys)).witness(xs, p, q)
 
 
 class _WitnessIndex:
@@ -198,18 +189,17 @@ class _WitnessIndex:
     one walk along the pointer chains.
     """
 
-    def __init__(self, f: PLMap, strict: bool) -> None:
+    def __init__(self, f: PLMap) -> None:
         self.xs = f.xs
         self.keys = _exact_keys(f.ys)
-        self.strict = strict
 
     @cached_property
     def _falling(self) -> _Chains:
-        return _Chains(self.keys, self.strict)
+        return _Chains(self.keys)
 
     @cached_property
     def _rising(self) -> _Chains:
-        return _Chains([-k for k in self.keys], self.strict)
+        return _Chains([-k for k in self.keys])
 
     def witness(self, lap: Lap) -> Optional[Interval]:
         """Witness for one interior lap, located by its end points."""
@@ -222,15 +212,15 @@ class _WitnessIndex:
         return chains.witness(xs, p, q)
 
 
-def _lap_witness(f: PLMap, lap: Lap, strict: bool) -> Optional[Interval]:
+def _lap_witness(f: PLMap, lap: Lap) -> Optional[Interval]:
     """Witness for one interior lap, handling both orientations."""
-    return _WitnessIndex(f, strict).witness(lap)
+    return _WitnessIndex(f).witness(lap)
 
 
-def _witness_table(f: PLMap, strict: bool) -> tuple[list[Lap], list[Optional[Interval]]]:
+def _witness_table(f: PLMap) -> tuple[list[Lap], list[Optional[Interval]]]:
     """Witness (or None) for every lap; boundary laps never have one."""
     lap_list = laps(f)
-    index = _WitnessIndex(f, strict)
+    index = _WitnessIndex(f)
     table: list[Optional[Interval]] = []
     last = len(lap_list) - 1
     for k, lap in enumerate(lap_list):
@@ -238,14 +228,14 @@ def _witness_table(f: PLMap, strict: bool) -> tuple[list[Lap], list[Optional[Int
     return lap_list, table
 
 
-def is_in_zigzag(f: PLMap, y, strict: bool = True) -> ZigzagVerdict:
+def is_in_zigzag(f: PLMap, y) -> ZigzagVerdict:
     """Decide whether y lies inside a zigzag of f, with witnesses."""
     y = _as_rational(y)
     if not (ZERO <= y <= ONE):
         raise ValueError(f"query point {y} outside [0, 1]")
-    lap_list = laps(f)
+    lap_list = f._laps
     last = len(lap_list) - 1
-    containing = [k for k, lap in enumerate(lap_list) if lap.left <= y <= lap.right]
+    containing = _laps_at(f, y)
     applicable = tuple(
         (lap_list[k].left, lap_list[k].right) for k in containing if 0 < k < last
     )
@@ -257,7 +247,7 @@ def is_in_zigzag(f: PLMap, y, strict: bool = True) -> ZigzagVerdict:
             witnesses=(None,) * len(applicable),
             failing_lap=(lap_list[boundary].left, lap_list[boundary].right),
         )
-    index = _WitnessIndex(f, strict)
+    index = _WitnessIndex(f)
     witnesses: list[Optional[Interval]] = []
     failing: Optional[Interval] = None
     for k in containing:
@@ -273,7 +263,7 @@ def is_in_zigzag(f: PLMap, y, strict: bool = True) -> ZigzagVerdict:
     )
 
 
-def zigzag_set(f: PLMap, strict: bool = True) -> tuple[Interval, ...]:
+def zigzag_set(f: PLMap) -> tuple[Interval, ...]:
     """The exact zigzag locus as a union of disjoint open intervals.
 
     The verdict is constant on open lap interiors and false at any endpoint
@@ -281,7 +271,7 @@ def zigzag_set(f: PLMap, strict: bool = True) -> tuple[Interval, ...]:
     witness), so the locus is the union over maximal runs of witnessed laps
     of the open interval they span.
     """
-    lap_list, table = _witness_table(f, strict)
+    lap_list, table = _witness_table(f)
     out: list[Interval] = []
     start: Optional[Fraction] = None
     for lap, w in zip(lap_list, table):
@@ -371,7 +361,6 @@ def witness_is_valid(
     lap_right: Fraction,
     a: Fraction,
     b: Fraction,
-    strict: bool = True,
 ) -> bool:
     """Re-check a stored zigzag witness by direct evaluation.
 
@@ -387,9 +376,7 @@ def witness_is_valid(
         lo, hi = fa, fb
     else:
         lo, hi = fb, fa
-    if strict:
-        return lo < hi and all(lo < v < hi for v in inner)
-    return lo <= hi and all(lo <= v <= hi for v in inner)
+    return lo < hi and all(lo < v < hi for v in inner)
 
 
 def composition_property_check(f: PLMap, g: PLMap, samples) -> list[Fraction]:
@@ -401,18 +388,12 @@ def composition_property_check(f: PLMap, g: PLMap, samples) -> list[Fraction]:
     a property of the maps.
     """
     gf = compose(g, f)
-    lap_list, table = _witness_table(gf, strict=True)
+    lap_list, table = _witness_table(gf)
     last = len(lap_list) - 1
     violations: list[Fraction] = []
     for raw in samples:
         y = _as_rational(raw)
-        verdict = True
-        for k, lap in enumerate(lap_list):
-            if lap.left <= y <= lap.right:
-                if k == 0 or k == last or table[k] is None:
-                    verdict = False
-                    break
-        if not verdict:
+        if any(k == 0 or k == last or table[k] is None for k in _laps_at(gf, y)):
             continue
         if is_in_zigzag(f, y).in_zigzag:
             continue

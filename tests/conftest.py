@@ -7,6 +7,7 @@ from plzig.plmap import (
     DEFAULT_BREAKPOINT_BUDGET,
     BudgetExceededError,
     PLMap,
+    laps,
     level_crossings,
     make_plmap,
 )
@@ -90,7 +91,7 @@ def naive_lap_witness(f: PLMap, ck: Fraction, ck1: Fraction, candidates=None):
     return None
 
 
-def two_pointer_witness(xs, ys, p: int, q: int, strict: bool = True):
+def two_pointer_witness(xs, ys, p: int, q: int):
     """Reference witness search for one lap in the decreasing sense
     (ys[p] > ys[q]), by a linear two-pointer sweep over both record lists.
 
@@ -103,18 +104,14 @@ def two_pointer_witness(xs, ys, p: int, q: int, strict: bool = True):
     lap_min = min(ys[p : q + 1])
     lap_max = max(ys[p : q + 1])
 
-    def lt(u, v):
-        return u < v if strict else u <= v
-
     # left records: (index of a, value at a, running max over [a, c_k))
     a_recs = []
     runmin = lap_min
     runpeak = None
     for i in range(p - 1, -1, -1):
         runpeak = ys[i] if runpeak is None else max(runpeak, ys[i])
-        if lt(ys[i], runmin):
-            a_recs.append((i, ys[i], runpeak))
         if ys[i] < runmin:
+            a_recs.append((i, ys[i], runpeak))
             runmin = ys[i]
     if not a_recs:
         return None
@@ -125,9 +122,8 @@ def two_pointer_witness(xs, ys, p: int, q: int, strict: bool = True):
     runtrough = None
     for j in range(q + 1, n):
         runtrough = ys[j] if runtrough is None else min(runtrough, ys[j])
-        if lt(runmax, ys[j]):
+        if runmax < ys[j]:
             b_recs.append((j, ys[j], runtrough))
-        if ys[j] > runmax:
             runmax = ys[j]
     if not b_recs:
         return None
@@ -136,21 +132,27 @@ def two_pointer_witness(xs, ys, p: int, q: int, strict: bool = True):
     j_peak = 0  # first b record rising above the current a-side peak
     nb = len(b_recs)
     for i_a, ya, peak in a_recs:
-        while j_trough < nb and lt(ya, b_recs[j_trough][2]):
+        while j_trough < nb and ya < b_recs[j_trough][2]:
             j_trough += 1
-        while j_peak < nb and not lt(peak, b_recs[j_peak][1]):
+        while j_peak < nb and peak >= b_recs[j_peak][1]:
             j_peak += 1
         if j_peak < j_trough:
             return (xs[i_a], xs[b_recs[j_peak][0]])
     return None
 
 
-def two_pointer_lap_witness(f: PLMap, lap, strict: bool = True):
+def two_pointer_lap_witness(f: PLMap, lap):
     """:func:`two_pointer_witness` for a lap of f in either orientation."""
     p = f.xs.index(lap.left)
     q = f.xs.index(lap.right)
     ys = f.ys if f.ys[p] > f.ys[q] else tuple(-y for y in f.ys)
-    return two_pointer_witness(f.xs, ys, p, q, strict)
+    return two_pointer_witness(f.xs, ys, p, q)
+
+
+def scan_laps_at(f: PLMap, y: Fraction) -> list[int]:
+    """Reference lap lookup by a linear scan: the indices of every lap whose
+    closed interval holds y, in order."""
+    return [k for k, lap in enumerate(laps(f)) if lap.left <= y <= lap.right]
 
 
 def compose_candidates(outer: PLMap, inner: PLMap) -> set[Fraction]:

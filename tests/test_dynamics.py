@@ -1,8 +1,12 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import plzig.dynamics as dynamics
+from plzig.cli import analysis_report
+from plzig.factorize import certify_general
 from plzig.plmap import BudgetExceededError, compose, iterate, make_plmap
 from plzig.dynamics import (
     BackwardOrbit,
@@ -322,3 +326,42 @@ class TestBranchNesting:
                     outer = branch(iterates[j], chain[i + j]).B
                     inner = branch(iterates[j + 1], chain[i + j + 1]).B
                     assert outer[0] <= inner[0] and inner[1] <= outer[1]
+
+
+class TestOneOrbitTable:
+    """A command computes the critical orbits once and reads post-critical
+    finiteness, the Markov partition and the leo verdict from that table."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """Maps whose orbit table was built, counted at every plzig module
+        binding of ``post_critical_orbits``."""
+        built = []
+        original = dynamics.post_critical_orbits
+
+        def counting(f, *args, **kwargs):
+            built.append(f)
+            return original(f, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("plzig") and vars(module).get("post_critical_orbits") is original:
+                monkeypatch.setattr(module, "post_critical_orbits", counting)
+        return built
+
+    def test_analysis_report(self, minc, tables):
+        report = analysis_report(minc)
+        assert report["post_critically_finite"] is True and report["leo"] is True
+        assert len(tables) == 1
+
+    def test_analysis_report_with_open_orbits(self, minc, tables):
+        report = analysis_report(minc, orbit_budget=1)
+        assert report["post_critically_finite"] is None and report["leo"] is True
+        assert len(tables) == 1
+
+    def test_certify_general(self, minc, tables):
+        assert certify_general(minc, BackwardOrbit.constant(F(1, 2))).passed
+        assert len(tables) == 1
+
+    def test_is_leo(self, minc, tables):
+        assert is_leo(minc) is True
+        assert len(tables) == 1

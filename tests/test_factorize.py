@@ -12,7 +12,6 @@ from plzig.factorize import (
     CertifyError,
     MINC_BETA_HIGH,
     MINC_BETA_LOW,
-    build_g_sequence,
     certificate_from_json,
     certificate_to_dict,
     certificate_to_json,
@@ -23,7 +22,6 @@ from plzig.factorize import (
     minc_stage_choice,
     split_case1,
     split_case2,
-    transform_point,
     verify_certificate,
 )
 
@@ -170,25 +168,31 @@ class TestStageChoice:
 
 
 class TestBuildGSequence:
+    """The stage loop rebonds consecutive pairs through g = s_prev ∘ t."""
+
     def test_constant_pairs(self, low_pair):
-        gs = build_g_sequence([low_pair] * 4)
+        cert = certify_minc(BackwardOrbit.constant(F(1, 2)), stages=4)
+        gs = [st.g for st in cert.stages[1:]]
         assert len(gs) == 3
         assert gs[0] == gs[1] == gs[2] == compose(low_pair.s, low_pair.t)
 
-    def test_single_pair_empty(self, low_pair):
-        assert build_g_sequence([low_pair]) == []
-
     def test_alternating_pairs(self, low_pair, high_pair, f2):
-        gs = build_g_sequence([low_pair, high_pair, low_pair])
-        assert gs[0] == compose(low_pair.s, high_pair.t)
-        assert gs[1] == compose(high_pair.s, low_pair.t)
+        block = [F(14, 323), F(213, 323), F(126, 323), F(42, 323)]
+        cert = certify_minc(BackwardOrbit.of([], block), stages=4)
+        assert [st.pair for st in cert.stages] == [low_pair, high_pair] * 2
+        assert cert.stages[1].g == compose(low_pair.s, high_pair.t)
+        assert cert.stages[2].g == compose(high_pair.s, low_pair.t)
         for pair in (low_pair, high_pair):
             assert compose(pair.t, pair.s) == f2
 
-    def test_mismatched_blocks_rejected(self, minc, low_pair):
+    def test_mismatched_blocks_rejected(self, minc):
+        # a stage whose pair splits another block map does not verify
+        data = certificate_to_dict(certify_minc(BackwardOrbit.constant(F(1, 2)), stages=4))
         other = split_case1(iterate(minc, 4), F(55, 162))
-        with pytest.raises(ValueError):
-            build_g_sequence([low_pair, other])
+        data["stages"][1]["s"] = [[str(x), str(y)] for x, y in other.s.points]
+        data["stages"][1]["t"] = [[str(x), str(y)] for x, y in other.t.points]
+        ok, msg = verify_certificate(data)
+        assert not ok and "stage 2" in msg
 
 
 class TestRebondedZigzagTransfer:
@@ -213,20 +217,21 @@ class TestCertifyMinc:
         assert cert.repeat_index == 3
         gs = {st.g for st in cert.stages if st.g is not None}
         assert len(gs) == 1
-        assert all(st.case == CASE1 for st in cert.stages)
+        assert all(st.pair.case == CASE1 for st in cert.stages)
         assert all(st.n == 2 * st.index for st in cert.stages)
 
     def test_transform_point_fixed(self, minc):
         orbit = BackwardOrbit.constant(F(1, 2))
         cert = certify_minc(orbit, stages=10)
-        assert transform_point(orbit, cert) == [F(1, 2)] * 10
+        assert cert.passed
+        assert [st.coordinate for st in cert.stages] == [F(1, 2)] * 10
 
     def test_zero_orbit(self):
         orbit = BackwardOrbit.constant(0)
         cert = certify_minc(orbit, stages=5)
         assert cert.passed
-        assert all(st.case == CASE2 for st in cert.stages)
-        assert transform_point(orbit, cert) == [F(0)] * 5
+        assert all(st.pair.case == CASE2 for st in cert.stages)
+        assert [st.coordinate for st in cert.stages] == [F(0)] * 5
 
     def test_invalid_orbit_rejected(self):
         with pytest.raises(OrbitValidationError):
@@ -251,8 +256,7 @@ class TestCertifyMinc:
         orbit = BackwardOrbit.of([], [a, b])
         cert = certify_minc(orbit, stages=8)
         assert cert.passed
-        coords = transform_point(orbit, cert)
-        assert coords == [a] * 8
+        assert [st.coordinate for st in cert.stages] == [a] * 8
 
     def test_alternating_case_orbit(self, minc):
         # a genuine 4-cycle whose even coordinates straddle the threshold:
@@ -263,9 +267,9 @@ class TestCertifyMinc:
         orbit = BackwardOrbit.of([], block)
         cert = certify_minc(orbit, stages=8)
         assert cert.passed
-        assert [st.case for st in cert.stages] == [CASE1, CASE2] * 4
+        assert [st.pair.case for st in cert.stages] == [CASE1, CASE2] * 4
         assert len({st.g for st in cert.stages if st.g is not None}) == 2
-        assert transform_point(orbit, cert) == [F(126, 323), F(14, 323)] * 4
+        assert [st.coordinate for st in cert.stages] == [F(126, 323), F(14, 323)] * 4
         ok, msg = verify_certificate(certificate_to_dict(cert))
         assert ok, msg
 
@@ -274,9 +278,9 @@ class TestCertifyMinc:
         r = cert.repeat_index
         earlier = cert.stages[r - 2]
         repeated = cert.stages[r - 1]
-        assert (earlier.case, earlier.beta, earlier.coordinate) == (
-            repeated.case,
-            repeated.beta,
+        assert (earlier.pair.case, earlier.pair.beta, earlier.coordinate) == (
+            repeated.pair.case,
+            repeated.pair.beta,
             repeated.coordinate,
         )
         assert earlier.g == repeated.g and earlier.verdict == repeated.verdict
@@ -296,7 +300,7 @@ class TestCertifyGeneral:
         block = iterate(minc, cert.stabilization.n_sequence.step)
         for st in cert.stages:
             assert compose(st.pair.t, st.pair.s) == block
-        assert transform_point(orbit, cert) == [F(1, 2)] * len(cert.stages)
+        assert [st.coordinate for st in cert.stages] == [F(1, 2)] * len(cert.stages)
 
     def test_tent_fixed_point(self, tent):
         orbit = BackwardOrbit.constant(F(2, 3))
@@ -316,7 +320,7 @@ class TestCertifyGeneral:
             cert = certify_general(f, orbit, stages=3)
             assert cert.passed
             assert cert.stabilization.n_sequence.step % 2 == 0
-            assert transform_point(orbit, cert) == [block[0]] * len(cert.stages)
+            assert [st.coordinate for st in cert.stages] == [block[0]] * len(cert.stages)
             ok, msg = verify_certificate(certificate_to_dict(cert))
             assert ok, msg
 
@@ -327,8 +331,8 @@ class TestCertifyGeneral:
             cert = certify_general(f, BackwardOrbit.constant(0), stages=3)
             assert cert.passed
             assert cert.stabilization.side == "right-gap"
-            assert all(st.case == CASE2 for st in cert.stages)
-            assert transform_point(BackwardOrbit.constant(0), cert) == [F(0)] * len(cert.stages)
+            assert all(st.pair.case == CASE2 for st in cert.stages)
+            assert [st.coordinate for st in cert.stages] == [F(0)] * len(cert.stages)
 
     def test_identity_rejected(self, identity):
         with pytest.raises(CertifyError):
@@ -413,7 +417,8 @@ class TestCertificateSerialization:
         ok, msg = verify_certificate(data)
         assert not ok and reason in msg
 
-    def test_transform_point_rejects_mismatched_orbit(self, minc):
-        cert = certify_minc(BackwardOrbit.constant(F(1, 2)), stages=4)
-        with pytest.raises(CertifyError):
-            transform_point(BackwardOrbit.constant(F(0)), cert)
+    def test_verify_rejects_mismatched_orbit(self, minc):
+        data = certificate_to_dict(certify_minc(BackwardOrbit.constant(F(1, 2)), stages=4))
+        data["orbit"]["period"] = ["0"]
+        ok, msg = verify_certificate(data)
+        assert not ok and msg == "stage 1: stored coordinate is not s(x_n)"

@@ -9,7 +9,6 @@ from plzig.plmap import (
     compose,
     critical_set,
     dumps_map,
-    evaluate,
     image_interval,
     is_onto,
     iterate,
@@ -19,9 +18,12 @@ from plzig.plmap import (
     make_plmap,
     parse_rational,
     format_rational,
+    _laps_at,
 )
+import plzig.dynamics as dynamics
+import plzig.zigzag as zigzag
 
-from conftest import compose_candidates, naive_compose, random_map
+from conftest import compose_candidates, naive_compose, random_map, scan_laps_at
 
 
 def _random_pair(rng):
@@ -106,7 +108,7 @@ class TestEvaluate:
         assert minc(F(1, 3)) == 1
         assert minc(F(1, 2)) == F(1, 2)  # fixed point
         assert minc(F(5, 9)) == F(2, 3)
-        assert evaluate(minc, 0) == 0
+        assert minc(0) == 0
 
     def test_identity(self, identity):
         for q in [F(0), F(3, 7), F(1, 2), F(1)]:
@@ -242,6 +244,30 @@ class TestLevelCrossings:
             c = F(rng.randint(0, 64), 64)
             for x in level_crossings(f, c):
                 assert f(x) == c
+
+
+class TestLapLookup:
+    """``is_in_zigzag`` and ``branch`` find the laps holding a point by one
+    bisection; with the linear scan in its place they must answer the same."""
+
+    def test_bisection_matches_linear_scan(self, minc, monkeypatch):
+        rng = random.Random(28)
+        maps = [iterate(minc, k) for k in range(1, 5)] + [random_map(rng) for _ in range(100)]
+        queries = [
+            (f, y)
+            for f in maps
+            for y in f.xs + tuple((a + b) / 2 for a, b in zip(f.xs, f.xs[1:]))
+        ]
+        for f, y in queries + [(minc, F(-1, 2)), (minc, F(3, 2))]:
+            assert _laps_at(f, y) == scan_laps_at(f, y), (f, y)
+
+        def answers():
+            return [(zigzag.is_in_zigzag(f, y), dynamics.branch(f, y)) for f, y in queries]
+
+        bisected = answers()
+        monkeypatch.setattr(zigzag, "_laps_at", scan_laps_at)
+        monkeypatch.setattr(dynamics, "_laps_at", scan_laps_at)
+        assert answers() == bisected
 
 
 class TestOntoAndImages:

@@ -99,18 +99,11 @@ class TestIsInZigzag:
         for _ in range(200):
             f = random_map(rng)
             for lap in laps(f)[1:-1]:
-                got = _lap_witness(f, lap, strict=True)
+                got = _lap_witness(f, lap)
                 ref = naive_lap_witness(f, lap.left, lap.right)
                 assert (got is None) == (ref is None)
                 if got is not None:
                     assert witness_is_valid(f, lap.left, lap.right, *got)
-
-    def test_non_strict_mode_is_more_permissive(self, w_map):
-        # with ties allowed, the bracketing pair (0, 1) also certifies the
-        # second lap even though the top value 1 is hit twice
-        y = F(3, 10)
-        assert not in_zz(w_map, y)
-        assert is_in_zigzag(w_map, y, strict=False).in_zigzag
 
 
 class TestWitnessIdentity:
@@ -118,27 +111,26 @@ class TestWitnessIdentity:
     pointer-chain search must return the two-pointer sweep's pair, not just
     some valid one."""
 
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_pairs_match_two_pointer_oracle(self, minc, strict):
+    def test_pairs_match_two_pointer_oracle(self, minc):
         rng = random.Random(27)
-        # small value denominators make equal values, where the strict and
-        # ties-allowed readings part ways
+        # small value denominators make equal values, where only exclusive
+        # attainment counts
         maps = [
             random_map(rng, max_breakpoints=40, denominator=rng.choice([12, 16, 64]))
             for _ in range(300)
         ]
         maps += [iterate(minc, k) for k in range(1, 5)]
         for f in maps:
-            lap_list, table = _witness_table(f, strict)
+            lap_list, table = _witness_table(f)
             assert table[0] is None and table[-1] is None
             for lap, w in zip(lap_list[1:-1], table[1:-1]):
-                ref = two_pointer_lap_witness(f, lap, strict)
+                ref = two_pointer_lap_witness(f, lap)
                 assert w == ref, (f.points, lap)
-                assert _lap_witness(f, lap, strict) == ref, (f.points, lap)
+                assert _lap_witness(f, lap) == ref, (f.points, lap)
 
     def test_minc4_table_revalidates(self, minc):
         f = iterate(minc, 4)
-        lap_list, table = _witness_table(f, strict=True)
+        lap_list, table = _witness_table(f)
         found = 0
         for lap, w in zip(lap_list, table):
             if w is not None:
