@@ -6,10 +6,12 @@ Commands
   analyze   structured JSON report: critical set, zigzag set, orbits,
             Markov partition, leo verdict
   certify   run a certificate pipeline on a map and a backward orbit
+  verify    re-derive a certificate file and compare it field by field
   compose   exact composition of two map files (outer after inner)
   iterate   exact n-fold iterate of a map file
 
-Exit codes: 0 success / certificate pass, 1 certificate fail, 2 errors.
+Exit codes: 0 success / certificate pass, 1 certificate fail or rejected,
+2 errors.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .factorize import (
     certify_general,
     certify_minc,
     minc_map,
+    verify_certificate,
 )
 
 BUILTINS = {
@@ -201,11 +204,22 @@ def cmd_certify(args) -> int:
     _emit(certificate_to_json(cert), args.out)
     if cert.passed:
         return 0
+    reason = f": {cert.failure_reason}" if cert.failure_reason else ""
     print(
         f"certificate FAILED at stage {cert.failing_stage} "
-        f"(orbit index {cert.stages[cert.failing_stage - 1].n})",
+        f"(orbit index {cert.stages[cert.failing_stage - 1].n}){reason}",
         file=sys.stderr,
     )
+    return 1
+
+
+def cmd_verify(args) -> int:
+    with open(args.certificate, encoding="utf-8") as fh:
+        data = json.load(fh)
+    ok, reason = verify_certificate(data)
+    if ok:
+        return 0
+    print(f"certificate REJECTED: {reason}", file=sys.stderr)
     return 1
 
 
@@ -263,6 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stages", type=int, default=6)
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)
+
+    p = sub.add_parser("verify", help="re-derive a certificate and compare")
+    p.add_argument("certificate", help="certificate JSON file")
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compose", help="compose two map files (outer after inner)")
     p.add_argument("--outer", required=True)

@@ -20,6 +20,7 @@ from typing import Optional
 from .plmap import (
     ONE,
     ZERO,
+    BudgetExceededError,
     PLMap,
     _as_rational,
     compose,
@@ -31,7 +32,6 @@ from .plmap import (
 from .zigzag import ZigzagVerdict, is_in_zigzag
 from .dynamics import (
     BackwardOrbit,
-    IterateCache,
     NSequence,
     OrbitValidationError,
     StabilizationData,
@@ -79,22 +79,23 @@ class CertifyError(RuntimeError):
 
 @dataclass(frozen=True)
 class FactorPair:
-    """Onto maps s, t with t∘s equal to the factored block map exactly.
+    """Onto maps s, t whose composite t∘s is exactly the factored block map.
 
     Case 1: s is the identity on [beta, 1] and t(beta) = 0.
     Case 2: s is the identity on [0, beta] and t(beta) = 1.
-    The identity ``compose(t, s) == base_map`` is verified at construction.
+    :func:`split_case1` and :func:`split_case2` check t∘s = F when they
+    build the pair; the pair does not keep F.
     """
 
     s: PLMap
     t: PLMap
     case: str
     beta: Fraction
-    base_map: PLMap
 
 
-def _check_pair(pair: FactorPair) -> FactorPair:
-    if compose(pair.t, pair.s) != pair.base_map:
+def _checked_pair(f: PLMap, s_pts, t_pts, case: str, beta: Fraction) -> FactorPair:
+    pair = FactorPair(make_plmap(s_pts), make_plmap(t_pts), case, beta)
+    if compose(pair.t, pair.s) != f:
         raise CertifyError("factor pair identity t∘s = F failed to hold exactly")
     return pair
 
@@ -114,8 +115,7 @@ def split_case1(f: PLMap, beta) -> FactorPair:
     if beta < ONE:
         s_pts.append((ONE, ONE))
     t_pts = [(ZERO, ONE), (beta, ZERO)] + [(x, y) for x, y in f.points if x > beta]
-    pair = FactorPair(make_plmap(s_pts), make_plmap(t_pts), CASE1, beta, f)
-    return _check_pair(pair)
+    return _checked_pair(f, s_pts, t_pts, CASE1, beta)
 
 
 def split_case2(f: PLMap, beta) -> FactorPair:
@@ -132,8 +132,7 @@ def split_case2(f: PLMap, beta) -> FactorPair:
     s_pts.append((beta, beta))
     s_pts += [(x, 1 - (1 - beta) * y) for x, y in f.points if x > beta]
     t_pts = [(x, y) for x, y in f.points if x < beta] + [(beta, ONE), (ONE, ZERO)]
-    pair = FactorPair(make_plmap(s_pts), make_plmap(t_pts), CASE2, beta, f)
-    return _check_pair(pair)
+    return _checked_pair(f, s_pts, t_pts, CASE2, beta)
 
 
 def find_beta(f: PLMap, window: tuple, case: str) -> tuple[Fraction, Fraction]:
@@ -223,94 +222,105 @@ class Certificate:
     result: str  # "pass" | "fail"
     failing_stage: Optional[int]
     repeat_index: Optional[int]
+    # why the failing stage failed; kept in memory, never serialized
+    failure_reason: Optional[str] = None
 
     @property
     def passed(self) -> bool:
         return self.result == "pass"
 
 
+def _stage_count(orbit: BackwardOrbit, step: int, requested: int) -> int:
+    """Stages to run: the requested count, and at least enough to exhibit
+    the repeat of the stage state, which recurs after the orbit's period
+    counted in blocks of ``step`` (the first stage has no state)."""
+    if requested < 2:
+        raise ValueError("need at least two stages to run any zigzag check")
+    p = orbit.minimal_period()
+    return max(requested, p // gcd(step, p) + 2)
+
+
 def _assemble(
     base_map: PLMap,
     orbit: BackwardOrbit,
     stabilization: Optional[StabilizationData],
-    n_of,
+    block: PLMap,
+    n0: int,
+    step: int,
     pair_of,
     stage_count: int,
-    stage_period: int,
-    extra_stage_checks=None,
 ) -> Certificate:
-    """Run the stage loop shared by both pipelines.
+    """Run the stage loop shared by both pipelines and the verifier.
 
-    ``n_of(i)`` gives the orbit index for stage i, ``pair_of(i)`` its factor
-    pair; ``extra_stage_checks(i, x)`` may return a failure message.  The
-    repeat index is the first stage whose state (previous and current orbit
-    values plus both cases) duplicates an earlier full stage; enough stages
-    are verified to exhibit it.
+    Stage i sits at orbit index n0 + i·step and uses the factor pair
+    ``pair_of(i)`` of ``block`` = f^step.  It fails when s moves x_n, when
+    (with stabilization data) the branch of the block map at x_n is not
+    [a, b] or x_n enters the gap window, when g = s_prev∘t does not carry
+    the coordinate to the previous one, or when the coordinate lies in a
+    zigzag of g; the first failing stage's reason is kept on the
+    certificate.  The repeat index is the first stage whose state (both
+    pairs and both orbit values) duplicates an earlier full stage; enough
+    stages are run to exhibit it.
     """
-    if stage_count < 2:
-        raise ValueError("need at least two stages to run any zigzag check")
-    verify_count = max(stage_count, stage_period + 2)
-    g_cache: dict[tuple[str, str], PLMap] = {}
-    verdict_cache: dict[tuple[str, str, Fraction], ZigzagVerdict] = {}
-    stages: list[StageRecord] = []
-    failing: Optional[int] = None
+    stab = stabilization
+    g_cache: dict[tuple, PLMap] = {}
+    verdict_cache: dict[tuple, ZigzagVerdict] = {}
+    branch_cache: dict[Fraction, tuple[Fraction, Fraction]] = {}
     seen_states: dict[tuple, int] = {}
-    repeat_index: Optional[int] = None
-
-    prev_pair: Optional[FactorPair] = None
-    prev_coord: Optional[Fraction] = None
-    for i in range(1, verify_count + 1):
-        n_i = n_of(i)
+    stages: list[StageRecord] = []
+    failing = failure_reason = repeat_index = None
+    prev = None  # (pair key, pair, x, coordinate) of the previous stage
+    for i in range(1, _stage_count(orbit, step, stage_count) + 1):
+        n_i = n0 + i * step
         x = orbit.value_at(n_i)
         pair = pair_of(i)
+        key = (pair.case, pair.beta)
         coordinate = pair.s(x)
-        stage_ok = coordinate == x  # the stage rule pins x inside s's identity part
-        if stage_ok and extra_stage_checks is not None:
-            msg = extra_stage_checks(i, x)
-            stage_ok = msg is None
+        reason: Optional[str] = None
+        if coordinate != x:  # the stage rule pins x inside s's identity part
+            reason = f"s moves x_{n_i} = {x} to {coordinate}"
+        elif stab is not None:
+            B = branch_cache.get(x)
+            if B is None:
+                B = branch_cache[x] = branch(block, x).B
+            if B != (stab.a, stab.b):
+                reason = f"branch {B} differs from ({stab.a}, {stab.b})"
+            elif stab.side == "left-gap" and stab.a <= x < stab.a + stab.epsilon:
+                reason = f"coordinate {x} entered the left gap window"
+            elif stab.side == "right-gap" and stab.b - stab.epsilon < x <= stab.b:
+                reason = f"coordinate {x} entered the right gap window"
         g: Optional[PLMap] = None
         verdict: Optional[ZigzagVerdict] = None
-        if i >= 2:
-            key = (prev_pair.case, pair.case)
-            g = g_cache.get(key)
+        if prev is not None:
+            prev_key, prev_pair, prev_x, prev_coord = prev
+            g = g_cache.get((prev_key, key))
             if g is None:
-                g = g_cache[key] = compose(prev_pair.s, pair.t)
-            if g(coordinate) != prev_coord:
-                stage_ok = False
-            vkey = (prev_pair.case, pair.case, coordinate)
+                g = g_cache[(prev_key, key)] = compose(prev_pair.s, pair.t)
+            vkey = (prev_key, key, coordinate)
             verdict = verdict_cache.get(vkey)
             if verdict is None:
                 verdict = verdict_cache[vkey] = is_in_zigzag(g, coordinate)
-            if verdict.in_zigzag:
-                stage_ok = False
-            state = (prev_pair.case, pair.case, orbit.value_at(n_of(i - 1)), x)
-            if repeat_index is None:
-                if state in seen_states:
-                    repeat_index = i
-                else:
-                    seen_states[state] = i
-        if not stage_ok and failing is None:
-            failing = i
-        stages.append(
-            StageRecord(
-                index=i,
-                n=n_i,
-                pair=pair,
-                g=g,
-                coordinate=coordinate,
-                verdict=verdict,
-            )
-        )
-        prev_pair, prev_coord = pair, coordinate
+            if reason is None and g(coordinate) != prev_coord:
+                reason = f"g sends {coordinate} to {g(coordinate)}, not to {prev_coord}"
+            if reason is None and verdict.in_zigzag:
+                reason = f"coordinate {coordinate} lies in a zigzag of g"
+            state = (prev_key, key, prev_x, x)
+            if repeat_index is None and seen_states.setdefault(state, i) != i:
+                repeat_index = i
+        if reason is not None and failing is None:
+            failing, failure_reason = i, reason
+        stages.append(StageRecord(i, n_i, pair, g, coordinate, verdict))
+        prev = (key, pair, x, coordinate)
 
     return Certificate(
         base_map=base_map,
         orbit=orbit,
-        stabilization=stabilization,
+        stabilization=stab,
         stages=tuple(stages),
         result="pass" if failing is None else "fail",
         failing_stage=failing,
         repeat_index=repeat_index,
+        failure_reason=failure_reason,
     )
 
 
@@ -325,16 +335,10 @@ def certify_minc(orbit: BackwardOrbit, stages: int) -> Certificate:
         CASE1: split_case1(block, MINC_BETA_LOW),
         CASE2: split_case2(block, MINC_BETA_HIGH),
     }
-    p = orbit.minimal_period()
-    stage_period = p // gcd(2, p)
     return _assemble(
-        base_map=f,
-        orbit=orbit,
-        stabilization=None,
-        n_of=lambda i: 2 * i,
+        f, orbit, None, block, n0=0, step=2,
         pair_of=lambda i: pairs[minc_stage_choice(orbit.value_at(2 * i))],
         stage_count=stages,
-        stage_period=stage_period,
     )
 
 
@@ -363,46 +367,16 @@ def certify_general(
         raise
     except ValueError as exc:
         raise CertifyError(str(exc)) from exc
-    gap = stab.n_sequence.step
-    n0 = stab.n_sequence.head[0]
-    block = iterate(f, gap, budget=budget)
+    step = stab.n_sequence.step
+    block = iterate(f, step, budget=budget)
     if stab.side == "left-gap":
-        case = CASE1
-        window = (stab.a, stab.a + stab.epsilon)
-        _, beta = find_beta(block, window, case)
+        _, beta = find_beta(block, (stab.a, stab.a + stab.epsilon), CASE1)
         pair = split_case1(block, beta)
     else:
-        case = CASE2
-        window = (stab.b - stab.epsilon, stab.b)
-        _, beta = find_beta(block, window, case)
+        _, beta = find_beta(block, (stab.b - stab.epsilon, stab.b), CASE2)
         pair = split_case2(block, beta)
-
-    branch_cache: dict[Fraction, tuple[Fraction, Fraction]] = {}
-
-    def extra_checks(i: int, x: Fraction) -> Optional[str]:
-        B = branch_cache.get(x)
-        if B is None:
-            B = branch_cache[x] = branch(block, x).B
-        if B != (stab.a, stab.b):
-            return f"stage {i}: branch {B} differs from ({stab.a}, {stab.b})"
-        if stab.side == "left-gap" and stab.a <= x < stab.a + stab.epsilon:
-            return f"stage {i}: coordinate {x} entered the left gap window"
-        if stab.side == "right-gap" and stab.b - stab.epsilon < x <= stab.b:
-            return f"stage {i}: coordinate {x} entered the right gap window"
-        return None
-
-    p = orbit.minimal_period()
-    stage_period = p // gcd(gap, p)
-    return _assemble(
-        base_map=f,
-        orbit=orbit,
-        stabilization=stab,
-        n_of=lambda i: n0 + i * gap,
-        pair_of=lambda i: pair,
-        stage_count=stages,
-        stage_period=stage_period,
-        extra_stage_checks=extra_checks,
-    )
+    n0 = stab.n_sequence.head[0]
+    return _assemble(f, orbit, stab, block, n0, step, pair_of=lambda i: pair, stage_count=stages)
 
 
 # ---------------------------------------------------------------------------
@@ -466,34 +440,30 @@ def certificate_from_dict(data: dict) -> Certificate:
             side=s["side"],
             n_sequence=NSequence(tuple(s["n-sequence"]["head"]), s["n-sequence"]["step"]),
         )
+        head = stab.n_sequence.head
+        bad = stab.side not in ("left-gap", "right-gap") or stab.epsilon <= 0
+        if bad or len(head) != 1 or head[0] < 0:
+            raise ValueError("stabilization side, epsilon or n-sequence head out of range")
     base = _dec_map(data["map"])
     orbit = BackwardOrbit(
         tuple(Fraction(v) for v in data["orbit"]["prefix"]),
         tuple(Fraction(v) for v in data["orbit"]["period"]),
     )
-    stages = []
-    for idx, st in enumerate(data["stages"], start=1):
-        s_map = _dec_map(st["s"])
-        t_map = _dec_map(st["t"])
-        pair = FactorPair(
-            s=s_map,
-            t=t_map,
-            case=st["case"],
-            beta=Fraction(st["beta"]),
-            base_map=compose(t_map, s_map),
+    stages = [
+        StageRecord(
+            index=idx,
+            n=st["n_i"],
+            pair=FactorPair(
+                _dec_map(st["s"]), _dec_map(st["t"]), st["case"], Fraction(st["beta"])
+            ),
+            g=_dec_map(st["g"]) if st["g"] is not None else None,
+            coordinate=Fraction(st["coordinate"]),
+            verdict=ZigzagVerdict.from_dict(st["zigzag_verdict"])
+            if st["zigzag_verdict"] is not None
+            else None,
         )
-        stages.append(
-            StageRecord(
-                index=idx,
-                n=st["n_i"],
-                pair=pair,
-                g=_dec_map(st["g"]) if st["g"] is not None else None,
-                coordinate=Fraction(st["coordinate"]),
-                verdict=ZigzagVerdict.from_dict(st["zigzag_verdict"])
-                if st["zigzag_verdict"] is not None
-                else None,
-            )
-        )
+        for idx, st in enumerate(data["stages"], start=1)
+    ]
     return Certificate(
         base_map=base,
         orbit=orbit,
@@ -514,62 +484,83 @@ def certificate_from_json(text: str) -> Certificate:
 
 
 def verify_certificate(data: dict) -> tuple[bool, str]:
-    """Re-run every stage identity from serialized data alone.
+    """Decode, re-derive with the pipelines' stage loop, and compare.
 
-    Checks the orbit against the base map, t∘s against the recomputed block
-    map of each stage, g against s_prev∘t, the coordinate chain, the branch
-    and gap-window conditions when stabilization data is present, and that
-    every recomputed zigzag verdict matches the stored one.  Returns
-    (ok, message); malformed input is a failure with its reason, never an
-    exception.
+    The orbit must be a backward orbit of the base map and stage i must sit
+    at orbit index n0 + i·step (from the n-sequence; without one, n0 = 0
+    and step is the first stage's index).  Each stored (case, beta) is split
+    again on f^step, which checks t∘s = f^step, and :func:`_assemble` runs
+    on those pairs.  The stage count, every stored s, t, g (in normal form),
+    coordinate and verdict, ``result``, ``failing_stage`` and
+    ``repeat_index`` must equal the re-derived ones, and with stabilization
+    data f^step must cover [0, 1] at scale eps/2.  Returns (ok, message);
+    malformed input and budget overruns are failures, never exceptions.
     """
     try:
         cert = certificate_from_dict(data)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
         return False, f"malformed certificate: {type(exc).__name__}: {exc}"
-    if len(cert.stages) < 2:
+    stored, f, stab = cert.stages, cert.base_map, cert.stabilization
+    if len(stored) < 2:
         return False, "need at least two stages to run any zigzag check"
-    f = cert.base_map
     try:
         validate_orbit(f, cert.orbit)
-    except Exception as exc:
+    except OrbitValidationError as exc:
         return False, f"orbit: {exc}"
-    cache = IterateCache(f)
-    stab = cert.stabilization
-    prev_n = 0 if stab is None else stab.n_sequence.head[0]
-    prev_stage: Optional[StageRecord] = None
-    for st in cert.stages:
-        block_len = st.n - prev_n
-        if block_len <= 0:
-            return False, f"stage {st.index}: non-increasing orbit index"
-        block = cache.power(block_len)
-        if st.pair.base_map != block:
-            return False, f"stage {st.index}: t∘s differs from the block map"
-        x = cert.orbit.value_at(st.n)
-        if st.pair.s(x) != st.coordinate:
+    if stab is None:
+        n0, step = 0, stored[0].n
+    else:
+        n0, step = stab.n_sequence.head[0], stab.n_sequence.step
+    if not isinstance(step, int) or step < 1:
+        return False, "stage 1: non-increasing orbit index"
+    for st in stored:
+        if st.n != n0 + st.index * step:
+            return False, f"stage {st.index}: orbit index {st.n} is not {n0} + {st.index}·{step}"
+    need = _stage_count(cert.orbit, step, len(stored))
+    if len(stored) != need:
+        return False, f"stages: {len(stored)} stored, the orbit's period needs {need}"
+
+    try:
+        block = iterate(f, step)
+        pairs: dict[tuple[str, Fraction], FactorPair] = {}
+        for st in stored:
+            case, beta = st.pair.case, st.pair.beta
+            if case not in (CASE1, CASE2):
+                return False, f"stage {st.index}: unknown case {case!r}"
+            if (case, beta) not in pairs:
+                try:
+                    split = split_case1 if case == CASE1 else split_case2
+                    pairs[case, beta] = split(block, beta)
+                except (ValueError, CertifyError) as exc:
+                    return False, f"stage {st.index}: {exc}"
+        stage_pairs = [pairs[st.pair.case, st.pair.beta] for st in stored]
+        derived = _assemble(
+            f, cert.orbit, stab, block, n0, step, lambda i: stage_pairs[i - 1], len(stored)
+        )
+    except BudgetExceededError as exc:
+        return False, f"re-deriving the certificate exceeds the budget: {exc}"
+
+    for st, rd in zip(stored, derived.stages):
+        if (st.pair.s, st.pair.t) != (rd.pair.s, rd.pair.t):
+            return False, f"stage {st.index}: s, t differ from the split of the block map at beta"
+        if st.coordinate != rd.coordinate:
             return False, f"stage {st.index}: stored coordinate is not s(x_n)"
-        if stab is not None:
-            if branch(block, x).B != (stab.a, stab.b):
-                return False, f"stage {st.index}: branch window mismatch"
-            if stab.side == "left-gap" and stab.a <= x < stab.a + stab.epsilon:
-                return False, f"stage {st.index}: coordinate inside left gap"
-            if stab.side == "right-gap" and stab.b - stab.epsilon < x <= stab.b:
-                return False, f"stage {st.index}: coordinate inside right gap"
-        if st.index >= 2:
-            if st.g is None or st.verdict is None:
-                return False, f"stage {st.index}: missing rebonded map or verdict"
-            if compose(prev_stage.pair.s, st.pair.t) != st.g:
-                return False, f"stage {st.index}: g differs from s_prev∘t"
-            if st.g(st.coordinate) != prev_stage.coordinate:
-                return False, f"stage {st.index}: coordinate chain broken"
-            if is_in_zigzag(st.g, st.coordinate) != st.verdict:
-                return False, f"stage {st.index}: zigzag verdict does not re-verify"
-            if cert.result == "pass" and st.verdict.in_zigzag:
-                return False, f"stage {st.index}: passing certificate with zigzag hit"
-        prev_n = st.n
-        prev_stage = st
-    if stab is not None:
-        gap_map = cache.power(stab.n_sequence.step)
-        if not uniformly_onto(gap_map, stab.epsilon / 2):
-            return False, "block map fails the covering condition at scale eps/2"
+        if st.g != rd.g:
+            return False, f"stage {st.index}: g differs from s_prev∘t"
+        if st.verdict != rd.verdict:
+            return False, f"stage {st.index}: zigzag verdict does not re-verify"
+    if (cert.result, cert.failing_stage) != (derived.result, derived.failing_stage):
+        got = "pass" if derived.passed else (
+            f"fail at stage {derived.failing_stage}: {derived.failure_reason}"
+        )
+        return False, (
+            f"result: stored {cert.result!r} with failing_stage {cert.failing_stage}, "
+            f"re-derived {got}"
+        )
+    if cert.repeat_index != derived.repeat_index:
+        return False, (
+            f"repeat_index: stored {cert.repeat_index}, re-derived {derived.repeat_index}"
+        )
+    if stab is not None and not uniformly_onto(block, stab.epsilon / 2):
+        return False, "block map fails the covering condition at scale eps/2"
     return True, "ok"

@@ -166,6 +166,53 @@ class TestCertifyCommand:
         assert code == 1
         assert "stage 2" in err
 
+    def test_failing_stage_reason_on_stderr(self, capsys, monkeypatch):
+        import plzig.factorize
+
+        # folding the top end at x = 1 moves the tracked point off itself
+        monkeypatch.setattr(plzig.factorize, "minc_stage_choice", lambda x: "case2")
+        code, _, err = run(
+            capsys, "certify", "--pipeline", "minc", "--orbit", "const:1", "--stages", "4"
+        )
+        assert code == 1
+        assert err == (
+            "certificate FAILED at stage 1 (orbit index 2): s moves x_2 = 1 to 11/18\n"
+        )
+
+
+class TestVerifyCommand:
+    @pytest.fixture
+    def cert_path(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        code, _, _ = run(
+            capsys, "certify", "--pipeline", "minc", "--orbit", "const:1/2",
+            "--stages", "4", "--out", str(path),
+        )
+        assert code == 0
+        return path
+
+    def test_passing_certificate_exits_zero(self, capsys, cert_path):
+        assert run(capsys, "verify", str(cert_path)) == (0, "", "")
+
+    def test_rejected_certificate_exits_one(self, capsys, cert_path):
+        data = json.loads(cert_path.read_text())
+        data["repeat_index"] = None
+        cert_path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(cert_path))
+        assert (code, out) == (1, "")
+        assert err == "certificate REJECTED: repeat_index: stored None, re-derived 3\n"
+
+    @pytest.mark.parametrize(
+        "content", [None, "{not json", "\xff"], ids=["missing", "not-json", "not-utf8"]
+    )
+    def test_unreadable_file_exits_two(self, capsys, tmp_path, content):
+        path = tmp_path / "cert.json"
+        if content is not None:
+            path.write_bytes(content.encode("latin-1"))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
 
 class TestMapAlgebraCommands:
     def test_compose_command(self, capsys, tmp_path):

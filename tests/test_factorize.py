@@ -1,3 +1,5 @@
+import copy
+import json
 import random
 from fractions import Fraction as F
 
@@ -422,3 +424,146 @@ class TestCertificateSerialization:
         data["orbit"]["period"] = ["0"]
         ok, msg = verify_certificate(data)
         assert not ok and msg == "stage 1: stored coordinate is not s(x_n)"
+
+
+def _enc(f):
+    return [[str(x), str(y)] for x, y in f.points]
+
+
+def _refold(data, period, pair):
+    """Point ``data`` at the orbit with this period block and give every
+    stage ``pair``, recomputing coordinates, g and verdicts so that only
+    the stage rule s(x_n) = x_n is broken."""
+    orbit = BackwardOrbit.of([], period)
+    data["orbit"] = {"prefix": [], "period": [str(v) for v in period]}
+    g = compose(pair.s, pair.t)
+    for st in data["stages"]:
+        c = pair.s(orbit.value_at(st["n_i"]))
+        st.update(case=pair.case, beta=str(pair.beta), s=_enc(pair.s), t=_enc(pair.t))
+        st["coordinate"] = str(c)
+        if st["g"] is not None:
+            st.update(g=_enc(g), zigzag_verdict=is_in_zigzag(g, c).to_dict())
+
+
+def _reuse_case(data, block, beta):
+    """Stage 2 folds at another valid beta of the same case, and every later
+    stage stores the g that a cache keyed by case alone would hand it."""
+    first = split_case1(block, F(data["stages"][0]["beta"]))
+    other = split_case1(block, beta)
+    stage = data["stages"][1]
+    stage.update(beta=str(beta), s=_enc(other.s), t=_enc(other.t))
+    g = compose(first.s, other.t)
+    for st in data["stages"][1:]:
+        st.update(g=_enc(g), zigzag_verdict=is_in_zigzag(g, F(st["coordinate"])).to_dict())
+
+
+def _collinear_g(data):
+    g = data["stages"][1]["g"]
+    (x0, y0), (x1, y1) = (F(v) for v in g[0]), (F(v) for v in g[1])
+    g.insert(1, [str((x0 + x1) / 2), str((y0 + y1) / 2)])
+
+
+MINC_BLOCK = iterate(minc_map(), 2)
+TENT_BLOCK = iterate(make_plmap([(0, 0), (F(1, 2), 1), (1, 0)]), 4)  # the const-2/3 block
+
+# (name, certificates it applies to, edit, text the rejection must contain)
+TAMPERS = [
+    ("repeat-null", ("minc", "general"), lambda d: d.update(repeat_index=None), "repeat_index"),
+    ("repeat-99", ("minc", "general"), lambda d: d.update(repeat_index=99), "repeat_index"),
+    (
+        "result-flip",
+        ("minc", "general"),
+        lambda d: d.update(result="fail", failing_stage=2),
+        "result: stored 'fail' with failing_stage 2, re-derived pass",
+    ),
+    (
+        "case2-at-const-1",
+        ("minc",),
+        lambda d: _refold(d, [F(1)], split_case2(MINC_BLOCK, MINC_BETA_HIGH)),
+        "re-derived fail at stage 1: s moves x_2 = 1 to 11/18",
+    ),
+    (
+        "case1-at-2-cycle",
+        ("minc",),
+        lambda d: _refold(d, [F(4, 19), F(12, 19)], split_case1(MINC_BLOCK, MINC_BETA_LOW)),
+        "re-derived fail at stage 1: s moves x_2 = 4/19",
+    ),
+    ("reuse-case", ("minc",), lambda d: _reuse_case(d, MINC_BLOCK, F(2, 9)), "stage 3: g"),
+    ("reuse-case", ("general",), lambda d: _reuse_case(d, TENT_BLOCK, F(3, 8)), "stage 3: g"),
+    (
+        "n-off-sequence",
+        ("minc", "general"),
+        lambda d: d["stages"][2].update(n_i=d["stages"][2]["n_i"] + 1),
+        "stage 3: orbit index",
+    ),
+    (
+        "step-not-block",
+        ("general",),
+        lambda d: d["stabilization"]["n-sequence"].update(step=8),
+        "stage 1: orbit index 4 is not 0 + 1·8",
+    ),
+    (
+        "too-few-stages",
+        ("minc", "general"),
+        lambda d: d.update(stages=d["stages"][:2]),
+        "stages: 2 stored, the orbit's period needs 3",
+    ),
+    ("collinear-g", ("minc", "general"), _collinear_g, "stage 2: g differs from s_prev∘t"),
+]
+TAMPER_CASES = [
+    pytest.param(kind, tamper, reason, id=f"{name}-{kind}")
+    for name, kinds, tamper, reason in TAMPERS
+    for kind in kinds
+]
+
+
+@pytest.fixture(scope="module")
+def passing_certificates(tent):
+    general = certify_general(tent, BackwardOrbit.constant(F(2, 3)), stages=3)
+    assert general.stabilization.n_sequence.step == 4
+    return {
+        "minc": certificate_to_dict(certify_minc(BackwardOrbit.constant(F(1, 2)), stages=4)),
+        "general": certificate_to_dict(general),
+    }
+
+
+class TestTamperSuite:
+    """Every edit of a passing certificate is rejected with the stage or
+    field named, and none raises."""
+
+    @pytest.mark.parametrize("kind, tamper, reason", TAMPER_CASES)
+    def test_edit_is_rejected(self, passing_certificates, kind, tamper, reason):
+        data = copy.deepcopy(passing_certificates[kind])
+        assert verify_certificate(data) == (True, "ok")
+        tamper(data)
+        ok, msg = verify_certificate(data)
+        assert not ok and reason in msg, msg
+
+    def test_budget_overrun_is_a_rejection(self, monkeypatch, passing_certificates):
+        import plzig.plmap
+
+        data = copy.deepcopy(passing_certificates["minc"])
+        for st in data["stages"]:
+            st["n_i"] *= 3  # consistent indices, but each block is now minc^6
+        monkeypatch.setattr(plzig.plmap, "DEFAULT_BREAKPOINT_BUDGET", 1_000)
+        ok, msg = verify_certificate(data)
+        assert not ok and "budget" in msg
+
+    def test_failing_stage_keeps_its_reason(self, monkeypatch):
+        import plzig.factorize
+
+        # folding the top end at x = 1 moves the tracked point off itself
+        monkeypatch.setattr(plzig.factorize, "minc_stage_choice", lambda x: CASE2)
+        cert = certify_minc(BackwardOrbit.constant(1), stages=4)
+        assert (cert.result, cert.failing_stage) == ("fail", 1)
+        assert cert.failure_reason == "s moves x_2 = 1 to 11/18"
+        data = certificate_to_dict(cert)
+        assert "failure_reason" not in json.dumps(data)
+        assert verify_certificate(data) == (True, "ok")
+        data.update(result="pass", failing_stage=None)
+        ok, msg = verify_certificate(data)
+        assert not ok
+        assert msg == (
+            "result: stored 'pass' with failing_stage None, "
+            "re-derived fail at stage 1: s moves x_2 = 1 to 11/18"
+        )
