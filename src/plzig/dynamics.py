@@ -57,6 +57,9 @@ Interval = tuple[Fraction, Fraction]
 
 DEFAULT_ORBIT_BUDGET = 10**4
 
+# Powers f, f^2, ... tried by the leo semi-decision before it gives up.
+LEO_FALLBACK_DEPTH = 32
+
 
 class OrbitValidationError(ValueError):
     """A backward orbit is inconsistent with the map it claims to follow."""
@@ -305,32 +308,22 @@ def _segment_slope_at(f: PLMap, x: Fraction, before: bool) -> Fraction:
     return abs((y1 - y0) / (x1 - x0))
 
 
-def is_leo(
-    f: PLMap,
-    markov: Optional[list[Fraction]] = None,
-    fallback_depth: int = 32,
-    budget: Optional[int] = None,
-    orbit_budget: int = DEFAULT_ORBIT_BUDGET,
-) -> Optional[bool]:
+def is_leo(f: PLMap, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> Optional[bool]:
     """Locally eventually onto: every subinterval eventually covers [0, 1].
 
-    With a Markov partition (given, or derived when the map is verifiably
-    post-critically finite) this is decided through primitivity of the
-    transition matrix.  Otherwise a semi-decision runs: when every interval
-    provably grows under iteration, covering is checked for one scale via
-    exact preimage spacing; the result is None when neither route concludes.
+    When the map is verifiably post-critically finite this is decided
+    through primitivity of the transition matrix of its Markov partition.
+    Otherwise a semi-decision runs: when every interval provably grows
+    under iteration, covering is checked for one scale via exact preimage
+    spacing; the result is None when neither route concludes.
     """
-    if markov is None and is_onto(f) and len(laps(f)) > 1:
+    markov = None
+    if is_onto(f) and len(laps(f)) > 1:
         markov = _orbit_closure(post_critical_orbits(f, orbit_budget))
-    return _leo(f, markov, fallback_depth, budget)
+    return _leo(f, markov)
 
 
-def _leo(
-    f: PLMap,
-    markov: Optional[Sequence[Fraction]],
-    fallback_depth: int = 32,
-    budget: Optional[int] = None,
-) -> Optional[bool]:
+def _leo(f: PLMap, markov: Optional[Sequence[Fraction]]) -> Optional[bool]:
     """:func:`is_leo` once the Markov partition is known, or known to be
     unavailable (None)."""
     if not is_onto(f):
@@ -349,11 +342,11 @@ def _leo(
         return True
     scale = min(abs(f(lap.right) - f(lap.left)) for lap in interior)
     power = f
-    for _ in range(fallback_depth):
+    for _ in range(LEO_FALLBACK_DEPTH):
         if uniformly_onto(power, scale):
             return True
         try:
-            power = compose(f, power, budget=budget)
+            power = compose(f, power)
         except BudgetExceededError:
             return None
     return None
@@ -380,27 +373,21 @@ def uniformly_onto(f: PLMap, eps) -> bool:
     return True
 
 
-def leo_uniform_N(
-    f: PLMap,
-    eps,
-    max_power: int = 64,
-    budget: Optional[int] = None,
-) -> int:
+def leo_uniform_N(f: PLMap, eps, max_power: int = 64) -> int:
     """Least N with f^N(J) = [0, 1] for every J of diameter >= eps.
 
     Because f is onto, the property persists for every n >= N, so this is
     the uniform covering time at scale eps.  Found by iterating the exact
-    composition and testing :func:`uniformly_onto` at each power.
+    composition and testing :func:`uniformly_onto` at each power (which
+    rejects a scale that is not positive).
     """
     eps = _as_rational(eps)
-    if eps <= 0:
-        raise ValueError("scale must be positive")
     power = f
     for n in range(1, max_power + 1):
         if uniformly_onto(power, eps):
             return n
         if n < max_power:
-            power = compose(f, power, budget=budget)
+            power = compose(f, power)
     raise BudgetExceededError(
         f"no uniform covering time at scale {eps} within {max_power} powers"
     )
@@ -507,6 +494,14 @@ def load_orbit(path) -> BackwardOrbit:
 # Branch stabilization
 # ---------------------------------------------------------------------------
 
+# Fixed search limits, so that a verifier re-deriving the stabilization finds
+# what the producer found: for an orbit of period p, branch limits are probed
+# to depth 4p + 12 and block lengths up to 64 periods are tried.
+PROBE_PER_PERIOD = 4
+PROBE_SLACK = 12
+MAX_BLOCK_MULTIPLE = 64
+
+
 class IterateCache:
     """Incrementally materialized iterates f, f^2, ... under one budget."""
 
@@ -567,9 +562,9 @@ def _stable_branch_limit(
     start: int,
     window: int,
     probe: int,
-) -> Optional[tuple[Interval, int]]:
-    """Detect the nested-branch limit from index ``start``: the first depth
-    where B(f^j, x_{start+j}) stays constant across ``window`` extra steps."""
+) -> Optional[Interval]:
+    """Detect the nested-branch limit from index ``start``: the value of
+    B(f^j, x_{start+j}) once it stays constant across ``window`` extra steps."""
     values: list[Interval] = []
     for j in range(1, probe + 1):
         fj = cache.power(j)
@@ -577,7 +572,7 @@ def _stable_branch_limit(
         if len(values) >= window + 1:
             tail = values[-(window + 1):]
             if all(t == tail[0] for t in tail):
-                return tail[0], len(values) - window
+                return tail[0]
     return None
 
 
@@ -585,20 +580,28 @@ def branch_stabilization(
     f: PLMap,
     orbit: BackwardOrbit,
     budget: Optional[int] = None,
-    max_block_multiple: int = 64,
-    probe: Optional[int] = None,
 ) -> StabilizationData:
     """Extract (a, b, epsilon, side, n-sequence) for the certificate pipeline.
 
-    Requires a post-critically finite leo map and a valid backward orbit:
-    the orbit is validated and both hypotheses are read from one
-    :func:`map_facts` table, raising ValueError when one fails.  The branch
-    limit [a, b] is detected along one orbit residue, the gap
-    side and epsilon come from the residue's tracked value, and the block
-    length is the least period multiple that restores the branch [a, b] and
-    covers [0, 1] from every interval of diameter epsilon/2 (both facts
-    checked exactly on the chosen block map).
+    Checks every hypothesis of the theorem first: the orbit is a backward
+    orbit of f, f is onto, and f is post-critically finite and leo (both
+    read from one :func:`map_facts` table); a failed hypothesis raises
+    ValueError.  The branch limit [a, b] is detected along one orbit
+    residue, the gap side and epsilon come from the residue's tracked
+    value, and the block length is the least period multiple that restores
+    the branch [a, b] and covers [0, 1] from every interval of diameter
+    epsilon/2 (both facts checked exactly on the chosen block map).
     """
+    return _stabilize(f, orbit, budget)[0]
+
+
+def _stabilize(
+    f: PLMap, orbit: BackwardOrbit, budget: Optional[int] = None
+) -> tuple[StabilizationData, PLMap]:
+    """:func:`branch_stabilization` together with the block map f^step it
+    chose, taken from the iterates it composed on the way."""
+    if not is_onto(f):
+        raise ValueError("base map must be onto")
     validate_orbit(f, orbit)
     facts = map_facts(f)
     if facts.post_critically_finite is not True:
@@ -609,53 +612,39 @@ def branch_stabilization(
     p = orbit.minimal_period()
     q = len(orbit.prefix)
     cache = IterateCache(f, budget=budget)
-    probe_depth = probe if probe is not None else 4 * p + 12
+    probe_depth = PROBE_PER_PERIOD * p + PROBE_SLACK
 
     # block lengths are period multiples, so the tracked subsequence sits on
     # one orbit residue and takes a single value; only that value has to
     # clear the epsilon window
-    chosen: Optional[tuple[int, Interval, str, Fraction]] = None
-    for r in range(p):
-        found = _stable_branch_limit(cache, orbit, q + r, window=p, probe=probe_depth)
+    for n0 in range(q, q + p):
+        found = _stable_branch_limit(cache, orbit, n0, window=p, probe=probe_depth)
         if found is None:
             continue
-        (a, b), _depth = found
-        tracked = orbit.value_at(q + r)
+        a, b = found
+        tracked = orbit.value_at(n0)
         if tracked > a:
-            eps = min(tracked - a, b - a) / 2
-            chosen = (q + r, (a, b), "left-gap", eps)
+            side, eps = "left-gap", min(tracked - a, b - a) / 2
             break
         if tracked < b:
-            eps = min(b - tracked, b - a) / 2
-            chosen = (q + r, (a, b), "right-gap", eps)
+            side, eps = "right-gap", min(b - tracked, b - a) / 2
             break
-    if chosen is None:
+    else:
         raise BudgetExceededError(
             "no orbit residue produced a stabilized branch with a usable gap "
             f"within probe depth {probe_depth}"
         )
-    n0, (a, b), side, eps = chosen
 
-    gap = None
-    for m in range(1, max_block_multiple + 1):
-        g = m * p
-        block_map = cache.power(g)
-        if not uniformly_onto(block_map, eps / 2):
+    for m in range(1, MAX_BLOCK_MULTIPLE + 1):
+        step = m * p
+        block = cache.power(step)
+        if not uniformly_onto(block, eps / 2):
             continue
-        if branch(block_map, orbit.value_at(n0 + g)).B != (a, b):
+        if branch(block, orbit.value_at(n0 + step)).B != (a, b):
             continue
-        gap = g
-        break
-    if gap is None:
-        raise BudgetExceededError(
-            f"no block length up to {max_block_multiple} periods satisfies the "
-            "branch and covering conditions"
-        )
-
-    return StabilizationData(
-        a=a,
-        b=b,
-        epsilon=eps,
-        side=side,
-        n_sequence=NSequence(head=(n0,), step=gap),
+        stab = StabilizationData(a, b, eps, side, NSequence(head=(n0,), step=step))
+        return stab, block
+    raise BudgetExceededError(
+        f"no block length up to {MAX_BLOCK_MULTIPLE} periods satisfies the "
+        "branch and covering conditions"
     )

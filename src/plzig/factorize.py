@@ -24,7 +24,6 @@ from .plmap import (
     PLMap,
     _as_rational,
     compose,
-    is_onto,
     iterate,
     level_crossings,
     make_plmap,
@@ -35,9 +34,8 @@ from .dynamics import (
     NSequence,
     OrbitValidationError,
     StabilizationData,
+    _stabilize,
     branch,
-    branch_stabilization,
-    uniformly_onto,
     validate_orbit,
 )
 
@@ -71,6 +69,7 @@ CASE2 = "case2"
 
 MINC_BETA_LOW = Fraction(7, 18)
 MINC_BETA_HIGH = Fraction(11, 18)
+MINC_STEP = 2  # the Minc pipeline's blocks are second iterates
 
 
 class CertifyError(RuntimeError):
@@ -330,14 +329,14 @@ def certify_minc(orbit: BackwardOrbit, stages: int) -> Certificate:
     hard-coded folds, and a zigzag check at every rebonded stage."""
     f = minc_map()
     validate_orbit(f, orbit)
-    block = iterate(f, 2)
+    block = iterate(f, MINC_STEP)
     pairs = {
         CASE1: split_case1(block, MINC_BETA_LOW),
         CASE2: split_case2(block, MINC_BETA_HIGH),
     }
     return _assemble(
-        f, orbit, None, block, n0=0, step=2,
-        pair_of=lambda i: pairs[minc_stage_choice(orbit.value_at(2 * i))],
+        f, orbit, None, block, n0=0, step=MINC_STEP,
+        pair_of=lambda i: pairs[minc_stage_choice(orbit.value_at(MINC_STEP * i))],
         stage_count=stages,
     )
 
@@ -350,32 +349,28 @@ def certify_general(
 ) -> Certificate:
     """Full certificate pipeline for a post-critically finite leo map.
 
-    :func:`branch_stabilization` checks the orbit and the dynamical
-    hypotheses (a failed hypothesis raises :class:`CertifyError`, an
-    inconsistent orbit :class:`OrbitValidationError`) and extracts the
-    stabilized branch window.  Then the fold inside the gap window is
-    picked and every stage is checked: the branch of the block map at the
-    tracked coordinate equals [a, b], the coordinate avoids the gap window,
-    the fold identities hold exactly, and the coordinate is outside every
-    zigzag of the rebonded map.
+    :func:`branch_stabilization` checks the orbit and every hypothesis on
+    the map (a failed hypothesis raises :class:`CertifyError`, an
+    inconsistent orbit :class:`OrbitValidationError`), extracts the
+    stabilized branch window and hands over the block map f^step it chose.
+    Then the fold inside the gap window is picked and every stage is
+    checked: the branch of the block map at the tracked coordinate equals
+    [a, b], the coordinate avoids the gap window, the fold identities hold
+    exactly, and the coordinate is outside every zigzag of the rebonded map.
     """
-    if not is_onto(f):
-        raise CertifyError("base map must be onto")
     try:
-        stab = branch_stabilization(f, orbit, budget=budget)
+        stab, block = _stabilize(f, orbit, budget)
     except OrbitValidationError:
         raise
     except ValueError as exc:
         raise CertifyError(str(exc)) from exc
-    step = stab.n_sequence.step
-    block = iterate(f, step, budget=budget)
     if stab.side == "left-gap":
         _, beta = find_beta(block, (stab.a, stab.a + stab.epsilon), CASE1)
         pair = split_case1(block, beta)
     else:
         _, beta = find_beta(block, (stab.b - stab.epsilon, stab.b), CASE2)
         pair = split_case2(block, beta)
-    n0 = stab.n_sequence.head[0]
+    n0, step = stab.n_sequence.head[0], stab.n_sequence.step
     return _assemble(f, orbit, stab, block, n0, step, pair_of=lambda i: pair, stage_count=stages)
 
 
@@ -440,10 +435,11 @@ def certificate_from_dict(data: dict) -> Certificate:
             side=s["side"],
             n_sequence=NSequence(tuple(s["n-sequence"]["head"]), s["n-sequence"]["step"]),
         )
-        head = stab.n_sequence.head
-        bad = stab.side not in ("left-gap", "right-gap") or stab.epsilon <= 0
-        if bad or len(head) != 1 or head[0] < 0:
-            raise ValueError("stabilization side, epsilon or n-sequence head out of range")
+        seq = stab.n_sequence
+        ints = all(isinstance(v, int) for v in (*seq.head, seq.step))
+        bad = stab.side not in ("left-gap", "right-gap") or stab.epsilon <= 0 or not ints
+        if bad or len(seq.head) != 1 or seq.head[0] < 0:
+            raise ValueError("stabilization side, epsilon or n-sequence out of range")
     base = _dec_map(data["map"])
     orbit = BackwardOrbit(
         tuple(Fraction(v) for v in data["orbit"]["prefix"]),
@@ -484,17 +480,21 @@ def certificate_from_json(text: str) -> Certificate:
 
 
 def verify_certificate(data: dict) -> tuple[bool, str]:
-    """Decode, re-derive with the pipelines' stage loop, and compare.
+    """Decode, re-derive with the pipelines' own steps, and compare.
 
-    The orbit must be a backward orbit of the base map and stage i must sit
-    at orbit index n0 + i·step (from the n-sequence; without one, n0 = 0
-    and step is the first stage's index).  Each stored (case, beta) is split
-    again on f^step, which checks t∘s = f^step, and :func:`_assemble` runs
-    on those pairs.  The stage count, every stored s, t, g (in normal form),
-    coordinate and verdict, ``result``, ``failing_stage`` and
-    ``repeat_index`` must equal the re-derived ones, and with stabilization
-    data f^step must cover [0, 1] at scale eps/2.  Returns (ok, message);
-    malformed input and budget overruns are failures, never exceptions.
+    The orbit must be a backward orbit of the base map.  Without
+    stabilization data the certificate comes from the Minc pipeline: the
+    map must be :func:`minc_map`, stage i sits at orbit index 2·i and the
+    block map is f^2.  Otherwise stage i sits at n0 + i·step, and
+    :func:`branch_stabilization` runs again on the stored map and orbit:
+    it checks every hypothesis, its (a, b, epsilon, side, n-sequence) must
+    equal the stored one, and its block map f^step is used, so no step
+    read from the certificate is ever iterated.  Each stored (case, beta)
+    is split again on the block map, :func:`_assemble` runs on those pairs,
+    and the stage count, every stored s, t, g (in normal form), coordinate,
+    verdict, ``result``, ``failing_stage`` and ``repeat_index`` must equal
+    the re-derived ones.  Returns (ok, message); malformed input, failed
+    hypotheses and budget overruns are failures, never exceptions.
     """
     try:
         cert = certificate_from_dict(data)
@@ -508,11 +508,11 @@ def verify_certificate(data: dict) -> tuple[bool, str]:
     except OrbitValidationError as exc:
         return False, f"orbit: {exc}"
     if stab is None:
-        n0, step = 0, stored[0].n
+        if f != minc_map():
+            return False, "map: a certificate without stabilization data must be on the Minc map"
+        n0, step = 0, MINC_STEP
     else:
         n0, step = stab.n_sequence.head[0], stab.n_sequence.step
-    if not isinstance(step, int) or step < 1:
-        return False, "stage 1: non-increasing orbit index"
     for st in stored:
         if st.n != n0 + st.index * step:
             return False, f"stage {st.index}: orbit index {st.n} is not {n0} + {st.index}·{step}"
@@ -521,7 +521,18 @@ def verify_certificate(data: dict) -> tuple[bool, str]:
         return False, f"stages: {len(stored)} stored, the orbit's period needs {need}"
 
     try:
-        block = iterate(f, step)
+        if stab is None:
+            block = iterate(f, MINC_STEP)
+        else:
+            try:
+                derived_stab, block = _stabilize(f, cert.orbit)
+            except ValueError as exc:
+                return False, f"map: {exc}"
+            for name in ("a", "b", "epsilon", "side", "n_sequence"):
+                want, got = getattr(stab, name), getattr(derived_stab, name)
+                if want != got:
+                    field = name.replace("_", "-")
+                    return False, f"stabilization {field}: stored {want}, re-derived {got}"
         pairs: dict[tuple[str, Fraction], FactorPair] = {}
         for st in stored:
             case, beta = st.pair.case, st.pair.beta
@@ -561,6 +572,4 @@ def verify_certificate(data: dict) -> tuple[bool, str]:
         return False, (
             f"repeat_index: stored {cert.repeat_index}, re-derived {derived.repeat_index}"
         )
-    if stab is not None and not uniformly_onto(block, stab.epsilon / 2):
-        return False, "block map fails the covering condition at scale eps/2"
     return True, "ok"

@@ -6,7 +6,7 @@ import pytest
 
 import plzig.dynamics as dynamics
 from plzig.cli import analysis_report
-from plzig.factorize import certify_general
+from plzig.factorize import certificate_to_dict, certify_general, verify_certificate
 from plzig.plmap import BudgetExceededError, compose, iterate, make_plmap
 from plzig.dynamics import (
     BackwardOrbit,
@@ -162,9 +162,6 @@ class TestLeo:
 
     def test_monotone_onto_is_never_leo(self):
         assert is_leo(make_plmap([(0, 0), (F(1, 3), F(3, 4)), (1, 1)])) is False
-
-    def test_markov_override(self, minc):
-        assert is_leo(minc, markov=markov_partition(minc)) is True
 
     def test_semidecision_expanding_map(self):
         # onto, not post-critically finite at a tiny budget, all slopes > 1:
@@ -360,6 +357,12 @@ class TestOneOrbitTable:
 
     def test_certify_general(self, minc, tables):
         assert certify_general(minc, BackwardOrbit.constant(F(1, 2))).passed
+        assert len(tables) == 1
+
+    def test_verify_general_certificate(self, minc, tables):
+        data = certificate_to_dict(certify_general(minc, BackwardOrbit.constant(F(1, 2))))
+        tables.clear()
+        assert verify_certificate(data) == (True, "ok")
         assert len(tables) == 1
 
     def test_is_leo(self, minc, tables):

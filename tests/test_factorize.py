@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -345,6 +346,20 @@ class TestCertifyGeneral:
         with pytest.raises(CertifyError):
             certify_general(f, BackwardOrbit.constant(F(1, 2)), stages=3)
 
+    def test_block_comes_from_the_stabilization(self, monkeypatch, minc, tent):
+        # f^step is composed once, by the stabilization; neither the pipeline
+        # nor the verifier of its certificates iterates f again
+        import plzig.factorize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("f^step was composed a second time")
+
+        monkeypatch.setattr(plzig.factorize, "iterate", refuse)
+        for f, x, stages in ((minc, F(1, 2), 4), (tent, F(2, 3), 3)):
+            cert = certify_general(f, BackwardOrbit.constant(x), stages=stages)
+            assert cert.passed
+            assert verify_certificate(certificate_to_dict(cert)) == (True, "ok")
+
     def test_random_markov_family(self):
         # grid-valued cell maps are post-critically finite by construction;
         # whenever the dynamical preconditions hold the pipeline must pass
@@ -463,6 +478,22 @@ def _collinear_g(data):
     g.insert(1, [str((x0 + x1) / 2), str((y0 + y1) / 2)])
 
 
+def _restep(data, step):
+    """Give the n-sequence another step and move every stage onto it."""
+    seq = data["stabilization"]["n-sequence"]
+    seq["step"] = step
+    for i, st in enumerate(data["stages"], start=1):
+        st["n_i"] = seq["head"][0] + i * step
+
+
+def _spread_minc_indices(data, factor):
+    for i, st in enumerate(data["stages"], start=1):
+        st["n_i"] = factor * i
+
+
+# onto and post-critically finite, but [1/3, 1] is invariant: not leo
+NOT_LEO = make_plmap([(0, 0), (F(1, 3), 1), (F(2, 3), F(1, 3)), (1, F(2, 3))])
+
 MINC_BLOCK = iterate(minc_map(), 2)
 TENT_BLOCK = iterate(make_plmap([(0, 0), (F(1, 2), 1), (1, 0)]), 4)  # the const-2/3 block
 
@@ -509,6 +540,48 @@ TAMPERS = [
         "stages: 2 stored, the orbit's period needs 3",
     ),
     ("collinear-g", ("minc", "general"), _collinear_g, "stage 2: g differs from s_prev∘t"),
+    (
+        "shifted-epsilon",
+        ("general",),
+        lambda d: d["stabilization"].update(epsilon="1/4"),
+        "stabilization epsilon: stored 1/4, re-derived 1/3",
+    ),
+    (
+        "other-step",
+        ("general",),
+        lambda d: _restep(d, 8),
+        "stabilization n-sequence: stored NSequence(head=(0,), step=8), re-derived",
+    ),
+    (
+        "index-1e9",
+        ("minc",),
+        lambda d: _spread_minc_indices(d, 10**9),
+        "stage 1: orbit index 1000000000 is not 0 + 1·2",
+    ),
+    (
+        "index-1e9",
+        ("general",),
+        lambda d: _restep(d, 10**9),
+        "stabilization n-sequence: stored NSequence(head=(0,), step=1000000000), re-derived",
+    ),
+    (
+        "no-stabilization",
+        ("general",),
+        lambda d: d.update(stabilization=None),
+        "map: a certificate without stabilization data must be on the Minc map",
+    ),
+    (
+        "float-head",
+        ("general",),
+        lambda d: d["stabilization"]["n-sequence"].update(head=[0.0]),
+        "malformed certificate: ValueError: stabilization side, epsilon or n-sequence",
+    ),
+    (
+        "not-leo",
+        ("general",),
+        lambda d: d.update(map=_enc(NOT_LEO), orbit={"prefix": [], "period": ["5/9"]}),
+        "map: map is not locally eventually onto",
+    ),
 ]
 TAMPER_CASES = [
     pytest.param(kind, tamper, reason, id=f"{name}-{kind}")
@@ -529,23 +602,26 @@ def passing_certificates(tent):
 
 class TestTamperSuite:
     """Every edit of a passing certificate is rejected with the stage or
-    field named, and none raises."""
+    field named, quickly whatever indices it claims, and none raises."""
 
     @pytest.mark.parametrize("kind, tamper, reason", TAMPER_CASES)
     def test_edit_is_rejected(self, passing_certificates, kind, tamper, reason):
         data = copy.deepcopy(passing_certificates[kind])
         assert verify_certificate(data) == (True, "ok")
         tamper(data)
+        start = time.perf_counter()
         ok, msg = verify_certificate(data)
+        elapsed = time.perf_counter() - start
         assert not ok and reason in msg, msg
+        assert elapsed < 0.1, f"rejection took {elapsed:.3f} s"
 
     def test_budget_overrun_is_a_rejection(self, monkeypatch, passing_certificates):
         import plzig.plmap
 
-        data = copy.deepcopy(passing_certificates["minc"])
-        for st in data["stages"]:
-            st["n_i"] *= 3  # consistent indices, but each block is now minc^6
-        monkeypatch.setattr(plzig.plmap, "DEFAULT_BREAKPOINT_BUDGET", 1_000)
+        # re-deriving the stabilization composes tent^1..tent^4; tent^4 has
+        # 17 breakpoints
+        data = copy.deepcopy(passing_certificates["general"])
+        monkeypatch.setattr(plzig.plmap, "DEFAULT_BREAKPOINT_BUDGET", 10)
         ok, msg = verify_certificate(data)
         assert not ok and "budget" in msg
 
