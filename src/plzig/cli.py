@@ -6,7 +6,7 @@ Commands
   analyze   structured JSON report: critical set, zigzag set, orbits,
             Markov partition, leo verdict
   certify   run a certificate pipeline on a map and a backward orbit
-  verify    re-derive a certificate file and compare it field by field
+  verify    re-derive a certificate file and compare its encoding
   compose   exact composition of two map files (outer after inner)
   iterate   exact n-fold iterate of a map file
 
@@ -215,7 +215,10 @@ def cmd_certify(args) -> int:
 
 def cmd_verify(args) -> int:
     with open(args.certificate, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{args.certificate}: JSON nested too deeply") from None
     ok, reason = verify_certificate(data)
     if ok:
         return 0

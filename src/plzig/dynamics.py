@@ -432,9 +432,6 @@ class BackwardOrbit:
             return self.prefix[i]
         return self.period_block[(i - q) % len(self.period_block)]
 
-    def value_set(self) -> frozenset[Fraction]:
-        return frozenset(self.prefix) | frozenset(self.period_block)
-
     def minimal_period(self) -> int:
         block = self.period_block
         p = len(block)

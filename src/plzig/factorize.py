@@ -24,8 +24,10 @@ from .plmap import (
     PLMap,
     _as_rational,
     compose,
+    dumps_map,
     iterate,
     level_crossings,
+    loads_map,
     make_plmap,
 )
 from .zigzag import ZigzagVerdict, is_in_zigzag
@@ -146,29 +148,18 @@ def find_beta(f: PLMap, window: tuple, case: str) -> tuple[Fraction, Fraction]:
     holds no full fold (a covering-condition violation).
     """
     lo, hi = (_as_rational(window[0]), _as_rational(window[1]))
-    if case == CASE1:
-        ones = [x for x in level_crossings(f, ONE) if lo <= x < hi]
-        zeros = [x for x in level_crossings(f, ZERO) if lo <= x < hi]
-        cands = [z for z in zeros if any(w < z for w in ones)]
-        if not cands:
-            raise ValueError(
-                f"window [{lo}, {hi}) holds no 1-then-0 fold of the block map"
-            )
-        beta = min(cands)
-        alpha = max(w for w in ones if w < beta)
-        return alpha, beta
-    if case == CASE2:
-        ones = [x for x in level_crossings(f, ONE) if lo < x <= hi]
-        zeros = [x for x in level_crossings(f, ZERO) if lo < x <= hi]
-        cands = [z for z in zeros if any(w < z for w in ones)]
-        if not cands:
-            raise ValueError(
-                f"window ({lo}, {hi}] holds no 1-then-0 fold of the block map"
-            )
-        gamma = max(cands)
-        beta = max(w for w in ones if w < gamma)
-        return gamma, beta
-    raise ValueError(f"unknown case {case!r}")
+    if case not in (CASE1, CASE2):
+        raise ValueError(f"unknown case {case!r}")
+    low = case == CASE1
+    inside = lambda x: lo <= x < hi if low else lo < x <= hi
+    ones = [x for x in level_crossings(f, ONE) if inside(x)]
+    zeros = [z for z in level_crossings(f, ZERO) if inside(z) and any(w < z for w in ones)]
+    if not zeros:
+        span = f"[{lo}, {hi})" if low else f"({lo}, {hi}]"
+        raise ValueError(f"window {span} holds no 1-then-0 fold of the block map")
+    zero = min(zeros) if low else max(zeros)
+    one = max(w for w in ones if w < zero)
+    return (one, zero) if low else (zero, one)
 
 
 def minc_map() -> PLMap:
@@ -375,44 +366,54 @@ def certify_general(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: JSON with all rationals as p/q strings.  Round trips are
-# bit exact, and a serialized certificate re-verifies from its own data.
+# Serialization: schema version 2, compact JSON with sorted keys.  Every
+# rational is a p/q string, and each distinct map is stored once, in the
+# ``maps`` table, as its map-file text (:func:`dumps_map`); ``map`` and each
+# stage's s, t and g refer to that table by index.  One certificate has one
+# encoding, so the verifier compares encodings instead of parsing them.
 # ---------------------------------------------------------------------------
 
-def _enc_map(f: PLMap) -> list[list[str]]:
-    return [[str(x), str(y)] for x, y in f.points]
+VERSION = 2
 
 
-def _dec_map(data) -> PLMap:
-    return PLMap(tuple((Fraction(x), Fraction(y)) for x, y in data))
+def _dec_orbit(data: dict) -> BackwardOrbit:
+    return BackwardOrbit(*(tuple(map(Fraction, data[k])) for k in ("prefix", "period")))
+
+
+def _canonical(data) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
-    stab = None
-    if cert.stabilization is not None:
-        s = cert.stabilization
-        stab = {
-            "a": str(s.a),
-            "b": str(s.b),
-            "epsilon": str(s.epsilon),
-            "side": s.side,
-            "n-sequence": {"head": list(s.n_sequence.head), "step": s.n_sequence.step},
-        }
+    maps: dict[str, int] = {}
+    texts: dict[int, str] = {}  # by id: the stage loop shares one object per map
+
+    def ref(f: PLMap) -> int:
+        text = texts.get(id(f))
+        if text is None:
+            text = texts[id(f)] = dumps_map(f)
+        return maps.setdefault(text, len(maps))
+
+    s = cert.stabilization
+    stab = None if s is None else {
+        "a": str(s.a),
+        "b": str(s.b),
+        "epsilon": str(s.epsilon),
+        "side": s.side,
+        "n-sequence": {"head": list(s.n_sequence.head), "step": s.n_sequence.step},
+    }
+    base = ref(cert.base_map)
+    # keys in the order in which the verifier reports a first difference
     return {
-        "map": _enc_map(cert.base_map),
-        "orbit": {
-            "prefix": [str(v) for v in cert.orbit.prefix],
-            "period": [str(v) for v in cert.orbit.period_block],
-        },
         "stabilization": stab,
         "stages": [
             {
                 "n_i": st.n,
                 "case": st.pair.case,
                 "beta": str(st.pair.beta),
-                "s": _enc_map(st.pair.s),
-                "t": _enc_map(st.pair.t),
-                "g": _enc_map(st.g) if st.g is not None else None,
+                "s": ref(st.pair.s),
+                "t": ref(st.pair.t),
+                "g": ref(st.g) if st.g is not None else None,
                 "coordinate": str(st.coordinate),
                 "zigzag_verdict": st.verdict.to_dict() if st.verdict is not None else None,
             }
@@ -421,58 +422,43 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "result": cert.result,
         "failing_stage": cert.failing_stage,
         "repeat_index": cert.repeat_index,
+        "map": base,
+        "orbit": {
+            "prefix": [str(v) for v in cert.orbit.prefix],
+            "period": [str(v) for v in cert.orbit.period_block],
+        },
+        "version": VERSION,
+        "maps": list(maps),
     }
 
 
 def certificate_from_dict(data: dict) -> Certificate:
-    stab = None
-    if data["stabilization"] is not None:
-        s = data["stabilization"]
+    """Decode a certificate, parsing each entry of its maps table once.
+    Nothing is checked here; :func:`verify_certificate` does that."""
+    maps = [loads_map(text) for text in data["maps"]]
+    stab = data["stabilization"]
+    if stab is not None:
+        seq = stab["n-sequence"]
         stab = StabilizationData(
-            a=Fraction(s["a"]),
-            b=Fraction(s["b"]),
-            epsilon=Fraction(s["epsilon"]),
-            side=s["side"],
-            n_sequence=NSequence(tuple(s["n-sequence"]["head"]), s["n-sequence"]["step"]),
+            Fraction(stab["a"]), Fraction(stab["b"]), Fraction(stab["epsilon"]), stab["side"],
+            NSequence(tuple(seq["head"]), seq["step"]),
         )
-        seq = stab.n_sequence
-        ints = all(isinstance(v, int) for v in (*seq.head, seq.step))
-        bad = stab.side not in ("left-gap", "right-gap") or stab.epsilon <= 0 or not ints
-        if bad or len(seq.head) != 1 or seq.head[0] < 0:
-            raise ValueError("stabilization side, epsilon or n-sequence out of range")
-    base = _dec_map(data["map"])
-    orbit = BackwardOrbit(
-        tuple(Fraction(v) for v in data["orbit"]["prefix"]),
-        tuple(Fraction(v) for v in data["orbit"]["period"]),
-    )
-    stages = [
-        StageRecord(
-            index=idx,
-            n=st["n_i"],
-            pair=FactorPair(
-                _dec_map(st["s"]), _dec_map(st["t"]), st["case"], Fraction(st["beta"])
-            ),
-            g=_dec_map(st["g"]) if st["g"] is not None else None,
-            coordinate=Fraction(st["coordinate"]),
-            verdict=ZigzagVerdict.from_dict(st["zigzag_verdict"])
-            if st["zigzag_verdict"] is not None
-            else None,
-        )
-        for idx, st in enumerate(data["stages"], start=1)
-    ]
+    stages = []
+    for idx, st in enumerate(data["stages"], start=1):
+        pair = FactorPair(maps[st["s"]], maps[st["t"]], st["case"], Fraction(st["beta"]))
+        g, verdict = st["g"], st["zigzag_verdict"]
+        stages.append(StageRecord(
+            idx, st["n_i"], pair, None if g is None else maps[g], Fraction(st["coordinate"]),
+            None if verdict is None else ZigzagVerdict.from_dict(verdict),
+        ))
     return Certificate(
-        base_map=base,
-        orbit=orbit,
-        stabilization=stab,
-        stages=tuple(stages),
-        result=data["result"],
-        failing_stage=data["failing_stage"],
-        repeat_index=data["repeat_index"],
+        maps[data["map"]], _dec_orbit(data["orbit"]), stab, tuple(stages),
+        data["result"], data["failing_stage"], data["repeat_index"],
     )
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    return json.dumps(certificate_to_dict(cert), indent=2, sort_keys=True) + "\n"
+    return _canonical(certificate_to_dict(cert)) + "\n"
 
 
 def certificate_from_json(text: str) -> Certificate:
@@ -480,96 +466,113 @@ def certificate_from_json(text: str) -> Certificate:
 
 
 def verify_certificate(data: dict) -> tuple[bool, str]:
-    """Decode, re-derive with the pipelines' own steps, and compare.
+    """Re-run the pipeline on the certificate's inputs and compare encodings.
 
-    The orbit must be a backward orbit of the base map.  Without
-    stabilization data the certificate comes from the Minc pipeline: the
-    map must be :func:`minc_map`, stage i sits at orbit index 2·i and the
-    block map is f^2.  Otherwise stage i sits at n0 + i·step, and
-    :func:`branch_stabilization` runs again on the stored map and orbit:
-    it checks every hypothesis, its (a, b, epsilon, side, n-sequence) must
-    equal the stored one, and its block map f^step is used, so no step
-    read from the certificate is ever iterated.  Each stored (case, beta)
-    is split again on the block map, :func:`_assemble` runs on those pairs,
-    and the stage count, every stored s, t, g (in normal form), coordinate,
-    verdict, ``result``, ``failing_stage`` and ``repeat_index`` must equal
-    the re-derived ones.  Returns (ok, message); malformed input, failed
-    hypotheses and budget overruns are failures, never exceptions.
+    The inputs are the version, the base map, the orbit, whether there is
+    stabilization data, the stage count and each stage's (case, beta).
+    Without stabilization data the map must be :func:`minc_map` and the
+    block map is f^2; otherwise :func:`branch_stabilization` runs again,
+    checks every hypothesis and hands over the stabilization and f^step.
+    Each (case, beta) is split again on the block map, :func:`_assemble`
+    runs on those pairs, and the certificate passes only when its canonical
+    encoding equals the re-derived one; else the reason names the first
+    field that differs.  Returns (ok, message) and never raises.
     """
     try:
-        cert = certificate_from_dict(data)
-    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+        if data.get("version") != VERSION:
+            return False, f"version: stored {data.get('version')!r}, this verifier reads {VERSION}"
+        f = loads_map(data["maps"][data["map"]])
+        orbit = _dec_orbit(data["orbit"])
+        general = data["stabilization"] is not None
+        keys = [(st["case"], Fraction(st["beta"])) for st in data["stages"]]
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
         return False, f"malformed certificate: {type(exc).__name__}: {exc}"
-    stored, f, stab = cert.stages, cert.base_map, cert.stabilization
-    if len(stored) < 2:
+    if len(keys) < 2:
         return False, "need at least two stages to run any zigzag check"
     try:
-        validate_orbit(f, cert.orbit)
+        validate_orbit(f, orbit)
     except OrbitValidationError as exc:
         return False, f"orbit: {exc}"
-    if stab is None:
-        if f != minc_map():
-            return False, "map: a certificate without stabilization data must be on the Minc map"
-        n0, step = 0, MINC_STEP
-    else:
-        n0, step = stab.n_sequence.head[0], stab.n_sequence.step
-    for st in stored:
-        if st.n != n0 + st.index * step:
-            return False, f"stage {st.index}: orbit index {st.n} is not {n0} + {st.index}·{step}"
-    need = _stage_count(cert.orbit, step, len(stored))
-    if len(stored) != need:
-        return False, f"stages: {len(stored)} stored, the orbit's period needs {need}"
+    if not general and f != minc_map():
+        return False, "map: a certificate without stabilization data must be on the Minc map"
 
     try:
-        if stab is None:
-            block = iterate(f, MINC_STEP)
-        else:
+        if general:
             try:
-                derived_stab, block = _stabilize(f, cert.orbit)
+                stab, block = _stabilize(f, orbit)
             except ValueError as exc:
                 return False, f"map: {exc}"
-            for name in ("a", "b", "epsilon", "side", "n_sequence"):
-                want, got = getattr(stab, name), getattr(derived_stab, name)
-                if want != got:
-                    field = name.replace("_", "-")
-                    return False, f"stabilization {field}: stored {want}, re-derived {got}"
+            n0, step = stab.n_sequence.head[0], stab.n_sequence.step
+        else:
+            stab, block, n0, step = None, iterate(f, MINC_STEP), 0, MINC_STEP
+        need = _stage_count(orbit, step, len(keys))
+        if len(keys) != need:
+            return False, f"stages: {len(keys)} stored, the orbit's period needs {need}"
         pairs: dict[tuple[str, Fraction], FactorPair] = {}
-        for st in stored:
-            case, beta = st.pair.case, st.pair.beta
+        for i, (case, beta) in enumerate(keys, start=1):
             if case not in (CASE1, CASE2):
-                return False, f"stage {st.index}: unknown case {case!r}"
-            if (case, beta) not in pairs:
-                try:
-                    split = split_case1 if case == CASE1 else split_case2
-                    pairs[case, beta] = split(block, beta)
-                except (ValueError, CertifyError) as exc:
-                    return False, f"stage {st.index}: {exc}"
-        stage_pairs = [pairs[st.pair.case, st.pair.beta] for st in stored]
-        derived = _assemble(
-            f, cert.orbit, stab, block, n0, step, lambda i: stage_pairs[i - 1], len(stored)
-        )
+                return False, f"stage {i}: unknown case {case!r}"
+            try:
+                if (case, beta) not in pairs:
+                    pairs[case, beta] = (split_case1 if case == CASE1 else split_case2)(block, beta)
+            except (ValueError, CertifyError) as exc:
+                return False, f"stage {i}: {exc}"
+        derived = _assemble(f, orbit, stab, block, n0, step, lambda i: pairs[keys[i - 1]], need)
     except BudgetExceededError as exc:
         return False, f"re-deriving the certificate exceeds the budget: {exc}"
 
-    for st, rd in zip(stored, derived.stages):
-        if (st.pair.s, st.pair.t) != (rd.pair.s, rd.pair.t):
-            return False, f"stage {st.index}: s, t differ from the split of the block map at beta"
-        if st.coordinate != rd.coordinate:
-            return False, f"stage {st.index}: stored coordinate is not s(x_n)"
-        if st.g != rd.g:
-            return False, f"stage {st.index}: g differs from s_prev∘t"
-        if st.verdict != rd.verdict:
-            return False, f"stage {st.index}: zigzag verdict does not re-verify"
-    if (cert.result, cert.failing_stage) != (derived.result, derived.failing_stage):
-        got = "pass" if derived.passed else (
-            f"fail at stage {derived.failing_stage}: {derived.failure_reason}"
-        )
-        return False, (
-            f"result: stored {cert.result!r} with failing_stage {cert.failing_stage}, "
-            f"re-derived {got}"
-        )
-    if cert.repeat_index != derived.repeat_index:
-        return False, (
-            f"repeat_index: stored {cert.repeat_index}, re-derived {derived.repeat_index}"
-        )
-    return True, "ok"
+    want = certificate_to_dict(derived)
+    try:
+        if _canonical(data) == _canonical(want):
+            return True, "ok"
+    except (TypeError, ValueError, RecursionError) as exc:
+        return False, f"malformed certificate: {type(exc).__name__}: {exc}"
+    stored, want = _resolved(data), _resolved(want)
+    found = _first_difference("stabilization", stored["stabilization"], want["stabilization"])
+    for i, (st, rd) in enumerate(zip(stored["stages"], want["stages"]), start=1):
+        found = found or _first_difference(f"stage {i}", st, rd)
+    verdict = [stored.get("result"), stored.get("failing_stage")]
+    if not found and _canonical(verdict) != _canonical([derived.result, derived.failing_stage]):
+        stage, why = derived.failing_stage, derived.failure_reason
+        got = "pass" if derived.passed else f"fail at stage {stage}: {why}"
+        found = f"result: stored {verdict[0]!r} with failing_stage {verdict[1]}, re-derived {got}"
+    return False, found or _first_difference("", stored, want) or "the encoding differs"
+
+
+def _resolved(data: dict) -> dict:
+    """The certificate dict with each map index replaced by its map text."""
+    maps = data["maps"] if isinstance(data.get("maps"), list) else []
+    text = lambda i: maps[i] if type(i) is int and 0 <= i < len(maps) else f"no maps entry {i!r}"
+    stages = [
+        {k: text(v) if k in ("s", "t", "g") and v is not None else v for k, v in st.items()}
+        for st in data["stages"]
+    ]
+    return {**data, "map": text(data["map"]), "stages": stages}
+
+
+def _first_difference(path: str, stored, derived) -> Optional[str]:
+    """Name the first place, in ``derived``'s key order, where two JSON
+    values differ in canonical encoding, with both values; None if equal."""
+    if _canonical(stored) == _canonical(derived):
+        return None
+    if isinstance(stored, list) and isinstance(derived, list):
+        if len(stored) != len(derived):
+            return f"{path}: {len(stored)} entries stored, {len(derived)} re-derived"
+        stored, derived = dict(enumerate(stored)), dict(enumerate(derived))
+    if isinstance(stored, dict) and isinstance(derived, dict):
+        for key in derived:
+            sub = f"{path} {key}".lstrip()
+            if key not in stored:
+                return f"{sub}: missing"
+            found = _first_difference(sub, stored[key], derived[key])
+            if found:
+                return found
+        extra = next(k for k in stored if k not in derived)
+        return f"{path or 'certificate'}: unknown key {extra!r}"
+    show = lambda v: (repr(v)[:59] + "…") if len(repr(v)) > 60 else repr(v)
+    try:
+        if loads_map(stored) == loads_map(derived):
+            return f"{path}: not in normal form: stored {show(stored)}, normal form {show(derived)}"
+    except (AttributeError, ValueError):
+        pass  # not two map texts
+    return f"{path}: stored {show(stored)}, re-derived {show(derived)}"

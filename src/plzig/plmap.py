@@ -161,9 +161,6 @@ class PLMap:
             return y0
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
-    def segment_count(self) -> int:
-        return len(self.points) - 1
-
     def __repr__(self) -> str:  # keeps pytest diffs readable
         pts = ", ".join(f"({format_rational(x)},{format_rational(y)})" for x, y in self.points)
         return f"PLMap[{pts}]"

@@ -203,7 +203,9 @@ class TestVerifyCommand:
         assert err == "certificate REJECTED: repeat_index: stored None, re-derived 3\n"
 
     @pytest.mark.parametrize(
-        "content", [None, "{not json", "\xff"], ids=["missing", "not-json", "not-utf8"]
+        "content",
+        [None, "{not json", "\xff", "[" * 200_000 + "]" * 200_000],
+        ids=["missing", "not-json", "not-utf8", "deep"],
     )
     def test_unreadable_file_exits_two(self, capsys, tmp_path, content):
         path = tmp_path / "cert.json"

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from plzig.plmap import compose, is_onto, iterate, laps, level_crossings, make_plmap
+from plzig.plmap import compose, dumps_map, is_onto, iterate, laps, level_crossings, make_plmap
 from plzig.zigzag import is_in_zigzag
 from plzig.dynamics import BackwardOrbit, OrbitValidationError
 from plzig.factorize import (
@@ -192,8 +192,7 @@ class TestBuildGSequence:
         # a stage whose pair splits another block map does not verify
         data = certificate_to_dict(certify_minc(BackwardOrbit.constant(F(1, 2)), stages=4))
         other = split_case1(iterate(minc, 4), F(55, 162))
-        data["stages"][1]["s"] = [[str(x), str(y)] for x, y in other.s.points]
-        data["stages"][1]["t"] = [[str(x), str(y)] for x, y in other.t.points]
+        data["stages"][1].update(s=_ref(data, other.s), t=_ref(data, other.t))
         ok, msg = verify_certificate(data)
         assert not ok and "stage 2" in msg
 
@@ -389,10 +388,36 @@ class TestCertifyGeneral:
 
 class TestCertificateSerialization:
     def test_json_round_trip_is_bit_exact(self, minc):
-        cert = certify_minc(BackwardOrbit.constant(F(1, 2)), stages=4)
-        text = certificate_to_json(cert)
-        again = certificate_to_json(certificate_from_json(text))
-        assert again == text
+        orbit = BackwardOrbit.constant(F(1, 2))
+        for cert in (certify_minc(orbit, stages=4), certify_general(minc, orbit, stages=3)):
+            text = certificate_to_json(cert)
+            again = certificate_to_json(certificate_from_json(text))
+            assert again == text
+
+    @pytest.mark.parametrize("kind", ["minc", "general"])
+    def test_encoding_is_canonical(self, passing_certificates, kind):
+        # compact single-line JSON with sorted keys; each distinct map is
+        # stored once and referenced by index
+        data = passing_certificates[kind]
+        text = certificate_to_json(certificate_from_json(json.dumps(data, indent=2)))
+        assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+        assert "\n" not in text[:-1] and data["version"] == 2
+        refs = {data["map"]} | {st[k] for st in data["stages"] for k in "stg"} - {None}
+        assert refs == set(range(len(data["maps"])))
+        assert len(set(data["maps"])) == len(data["maps"])
+
+    def test_verifier_decodes_only_the_base_map(self, monkeypatch, passing_certificates):
+        import plzig.factorize
+
+        decode = plzig.factorize.loads_map
+        decoded = []
+        monkeypatch.setattr(
+            plzig.factorize, "loads_map", lambda text: decoded.append(text) or decode(text)
+        )
+        for data in passing_certificates.values():
+            decoded.clear()
+            assert verify_certificate(data) == (True, "ok")
+            assert decoded == [data["maps"][data["map"]]]
 
     def test_verify_minc(self, minc):
         cert = certify_minc(BackwardOrbit.constant(F(1, 2)), stages=4)
@@ -414,7 +439,7 @@ class TestCertificateSerialization:
     def test_verify_catches_wrong_map(self, minc):
         cert = certify_minc(BackwardOrbit.constant(F(1, 2)), stages=4)
         data = certificate_to_dict(cert)
-        data["map"] = [["0", "0"], ["1/2", "1"], ["1", "0"]]
+        data["maps"][data["map"]] = "0 0\n1/2 1\n1 0\n"
         ok, _ = verify_certificate(data)
         assert not ok
 
@@ -438,11 +463,15 @@ class TestCertificateSerialization:
         data = certificate_to_dict(certify_minc(BackwardOrbit.constant(F(1, 2)), stages=4))
         data["orbit"]["period"] = ["0"]
         ok, msg = verify_certificate(data)
-        assert not ok and msg == "stage 1: stored coordinate is not s(x_n)"
+        assert not ok and msg == "stage 1 coordinate: stored '1/2', re-derived '7/18'"
 
 
-def _enc(f):
-    return [[str(x), str(y)] for x, y in f.points]
+def _ref(data, f):
+    """Index of map f in the certificate's maps table, appending it when new."""
+    maps = data["maps"]
+    if dumps_map(f) not in maps:
+        maps.append(dumps_map(f))
+    return maps.index(dumps_map(f))
 
 
 def _refold(data, period, pair):
@@ -454,10 +483,10 @@ def _refold(data, period, pair):
     g = compose(pair.s, pair.t)
     for st in data["stages"]:
         c = pair.s(orbit.value_at(st["n_i"]))
-        st.update(case=pair.case, beta=str(pair.beta), s=_enc(pair.s), t=_enc(pair.t))
+        st.update(case=pair.case, beta=str(pair.beta), s=_ref(data, pair.s), t=_ref(data, pair.t))
         st["coordinate"] = str(c)
         if st["g"] is not None:
-            st.update(g=_enc(g), zigzag_verdict=is_in_zigzag(g, c).to_dict())
+            st.update(g=_ref(data, g), zigzag_verdict=is_in_zigzag(g, c).to_dict())
 
 
 def _reuse_case(data, block, beta):
@@ -466,16 +495,32 @@ def _reuse_case(data, block, beta):
     first = split_case1(block, F(data["stages"][0]["beta"]))
     other = split_case1(block, beta)
     stage = data["stages"][1]
-    stage.update(beta=str(beta), s=_enc(other.s), t=_enc(other.t))
+    stage.update(beta=str(beta), s=_ref(data, other.s), t=_ref(data, other.t))
     g = compose(first.s, other.t)
     for st in data["stages"][1:]:
-        st.update(g=_enc(g), zigzag_verdict=is_in_zigzag(g, F(st["coordinate"])).to_dict())
+        st.update(g=_ref(data, g), zigzag_verdict=is_in_zigzag(g, F(st["coordinate"])).to_dict())
 
 
-def _collinear_g(data):
-    g = data["stages"][1]["g"]
-    (x0, y0), (x1, y1) = (F(v) for v in g[0]), (F(v) for v in g[1])
-    g.insert(1, [str((x0 + x1) / 2), str((y0 + y1) / 2)])
+def _add_midpoint(data, index):
+    """Insert the midpoint of the first segment into map ``index`` of the
+    maps table: the same function, no longer in normal form."""
+    lines = data["maps"][index].splitlines()
+    (x0, y0), (x1, y1) = ([F(v) for v in line.split()] for line in lines[:2])
+    lines.insert(1, f"{(x0 + x1) / 2} {(y0 + y1) / 2}")
+    data["maps"][index] = "\n".join(lines) + "\n"
+
+
+def _duplicate_map(data):
+    """Stage 2's s refers to a second copy of its map text."""
+    stage = data["stages"][1]
+    data["maps"].append(data["maps"][stage["s"]])
+    stage["s"] = len(data["maps"]) - 1
+
+
+def _rewrite_beta(data, old, new):
+    for st in data["stages"]:
+        if st["beta"] == old:
+            st["beta"] = new
 
 
 def _restep(data, step):
@@ -519,19 +564,19 @@ TAMPERS = [
         lambda d: _refold(d, [F(4, 19), F(12, 19)], split_case1(MINC_BLOCK, MINC_BETA_LOW)),
         "re-derived fail at stage 1: s moves x_2 = 4/19",
     ),
-    ("reuse-case", ("minc",), lambda d: _reuse_case(d, MINC_BLOCK, F(2, 9)), "stage 3: g"),
-    ("reuse-case", ("general",), lambda d: _reuse_case(d, TENT_BLOCK, F(3, 8)), "stage 3: g"),
+    ("reuse-case", ("minc",), lambda d: _reuse_case(d, MINC_BLOCK, F(2, 9)), "stage 3 g: stored"),
+    ("reuse-case", ("general",), lambda d: _reuse_case(d, TENT_BLOCK, F(3, 8)), "stage 3 g: stored"),
     (
         "n-off-sequence",
         ("minc", "general"),
         lambda d: d["stages"][2].update(n_i=d["stages"][2]["n_i"] + 1),
-        "stage 3: orbit index",
+        "stage 3 n_i: stored",
     ),
     (
         "step-not-block",
         ("general",),
         lambda d: d["stabilization"]["n-sequence"].update(step=8),
-        "stage 1: orbit index 4 is not 0 + 1·8",
+        "stabilization n-sequence step: stored 8, re-derived 4",
     ),
     (
         "too-few-stages",
@@ -539,30 +584,41 @@ TAMPERS = [
         lambda d: d.update(stages=d["stages"][:2]),
         "stages: 2 stored, the orbit's period needs 3",
     ),
-    ("collinear-g", ("minc", "general"), _collinear_g, "stage 2: g differs from s_prev∘t"),
+    (
+        "collinear-g",
+        ("minc", "general"),
+        lambda d: _add_midpoint(d, d["stages"][1]["g"]),
+        "stage 2 g: not in normal form: stored '0 ",
+    ),
+    (
+        "collinear-map",
+        ("minc", "general"),
+        lambda d: _add_midpoint(d, d["map"]),
+        "map: not in normal form: stored '0 0\\n",
+    ),
     (
         "shifted-epsilon",
         ("general",),
         lambda d: d["stabilization"].update(epsilon="1/4"),
-        "stabilization epsilon: stored 1/4, re-derived 1/3",
+        "stabilization epsilon: stored '1/4', re-derived '1/3'",
     ),
     (
         "other-step",
         ("general",),
         lambda d: _restep(d, 8),
-        "stabilization n-sequence: stored NSequence(head=(0,), step=8), re-derived",
+        "stabilization n-sequence step: stored 8, re-derived 4",
     ),
     (
         "index-1e9",
         ("minc",),
         lambda d: _spread_minc_indices(d, 10**9),
-        "stage 1: orbit index 1000000000 is not 0 + 1·2",
+        "stage 1 n_i: stored 1000000000, re-derived 2",
     ),
     (
         "index-1e9",
         ("general",),
         lambda d: _restep(d, 10**9),
-        "stabilization n-sequence: stored NSequence(head=(0,), step=1000000000), re-derived",
+        "stabilization n-sequence step: stored 1000000000, re-derived 4",
     ),
     (
         "no-stabilization",
@@ -574,13 +630,96 @@ TAMPERS = [
         "float-head",
         ("general",),
         lambda d: d["stabilization"]["n-sequence"].update(head=[0.0]),
-        "malformed certificate: ValueError: stabilization side, epsilon or n-sequence",
+        "stabilization n-sequence head 0: stored 0.0, re-derived 0",
     ),
     (
         "not-leo",
         ("general",),
-        lambda d: d.update(map=_enc(NOT_LEO), orbit={"prefix": [], "period": ["5/9"]}),
+        lambda d: (
+            d["maps"].__setitem__(d["map"], dumps_map(NOT_LEO)),
+            d.update(orbit={"prefix": [], "period": ["5/9"]}),
+        ),
         "map: map is not locally eventually onto",
+    ),
+    # Encodings of a true claim other than the canonical one
+    (
+        "float-n_i",
+        ("minc", "general"),
+        lambda d: d["stages"][0].update(n_i=float(d["stages"][0]["n_i"])),
+        "stage 1 n_i: stored ",
+    ),
+    (
+        "false-head",
+        ("general",),
+        lambda d: d["stabilization"]["n-sequence"].update(head=[False]),
+        "stabilization n-sequence head 0: stored False, re-derived 0",
+    ),
+    (
+        "float-repeat",
+        ("minc", "general"),
+        lambda d: d.update(repeat_index=float(d["repeat_index"])),
+        "repeat_index: stored ",
+    ),
+    (
+        "extra-key",
+        ("minc", "general"),
+        lambda d: d.update(note="x"),
+        "certificate: unknown key 'note'",
+    ),
+    (
+        "extra-stage-key",
+        ("minc", "general"),
+        lambda d: d["stages"][1].update(note="x"),
+        "stage 2: unknown key 'note'",
+    ),
+    (
+        "extra-verdict-key",
+        ("minc", "general"),
+        lambda d: d["stages"][1]["zigzag_verdict"].update(note="x"),
+        "stage 2 zigzag_verdict: unknown key 'note'",
+    ),
+    (
+        "unreduced-beta",
+        ("minc",),
+        lambda d: _rewrite_beta(d, "7/18", "14/36"),
+        "stage 1 beta: stored '14/36', re-derived '7/18'",
+    ),
+    (
+        "unreduced-coordinate",
+        ("minc",),
+        lambda d: d["stages"][1].update(coordinate="2/4"),
+        "stage 2 coordinate: stored '2/4', re-derived '1/2'",
+    ),
+    (
+        "unreduced-orbit",
+        ("minc",),
+        lambda d: d["orbit"].update(period=["2/4"]),
+        "orbit period 0: stored '2/4', re-derived '1/2'",
+    ),
+    (
+        "dangling-index",
+        ("minc", "general"),
+        lambda d: d["stages"][1].update(g=len(d["maps"])),
+        "stage 2 g: stored 'no maps entry 4', re-derived '0 ",
+    ),
+    (
+        "unreferenced-map",
+        ("minc", "general"),
+        lambda d: d["maps"].append("0 0\n1 1\n"),
+        "maps: 5 entries stored, 4 re-derived",
+    ),
+    ("duplicate-map", ("minc", "general"), _duplicate_map, "maps: 5 entries stored, 4 re-derived"),
+    (
+        "no-version",
+        ("minc", "general"),
+        lambda d: d.pop("version"),
+        "version: stored None, this verifier reads 2",
+    ),
+    (
+        "version-1",
+        ("minc", "general"),
+        lambda d: d.update(version=1),
+        "version: stored 1, this verifier reads 2",
     ),
 ]
 TAMPER_CASES = [
