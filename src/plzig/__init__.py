@@ -44,7 +44,6 @@ from .dynamics import (
     map_facts,
     markov_partition,
     post_critical_orbits,
-    transition_matrix,
     uniformly_onto,
     validate_orbit,
 )

@@ -2,8 +2,9 @@
 branch stabilization along backward orbits.
 
 Everything here is exact: orbits are rational sequences, branch intervals
-have rational endpoints, and the leo decisions work on exact transition
-matrices or exact preimage spacing rather than numerical iteration.
+have rational endpoints, and the leo decisions work on the runs of cells
+that a Markov partition's cells cover, or on exact preimage spacing, rather
+than on numerical iteration.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "map_facts",
     "is_post_critically_finite",
     "markov_partition",
-    "transition_matrix",
     "is_primitive",
     "is_leo",
     "uniformly_onto",
@@ -209,110 +209,77 @@ def markov_partition(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> list[Fract
     return list(pts)
 
 
-def transition_matrix(f: PLMap, partition: list[Fraction]) -> list[list[int]]:
-    """Cell-covering matrix: row u flags every cell covered by f(cell u).
+def is_primitive(f: PLMap, partition: Sequence[Fraction]) -> bool:
+    """Primitivity of the cell-covering matrix of a Markov partition: some
+    iterate of f maps every cell onto [0, 1].
 
     The partition must contain all critical points (so f is monotone on each
-    cell) and be forward invariant (so each image is a union of cells).
+    cell) and be forward invariant (so each image is a union of cells).  Row u
+    of every power A^k is then one run of cells, the cells of f^k(cell u), and
+    row u of A^2k is the hull of the rows of A^k over that run: a range
+    minimum of the run starts and a range maximum of the run ends, read from
+    sparse tables.  No row is empty (f has no constant piece), so positivity
+    persists once reached; it is checked at powers of two until one reaches
+    the Wielandt bound n^2 - 2n + 2.
     """
     pts = [_as_rational(p) for p in partition]
-    if pts != sorted(set(pts)) or pts[0] != ZERO or pts[-1] != ONE:
+    if not pts or pts != sorted(set(pts)) or pts[0] != ZERO or pts[-1] != ONE:
         raise ValueError("partition must be a sorted point set spanning [0, 1]")
-    crits = set(lap.left for lap in laps(f)[1:])
-    if not crits.issubset(pts):
-        raise ValueError("partition must contain every critical point")
     index = {p: i for i, p in enumerate(pts)}
+    if any(lap.left not in index for lap in laps(f)[1:]):
+        raise ValueError("partition must contain every critical point")
     n = len(pts) - 1
-    matrix = [[0] * n for _ in range(n)]
+    lo, hi = [], []  # row u of A^k is the run of cells lo[u]..hi[u]
     for u in range(n):
-        lo, hi = _lap_image(f, pts[u], pts[u + 1])
-        if lo not in index or hi not in index:
+        a, b = _lap_image(f, pts[u], pts[u + 1])
+        if a not in index or b not in index:
             raise ValueError("partition is not forward invariant")
-        for v in range(index[lo], index[hi]):
-            matrix[u][v] = 1
-    return matrix
+        lo.append(index[a])
+        hi.append(index[b] - 1)
 
-
-def is_primitive(matrix: list[list[int]]) -> bool:
-    """Primitivity of a 0/1 matrix: some power is strictly positive.
-
-    Checked at a single power of two past the Wielandt bound n^2 - 2n + 2;
-    positivity is monotone once every column is nonzero, and a zero column
-    rules primitivity out immediately.
-    """
-    n = len(matrix)
-    if n == 0:
-        return False
-    full = (1 << n) - 1
-    rows = [sum(1 << j for j in range(n) if matrix[i][j]) for i in range(n)]
-    if any(r == 0 for r in rows):
-        return False
-    colmask = 0
-    for r in rows:
-        colmask |= r
-    if colmask != full:
-        return False
-
-    def boolean_square(rs: list[int]) -> list[int]:
-        out = []
-        for r in rs:
-            acc = 0
-            v = r
-            while v:
-                low = v & -v
-                acc |= rs[low.bit_length() - 1]
-                v ^= low
-            out.append(acc)
-        return out
-
-    wielandt = n * n - 2 * n + 2
-    power = rows
     exponent = 1
-    while exponent < max(wielandt, 1):
-        if all(r == full for r in power):
-            return True
-        power = boolean_square(power)
+    while max(lo) > 0 or min(hi) < n - 1:
+        if exponent >= n * n - 2 * n + 2:
+            return False
+        lo, hi = _square_runs(lo, hi)
         exponent *= 2
-    return all(r == full for r in power)
+    return True
 
 
-def _min_abs_slope(f: PLMap) -> Fraction:
-    best = None
-    for (x0, y0), (x1, y1) in zip(f.points, f.points[1:]):
-        s = abs((y1 - y0) / (x1 - x0))
-        best = s if best is None else min(best, s)
-    return best
+def _square_runs(lo: list[int], hi: list[int]) -> tuple[list[int], list[int]]:
+    """Runs of A^2k from the runs lo[u]..hi[u] of A^k: row u is the hull of
+    rows lo[u]..hi[u], two range queries on sparse tables of the extrema."""
+    mins, maxs = [lo], [hi]  # level j: extrema over 2^j consecutive rows
+    span = 1
+    while 2 * span <= len(lo):
+        m, x = mins[-1], maxs[-1]
+        mins.append([min(m[i], m[i + span]) for i in range(len(m) - span)])
+        maxs.append([max(x[i], x[i + span]) for i in range(len(x) - span)])
+        span *= 2
+    out_lo, out_hi = [], []
+    for a, b in zip(lo, hi):
+        j = (b - a + 1).bit_length() - 1
+        c = b + 1 - (1 << j)
+        out_lo.append(min(mins[j][a], mins[j][c]))
+        out_hi.append(max(maxs[j][a], maxs[j][c]))
+    return out_lo, out_hi
 
 
-def _fold_growth(f: PLMap) -> Optional[Fraction]:
-    """Worst-case one-step growth factor of an interval straddling one
-    critical point: u*v/(u+v) for adjacent slope magnitudes u, v."""
-    out = None
-    lap_list = laps(f)
-    for left, right in zip(lap_list, lap_list[1:]):
-        c = left.right
-        u = _segment_slope_at(f, c, before=True)
-        v = _segment_slope_at(f, c, before=False)
-        g = (u * v) / (u + v)
-        out = g if out is None else min(out, g)
-    return out
-
-
-def _segment_slope_at(f: PLMap, x: Fraction, before: bool) -> Fraction:
-    xs = f.xs
-    i = xs.index(x)
-    if before:
-        (x0, y0), (x1, y1) = f.points[i - 1], f.points[i]
-    else:
-        (x0, y0), (x1, y1) = f.points[i], f.points[i + 1]
-    return abs((y1 - y0) / (x1 - x0))
+def _growth(f: PLMap) -> Fraction:
+    """Worst-case one-step growth factor of an interval: the least slope
+    magnitude, or u*v/(u+v) for the slope magnitudes u, v on either side of
+    a turning point (an interval straddling it) when that is smaller."""
+    slopes = [abs((y1 - y0) / (x1 - x0)) for (x0, y0), (x1, y1) in zip(f.points, f.points[1:])]
+    turns = set(f._lap_lefts[1:])
+    folds = [u * v / (u + v) for x, u, v in zip(f.xs[1:], slopes, slopes[1:]) if x in turns]
+    return min(slopes + folds)
 
 
 def is_leo(f: PLMap, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> Optional[bool]:
     """Locally eventually onto: every subinterval eventually covers [0, 1].
 
     When the map is verifiably post-critically finite this is decided
-    through primitivity of the transition matrix of its Markov partition.
+    through primitivity of the cell-covering matrix of its Markov partition.
     Otherwise a semi-decision runs: when every interval provably grows
     under iteration, covering is checked for one scale via exact preimage
     spacing; the result is None when neither route concludes.
@@ -332,24 +299,19 @@ def _leo(f: PLMap, markov: Optional[Sequence[Fraction]]) -> Optional[bool]:
         # a monotone onto map is a bijection; proper subintervals never cover
         return False
     if markov is not None:
-        return is_primitive(transition_matrix(f, markov))
+        return is_primitive(f, markov)
 
-    growth = min(_min_abs_slope(f), _fold_growth(f))
-    if growth <= 1:
+    if _growth(f) <= 1:
         return None
     interior = laps(f)[1:-1]
     if not interior:
         return True
     scale = min(abs(f(lap.right) - f(lap.left)) for lap in interior)
-    power = f
-    for _ in range(LEO_FALLBACK_DEPTH):
-        if uniformly_onto(power, scale):
-            return True
-        try:
-            power = compose(f, power)
-        except BudgetExceededError:
-            return None
-    return None
+    try:
+        leo_uniform_N(f, scale, LEO_FALLBACK_DEPTH)
+    except BudgetExceededError:
+        return None
+    return True
 
 
 def uniformly_onto(f: PLMap, eps) -> bool:

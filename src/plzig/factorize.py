@@ -552,7 +552,8 @@ def _resolved(data: dict) -> dict:
 
 def _first_difference(path: str, stored, derived) -> Optional[str]:
     """Name the first place, in ``derived``'s key order, where two JSON
-    values differ in canonical encoding, with both values; None if equal."""
+    values differ in canonical encoding, with both values; None if equal.
+    Two texts are shown from their first differing line."""
     if _canonical(stored) == _canonical(derived):
         return None
     if isinstance(stored, list) and isinstance(derived, list):
@@ -569,10 +570,17 @@ def _first_difference(path: str, stored, derived) -> Optional[str]:
                 return found
         extra = next(k for k in stored if k not in derived)
         return f"{path or 'certificate'}: unknown key {extra!r}"
-    show = lambda v: (repr(v)[:59] + "…") if len(repr(v)) > 60 else repr(v)
+    label = "re-derived"
     try:
         if loads_map(stored) == loads_map(derived):
-            return f"{path}: not in normal form: stored {show(stored)}, normal form {show(derived)}"
+            path, label = f"{path}: not in normal form", "normal form"
     except (AttributeError, ValueError):
         pass  # not two map texts
-    return f"{path}: stored {show(stored)}, re-derived {show(derived)}"
+    where = ""
+    if isinstance(stored, str) and isinstance(derived, str):
+        a, b = stored.splitlines(keepends=True), derived.splitlines(keepends=True)
+        line = next((i for i, (u, v) in enumerate(zip(a, b)) if u != v), min(len(a), len(b)))
+        stored, derived = "".join(a[line:]), "".join(b[line:])
+        where = f" from line {line + 1}" if line else ""
+    show = lambda v: (repr(v)[:59] + "…") if len(repr(v)) > 60 else repr(v)
+    return f"{path}: stored{where} {show(stored)}, {label} {show(derived)}"

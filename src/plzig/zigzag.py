@@ -299,20 +299,6 @@ def remark_no_zigzag(f: PLMap, k: int) -> bool:
     return f(lap.left) in (ZERO, ONE) or f(lap.right) in (ZERO, ONE)
 
 
-def _right_injective_limit(f: PLMap, y: Fraction) -> Fraction:
-    for lap in laps(f):
-        if lap.left <= y < lap.right:
-            return lap.right
-    return ONE
-
-
-def _left_injective_limit(f: PLMap, y: Fraction) -> Fraction:
-    for lap in reversed(laps(f)):
-        if lap.left < y <= lap.right:
-            return lap.left
-    return ZERO
-
-
 def _level_clear(f: PLMap, value: Fraction, a: Fraction, b: Fraction) -> bool:
     """True when f never takes ``value`` strictly inside (a, b)."""
     return all(not (a < c < b) for c in level_crossings(f, value))
@@ -332,8 +318,10 @@ def lemma_witness(f: PLMap, y) -> Optional[tuple[Fraction, Fraction, int]]:
     if not (ZERO <= y <= ONE):
         raise ValueError(f"query point {y} outside [0, 1]")
     anchors = [x for x, v in f.points if v == ZERO or v == ONE]
+    # f is one-to-one on [y, rlim] and on [llim, y]: the laps holding y end there
+    holding = _laps_at(f, y)
+    rlim, llim = f._laps[holding[-1]].right, f._laps[holding[0]].left
 
-    rlim = _right_injective_limit(f, y)
     b_cands = sorted({x for x in f.xs if y < x < rlim} | {y, rlim}, reverse=True)
     for a in sorted((x for x in anchors if x <= y), reverse=True):
         fa = f(a)
@@ -343,7 +331,6 @@ def lemma_witness(f: PLMap, y) -> Optional[tuple[Fraction, Fraction, int]]:
             if _level_clear(f, fa, a, b) and _level_clear(f, f(b), a, b):
                 return (a, b, 1)
 
-    llim = _left_injective_limit(f, y)
     a_cands = sorted({x for x in f.xs if llim < x < y} | {y, llim})
     for b in sorted(x for x in anchors if x >= y):
         fb = f(b)

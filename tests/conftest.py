@@ -155,6 +155,63 @@ def scan_laps_at(f: PLMap, y: Fraction) -> list[int]:
     return [k for k, lap in enumerate(laps(f)) if lap.left <= y <= lap.right]
 
 
+def transition_matrix(f: PLMap, partition) -> list[list[int]]:
+    """Reference cell-covering matrix, dense: row u flags every cell covered
+    by f(cell u).  The partition must be a valid Markov partition of f."""
+    pts = list(partition)
+    index = {p: i for i, p in enumerate(pts)}
+    n = len(pts) - 1
+    matrix = [[0] * n for _ in range(n)]
+    for u in range(n):
+        lo, hi = sorted((f(pts[u]), f(pts[u + 1])))
+        for v in range(index[lo], index[hi]):
+            matrix[u][v] = 1
+    return matrix
+
+
+def dense_is_primitive(matrix: list[list[int]]) -> bool:
+    """Reference primitivity test of a 0/1 matrix by bitmask squaring.
+
+    Independent of the production run hulls: checked at a single power of
+    two past the Wielandt bound n^2 - 2n + 2; positivity is monotone once
+    every row is nonzero, and a zero row or column rules primitivity out.
+    """
+    n = len(matrix)
+    if n == 0:
+        return False
+    full = (1 << n) - 1
+    rows = [sum(1 << j for j in range(n) if matrix[i][j]) for i in range(n)]
+    if any(r == 0 for r in rows):
+        return False
+    colmask = 0
+    for r in rows:
+        colmask |= r
+    if colmask != full:
+        return False
+
+    def boolean_square(rs: list[int]) -> list[int]:
+        out = []
+        for r in rs:
+            acc = 0
+            v = r
+            while v:
+                low = v & -v
+                acc |= rs[low.bit_length() - 1]
+                v ^= low
+            out.append(acc)
+        return out
+
+    wielandt = n * n - 2 * n + 2
+    power = rows
+    exponent = 1
+    while exponent < max(wielandt, 1):
+        if all(r == full for r in power):
+            return True
+        power = boolean_square(power)
+        exponent *= 2
+    return all(r == full for r in power)
+
+
 def compose_candidates(outer: PLMap, inner: PLMap) -> set[Fraction]:
     """Every candidate breakpoint of ``outer ∘ inner``: inner's breakpoints
     and every solution of inner(x) = v for an outer breakpoint v."""

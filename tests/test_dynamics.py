@@ -8,6 +8,7 @@ import plzig.dynamics as dynamics
 from plzig.cli import analysis_report
 from plzig.factorize import certificate_to_dict, certify_general, verify_certificate
 from plzig.plmap import BudgetExceededError, compose, iterate, make_plmap
+from conftest import dense_is_primitive, random_markov_map, transition_matrix
 from plzig.dynamics import (
     BackwardOrbit,
     NSequence,
@@ -22,7 +23,6 @@ from plzig.dynamics import (
     markov_partition,
     parse_orbit,
     post_critical_orbits,
-    transition_matrix,
     uniformly_onto,
     validate_orbit,
 )
@@ -129,22 +129,64 @@ class TestMarkov:
 
     def test_partition_must_contain_criticals(self, minc):
         with pytest.raises(ValueError):
-            transition_matrix(minc, [F(0), F(1, 2), F(1)])
+            is_primitive(minc, [F(0), F(1, 2), F(1)])
+
+    @pytest.mark.parametrize(
+        "partition, why",
+        [
+            ([F(0), F(1, 3), F(1, 3), F(4, 9), F(5, 9), F(2, 3), F(1)], "sorted point set"),
+            ([F(1, 3), F(4, 9), F(5, 9), F(2, 3), F(1)], "spanning"),
+            ([F(0), F(1, 4), F(1, 3), F(4, 9), F(5, 9), F(2, 3), F(1)], "forward invariant"),
+        ],
+    )
+    def test_partition_is_checked(self, minc, partition, why):
+        with pytest.raises(ValueError, match=why):
+            is_primitive(minc, partition)
+
+
+HALVES = [F(0), F(1, 2), F(1)]
 
 
 class TestPrimitivity:
-    def test_all_ones(self):
-        assert is_primitive([[1, 1], [1, 1]])
+    """Each map on the partition {0, 1/2, 1} has the given covering matrix;
+    the run decision and the dense oracle must both read it."""
+
+    @staticmethod
+    def decide(points, matrix) -> bool:
+        f = make_plmap(points)
+        assert transition_matrix(f, HALVES) == matrix
+        assert is_primitive(f, HALVES) == dense_is_primitive(matrix)
+        return is_primitive(f, HALVES)
+
+    def test_all_ones(self, tent):
+        assert self.decide(tent.points, [[1, 1], [1, 1]])
 
     def test_permutation_is_not_primitive(self):
-        assert not is_primitive([[0, 1], [1, 0]])
+        assert not self.decide([(0, 1), (1, 0)], [[0, 1], [1, 0]])
 
     def test_zero_column(self):
-        assert not is_primitive([[1, 0], [1, 0]])
+        assert not self.decide([(0, 0), (F(1, 2), F(1, 2)), (1, 0)], [[1, 0], [1, 0]])
 
     def test_primitive_but_not_positive(self):
         # irreducible with a loop: primitive although M itself has zeros
-        assert is_primitive([[1, 1], [1, 0]])
+        assert self.decide([(0, 1), (F(1, 2), 0), (1, F(1, 2))], [[1, 1], [1, 0]])
+
+    def test_runs_agree_with_dense_oracle(self, minc):
+        cases = [(iterate(minc, k), None) for k in range(1, 6)]
+        rng = random.Random(41)
+        for _ in range(240):
+            cells = rng.randint(2, 6)
+            grid = [F(i, cells) for i in range(cells + 1)]
+            cases.append((random_markov_map(rng, cells), grid))
+        verdicts = []
+        for f, grid in cases:
+            for partition in (markov_partition(f), grid):
+                if partition is not None:
+                    want = dense_is_primitive(transition_matrix(f, partition))
+                    assert is_primitive(f, partition) == want, (f, partition)
+                    verdicts.append(want)
+        assert verdicts[:5] == [True] * 5  # the iterates of minc
+        assert verdicts.count(False) >= 100
 
 
 class TestLeo:
@@ -168,6 +210,11 @@ class TestLeo:
         # the growth argument plus one covering check settles it
         f = make_plmap([(0, F(1, 5)), (F(2, 5), 1), (F(3, 5), 0), (1, F(7, 8))])
         assert is_leo(f, orbit_budget=40) is True
+
+    def test_semidecision_needs_growth_across_a_fold(self, tent):
+        # both slopes are 2, but an interval straddling the fold grows by
+        # 2*2/(2+2) = 1 only: the growth argument fails
+        assert is_leo(tent, orbit_budget=0) is None
 
     def test_semidecision_gives_up_without_expansion(self):
         # one shallow slope defeats the growth argument and the orbit of the

@@ -588,13 +588,13 @@ TAMPERS = [
         "collinear-g",
         ("minc", "general"),
         lambda d: _add_midpoint(d, d["stages"][1]["g"]),
-        "stage 2 g: not in normal form: stored '0 ",
+        "stage 2 g: not in normal form: stored from line 2 '",
     ),
     (
         "collinear-map",
         ("minc", "general"),
         lambda d: _add_midpoint(d, d["map"]),
-        "map: not in normal form: stored '0 0\\n",
+        "map: not in normal form: stored from line 2 '",
     ),
     (
         "shifted-epsilon",
@@ -753,6 +753,19 @@ class TestTamperSuite:
         elapsed = time.perf_counter() - start
         assert not ok and reason in msg, msg
         assert elapsed < 0.1, f"rejection took {elapsed:.3f} s"
+
+    def test_reason_shows_the_first_differing_line(self, passing_certificates):
+        # stage 2's g has 73 breakpoints; halve the value on line 72
+        data = copy.deepcopy(passing_certificates["minc"])
+        lines = data["maps"][data["stages"][1]["g"]].splitlines()
+        assert len(lines) == 73
+        x, y = lines[71].split()
+        edited = f"{x} {F(y) / 2}"
+        assert edited != lines[71]
+        data["maps"][data["stages"][1]["g"]] = "\n".join(lines[:71] + [edited] + lines[72:]) + "\n"
+        ok, msg = verify_certificate(data)
+        assert not ok and msg.startswith("stage 2 g: stored from line 72 '"), msg
+        assert edited in msg and lines[71] in msg.split("re-derived")[1], msg
 
     def test_budget_overrun_is_a_rejection(self, monkeypatch, passing_certificates):
         import plzig.plmap

@@ -247,8 +247,9 @@ class TestLevelCrossings:
 
 
 class TestLapLookup:
-    """``is_in_zigzag`` and ``branch`` find the laps holding a point by one
-    bisection; with the linear scan in its place they must answer the same."""
+    """``is_in_zigzag``, ``branch`` and ``lemma_witness`` find the laps
+    holding a point by one bisection; with the linear scan in its place they
+    must answer the same."""
 
     def test_bisection_matches_linear_scan(self, minc, monkeypatch):
         rng = random.Random(28)
@@ -261,8 +262,18 @@ class TestLapLookup:
         for f, y in queries + [(minc, F(-1, 2)), (minc, F(3, 2))]:
             assert _laps_at(f, y) == scan_laps_at(f, y), (f, y)
 
+        # lemma_witness takes up to two seconds per point on minc^4, so it
+        # runs on every query of the small maps and on a sample of minc^3's
+        # and minc^4's
+        witness_queries = [(f, y) for f, y in queries if len(f.xs) < 50]
+        for big, size in zip(maps[2:4], (24, 4)):
+            witness_queries += rng.sample([q for q in queries if q[0] is big], size)
+
         def answers():
-            return [(zigzag.is_in_zigzag(f, y), dynamics.branch(f, y)) for f, y in queries]
+            return (
+                [(zigzag.is_in_zigzag(f, y), dynamics.branch(f, y)) for f, y in queries],
+                [zigzag.lemma_witness(f, y) for f, y in witness_queries],
+            )
 
         bisected = answers()
         monkeypatch.setattr(zigzag, "_laps_at", scan_laps_at)

@@ -203,6 +203,17 @@ class TestLemmaWitness:
         assert got == (F(2, 3), F(1), 1)
         assert not in_zz(minc, F(9, 10))
 
+    def test_one_to_one_limits_at_turning_points(self, minc):
+        # at a turning point y the candidates reach the far ends of both laps
+        # holding y: b up to the right lap's right end (case 1), a down to the
+        # left lap's left end (case 2)
+        assert lemma_witness(minc, F(1, 3)) == (F(1, 3), F(4, 9), 1)
+        assert lemma_witness(minc, F(2, 3)) == (F(2, 3), F(1), 1)
+        f = make_plmap(
+            [(0, F(5, 16)), (F(3, 16), F(51, 64)), (F(25, 64), F(17, 64)), (F(17, 32), F(37, 64)), (1, 0)]
+        )
+        assert lemma_witness(f, F(25, 64)) == (F(3, 16), F(1), 2)
+
     def test_rebonded_fixed_point_has_witness(self, minc_g):
         got = lemma_witness(minc_g, F(1, 2))
         assert got is not None
