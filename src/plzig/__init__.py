@@ -7,10 +7,8 @@ from .plmap import (
     BudgetExceededError,
     Lap,
     PLMap,
-    Rational,
     compose,
     critical_set,
-    format_rational,
     is_onto,
     iterate,
     laps,
@@ -18,7 +16,6 @@ from .plmap import (
     load_map,
     make_plmap,
     parse_rational,
-    save_map,
 )
 from .zigzag import (
     ZigzagVerdict,
@@ -33,13 +30,11 @@ from .dynamics import (
     BranchResult,
     MapFacts,
     NSequence,
-    OrbitTable,
     OrbitValidationError,
     StabilizationData,
     branch,
     branch_stabilization,
     is_leo,
-    is_post_critically_finite,
     leo_uniform_N,
     map_facts,
     markov_partition,

@@ -36,6 +36,7 @@ from .plmap import (
 )
 from .zigzag import zigzag_set
 from .dynamics import (
+    DEFAULT_ORBIT_BUDGET,
     BackwardOrbit,
     OrbitValidationError,
     leo_uniform_N,
@@ -52,7 +53,7 @@ from .factorize import (
 )
 
 BUILTINS = {
-    "minc": lambda: minc_map(),
+    "minc": minc_map,
     "tent": lambda: make_plmap([(0, 0), (Fraction(1, 2), 1), (1, 0)]),
     "identity": lambda: make_plmap([(0, 0), (1, 1)]),
 }
@@ -147,10 +148,12 @@ def cmd_plot(args) -> int:
 # analyze
 # ---------------------------------------------------------------------------
 
-def analysis_report(f: PLMap, eps: Fraction | None = None, orbit_budget: int = 10_000) -> dict:
+def analysis_report(
+    f: PLMap, eps: Fraction | None = None, orbit_budget: int = DEFAULT_ORBIT_BUDGET
+) -> dict:
     facts = map_facts(f, orbit_budget)
     orbit_rows = []
-    for e in facts.orbits.entries:
+    for e in facts.orbits:
         shown = e.orbit if e.closed else e.orbit[:16]
         row = {
             "point": str(e.point),
@@ -269,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source(p)
     p.add_argument("--iterate", type=int, default=1, metavar="N")
     p.add_argument("--eps", help="also report the uniform covering time at this scale")
-    p.add_argument("--orbit-budget", type=int, default=10_000, metavar="STEPS")
+    p.add_argument("--orbit-budget", type=int, default=DEFAULT_ORBIT_BUDGET, metavar="STEPS")
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
 

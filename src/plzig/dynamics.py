@@ -21,6 +21,7 @@ from .plmap import (
     _as_rational,
     _laps_at,
     compose,
+    critical_set,
     is_onto,
     laps,
     level_crossings,
@@ -30,7 +31,6 @@ from .plmap import (
 __all__ = [
     "BranchResult",
     "OrbitEntry",
-    "OrbitTable",
     "MapFacts",
     "BackwardOrbit",
     "OrbitValidationError",
@@ -39,7 +39,6 @@ __all__ = [
     "branch",
     "post_critical_orbits",
     "map_facts",
-    "is_post_critically_finite",
     "markov_partition",
     "is_primitive",
     "is_leo",
@@ -124,20 +123,6 @@ class OrbitEntry:
     closed: bool
 
 
-@dataclass(frozen=True)
-class OrbitTable:
-    entries: tuple[OrbitEntry, ...]
-
-    def all_closed(self) -> bool:
-        return all(e.closed for e in self.entries)
-
-    def point_set(self) -> set[Fraction]:
-        out: set[Fraction] = set()
-        for e in self.entries:
-            out.update(e.orbit)
-        return out
-
-
 def _orbit_of(f: PLMap, start: Fraction, budget: int) -> OrbitEntry:
     seen: dict[Fraction, int] = {start: 0}
     seq = [start]
@@ -151,29 +136,29 @@ def _orbit_of(f: PLMap, start: Fraction, budget: int) -> OrbitEntry:
     return OrbitEntry(start, tuple(seq), preperiod=None, period=None, closed=False)
 
 
-def post_critical_orbits(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitTable:
-    """Forward orbit of every critical point and both endpoints, with the
-    detected minimal preperiod/period, or an open flag past the budget."""
-    points = [ZERO] + [lap.left for lap in laps(f)[1:]] + [ONE]
-    return OrbitTable(tuple(_orbit_of(f, pt, budget) for pt in points))
+def post_critical_orbits(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> tuple[OrbitEntry, ...]:
+    """Forward orbit of 0, of every turning point and of 1, in that order,
+    with the detected minimal preperiod/period, or an open flag past the
+    budget."""
+    return tuple(_orbit_of(f, pt, budget) for pt in [ZERO, *critical_set(f), ONE])
 
 
-def _orbit_closure(table: OrbitTable) -> Optional[tuple[Fraction, ...]]:
-    """The sorted union of the critical orbits and the endpoints, or None
-    when some orbit stayed open.  Each closed orbit holds the image of each
-    of its points, so the union is forward invariant."""
-    if not table.all_closed():
+def _orbit_closure(orbits: Sequence[OrbitEntry]) -> Optional[tuple[Fraction, ...]]:
+    """The sorted union of the orbits of the endpoints and the turning
+    points, or None when some orbit stayed open.  Each closed orbit holds the
+    image of each of its points, so the union is forward invariant."""
+    if not all(e.closed for e in orbits):
         return None
-    return tuple(sorted(table.point_set() | {ZERO, ONE}))
+    return tuple(sorted({x for e in orbits for x in e.orbit}))
 
 
 @dataclass(frozen=True)
 class MapFacts:
     """The hypotheses of the embedding theorem for one map, all read from
-    one critical-orbit table: ``markov`` is the Markov partition (None when
+    one pass over the critical orbits: ``markov`` is the Markov partition (None when
     some orbit stays open) and ``leo`` the verdict of :func:`is_leo`."""
 
-    orbits: OrbitTable
+    orbits: tuple[OrbitEntry, ...]
     markov: Optional[tuple[Fraction, ...]]
     leo: Optional[bool]
 
@@ -188,13 +173,6 @@ def map_facts(f: PLMap, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> MapFacts:
     orbits = post_critical_orbits(f, orbit_budget)
     markov = _orbit_closure(orbits)
     return MapFacts(orbits, markov, _leo(f, markov))
-
-
-def is_post_critically_finite(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> Optional[bool]:
-    """True when every critical orbit closes within the budget; None when
-    the budget ran out first (indeterminate, not a refutation)."""
-    table = post_critical_orbits(f, budget)
-    return True if table.all_closed() else None
 
 
 def markov_partition(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> list[Fraction]:
@@ -226,7 +204,7 @@ def is_primitive(f: PLMap, partition: Sequence[Fraction]) -> bool:
     if not pts or pts != sorted(set(pts)) or pts[0] != ZERO or pts[-1] != ONE:
         raise ValueError("partition must be a sorted point set spanning [0, 1]")
     index = {p: i for i, p in enumerate(pts)}
-    if any(lap.left not in index for lap in laps(f)[1:]):
+    if any(c not in index for c in critical_set(f)):
         raise ValueError("partition must contain every critical point")
     n = len(pts) - 1
     lo, hi = [], []  # row u of A^k is the run of cells lo[u]..hi[u]
@@ -270,7 +248,7 @@ def _growth(f: PLMap) -> Fraction:
     magnitude, or u*v/(u+v) for the slope magnitudes u, v on either side of
     a turning point (an interval straddling it) when that is smaller."""
     slopes = [abs((y1 - y0) / (x1 - x0)) for (x0, y0), (x1, y1) in zip(f.points, f.points[1:])]
-    turns = set(f._lap_lefts[1:])
+    turns = set(critical_set(f))
     folds = [u * v / (u + v) for x, u, v in zip(f.xs[1:], slopes, slopes[1:]) if x in turns]
     return min(slopes + folds)
 
@@ -433,8 +411,6 @@ def parse_orbit(text: str) -> BackwardOrbit:
         raise ValueError("orbit text must look like 'prefix: ... ; period: ...'")
     prefix = [parse_rational(tok) for tok in left[len("prefix:"):].split()]
     block = [parse_rational(tok) for tok in right[len("period:"):].split()]
-    if not block:
-        raise ValueError("orbit period block must be nonempty")
     return BackwardOrbit.of(prefix, block)
 
 
@@ -539,8 +515,9 @@ def branch_stabilization(
     f: PLMap,
     orbit: BackwardOrbit,
     budget: Optional[int] = None,
-) -> StabilizationData:
-    """Extract (a, b, epsilon, side, n-sequence) for the certificate pipeline.
+) -> tuple[StabilizationData, PLMap]:
+    """Extract (a, b, epsilon, side, n-sequence) for the certificate pipeline,
+    together with the block map f^step it chose.
 
     Checks every hypothesis of the theorem first: the orbit is a backward
     orbit of f, f is onto, and f is post-critically finite and leo (both
@@ -549,16 +526,9 @@ def branch_stabilization(
     residue, the gap side and epsilon come from the residue's tracked
     value, and the block length is the least period multiple that restores
     the branch [a, b] and covers [0, 1] from every interval of diameter
-    epsilon/2 (both facts checked exactly on the chosen block map).
+    epsilon/2 (both facts checked exactly on the chosen block map).  The
+    block map is taken from the iterates composed on the way.
     """
-    return _stabilize(f, orbit, budget)[0]
-
-
-def _stabilize(
-    f: PLMap, orbit: BackwardOrbit, budget: Optional[int] = None
-) -> tuple[StabilizationData, PLMap]:
-    """:func:`branch_stabilization` together with the block map f^step it
-    chose, taken from the iterates it composed on the way."""
     if not is_onto(f):
         raise ValueError("base map must be onto")
     validate_orbit(f, orbit)

@@ -36,8 +36,8 @@ from .dynamics import (
     NSequence,
     OrbitValidationError,
     StabilizationData,
-    _stabilize,
     branch,
+    branch_stabilization,
     validate_orbit,
 )
 
@@ -255,7 +255,6 @@ def _assemble(
     stab = stabilization
     g_cache: dict[tuple, PLMap] = {}
     verdict_cache: dict[tuple, ZigzagVerdict] = {}
-    branch_cache: dict[Fraction, tuple[Fraction, Fraction]] = {}
     seen_states: dict[tuple, int] = {}
     stages: list[StageRecord] = []
     failing = failure_reason = repeat_index = None
@@ -270,9 +269,7 @@ def _assemble(
         if coordinate != x:  # the stage rule pins x inside s's identity part
             reason = f"s moves x_{n_i} = {x} to {coordinate}"
         elif stab is not None:
-            B = branch_cache.get(x)
-            if B is None:
-                B = branch_cache[x] = branch(block, x).B
+            B = branch(block, x).B
             if B != (stab.a, stab.b):
                 reason = f"branch {B} differs from ({stab.a}, {stab.b})"
             elif stab.side == "left-gap" and stab.a <= x < stab.a + stab.epsilon:
@@ -350,7 +347,7 @@ def certify_general(
     exactly, and the coordinate is outside every zigzag of the rebonded map.
     """
     try:
-        stab, block = _stabilize(f, orbit, budget)
+        stab, block = branch_stabilization(f, orbit, budget)
     except OrbitValidationError:
         raise
     except ValueError as exc:
@@ -499,7 +496,7 @@ def verify_certificate(data: dict) -> tuple[bool, str]:
     try:
         if general:
             try:
-                stab, block = _stabilize(f, orbit)
+                stab, block = branch_stabilization(f, orbit)
             except ValueError as exc:
                 return False, f"map: {exc}"
             n0, step = stab.n_sequence.head[0], stab.n_sequence.step

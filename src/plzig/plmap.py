@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Iterable
 
 __all__ = [
-    "Rational",
     "ZERO",
     "ONE",
     "DEFAULT_BREAKPOINT_BUDGET",
@@ -24,7 +23,6 @@ __all__ = [
     "Lap",
     "PLMap",
     "parse_rational",
-    "format_rational",
     "make_plmap",
     "compose",
     "iterate",
@@ -36,13 +34,9 @@ __all__ = [
     "loads_map",
     "dumps_map",
     "load_map",
-    "save_map",
 ]
 
 log = logging.getLogger(__name__)
-
-# The scalar of the whole system: exact, arbitrary precision, totally ordered.
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -66,11 +60,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational literal {text!r}") from exc
-
-
-def format_rational(q: Fraction) -> str:
-    """Canonical text form: ``p/q``, or the bare integer when q == 1."""
-    return str(q)
 
 
 def _as_rational(value) -> Fraction:
@@ -109,8 +98,10 @@ class PLMap:
         pts = self.points
         if len(pts) < 2:
             raise ValueError("a piecewise-linear map needs at least two breakpoints")
-        if pts[0][0] != ZERO or pts[-1][0] != ONE:
-            raise ValueError("domain must be exactly [0, 1]")
+        if pts[0][0] != ZERO:
+            raise ValueError(f"first breakpoint must have x=0, got x={pts[0][0]}")
+        if pts[-1][0] != ONE:
+            raise ValueError(f"last breakpoint must have x=1, got x={pts[-1][0]}")
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
             if x1 <= x0:
                 raise ValueError(f"breakpoint x-coordinates must increase: {x0} then {x1}")
@@ -162,7 +153,7 @@ class PLMap:
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
     def __repr__(self) -> str:  # keeps pytest diffs readable
-        pts = ", ".join(f"({format_rational(x)},{format_rational(y)})" for x, y in self.points)
+        pts = ", ".join(f"({x},{y})" for x, y in self.points)
         return f"PLMap[{pts}]"
 
 
@@ -173,12 +164,6 @@ def make_plmap(points: Iterable[tuple]) -> PLMap:
     everything else about the input must already satisfy the map invariants.
     """
     pts = [(_as_rational(x), _as_rational(y)) for x, y in points]
-    if len(pts) < 2:
-        raise ValueError("need at least two breakpoints")
-    if pts[0][0] != ZERO:
-        raise ValueError(f"first breakpoint must have x=0, got x={pts[0][0]}")
-    if pts[-1][0] != ONE:
-        raise ValueError(f"last breakpoint must have x=1, got x={pts[-1][0]}")
     merged = _merge_collinear(pts)
     if len(merged) < len(pts):
         log.debug("merged %d collinear interior breakpoint(s)", len(pts) - len(merged))
@@ -205,12 +190,9 @@ def _laps_at(f: PLMap, y: Fraction) -> list[int]:
     return [k - 1, k] if k > 0 and lefts[k] == y else [k]
 
 
-def critical_set(f: PLMap, include_endpoints: bool = False) -> list[Fraction]:
-    """Interior points where monotonicity flips; endpoints 0, 1 on request."""
-    interior = [lap.left for lap in laps(f)[1:]]
-    if include_endpoints:
-        return [ZERO] + interior + [ONE]
-    return interior
+def critical_set(f: PLMap) -> list[Fraction]:
+    """Turning points: the interior points where monotonicity flips."""
+    return list(f._lap_lefts[1:])
 
 
 def compose(outer: PLMap, inner: PLMap, budget: int | None = None) -> PLMap:
@@ -272,13 +254,13 @@ def _merge_collinear(points: Iterable[tuple[Fraction, Fraction]]) -> list[tuple[
     return merged
 
 
-def iterate(f: PLMap, n: int, budget: int | None = None) -> PLMap:
+def iterate(f: PLMap, n: int) -> PLMap:
     """Exact n-fold composition of f with itself, n >= 1."""
     if n < 1:
         raise ValueError("iteration count must be at least 1")
     acc = f
     for _ in range(n - 1):
-        acc = compose(f, acc, budget=budget)
+        acc = compose(f, acc)
     return acc
 
 
@@ -339,15 +321,10 @@ def loads_map(text: str) -> PLMap:
 
 
 def dumps_map(f: PLMap) -> str:
-    lines = [f"{format_rational(x)} {format_rational(y)}" for x, y in f.points]
+    lines = [f"{x} {y}" for x, y in f.points]
     return "\n".join(lines) + "\n"
 
 
 def load_map(path) -> PLMap:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_map(fh.read())
-
-
-def save_map(f: PLMap, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_map(f))

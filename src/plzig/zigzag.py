@@ -9,10 +9,10 @@ or last lap are never inside a zigzag.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm
 from operator import gt, le, lt
 from typing import Callable, Optional, Sequence
@@ -299,9 +299,11 @@ def remark_no_zigzag(f: PLMap, k: int) -> bool:
     return f(lap.left) in (ZERO, ONE) or f(lap.right) in (ZERO, ONE)
 
 
-def _level_clear(f: PLMap, value: Fraction, a: Fraction, b: Fraction) -> bool:
-    """True when f never takes ``value`` strictly inside (a, b)."""
-    return all(not (a < c < b) for c in level_crossings(f, value))
+def _level_clear(crossings: list[Fraction], a: Fraction, b: Fraction) -> bool:
+    """True when no point of the sorted ``crossings`` lies strictly inside
+    (a, b)."""
+    k = bisect_right(crossings, a)
+    return k == len(crossings) or crossings[k] >= b
 
 
 def lemma_witness(f: PLMap, y) -> Optional[tuple[Fraction, Fraction, int]]:
@@ -321,6 +323,7 @@ def lemma_witness(f: PLMap, y) -> Optional[tuple[Fraction, Fraction, int]]:
     # f is one-to-one on [y, rlim] and on [llim, y]: the laps holding y end there
     holding = _laps_at(f, y)
     rlim, llim = f._laps[holding[-1]].right, f._laps[holding[0]].left
+    crossings = cache(lambda value: level_crossings(f, value))
 
     b_cands = sorted({x for x in f.xs if y < x < rlim} | {y, rlim}, reverse=True)
     for a in sorted((x for x in anchors if x <= y), reverse=True):
@@ -328,7 +331,7 @@ def lemma_witness(f: PLMap, y) -> Optional[tuple[Fraction, Fraction, int]]:
         for b in b_cands:
             if a >= b:
                 continue
-            if _level_clear(f, fa, a, b) and _level_clear(f, f(b), a, b):
+            if _level_clear(crossings(fa), a, b) and _level_clear(crossings(f(b)), a, b):
                 return (a, b, 1)
 
     a_cands = sorted({x for x in f.xs if llim < x < y} | {y, llim})
@@ -337,7 +340,7 @@ def lemma_witness(f: PLMap, y) -> Optional[tuple[Fraction, Fraction, int]]:
         for a in a_cands:
             if a >= b:
                 continue
-            if _level_clear(f, f(a), a, b) and _level_clear(f, fb, a, b):
+            if _level_clear(crossings(f(a)), a, b) and _level_clear(crossings(fb), a, b):
                 return (a, b, 2)
     return None
 

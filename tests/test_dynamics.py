@@ -17,9 +17,9 @@ from plzig.dynamics import (
     branch_stabilization,
     format_orbit,
     is_leo,
-    is_post_critically_finite,
     is_primitive,
     leo_uniform_N,
+    map_facts,
     markov_partition,
     parse_orbit,
     post_critical_orbits,
@@ -61,7 +61,7 @@ class TestBranch:
 
 class TestPostCriticalOrbits:
     def test_minc_table(self, minc):
-        table = {e.point: e for e in post_critical_orbits(minc).entries}
+        table = {e.point: e for e in post_critical_orbits(minc)}
         assert (table[F(0)].preperiod, table[F(0)].period) == (0, 1)
         assert (table[F(1)].preperiod, table[F(1)].period) == (0, 1)
         assert (table[F(1, 3)].preperiod, table[F(1, 3)].period) == (1, 1)
@@ -71,11 +71,11 @@ class TestPostCriticalOrbits:
         assert table[F(4, 9)].orbit == (F(4, 9), F(1, 3), F(1))
 
     def test_identity_everything_fixed(self, identity):
-        for e in post_critical_orbits(identity).entries:
+        for e in post_critical_orbits(identity):
             assert (e.preperiod, e.period) == (0, 1)
 
     def test_tent_peak(self, tent):
-        table = {e.point: e for e in post_critical_orbits(tent).entries}
+        table = {e.point: e for e in post_critical_orbits(tent)}
         assert (table[F(1, 2)].preperiod, table[F(1, 2)].period) == (2, 1)
         assert table[F(1, 2)].orbit == (F(1, 2), F(1), F(0))
 
@@ -83,20 +83,20 @@ class TestPostCriticalOrbits:
         # interior fixed point attracts the endpoint orbits, which therefore
         # never close; the table must say so instead of guessing
         f = make_plmap([(0, F(1, 7)), (1, F(6, 7))])
-        table = post_critical_orbits(f, budget=100)
-        assert not table.all_closed()
+        orbits = post_critical_orbits(f, budget=100)
+        assert not all(e.closed for e in orbits)
 
 
 class TestPostCriticallyFinite:
     def test_minc(self, minc):
-        assert is_post_critically_finite(minc) is True
+        assert map_facts(minc).post_critically_finite is True
 
     def test_identity(self, identity):
-        assert is_post_critically_finite(identity) is True
+        assert map_facts(identity).post_critically_finite is True
 
     def test_budget_exhaustion_is_indeterminate(self):
         f = make_plmap([(0, F(1, 7)), (1, F(6, 7))])
-        assert is_post_critically_finite(f, budget=100) is None
+        assert map_facts(f, orbit_budget=100).post_critically_finite is None
 
 
 class TestMarkov:
@@ -287,7 +287,7 @@ class TestBackwardOrbit:
 
 class TestBranchStabilization:
     def test_minc_fixed_point(self, minc):
-        stab = branch_stabilization(minc, BackwardOrbit.constant(F(1, 2)))
+        stab, _ = branch_stabilization(minc, BackwardOrbit.constant(F(1, 2)))
         assert (stab.a, stab.b) == (F(1, 3), F(2, 3))
         assert stab.side == "left-gap"
         assert stab.epsilon == F(1, 12)
@@ -295,11 +295,11 @@ class TestBranchStabilization:
         assert stab.n_sequence.step == 4
 
     def test_window_avoids_orbit_values(self, minc):
-        stab = branch_stabilization(minc, BackwardOrbit.constant(F(1, 2)))
+        stab, _ = branch_stabilization(minc, BackwardOrbit.constant(F(1, 2)))
         assert not (stab.a <= F(1, 2) < stab.a + stab.epsilon)
 
     def test_tent_fixed_point(self, tent):
-        stab = branch_stabilization(tent, BackwardOrbit.constant(F(2, 3)))
+        stab, _ = branch_stabilization(tent, BackwardOrbit.constant(F(2, 3)))
         assert (stab.a, stab.b) == (F(0), F(1))
 
     def test_requires_leo(self):
@@ -308,8 +308,8 @@ class TestBranchStabilization:
             branch_stabilization(mono, BackwardOrbit.constant(F(0)))
 
     def test_branch_window_reproduced_by_block_map(self, minc):
-        stab = branch_stabilization(minc, BackwardOrbit.constant(F(1, 2)))
-        block = iterate(minc, stab.n_sequence.step)
+        stab, block = branch_stabilization(minc, BackwardOrbit.constant(F(1, 2)))
+        assert block == iterate(minc, stab.n_sequence.step)
         assert branch(block, F(1, 2)).B == (stab.a, stab.b)
 
 

@@ -359,6 +359,24 @@ class TestCertifyGeneral:
             assert cert.passed
             assert verify_certificate(certificate_to_dict(cert)) == (True, "ok")
 
+    def test_stabilization_runs_once_through_its_public_name(self, monkeypatch, minc):
+        # the pipeline and the verifier both reach the stabilization through
+        # factorize's binding of dynamics.branch_stabilization, once each
+        import plzig.factorize
+
+        stabilize = plzig.factorize.branch_stabilization
+        calls = []
+        monkeypatch.setattr(
+            plzig.factorize,
+            "branch_stabilization",
+            lambda *args, **kwargs: calls.append(args) or stabilize(*args, **kwargs),
+        )
+        cert = certify_general(minc, BackwardOrbit.constant(F(1, 2)), stages=4)
+        assert len(calls) == 1
+        calls.clear()
+        assert verify_certificate(certificate_to_dict(cert)) == (True, "ok")
+        assert len(calls) == 1
+
     def test_random_markov_family(self):
         # grid-valued cell maps are post-critically finite by construction;
         # whenever the dynamical preconditions hold the pipeline must pass

@@ -17,7 +17,6 @@ from plzig.plmap import (
     loads_map,
     make_plmap,
     parse_rational,
-    format_rational,
     _laps_at,
 )
 import plzig.dynamics as dynamics
@@ -54,8 +53,6 @@ class TestRational:
         assert parse_rational("7/18") == F(7, 18)
         assert parse_rational("0") == 0
         assert parse_rational(" 1 ") == 1
-        assert format_rational(F(7, 18)) == "7/18"
-        assert format_rational(F(2)) == "2"
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -188,8 +185,6 @@ class TestIterate:
 class TestCriticalSetAndLaps:
     def test_minc_critical_set(self, minc):
         assert critical_set(minc) == [F(1, 3), F(4, 9), F(5, 9), F(2, 3)]
-        assert critical_set(minc, include_endpoints=True)[0] == 0
-        assert critical_set(minc, include_endpoints=True)[-1] == 1
 
     def test_identity_has_no_critical_points(self, identity):
         assert critical_set(identity) == []
@@ -262,12 +257,11 @@ class TestLapLookup:
         for f, y in queries + [(minc, F(-1, 2)), (minc, F(3, 2))]:
             assert _laps_at(f, y) == scan_laps_at(f, y), (f, y)
 
-        # lemma_witness takes up to two seconds per point on minc^4, so it
-        # runs on every query of the small maps and on a sample of minc^3's
-        # and minc^4's
-        witness_queries = [(f, y) for f, y in queries if len(f.xs) < 50]
-        for big, size in zip(maps[2:4], (24, 4)):
-            witness_queries += rng.sample([q for q in queries if q[0] is big], size)
+        # lemma_witness runs on every query but minc^4's, of which it takes
+        # a sample of 40
+        minc4 = maps[3]
+        witness_queries = [(f, y) for f, y in queries if f is not minc4]
+        witness_queries += rng.sample([q for q in queries if q[0] is minc4], 40)
 
         def answers():
             return (
