@@ -6,7 +6,8 @@ of a backward orbit escapes every zigzag of the rebonded maps, the point is
 certified accessible in some thin planar embedding.  This module builds the
 two explicit fold constructions, the stage pipelines (the hard-coded Minc
 double-step pipeline and the general stabilization-driven one), and the
-machine-checkable certificate records they emit.
+machine-checkable certificate records they emit; the verifier accepts a
+certificate only as the pipeline's own output on the certificate's inputs.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .plmap import (
     level_crossings,
     loads_map,
     make_plmap,
+    parse_rational,
 )
 from .zigzag import ZigzagVerdict, is_in_zigzag
 from .dynamics import (
@@ -220,16 +222,6 @@ class Certificate:
         return self.result == "pass"
 
 
-def _stage_count(orbit: BackwardOrbit, step: int, requested: int) -> int:
-    """Stages to run: the requested count, and at least enough to exhibit
-    the repeat of the stage state, which recurs after the orbit's period
-    counted in blocks of ``step`` (the first stage has no state)."""
-    if requested < 2:
-        raise ValueError("need at least two stages to run any zigzag check")
-    p = orbit.minimal_period()
-    return max(requested, p // gcd(step, p) + 2)
-
-
 def _assemble(
     base_map: PLMap,
     orbit: BackwardOrbit,
@@ -240,7 +232,7 @@ def _assemble(
     pair_of,
     stage_count: int,
 ) -> Certificate:
-    """Run the stage loop shared by both pipelines and the verifier.
+    """Run the stage loop shared by both pipelines.
 
     Stage i sits at orbit index n0 + i·step and uses the factor pair
     ``pair_of(i)`` of ``block`` = f^step.  It fails when s moves x_n, when
@@ -249,9 +241,13 @@ def _assemble(
     the coordinate to the previous one, or when the coordinate lies in a
     zigzag of g; the first failing stage's reason is kept on the
     certificate.  The repeat index is the first stage whose state (both
-    pairs and both orbit values) duplicates an earlier full stage; enough
-    stages are run to exhibit it.
+    pairs and both orbit values) duplicates an earlier full stage.  At least
+    ``stage_count`` stages run, and enough to exhibit the repeat: the state
+    recurs after the orbit's period counted in blocks of ``step``.
     """
+    if stage_count < 2:
+        raise ValueError("need at least two stages to run any zigzag check")
+    p = orbit.minimal_period()
     stab = stabilization
     g_cache: dict[tuple, PLMap] = {}
     verdict_cache: dict[tuple, ZigzagVerdict] = {}
@@ -259,7 +255,7 @@ def _assemble(
     stages: list[StageRecord] = []
     failing = failure_reason = repeat_index = None
     prev = None  # (pair key, pair, x, coordinate) of the previous stage
-    for i in range(1, _stage_count(orbit, step, stage_count) + 1):
+    for i in range(1, max(stage_count, p // gcd(step, p) + 2) + 1):
         n_i = n0 + i * step
         x = orbit.value_at(n_i)
         pair = pair_of(i)
@@ -374,7 +370,7 @@ VERSION = 2
 
 
 def _dec_orbit(data: dict) -> BackwardOrbit:
-    return BackwardOrbit(*(tuple(map(Fraction, data[k])) for k in ("prefix", "period")))
+    return BackwardOrbit(*(tuple(map(parse_rational, data[k])) for k in ("prefix", "period")))
 
 
 def _canonical(data) -> str:
@@ -437,15 +433,15 @@ def certificate_from_dict(data: dict) -> Certificate:
     if stab is not None:
         seq = stab["n-sequence"]
         stab = StabilizationData(
-            Fraction(stab["a"]), Fraction(stab["b"]), Fraction(stab["epsilon"]), stab["side"],
+            *(parse_rational(stab[k]) for k in ("a", "b", "epsilon")), stab["side"],
             NSequence(tuple(seq["head"]), seq["step"]),
         )
     stages = []
     for idx, st in enumerate(data["stages"], start=1):
-        pair = FactorPair(maps[st["s"]], maps[st["t"]], st["case"], Fraction(st["beta"]))
+        pair = FactorPair(maps[st["s"]], maps[st["t"]], st["case"], parse_rational(st["beta"]))
         g, verdict = st["g"], st["zigzag_verdict"]
         stages.append(StageRecord(
-            idx, st["n_i"], pair, None if g is None else maps[g], Fraction(st["coordinate"]),
+            idx, st["n_i"], pair, None if g is None else maps[g], parse_rational(st["coordinate"]),
             None if verdict is None else ZigzagVerdict.from_dict(verdict),
         ))
     return Certificate(
@@ -463,17 +459,16 @@ def certificate_from_json(text: str) -> Certificate:
 
 
 def verify_certificate(data: dict) -> tuple[bool, str]:
-    """Re-run the pipeline on the certificate's inputs and compare encodings.
+    """Certify the certificate's inputs again and compare encodings.
 
-    The inputs are the version, the base map, the orbit, whether there is
-    stabilization data, the stage count and each stage's (case, beta).
-    Without stabilization data the map must be :func:`minc_map` and the
-    block map is f^2; otherwise :func:`branch_stabilization` runs again,
-    checks every hypothesis and hands over the stabilization and f^step.
-    Each (case, beta) is split again on the block map, :func:`_assemble`
-    runs on those pairs, and the certificate passes only when its canonical
-    encoding equals the re-derived one; else the reason names the first
-    field that differs.  Returns (ok, message) and never raises.
+    The inputs are those of ``plzig certify``: the version, the base map,
+    the orbit, the pipeline (stabilization data or none) and the stage
+    count.  Without stabilization data the map must be :func:`minc_map` and
+    :func:`certify_minc` runs, else :func:`certify_general`, which checks
+    every hypothesis again.  A certificate passes only when its canonical
+    encoding is the re-derived one, so exactly the pipelines' outputs pass;
+    else the reason names the first field that differs.  Returns (ok,
+    message) and never raises.
     """
     try:
         if data.get("version") != VERSION:
@@ -481,42 +476,23 @@ def verify_certificate(data: dict) -> tuple[bool, str]:
         f = loads_map(data["maps"][data["map"]])
         orbit = _dec_orbit(data["orbit"])
         general = data["stabilization"] is not None
-        keys = [(st["case"], Fraction(st["beta"])) for st in data["stages"]]
+        if type(data["stages"]) is not list:
+            raise TypeError(f"stages must be a list, got {type(data['stages']).__name__}")
+        count = len(data["stages"])
     except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
         return False, f"malformed certificate: {type(exc).__name__}: {exc}"
-    if len(keys) < 2:
-        return False, "need at least two stages to run any zigzag check"
-    try:
-        validate_orbit(f, orbit)
-    except OrbitValidationError as exc:
-        return False, f"orbit: {exc}"
     if not general and f != minc_map():
         return False, "map: a certificate without stabilization data must be on the Minc map"
-
     try:
-        if general:
-            try:
-                stab, block = branch_stabilization(f, orbit)
-            except ValueError as exc:
-                return False, f"map: {exc}"
-            n0, step = stab.n_sequence.head[0], stab.n_sequence.step
-        else:
-            stab, block, n0, step = None, iterate(f, MINC_STEP), 0, MINC_STEP
-        need = _stage_count(orbit, step, len(keys))
-        if len(keys) != need:
-            return False, f"stages: {len(keys)} stored, the orbit's period needs {need}"
-        pairs: dict[tuple[str, Fraction], FactorPair] = {}
-        for i, (case, beta) in enumerate(keys, start=1):
-            if case not in (CASE1, CASE2):
-                return False, f"stage {i}: unknown case {case!r}"
-            try:
-                if (case, beta) not in pairs:
-                    pairs[case, beta] = (split_case1 if case == CASE1 else split_case2)(block, beta)
-            except (ValueError, CertifyError) as exc:
-                return False, f"stage {i}: {exc}"
-        derived = _assemble(f, orbit, stab, block, n0, step, lambda i: pairs[keys[i - 1]], need)
+        derived = certify_general(f, orbit, count) if general else certify_minc(orbit, count)
+    except OrbitValidationError as exc:
+        return False, f"orbit: {exc}"
+    except CertifyError as exc:
+        return False, f"map: {exc}"
     except BudgetExceededError as exc:
         return False, f"re-deriving the certificate exceeds the budget: {exc}"
+    except ValueError as exc:  # too few stages, or a number too long to print
+        return False, f"re-deriving the certificate: {exc}"
 
     want = certificate_to_dict(derived)
     try:
@@ -542,6 +518,7 @@ def _resolved(data: dict) -> dict:
     text = lambda i: maps[i] if type(i) is int and 0 <= i < len(maps) else f"no maps entry {i!r}"
     stages = [
         {k: text(v) if k in ("s", "t", "g") and v is not None else v for k, v in st.items()}
+        if isinstance(st, dict) else st
         for st in data["stages"]
     ]
     return {**data, "map": text(data["map"]), "stages": stages}

@@ -9,6 +9,7 @@ decidable and composition identities can be checked exactly.
 from __future__ import annotations
 
 import logging
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,12 +55,17 @@ class BudgetExceededError(RuntimeError):
     """An operation would exceed its breakpoint or step budget."""
 
 
+# what str(Fraction) writes, with any nonzero denominator
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse a canonical rational literal: ``p/q`` or a plain integer."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational literal {text!r}") from exc
+    """Parse a canonical rational literal, ``p/q`` or an integer, either with
+    an optional ``-``.  Fraction's own grammar also reads exponents, so a
+    short text such as ``1e-10000000`` would take seconds to build."""
+    if not _RATIONAL.fullmatch(text.strip()):
+        raise ValueError(f"malformed rational literal {text!r}")
+    return Fraction(text.strip())
 
 
 def _as_rational(value) -> Fraction:

@@ -27,6 +27,7 @@ from .plmap import (
     compose,
     laps,
     level_crossings,
+    parse_rational,
 )
 
 __all__ = [
@@ -70,7 +71,7 @@ class ZigzagVerdict:
 
     @staticmethod
     def from_dict(data: dict) -> "ZigzagVerdict":
-        dec = lambda pair: (Fraction(pair[0]), Fraction(pair[1]))
+        dec = lambda pair: (parse_rational(pair[0]), parse_rational(pair[1]))
         return ZigzagVerdict(
             in_zigzag=bool(data["in_zigzag"]),
             applicable_laps=tuple(dec(l) for l in data["applicable_laps"]),

@@ -20,6 +20,7 @@ from plzig.factorize import (
     certificate_to_json,
     certify_general,
     certify_minc,
+    _assemble,
     find_beta,
     minc_map,
     minc_stage_choice,
@@ -377,6 +378,21 @@ class TestCertifyGeneral:
         assert verify_certificate(certificate_to_dict(cert)) == (True, "ok")
         assert len(calls) == 1
 
+    def test_orbit_is_validated_once_per_verify(self, monkeypatch, passing_certificates):
+        # the verifier leaves the orbit check to the pipeline it re-runs
+        import plzig.dynamics
+        import plzig.factorize
+
+        validate = plzig.dynamics.validate_orbit
+        calls = []
+        counted = lambda *args: calls.append(args) or validate(*args)
+        monkeypatch.setattr(plzig.dynamics, "validate_orbit", counted)
+        monkeypatch.setattr(plzig.factorize, "validate_orbit", counted)
+        for kind in ("minc", "general"):
+            calls.clear()
+            assert verify_certificate(passing_certificates[kind]) == (True, "ok")
+            assert len(calls) == 1, kind
+
     def test_random_markov_family(self):
         # grid-valued cell maps are post-critically finite by construction;
         # whenever the dynamical preconditions hold the pipeline must pass
@@ -465,7 +481,7 @@ class TestCertificateSerialization:
         "tamper, reason",
         [
             (lambda d: d.pop("map"), "KeyError"),
-            (lambda d: d["stages"][0].update(beta="1/0"), "ZeroDivisionError"),
+            (lambda d: d["orbit"].update(period=["1/0"]), "malformed rational literal '1/0'"),
             (lambda d: d.update(stages=[]), "at least two stages"),
             (lambda d: d.update(stages=d["stages"][:1]), "at least two stages"),
         ],
@@ -481,7 +497,7 @@ class TestCertificateSerialization:
         data = certificate_to_dict(certify_minc(BackwardOrbit.constant(F(1, 2)), stages=4))
         data["orbit"]["period"] = ["0"]
         ok, msg = verify_certificate(data)
-        assert not ok and msg == "stage 1 coordinate: stored '1/2', re-derived '7/18'"
+        assert not ok and msg == "stage 1 case: stored 'case1', re-derived 'case2'"
 
 
 def _ref(data, f):
@@ -574,16 +590,26 @@ TAMPERS = [
         "case2-at-const-1",
         ("minc",),
         lambda d: _refold(d, [F(1)], split_case2(MINC_BLOCK, MINC_BETA_HIGH)),
-        "re-derived fail at stage 1: s moves x_2 = 1 to 11/18",
+        "stage 1 case: stored 'case2', re-derived 'case1'",
     ),
     (
         "case1-at-2-cycle",
         ("minc",),
         lambda d: _refold(d, [F(4, 19), F(12, 19)], split_case1(MINC_BLOCK, MINC_BETA_LOW)),
-        "re-derived fail at stage 1: s moves x_2 = 4/19",
+        "stage 1 case: stored 'case1', re-derived 'case2'",
     ),
-    ("reuse-case", ("minc",), lambda d: _reuse_case(d, MINC_BLOCK, F(2, 9)), "stage 3 g: stored"),
-    ("reuse-case", ("general",), lambda d: _reuse_case(d, TENT_BLOCK, F(3, 8)), "stage 3 g: stored"),
+    (
+        "reuse-case",
+        ("minc",),
+        lambda d: _reuse_case(d, MINC_BLOCK, F(2, 9)),
+        "stage 2 beta: stored '2/9', re-derived '7/18'",
+    ),
+    (
+        "reuse-case",
+        ("general",),
+        lambda d: _reuse_case(d, TENT_BLOCK, F(3, 8)),
+        "stage 2 beta: stored '3/8', re-derived '1/8'",
+    ),
     (
         "n-off-sequence",
         ("minc", "general"),
@@ -600,7 +626,7 @@ TAMPERS = [
         "too-few-stages",
         ("minc", "general"),
         lambda d: d.update(stages=d["stages"][:2]),
-        "stages: 2 stored, the orbit's period needs 3",
+        "stages: 2 entries stored, 3 re-derived",
     ),
     (
         "collinear-g",
@@ -727,6 +753,20 @@ TAMPERS = [
         "maps: 5 entries stored, 4 re-derived",
     ),
     ("duplicate-map", ("minc", "general"), _duplicate_map, "maps: 5 entries stored, 4 re-derived"),
+    # Literals that Fraction reads but str(Fraction) never writes; the orbit
+    # value stands for 10^(-10^7), which takes seconds to build
+    (
+        "exponent-orbit",
+        ("minc", "general"),
+        lambda d: d["orbit"].update(period=["1e-10000000"]),
+        "malformed rational literal '1e-10000000'",
+    ),
+    (
+        "exponent-map",
+        ("general",),
+        lambda d: d["maps"].__setitem__(d["map"], "0 0\n1e-1000000 1\n1 0\n"),
+        "malformed rational literal '1e-1000000'",
+    ),
     (
         "no-version",
         ("minc", "general"),
@@ -795,6 +835,23 @@ class TestTamperSuite:
         ok, msg = verify_certificate(data)
         assert not ok and "budget" in msg
 
+    @pytest.mark.parametrize(
+        "case, beta",
+        [(CASE1, b) for b in ("2/9", "5/9", "2/3", "8/9")]
+        + [(CASE2, b) for b in ("1/9", "1/3", "4/9", "11/18", "7/9")],
+    )
+    def test_other_folds_are_not_the_pipeline_output(self, minc, case, beta):
+        # a true record built by the stage loop on another split of minc^2
+        # is still not what the Minc pipeline emits for these inputs
+        pair = (split_case1 if case == CASE1 else split_case2)(MINC_BLOCK, F(beta))
+        orbit = BackwardOrbit.constant(F(1, 2))
+        cert = _assemble(minc, orbit, None, MINC_BLOCK, 0, 2, lambda i: pair, 4)
+        ok, msg = verify_certificate(certificate_to_dict(cert))
+        if case == CASE1:
+            assert (ok, msg) == (False, f"stage 1 beta: stored '{beta}', re-derived '7/18'")
+        else:
+            assert (ok, msg) == (False, "stage 1 case: stored 'case2', re-derived 'case1'")
+
     def test_failing_stage_keeps_its_reason(self, monkeypatch):
         import plzig.factorize
 
@@ -813,3 +870,54 @@ class TestTamperSuite:
             "result: stored 'pass' with failing_stage None, "
             "re-derived fail at stage 1: s moves x_2 = 1 to 11/18"
         )
+
+
+# values an edit puts in; the long denominator has 4,300 digits, the most
+# that Python 3.11 converts between int and str
+FUZZ_POOL = [
+    None, True, False, 2**70, 1.5, "", "1/0", "2/4", "0.5", "1e-100000",
+    "1/" + "9" * 4300, [], {}, dumps_map(minc_map()), "case3",
+]
+
+
+def _paths(value, path=()):
+    """The path of every dict key and list entry inside a JSON value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, sub in items:
+        yield path + (key,)
+        if isinstance(sub, (dict, list)):
+            yield from _paths(sub, path + (key,))
+
+
+class TestVerifierNeverRaises:
+    def test_random_edits(self, passing_certificates):
+        # each edit drops a dict key or puts in a value from the pool; a
+        # certificate whose encoding is unchanged verifies, all others fail
+        rng = random.Random(20201019)
+        canonical = lambda d: json.dumps(d, sort_keys=True, separators=(",", ":"))
+        for _ in range(300):
+            kind = rng.choice(["minc", "general"])
+            data = copy.deepcopy(passing_certificates[kind])
+            *head, key = rng.choice(list(_paths(data)))
+            parent = data
+            for k in head:
+                parent = parent[k]
+            if isinstance(parent, dict) and rng.random() < 0.2:
+                del parent[key]
+            else:
+                parent[key] = copy.deepcopy(rng.choice(FUZZ_POOL))
+            result = verify_certificate(data)
+            assert type(result) is tuple and type(result[0]) is bool and type(result[1]) is str
+            assert result[0] == (canonical(data) == canonical(passing_certificates[kind])), (
+                head, key, result,
+            )
+
+    def test_unprintable_orbit_value_is_a_rejection(self, passing_certificates):
+        # under a slope of 5/4 the orbit value 1/(10^4300 - 1) maps to a
+        # number with a 4,301-digit denominator, which Python 3.11 refuses to
+        # print in the orbit check's message
+        data = copy.deepcopy(passing_certificates["general"])
+        data["maps"][data["map"]] = "0 0\n4/5 1\n1 0\n"
+        data["orbit"]["period"] = ["1/" + "9" * 4300]
+        ok, msg = verify_certificate(data)
+        assert ok is False and isinstance(msg, str)

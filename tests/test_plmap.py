@@ -60,6 +60,12 @@ class TestRational:
         with pytest.raises(ValueError):
             parse_rational("a/b")
 
+    @pytest.mark.parametrize("text", ["0.5", "1e-3", "1_0", "+1/2"])
+    def test_parse_reads_only_what_str_writes(self, text):
+        # Fraction's own grammar takes these; str(Fraction) never writes them
+        with pytest.raises(ValueError, match="malformed rational literal"):
+            parse_rational(text)
+
 
 class TestConstruction:
     def test_minc_map(self, minc):
