@@ -19,6 +19,7 @@ from .plmap import (
 )
 from .zigzag import (
     ZigzagVerdict,
+    composite_verdict,
     composition_property_check,
     is_in_zigzag,
     lemma_witness,

@@ -381,19 +381,28 @@ class BackwardOrbit:
         return p
 
 
+# values whose numerator or denominator is longer than this are named by
+# their size in messages; str() refuses ints past 4,300 digits
+_PRINT_BITS = 1000
+
+
+def _show(v: Fraction) -> str:
+    bits = max(abs(v.numerator), v.denominator).bit_length()
+    return str(v) if bits <= _PRINT_BITS else f"a rational of {bits} bits"
+
+
 def validate_orbit(f: PLMap, orbit: BackwardOrbit) -> None:
     """Check f(x_{i+1}) = x_i across the prefix, the seam, and the block
     wrap-around; raises OrbitValidationError on the first mismatch."""
     span = len(orbit.prefix) + len(orbit.period_block)
     for i in range(span):
-        try:
-            got = f(orbit.value_at(i + 1))
-        except ValueError as exc:  # an entry outside [0, 1]
-            raise OrbitValidationError(f"orbit entry {i + 1}: {exc}") from exc
-        want = orbit.value_at(i)
+        x = orbit.value_at(i + 1)
+        if not (ZERO <= x <= ONE):
+            raise OrbitValidationError(f"orbit entry {i + 1} = {_show(x)} lies outside [0, 1]")
+        got, want = f(x), orbit.value_at(i)
         if got != want:
             raise OrbitValidationError(
-                f"orbit entry {i + 1} maps to {got}, expected x_{i} = {want}"
+                f"orbit entry {i + 1} maps to {_show(got)}, expected x_{i} = {_show(want)}"
             )
 
 

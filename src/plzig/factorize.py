@@ -32,7 +32,7 @@ from .plmap import (
     make_plmap,
     parse_rational,
 )
-from .zigzag import ZigzagVerdict, is_in_zigzag
+from .zigzag import ZigzagVerdict, composite_verdict
 from .dynamics import (
     BackwardOrbit,
     NSequence,
@@ -194,13 +194,15 @@ def minc_stage_choice(x) -> str:
 @dataclass(frozen=True)
 class StageRecord:
     """One verified stage: the factor pair for block ending at orbit index
-    ``n``, the inbound rebonded map g = s_prev ∘ t (None at the first
-    stage), the tracked coordinate s(x_n), and its zigzag verdict under g."""
+    ``n``, the tracked coordinate s(x_n), and its zigzag verdict under the
+    inbound rebonded map g = s_prev ∘ t (None at the first stage).  g is
+    never built: the verdict is decided on a window of it around the
+    coordinate (:func:`composite_verdict`), and its laps and witnesses are
+    in g's coordinates."""
 
     index: int
     n: int
     pair: FactorPair
-    g: Optional[PLMap]
     coordinate: Fraction
     verdict: Optional[ZigzagVerdict]
 
@@ -240,8 +242,12 @@ def _assemble(
     [a, b] or x_n enters the gap window, when g = s_prev∘t does not carry
     the coordinate to the previous one, or when the coordinate lies in a
     zigzag of g; the first failing stage's reason is kept on the
-    certificate.  The repeat index is the first stage whose state (both
-    pairs and both orbit values) duplicates an earlier full stage.  At least
+    certificate.  g is never composed: g(c_i) is s_prev(t(c_i)), and the
+    zigzag verdict is decided by :func:`composite_verdict` on the window of
+    g between the nearest points on either side of c_i where g is 0 or 1,
+    which only composes the segments of t that the window spans.  The
+    repeat index is the first stage whose state (both pairs and both orbit
+    values) duplicates an earlier full stage.  At least
     ``stage_count`` stages run, and enough to exhibit the repeat: the state
     recurs after the orbit's period counted in blocks of ``step``.
     """
@@ -249,7 +255,6 @@ def _assemble(
         raise ValueError("need at least two stages to run any zigzag check")
     p = orbit.minimal_period()
     stab = stabilization
-    g_cache: dict[tuple, PLMap] = {}
     verdict_cache: dict[tuple, ZigzagVerdict] = {}
     seen_states: dict[tuple, int] = {}
     stages: list[StageRecord] = []
@@ -272,19 +277,16 @@ def _assemble(
                 reason = f"coordinate {x} entered the left gap window"
             elif stab.side == "right-gap" and stab.b - stab.epsilon < x <= stab.b:
                 reason = f"coordinate {x} entered the right gap window"
-        g: Optional[PLMap] = None
         verdict: Optional[ZigzagVerdict] = None
         if prev is not None:
             prev_key, prev_pair, prev_x, prev_coord = prev
-            g = g_cache.get((prev_key, key))
-            if g is None:
-                g = g_cache[(prev_key, key)] = compose(prev_pair.s, pair.t)
             vkey = (prev_key, key, coordinate)
             verdict = verdict_cache.get(vkey)
             if verdict is None:
-                verdict = verdict_cache[vkey] = is_in_zigzag(g, coordinate)
-            if reason is None and g(coordinate) != prev_coord:
-                reason = f"g sends {coordinate} to {g(coordinate)}, not to {prev_coord}"
+                verdict = verdict_cache[vkey] = composite_verdict(prev_pair.s, pair.t, coordinate)
+            image = prev_pair.s(pair.t(coordinate))
+            if reason is None and image != prev_coord:
+                reason = f"g sends {coordinate} to {image}, not to {prev_coord}"
             if reason is None and verdict.in_zigzag:
                 reason = f"coordinate {coordinate} lies in a zigzag of g"
             state = (prev_key, key, prev_x, x)
@@ -292,7 +294,7 @@ def _assemble(
                 repeat_index = i
         if reason is not None and failing is None:
             failing, failure_reason = i, reason
-        stages.append(StageRecord(i, n_i, pair, g, coordinate, verdict))
+        stages.append(StageRecord(i, n_i, pair, coordinate, verdict))
         prev = (key, pair, x, coordinate)
 
     return Certificate(
@@ -359,14 +361,17 @@ def certify_general(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: schema version 2, compact JSON with sorted keys.  Every
+# Serialization: schema version 3, compact JSON with sorted keys.  Every
 # rational is a p/q string, and each distinct map is stored once, in the
 # ``maps`` table, as its map-file text (:func:`dumps_map`); ``map`` and each
-# stage's s, t and g refer to that table by index.  One certificate has one
-# encoding, so the verifier compares encodings instead of parsing them.
+# stage's s and t refer to that table by index.  A stage stores no rebonded
+# map: g = s_prev∘t follows from the pairs, and its zigzag verdict keeps
+# laps and witnesses in g's coordinates.  Version 2, which stored g, is
+# refused.  One certificate has one encoding, so the verifier compares
+# encodings instead of parsing them.
 # ---------------------------------------------------------------------------
 
-VERSION = 2
+VERSION = 3
 
 
 def _dec_orbit(data: dict) -> BackwardOrbit:
@@ -406,7 +411,6 @@ def certificate_to_dict(cert: Certificate) -> dict:
                 "beta": str(st.pair.beta),
                 "s": ref(st.pair.s),
                 "t": ref(st.pair.t),
-                "g": ref(st.g) if st.g is not None else None,
                 "coordinate": str(st.coordinate),
                 "zigzag_verdict": st.verdict.to_dict() if st.verdict is not None else None,
             }
@@ -439,9 +443,9 @@ def certificate_from_dict(data: dict) -> Certificate:
     stages = []
     for idx, st in enumerate(data["stages"], start=1):
         pair = FactorPair(maps[st["s"]], maps[st["t"]], st["case"], parse_rational(st["beta"]))
-        g, verdict = st["g"], st["zigzag_verdict"]
+        verdict = st["zigzag_verdict"]
         stages.append(StageRecord(
-            idx, st["n_i"], pair, None if g is None else maps[g], parse_rational(st["coordinate"]),
+            idx, st["n_i"], pair, parse_rational(st["coordinate"]),
             None if verdict is None else ZigzagVerdict.from_dict(verdict),
         ))
     return Certificate(
@@ -517,7 +521,7 @@ def _resolved(data: dict) -> dict:
     maps = data["maps"] if isinstance(data.get("maps"), list) else []
     text = lambda i: maps[i] if type(i) is int and 0 <= i < len(maps) else f"no maps entry {i!r}"
     stages = [
-        {k: text(v) if k in ("s", "t", "g") and v is not None else v for k, v in st.items()}
+        {k: text(v) if k in ("s", "t") else v for k, v in st.items()}
         if isinstance(st, dict) else st
         for st in data["stages"]
     ]

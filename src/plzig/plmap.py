@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 __all__ = [
     "ZERO",
@@ -26,6 +26,7 @@ __all__ = [
     "parse_rational",
     "make_plmap",
     "compose",
+    "compose_segments",
     "iterate",
     "critical_set",
     "laps",
@@ -127,17 +128,14 @@ class PLMap:
 
     @cached_property
     def _laps(self) -> tuple[Lap, ...]:
-        out: list[Lap] = []
-        start = ZERO
-        sign = _slope_sign(self.points[0], self.points[1])
-        for i in range(1, len(self.points) - 1):
-            s = _slope_sign(self.points[i], self.points[i + 1])
-            if s != sign:
-                out.append(Lap(start, self.points[i][0], INCREASING if sign > 0 else DECREASING))
-                start = self.points[i][0]
-                sign = s
-        out.append(Lap(start, ONE, INCREASING if sign > 0 else DECREASING))
-        return tuple(out)
+        return _laps_of(self.points)
+
+    @cached_property
+    def _extremes(self) -> dict[Fraction, tuple[Fraction, ...]]:
+        """The solutions of f(x) = 0 and of f(x) = 1.  No segment is flat
+        and every value lies in [0, 1], so these are the breakpoints with
+        value 0 or 1."""
+        return {v: tuple(x for x, y in self.points if y == v) for v in (ZERO, ONE)}
 
     @cached_property
     def _lap_lefts(self) -> tuple[Fraction, ...]:
@@ -180,6 +178,22 @@ def _slope_sign(p: tuple[Fraction, Fraction], q: tuple[Fraction, Fraction]) -> i
     return 1 if q[1] > p[1] else -1
 
 
+def _laps_of(points: Sequence[tuple[Fraction, Fraction]]) -> tuple[Lap, ...]:
+    """Maximal monotone intervals of the piecewise-linear function through
+    ``points``, in order."""
+    out: list[Lap] = []
+    start = points[0][0]
+    sign = _slope_sign(points[0], points[1])
+    for i in range(1, len(points) - 1):
+        s = _slope_sign(points[i], points[i + 1])
+        if s != sign:
+            out.append(Lap(start, points[i][0], INCREASING if sign > 0 else DECREASING))
+            start = points[i][0]
+            sign = s
+    out.append(Lap(start, points[-1][0], INCREASING if sign > 0 else DECREASING))
+    return tuple(out)
+
+
 def laps(f: PLMap) -> list[Lap]:
     """Maximal monotone intervals, alternating direction, covering [0, 1]."""
     return list(f._laps)
@@ -191,7 +205,12 @@ def _laps_at(f: PLMap, y: Fraction) -> list[int]:
     One bisection of the lap boundaries."""
     if not (ZERO <= y <= ONE):
         return []
-    lefts = f._lap_lefts
+    return _laps_holding(f._lap_lefts, y)
+
+
+def _laps_holding(lefts: Sequence[Fraction], y: Fraction) -> list[int]:
+    """Indices of the laps, given by their left ends, whose closed interval
+    holds y, for y inside the span of the laps."""
     k = bisect_right(lefts, y) - 1
     return [k - 1, k] if k > 0 and lefts[k] == y else [k]
 
@@ -217,22 +236,33 @@ def compose(outer: PLMap, inner: PLMap, budget: int | None = None) -> PLMap:
     inner's breakpoints plus the strictly interior preimages.  Exceeding it
     raises :class:`BudgetExceededError`.
     """
+    return PLMap(tuple(compose_segments(outer, inner, 0, len(inner.xs) - 1, budget)))
+
+
+def compose_segments(
+    outer: PLMap, inner: PLMap, lo: int, hi: int, budget: int | None = None
+) -> list[tuple[Fraction, Fraction]]:
+    """Normalized breakpoint list of ``outer ∘ inner`` restricted to
+    [inner.xs[lo], inner.xs[hi]], that is, over inner's segments lo to
+    hi - 1.  :func:`compose` is the whole range; the budget counts the
+    candidates of the range in the same way."""
     limit = DEFAULT_BREAKPOINT_BUDGET if budget is None else budget
-    return PLMap(tuple(_merge_collinear(_compose_candidates(outer, inner, limit))))
+    return _merge_collinear(_compose_candidates(outer, inner, limit, lo, hi))
 
 
-def _compose_candidates(outer: PLMap, inner: PLMap, limit: int):
-    """Yield every candidate point of ``outer ∘ inner`` in increasing x."""
+def _compose_candidates(outer: PLMap, inner: PLMap, limit: int, lo: int, hi: int):
+    """Yield every candidate point of ``outer ∘ inner`` over inner's
+    segments lo to hi - 1, in increasing x."""
     oxs, oys = outer.xs, outer.ys
     ixs, iys = inner.xs, inner.ys
-    # outer.xs[lo[i]:hi[i]] holds the outer breakpoint equal to iys[i], if any
-    lo = [bisect_left(oxs, y) for y in iys]
-    hi = [bisect_right(oxs, y) for y in iys]
-    count = len(ixs)  # distinct candidates so far, for the budget
-    for i in range(len(ixs) - 1):
+    # outer.xs[left[k]:right[k]] holds the outer breakpoint equal to iys[lo + k], if any
+    left = [bisect_left(oxs, y) for y in iys[lo:hi + 1]]
+    right = [bisect_right(oxs, y) for y in iys[lo:hi + 1]]
+    count = hi - lo + 1  # distinct candidates so far, for the budget
+    for k, i in enumerate(range(lo, hi)):
         x0, y0, y1 = ixs[i], iys[i], iys[i + 1]
         # outer breakpoints strictly between y0 and y1, in the order inner meets them
-        js = range(hi[i], lo[i + 1]) if y0 < y1 else range(lo[i] - 1, hi[i + 1] - 1, -1)
+        js = range(right[k], left[k + 1]) if y0 < y1 else range(left[k] - 1, right[k + 1] - 1, -1)
         count += len(js)
         if count > limit:
             raise BudgetExceededError(f"composition needs more than {limit} breakpoints")
@@ -241,7 +271,7 @@ def _compose_candidates(outer: PLMap, inner: PLMap, limit: int):
             run = (ixs[i + 1] - x0) / (y1 - y0)
             for j in js:
                 yield x0 + (oxs[j] - y0) * run, oys[j]
-    yield ixs[-1], outer(iys[-1])
+    yield ixs[hi], outer(iys[hi])
 
 
 def _merge_collinear(points: Iterable[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
@@ -274,9 +304,12 @@ def level_crossings(f: PLMap, c) -> list[Fraction]:
     """All solutions of f(x) = c, sorted.
 
     Constant segments cannot occur (the map invariants exclude zero slopes),
-    so every solution is an isolated point.
+    so every solution is an isolated point.  The solutions at the levels 0
+    and 1 are kept on the map.
     """
     c = _as_rational(c)
+    if c == ZERO or c == ONE:
+        return list(f._extremes[c])
     out: list[Fraction] = []
     for (x0, y0), (x1, y1) in zip(f.points, f.points[1:]):
         lo, hi = (y0, y1) if y0 < y1 else (y1, y0)

@@ -24,7 +24,10 @@ from .plmap import (
     PLMap,
     _as_rational,
     _laps_at,
+    _laps_holding,
+    _laps_of,
     compose,
+    compose_segments,
     laps,
     level_crossings,
     parse_rational,
@@ -33,6 +36,7 @@ from .plmap import (
 __all__ = [
     "ZigzagVerdict",
     "is_in_zigzag",
+    "composite_verdict",
     "zigzag_set",
     "remark_no_zigzag",
     "lemma_witness",
@@ -184,15 +188,15 @@ def _search_witness(
 class _WitnessIndex:
     """Witness search for any number of laps of one map.
 
-    Holds the exact integer keys of ``f.ys`` and builds the pointers of each
-    orientation on first use: the keys for falling laps, the negated keys
-    for rising ones.  Everything is O(n) to build, after which each lap is
+    Holds the exact integer keys of the values ``ys`` and builds the
+    pointers of each orientation on first use: the keys for falling laps,
+    the negated keys for rising ones.  Everything is O(n) to build, after which each lap is
     one walk along the pointer chains.
     """
 
-    def __init__(self, f: PLMap) -> None:
-        self.xs = f.xs
-        self.keys = _exact_keys(f.ys)
+    def __init__(self, xs: Sequence[Fraction], ys: Sequence[Fraction]) -> None:
+        self.xs = xs
+        self.keys = _exact_keys(ys)
 
     @cached_property
     def _falling(self) -> _Chains:
@@ -215,13 +219,13 @@ class _WitnessIndex:
 
 def _lap_witness(f: PLMap, lap: Lap) -> Optional[Interval]:
     """Witness for one interior lap, handling both orientations."""
-    return _WitnessIndex(f).witness(lap)
+    return _WitnessIndex(f.xs, f.ys).witness(lap)
 
 
 def _witness_table(f: PLMap) -> tuple[list[Lap], list[Optional[Interval]]]:
     """Witness (or None) for every lap; boundary laps never have one."""
     lap_list = laps(f)
-    index = _WitnessIndex(f)
+    index = _WitnessIndex(f.xs, f.ys)
     table: list[Optional[Interval]] = []
     last = len(lap_list) - 1
     for k, lap in enumerate(lap_list):
@@ -234,24 +238,90 @@ def is_in_zigzag(f: PLMap, y) -> ZigzagVerdict:
     y = _as_rational(y)
     if not (ZERO <= y <= ONE):
         raise ValueError(f"query point {y} outside [0, 1]")
-    lap_list = f._laps
+    return _verdict(f.xs, f.ys, f._laps, _laps_at(f, y), True, True)
+
+
+def composite_verdict(outer: PLMap, inner: PLMap, y, budget: Optional[int] = None) -> ZigzagVerdict:
+    """``is_in_zigzag(compose(outer, inner), y)``, without composing all of it.
+
+    Write g for the composite.  Inside a witness (a, b) g stays strictly
+    between its end values, so no point of (a, b) has g in {0, 1}; those
+    points are turning points of g or ends of [0, 1].  The laps holding y
+    and every usable a and b therefore lie in the window from the nearest
+    such point left of y (or 0) to the nearest one right of y (or 1), and
+    the witness search on the window's breakpoints finds what it finds on
+    all of g: its chains agree wherever they stay inside the window, and a
+    chain that leaves it ends the search with no witness on both.
+
+    g(x) is 0 or 1 exactly where inner(x) solves outer = 0 or outer = 1.
+    So the window is found on inner alone, walking its segments outward
+    from y with one bisection each, and only the segments it spans are
+    composed (:func:`compose_segments`, under ``budget``).  The verdict is
+    decided in g's own coordinates; the window's first or last lap is a
+    boundary lap only when the window reaches 0 or 1.
+    """
+    y = _as_rational(y)
+    if not (ZERO <= y <= ONE):
+        raise ValueError(f"query point {y} outside [0, 1]")
+    # the values of inner at which g is 0 or 1
+    stops = sorted(level_crossings(outer, ZERO) + level_crossings(outer, ONE))
+
+    def reaches(near: Fraction, far: Fraction) -> bool:
+        """Some stop lies past ``near`` (excluded) up to ``far`` (included)."""
+        if near < far:
+            k = bisect_right(stops, near)
+            return k < len(stops) and stops[k] <= far
+        k = bisect_left(stops, near) - 1
+        return k >= 0 and stops[k] >= far
+
+    xs, ys = inner.xs, inner.ys
+    last = len(xs) - 1
+    hi = min(bisect_right(xs, y), last)  # first breakpoint right of y
+    near = inner(y)
+    while hi < last and not reaches(near, ys[hi]):
+        near, hi = ys[hi], hi + 1
+    lo = max(bisect_left(xs, y) - 1, 0)  # last breakpoint left of y
+    near = inner(y)
+    while lo > 0 and not reaches(near, ys[lo]):
+        near, lo = ys[lo], lo - 1
+
+    points = compose_segments(outer, inner, lo, hi, budget)
+    ends = [i for i, (x, v) in enumerate(points) if x != y and (v == ZERO or v == ONE)]
+    k = bisect_left(ends, bisect_left(points, (y,)))
+    window = points[ends[k - 1] if k else 0 : ends[k] + 1 if k < len(ends) else len(points)]
+    wxs, wys = tuple(p[0] for p in window), tuple(p[1] for p in window)
+    lap_list = _laps_of(window)
+    holding = _laps_holding(tuple(lap.left for lap in lap_list), y)
+    return _verdict(wxs, wys, lap_list, holding, wxs[0] == ZERO, wxs[-1] == ONE)
+
+
+def _verdict(
+    xs: Sequence[Fraction],
+    ys: Sequence[Fraction],
+    lap_list: Sequence[Lap],
+    holding: list[int],
+    first_is_boundary: bool,
+    last_is_boundary: bool,
+) -> ZigzagVerdict:
+    """The verdict at a point from the breakpoints of the map around it,
+    the laps they span and the indices of the laps holding the point.  The
+    flags say whether the first and last of those laps are the map's own
+    boundary laps, which never have a witness."""
     last = len(lap_list) - 1
-    containing = _laps_at(f, y)
-    applicable = tuple(
-        (lap_list[k].left, lap_list[k].right) for k in containing if 0 < k < last
-    )
-    boundary = next((k for k in containing if k == 0 or k == last), None)
-    if boundary is not None:
+    boundary = lambda k: (k == 0 and first_is_boundary) or (k == last and last_is_boundary)
+    applicable = tuple((lap_list[k].left, lap_list[k].right) for k in holding if not boundary(k))
+    edge = next((k for k in holding if boundary(k)), None)
+    if edge is not None:
         return ZigzagVerdict(
             in_zigzag=False,
             applicable_laps=applicable,
             witnesses=(None,) * len(applicable),
-            failing_lap=(lap_list[boundary].left, lap_list[boundary].right),
+            failing_lap=(lap_list[edge].left, lap_list[edge].right),
         )
-    index = _WitnessIndex(f)
+    index = _WitnessIndex(xs, ys)
     witnesses: list[Optional[Interval]] = []
     failing: Optional[Interval] = None
-    for k in containing:
+    for k in holding:
         w = index.witness(lap_list[k])
         witnesses.append(w)
         if w is None and failing is None:

@@ -1,8 +1,10 @@
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
 
+import plzig.factorize
 from plzig.plmap import (
     DEFAULT_BREAKPOINT_BUDGET,
     BudgetExceededError,
@@ -11,7 +13,7 @@ from plzig.plmap import (
     level_crossings,
     make_plmap,
 )
-from plzig.zigzag import witness_is_valid
+from plzig.zigzag import is_in_zigzag, witness_is_valid
 from plzig.factorize import minc_map
 
 
@@ -234,3 +236,89 @@ def naive_compose(outer: PLMap, inner: PLMap, budget=None) -> PLMap:
     if len(candidates) > limit:
         raise BudgetExceededError(f"composition needs more than {limit} breakpoints")
     return make_plmap([(x, outer(inner(x))) for x in sorted(candidates)])
+
+
+def candidate_count(outer: PLMap, inner: PLMap) -> int:
+    """The number of candidate breakpoints of ``outer ∘ inner`` before
+    merging, counted without composing: inner's breakpoints and the outer
+    breakpoints strictly inside each of inner's segment ranges."""
+    oxs = outer.xs
+    count = len(inner.xs)
+    for y0, y1 in zip(inner.ys, inner.ys[1:]):
+        count += bisect_left(oxs, max(y0, y1)) - bisect_right(oxs, min(y0, y1))
+    return count
+
+
+# Stage checks compose a rebonded map g = s_prev ∘ t by naive_compose only up
+# to this many candidate breakpoints (the general minc const 1/2 stage has
+# 11,393 and takes about a second); the all-pairs witness oracle runs only
+# on maps of at most SMALL_MAP breakpoints.
+NAIVE_CANDIDATE_CAP = 12_000
+SMALL_MAP = 100
+
+
+def naive_composable(outer: PLMap, inner: PLMap) -> bool:
+    """Whether ``outer ∘ inner`` has at most NAIVE_CANDIDATE_CAP candidate
+    breakpoints.  The product of the two breakpoint counts bounds the
+    candidates, so far larger pairs are refused without counting."""
+    if len(outer.xs) * len(inner.xs) > 4 * NAIVE_CANDIDATE_CAP:
+        return False
+    return candidate_count(outer, inner) <= NAIVE_CANDIDATE_CAP
+
+
+def check_rebonded_verdict(s: PLMap, t: PLMap, g: PLMap, c: Fraction, verdict, previous=None) -> None:
+    """Check a stage's zigzag verdict at c under g = s ∘ t, given as
+    ``naive_compose(s, t)``.  The verdict must equal ``is_in_zigzag(g, c)``.
+    When g has at most SMALL_MAP breakpoints, the conftest oracles alone
+    check it too: every stored witness is valid, every failing interior lap
+    has no witness in the all-pairs search, and, given the previous stage's
+    coordinate, g(c) equals it by nested evaluation."""
+    assert verdict == is_in_zigzag(g, c), (s, t, c)
+    if len(g.xs) > SMALL_MAP:
+        return
+    for (left, right), w in zip(verdict.applicable_laps, verdict.witnesses):
+        assert w is None or witness_is_valid(g, left, right, *w), (g, c, w)
+    lap_list = laps(g)
+    boundary = {(lap.left, lap.right) for lap in (lap_list[0], lap_list[-1])}
+    if verdict.failing_lap is not None and verdict.failing_lap not in boundary:
+        assert naive_lap_witness(g, *verdict.failing_lap) is None, (g, c)
+    if previous is not None:
+        assert s(t(c)) == previous, (g, c, previous)
+
+
+_checked_stages: set = set()
+
+
+def check_certificate_stages(cert) -> None:
+    """:func:`check_rebonded_verdict` on every rebonded stage of a
+    certificate whose composite is :func:`naive_composable`, once per
+    distinct (s_prev, t, coordinate).  Stages before the failing one must
+    carry the previous coordinate."""
+    end = cert.failing_stage or len(cert.stages) + 1
+    for prev, st in zip(cert.stages, cert.stages[1:]):
+        s, t = prev.pair.s, st.pair.t
+        key = (s, t, st.coordinate)
+        if key in _checked_stages:
+            continue
+        _checked_stages.add(key)
+        if not naive_composable(s, t):
+            continue
+        previous = prev.coordinate if st.index < end else None
+        check_rebonded_verdict(s, t, naive_compose(s, t), st.coordinate, st.verdict, previous)
+
+
+@pytest.fixture(autouse=True)
+def _check_certified_stages(monkeypatch):
+    """After each test, check every stage of every certificate the test had
+    the stage loop build, through the pipelines or the verifier."""
+    built = []
+    assemble = plzig.factorize._assemble
+
+    def recording(*args, **kwargs):
+        built.append(assemble(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(plzig.factorize, "_assemble", recording)
+    yield
+    for cert in built:
+        check_certificate_stages(cert)

@@ -6,8 +6,24 @@ from fractions import Fraction as F
 
 import pytest
 
-from plzig.plmap import compose, dumps_map, is_onto, iterate, laps, level_crossings, make_plmap
-from plzig.zigzag import is_in_zigzag
+from plzig.plmap import (
+    DEFAULT_BREAKPOINT_BUDGET,
+    compose,
+    dumps_map,
+    is_onto,
+    iterate,
+    laps,
+    level_crossings,
+    make_plmap,
+)
+from plzig.zigzag import composite_verdict, is_in_zigzag
+from conftest import (
+    candidate_count,
+    check_rebonded_verdict,
+    exact_fixed_points,
+    naive_compose,
+    random_map,
+)
 from plzig.dynamics import BackwardOrbit, OrbitValidationError
 from plzig.factorize import (
     CASE1,
@@ -171,12 +187,18 @@ class TestStageChoice:
             minc_stage_choice(F(19, 18))
 
 
+def _rebonded(cert):
+    """The rebonded map g = s_prev ∘ t of every stage after the first,
+    composed here: the stage records do not hold it."""
+    return [compose(prev.pair.s, st.pair.t) for prev, st in zip(cert.stages, cert.stages[1:])]
+
+
 class TestBuildGSequence:
     """The stage loop rebonds consecutive pairs through g = s_prev ∘ t."""
 
     def test_constant_pairs(self, low_pair):
         cert = certify_minc(BackwardOrbit.constant(F(1, 2)), stages=4)
-        gs = [st.g for st in cert.stages[1:]]
+        gs = _rebonded(cert)
         assert len(gs) == 3
         assert gs[0] == gs[1] == gs[2] == compose(low_pair.s, low_pair.t)
 
@@ -184,8 +206,11 @@ class TestBuildGSequence:
         block = [F(14, 323), F(213, 323), F(126, 323), F(42, 323)]
         cert = certify_minc(BackwardOrbit.of([], block), stages=4)
         assert [st.pair for st in cert.stages] == [low_pair, high_pair] * 2
-        assert cert.stages[1].g == compose(low_pair.s, high_pair.t)
-        assert cert.stages[2].g == compose(high_pair.s, low_pair.t)
+        gs = _rebonded(cert)
+        assert gs[0] == compose(low_pair.s, high_pair.t)
+        assert gs[1] == compose(high_pair.s, low_pair.t)
+        for st, g in zip(cert.stages[1:], gs):
+            assert st.verdict == is_in_zigzag(g, st.coordinate)
         for pair in (low_pair, high_pair):
             assert compose(pair.t, pair.s) == f2
 
@@ -196,6 +221,61 @@ class TestBuildGSequence:
         data["stages"][1].update(s=_ref(data, other.s), t=_ref(data, other.t))
         ok, msg = verify_certificate(data)
         assert not ok and "stage 2" in msg
+
+
+def _foldable_map(rng):
+    """A random map with a split of either case, and the pairs it has."""
+    while True:
+        f = random_map(rng, 9, denominator=8, min_breakpoints=5)
+        ones, zeros = level_crossings(f, 1), level_crossings(f, 0)
+        pairs = [split_case1(f, z) for z in zeros if z > 0 and ones[:1] and ones[0] < z]
+        pairs += [split_case2(f, w) for w in ones if w < 1 and zeros[-1:] and zeros[-1] > w]
+        if pairs:
+            return pairs
+
+
+class TestWindowedVerdict:
+    """composite_verdict(s, t, c) is is_in_zigzag(s ∘ t, c), decided on a
+    window of the composite; every stage the suite certifies is checked the
+    same way by conftest's _check_certified_stages."""
+
+    def test_random_pairs(self):
+        # half the pairs are two random maps, half an s and a t from splits
+        # of one random block map, as in the stage loop; the points are
+        # every breakpoint of g and every midpoint between two of them
+        rng = random.Random(20261018)
+        queries = 0
+        for k in range(300):
+            if k % 2:
+                s, t = random_map(rng, 7), random_map(rng, 7)
+            else:
+                pairs = _foldable_map(rng)
+                s, t = rng.choice(pairs).s, rng.choice(pairs).t
+            g = naive_compose(s, t)
+            xs = g.xs
+            for c in xs + tuple((a + b) / 2 for a, b in zip(xs, xs[1:])):
+                check_rebonded_verdict(s, t, g, c, composite_verdict(s, t, c))
+                queries += 1
+        assert queries > 4000
+
+    def test_window_is_a_few_segments_of_t(self, monkeypatch, minc):
+        # the general const-1/2 stage composes 2 of t's 256 segments, and
+        # the 8/19 cycle 2 of 4,096, where all of g has 11,393 and
+        # 2,803,713 candidate breakpoints
+        import plzig.zigzag
+
+        compose_segments = plzig.zigzag.compose_segments
+        spans = []
+
+        def recording(outer, inner, lo, hi, budget=None):
+            spans.append((hi - lo, len(inner.xs) - 1))
+            return compose_segments(outer, inner, lo, hi, budget)
+
+        monkeypatch.setattr(plzig.zigzag, "compose_segments", recording)
+        for period, want in (([F(1, 2)], (2, 256)), ([F(8, 19), F(9, 19)], (2, 4096))):
+            spans.clear()
+            cert = certify_general(minc, BackwardOrbit.of([], period), stages=6)
+            assert cert.passed and spans == [want]
 
 
 class TestRebondedZigzagTransfer:
@@ -218,8 +298,7 @@ class TestCertifyMinc:
         assert cert.passed
         assert len(cert.stages) == 10
         assert cert.repeat_index == 3
-        gs = {st.g for st in cert.stages if st.g is not None}
-        assert len(gs) == 1
+        assert len(set(_rebonded(cert))) == 1
         assert all(st.pair.case == CASE1 for st in cert.stages)
         assert all(st.n == 2 * st.index for st in cert.stages)
 
@@ -271,7 +350,7 @@ class TestCertifyMinc:
         cert = certify_minc(orbit, stages=8)
         assert cert.passed
         assert [st.pair.case for st in cert.stages] == [CASE1, CASE2] * 4
-        assert len({st.g for st in cert.stages if st.g is not None}) == 2
+        assert len(set(_rebonded(cert))) == 2
         assert [st.coordinate for st in cert.stages] == [F(126, 323), F(14, 323)] * 4
         ok, msg = verify_certificate(certificate_to_dict(cert))
         assert ok, msg
@@ -286,7 +365,9 @@ class TestCertifyMinc:
             repeated.pair.beta,
             repeated.coordinate,
         )
-        assert earlier.g == repeated.g and earlier.verdict == repeated.verdict
+        assert earlier.verdict == repeated.verdict
+        gs = _rebonded(cert)
+        assert gs[r - 3] == gs[r - 2]
 
     def test_minimum_two_stages(self):
         with pytest.raises(ValueError):
@@ -312,8 +393,8 @@ class TestCertifyGeneral:
         block = iterate(tent, cert.stabilization.n_sequence.step)
         for st in cert.stages:
             assert compose(st.pair.t, st.pair.s) == block
-            if st.g is not None:
-                assert st.g(st.coordinate) == cert.stages[st.index - 2].coordinate
+        for st, g in zip(cert.stages[1:], _rebonded(cert)):
+            assert g(st.coordinate) == cert.stages[st.index - 2].coordinate
 
     def test_two_cycle_orbits(self, minc, tent):
         # period-2 backward orbits force block lengths that are period
@@ -336,6 +417,33 @@ class TestCertifyGeneral:
             assert cert.stabilization.side == "right-gap"
             assert all(st.pair.case == CASE2 for st in cert.stages)
             assert [st.coordinate for st in cert.stages] == [F(0)] * len(cert.stages)
+
+    def test_all_minc_cycles_of_period_at_most_3(self, minc):
+        # every cycle certifies at 6 stages from its least point, and its
+        # certificate verifies; at 7 of them the rebonded map has more
+        # candidate breakpoints than the default budget allows, so composing
+        # it in full was refused
+        cycles = set()
+        for p in (1, 2, 3):
+            for x in exact_fixed_points(iterate(minc, p)):
+                forward = [x]
+                for _ in range(p - 1):
+                    forward.append(minc(forward[-1]))
+                if len(set(forward)) == p:
+                    i = forward.index(min(forward))
+                    cycles.add(tuple(forward[i:] + forward[:i]))
+        assert len(cycles) == 31
+        too_big = set()
+        for forward in sorted(cycles):
+            orbit = BackwardOrbit.of([], forward[:1] + forward[:0:-1])
+            cert = certify_general(minc, orbit, stages=6)
+            assert cert.passed, forward
+            assert verify_certificate(certificate_to_dict(cert)) == (True, "ok"), forward
+            rebonds = {(a.pair.s, b.pair.t) for a, b in zip(cert.stages, cert.stages[1:])}
+            if max(candidate_count(s, t) for s, t in rebonds) > DEFAULT_BREAKPOINT_BUDGET:
+                too_big.add(frozenset(forward))
+        assert len(too_big) == 7
+        assert {frozenset({F(8, 19), F(9, 19)}), frozenset({F(4, 11), F(5, 11), F(9, 11)})} <= too_big
 
     def test_identity_rejected(self, identity):
         with pytest.raises(CertifyError):
@@ -435,8 +543,9 @@ class TestCertificateSerialization:
         data = passing_certificates[kind]
         text = certificate_to_json(certificate_from_json(json.dumps(data, indent=2)))
         assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-        assert "\n" not in text[:-1] and data["version"] == 2
-        refs = {data["map"]} | {st[k] for st in data["stages"] for k in "stg"} - {None}
+        assert "\n" not in text[:-1] and data["version"] == 3
+        assert all("g" not in st for st in data["stages"])
+        refs = {data["map"]} | {st[k] for st in data["stages"] for k in "st"}
         assert refs == set(range(len(data["maps"])))
         assert len(set(data["maps"])) == len(data["maps"])
 
@@ -510,8 +619,8 @@ def _ref(data, f):
 
 def _refold(data, period, pair):
     """Point ``data`` at the orbit with this period block and give every
-    stage ``pair``, recomputing coordinates, g and verdicts so that only
-    the stage rule s(x_n) = x_n is broken."""
+    stage ``pair``, recomputing coordinates and the verdicts under
+    g = s∘t so that only the stage rule s(x_n) = x_n is broken."""
     orbit = BackwardOrbit.of([], period)
     data["orbit"] = {"prefix": [], "period": [str(v) for v in period]}
     g = compose(pair.s, pair.t)
@@ -519,20 +628,21 @@ def _refold(data, period, pair):
         c = pair.s(orbit.value_at(st["n_i"]))
         st.update(case=pair.case, beta=str(pair.beta), s=_ref(data, pair.s), t=_ref(data, pair.t))
         st["coordinate"] = str(c)
-        if st["g"] is not None:
-            st.update(g=_ref(data, g), zigzag_verdict=is_in_zigzag(g, c).to_dict())
+        if st["zigzag_verdict"] is not None:
+            st.update(zigzag_verdict=is_in_zigzag(g, c).to_dict())
 
 
 def _reuse_case(data, block, beta):
     """Stage 2 folds at another valid beta of the same case, and every later
-    stage stores the g that a cache keyed by case alone would hand it."""
+    stage stores the verdict under the g that a cache keyed by case alone
+    would hand it."""
     first = split_case1(block, F(data["stages"][0]["beta"]))
     other = split_case1(block, beta)
     stage = data["stages"][1]
     stage.update(beta=str(beta), s=_ref(data, other.s), t=_ref(data, other.t))
     g = compose(first.s, other.t)
     for st in data["stages"][1:]:
-        st.update(g=_ref(data, g), zigzag_verdict=is_in_zigzag(g, F(st["coordinate"])).to_dict())
+        st.update(zigzag_verdict=is_in_zigzag(g, F(st["coordinate"])).to_dict())
 
 
 def _add_midpoint(data, index):
@@ -629,10 +739,10 @@ TAMPERS = [
         "stages: 2 entries stored, 3 re-derived",
     ),
     (
-        "collinear-g",
+        "collinear-t",
         ("minc", "general"),
-        lambda d: _add_midpoint(d, d["stages"][1]["g"]),
-        "stage 2 g: not in normal form: stored from line 2 '",
+        lambda d: _add_midpoint(d, d["stages"][1]["t"]),
+        "stage 1 t: not in normal form: stored from line 2 '",
     ),
     (
         "collinear-map",
@@ -743,16 +853,16 @@ TAMPERS = [
     (
         "dangling-index",
         ("minc", "general"),
-        lambda d: d["stages"][1].update(g=len(d["maps"])),
-        "stage 2 g: stored 'no maps entry 4', re-derived '0 ",
+        lambda d: d["stages"][1].update(t=len(d["maps"])),
+        "stage 2 t: stored 'no maps entry 3', re-derived '0 ",
     ),
     (
         "unreferenced-map",
         ("minc", "general"),
         lambda d: d["maps"].append("0 0\n1 1\n"),
-        "maps: 5 entries stored, 4 re-derived",
+        "maps: 4 entries stored, 3 re-derived",
     ),
-    ("duplicate-map", ("minc", "general"), _duplicate_map, "maps: 5 entries stored, 4 re-derived"),
+    ("duplicate-map", ("minc", "general"), _duplicate_map, "maps: 4 entries stored, 3 re-derived"),
     # Literals that Fraction reads but str(Fraction) never writes; the orbit
     # value stands for 10^(-10^7), which takes seconds to build
     (
@@ -771,13 +881,25 @@ TAMPERS = [
         "no-version",
         ("minc", "general"),
         lambda d: d.pop("version"),
-        "version: stored None, this verifier reads 2",
+        "version: stored None, this verifier reads 3",
     ),
     (
         "version-1",
         ("minc", "general"),
         lambda d: d.update(version=1),
-        "version: stored 1, this verifier reads 2",
+        "version: stored 1, this verifier reads 3",
+    ),
+    (
+        "version-2",
+        ("minc", "general"),
+        lambda d: d.update(version=2),
+        "version: stored 2, this verifier reads 3",
+    ),
+    (
+        "stored-g",
+        ("minc", "general"),
+        lambda d: d["stages"][1].update(g=d["stages"][1]["t"]),
+        "stage 2: unknown key 'g'",
     ),
 ]
 TAMPER_CASES = [
@@ -813,17 +935,17 @@ class TestTamperSuite:
         assert elapsed < 0.1, f"rejection took {elapsed:.3f} s"
 
     def test_reason_shows_the_first_differing_line(self, passing_certificates):
-        # stage 2's g has 73 breakpoints; halve the value on line 72
+        # every stage shares one t with 17 breakpoints; halve the value on line 14
         data = copy.deepcopy(passing_certificates["minc"])
-        lines = data["maps"][data["stages"][1]["g"]].splitlines()
-        assert len(lines) == 73
-        x, y = lines[71].split()
+        lines = data["maps"][data["stages"][1]["t"]].splitlines()
+        assert len(lines) == 17
+        x, y = lines[13].split()
         edited = f"{x} {F(y) / 2}"
-        assert edited != lines[71]
-        data["maps"][data["stages"][1]["g"]] = "\n".join(lines[:71] + [edited] + lines[72:]) + "\n"
+        assert edited != lines[13]
+        data["maps"][data["stages"][1]["t"]] = "\n".join(lines[:13] + [edited] + lines[14:]) + "\n"
         ok, msg = verify_certificate(data)
-        assert not ok and msg.startswith("stage 2 g: stored from line 72 '"), msg
-        assert edited in msg and lines[71] in msg.split("re-derived")[1], msg
+        assert not ok and msg.startswith("stage 1 t: stored from line 14 '"), msg
+        assert edited in msg and lines[13] in msg.split("re-derived")[1], msg
 
     def test_budget_overrun_is_a_rejection(self, monkeypatch, passing_certificates):
         import plzig.plmap
@@ -915,9 +1037,9 @@ class TestVerifierNeverRaises:
     def test_unprintable_orbit_value_is_a_rejection(self, passing_certificates):
         # under a slope of 5/4 the orbit value 1/(10^4300 - 1) maps to a
         # number with a 4,301-digit denominator, which Python 3.11 refuses to
-        # print in the orbit check's message
+        # print; the orbit check names the entry and the size instead
         data = copy.deepcopy(passing_certificates["general"])
         data["maps"][data["map"]] = "0 0\n4/5 1\n1 0\n"
         data["orbit"]["period"] = ["1/" + "9" * 4300]
         ok, msg = verify_certificate(data)
-        assert ok is False and isinstance(msg, str)
+        assert ok is False and msg.startswith("orbit: orbit entry 1 maps to a rational of "), msg

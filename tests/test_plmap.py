@@ -246,6 +246,23 @@ class TestLevelCrossings:
             for x in level_crossings(f, c):
                 assert f(x) == c
 
+    def test_boundary_levels_are_the_solutions(self):
+        # levels 0 and 1 are kept on the map; each answer is every solution
+        # on every segment, and a caller's edit to it reaches no later call
+        rng = random.Random(15)
+        for _ in range(200):
+            f = random_map(rng, denominator=8)
+            for c in (F(0), F(1)):
+                want = sorted({
+                    x0 + (c - y0) * (x1 - x0) / (y1 - y0)
+                    for (x0, y0), (x1, y1) in zip(f.points, f.points[1:])
+                    if min(y0, y1) <= c <= max(y0, y1)
+                })
+                got = level_crossings(f, c)
+                assert got == want
+                got.append(F(2))
+                assert level_crossings(f, c) == want
+
 
 class TestLapLookup:
     """``is_in_zigzag``, ``branch`` and ``lemma_witness`` find the laps
