@@ -286,25 +286,26 @@ def check_rebonded_verdict(s: PLMap, t: PLMap, g: PLMap, c: Fraction, verdict, p
         assert s(t(c)) == previous, (g, c, previous)
 
 
+# stage claims already checked in this test run; the same claim recurs in
+# many tests, and checking it again could only repeat the same result
 _checked_stages: set = set()
 
 
 def check_certificate_stages(cert) -> None:
     """:func:`check_rebonded_verdict` on every rebonded stage of a
     certificate whose composite is :func:`naive_composable`, once per
-    distinct (s_prev, t, coordinate).  Stages before the failing one must
-    carry the previous coordinate."""
+    distinct claim.  Stages before the failing one must carry the previous
+    coordinate."""
     end = cert.failing_stage or len(cert.stages) + 1
     for prev, st in zip(cert.stages, cert.stages[1:]):
         s, t = prev.pair.s, st.pair.t
-        key = (s, t, st.coordinate)
-        if key in _checked_stages:
-            continue
-        _checked_stages.add(key)
-        if not naive_composable(s, t):
-            continue
         previous = prev.coordinate if st.index < end else None
-        check_rebonded_verdict(s, t, naive_compose(s, t), st.coordinate, st.verdict, previous)
+        claim = (s, t, st.coordinate, st.verdict, previous)
+        if claim in _checked_stages:
+            continue
+        _checked_stages.add(claim)
+        if naive_composable(s, t):
+            check_rebonded_verdict(s, t, naive_compose(s, t), st.coordinate, st.verdict, previous)
 
 
 @pytest.fixture(autouse=True)

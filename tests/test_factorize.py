@@ -17,13 +17,6 @@ from plzig.plmap import (
     make_plmap,
 )
 from plzig.zigzag import composite_verdict, is_in_zigzag
-from conftest import (
-    candidate_count,
-    check_rebonded_verdict,
-    exact_fixed_points,
-    naive_compose,
-    random_map,
-)
 from plzig.dynamics import BackwardOrbit, OrbitValidationError
 from plzig.factorize import (
     CASE1,
@@ -43,6 +36,14 @@ from plzig.factorize import (
     split_case1,
     split_case2,
     verify_certificate,
+)
+
+from conftest import (
+    candidate_count,
+    check_rebonded_verdict,
+    exact_fixed_points,
+    naive_compose,
+    random_map,
 )
 
 
@@ -228,8 +229,8 @@ def _foldable_map(rng):
     while True:
         f = random_map(rng, 9, denominator=8, min_breakpoints=5)
         ones, zeros = level_crossings(f, 1), level_crossings(f, 0)
-        pairs = [split_case1(f, z) for z in zeros if z > 0 and ones[:1] and ones[0] < z]
-        pairs += [split_case2(f, w) for w in ones if w < 1 and zeros[-1:] and zeros[-1] > w]
+        pairs = [split_case1(f, z) for z in zeros if ones and 0 < z and ones[0] < z]
+        pairs += [split_case2(f, w) for w in ones if zeros and w < 1 and w < zeros[-1]]
         if pairs:
             return pairs
 
