@@ -19,7 +19,6 @@ from .plmap import (
 )
 from .zigzag import (
     ZigzagVerdict,
-    composite_verdict,
     composition_property_check,
     is_in_zigzag,
     lemma_witness,

@@ -26,7 +26,6 @@ __all__ = [
     "parse_rational",
     "make_plmap",
     "compose",
-    "compose_segments",
     "iterate",
     "critical_set",
     "laps",
@@ -236,10 +235,10 @@ def compose(outer: PLMap, inner: PLMap, budget: int | None = None) -> PLMap:
     inner's breakpoints plus the strictly interior preimages.  Exceeding it
     raises :class:`BudgetExceededError`.
     """
-    return PLMap(tuple(compose_segments(outer, inner, 0, len(inner.xs) - 1, budget)))
+    return PLMap(tuple(_compose_segments(outer, inner, 0, len(inner.xs) - 1, budget)))
 
 
-def compose_segments(
+def _compose_segments(
     outer: PLMap, inner: PLMap, lo: int, hi: int, budget: int | None = None
 ) -> list[tuple[Fraction, Fraction]]:
     """Normalized breakpoint list of ``outer ∘ inner`` restricted to

@@ -23,11 +23,11 @@ from .plmap import (
     Lap,
     PLMap,
     _as_rational,
+    _compose_segments,
     _laps_at,
     _laps_holding,
     _laps_of,
     compose,
-    compose_segments,
     laps,
     level_crossings,
     parse_rational,
@@ -241,7 +241,7 @@ def is_in_zigzag(f: PLMap, y) -> ZigzagVerdict:
     return _verdict(f.xs, f.ys, f._laps, _laps_at(f, y), True, True)
 
 
-def composite_verdict(outer: PLMap, inner: PLMap, y, budget: Optional[int] = None) -> ZigzagVerdict:
+def composite_verdict(outer: PLMap, inner: PLMap, y) -> ZigzagVerdict:
     """``is_in_zigzag(compose(outer, inner), y)``, without composing all of it.
 
     Write g for the composite.  Inside a witness (a, b) g stays strictly
@@ -256,7 +256,7 @@ def composite_verdict(outer: PLMap, inner: PLMap, y, budget: Optional[int] = Non
     g(x) is 0 or 1 exactly where inner(x) solves outer = 0 or outer = 1.
     So the window is found on inner alone, walking its segments outward
     from y with one bisection each, and only the segments it spans are
-    composed (:func:`compose_segments`, under ``budget``).  The verdict is
+    composed, under the default breakpoint budget.  The verdict is
     decided in g's own coordinates; the window's first or last lap is a
     boundary lap only when the window reaches 0 or 1.
     """
@@ -285,7 +285,7 @@ def composite_verdict(outer: PLMap, inner: PLMap, y, budget: Optional[int] = Non
     while lo > 0 and not reaches(near, ys[lo]):
         near, lo = ys[lo], lo - 1
 
-    points = compose_segments(outer, inner, lo, hi, budget)
+    points = _compose_segments(outer, inner, lo, hi)
     ends = [i for i, (x, v) in enumerate(points) if x != y and (v == ZERO or v == ONE)]
     k = bisect_left(ends, bisect_left(points, (y,)))
     window = points[ends[k - 1] if k else 0 : ends[k] + 1 if k < len(ends) else len(points)]

@@ -265,14 +265,14 @@ class TestWindowedVerdict:
         # 2,803,713 candidate breakpoints
         import plzig.zigzag
 
-        compose_segments = plzig.zigzag.compose_segments
+        compose_segments = plzig.zigzag._compose_segments
         spans = []
 
-        def recording(outer, inner, lo, hi, budget=None):
+        def recording(outer, inner, lo, hi):
             spans.append((hi - lo, len(inner.xs) - 1))
-            return compose_segments(outer, inner, lo, hi, budget)
+            return compose_segments(outer, inner, lo, hi)
 
-        monkeypatch.setattr(plzig.zigzag, "compose_segments", recording)
+        monkeypatch.setattr(plzig.zigzag, "_compose_segments", recording)
         for period, want in (([F(1, 2)], (2, 256)), ([F(8, 19), F(9, 19)], (2, 4096))):
             spans.clear()
             cert = certify_general(minc, BackwardOrbit.of([], period), stages=6)
