@@ -29,7 +29,6 @@ from .dynamics import (
     BackwardOrbit,
     BranchResult,
     MapFacts,
-    NSequence,
     OrbitValidationError,
     StabilizationData,
     branch,

@@ -38,7 +38,6 @@ from .zigzag import zigzag_set
 from .dynamics import (
     DEFAULT_ORBIT_BUDGET,
     BackwardOrbit,
-    OrbitValidationError,
     leo_uniform_N,
     load_orbit,
     map_facts,
@@ -99,6 +98,8 @@ def render_svg(
     scaled to the canvas; no resampling happens anywhere."""
     pad = 20.0
     span = size - 2 * pad
+    if span <= 0:
+        raise ValueError(f"--size must exceed {2 * pad:g}, the padding around the plot, got {size}")
 
     def px(x: Fraction) -> str:
         return _dec(pad + float(x) * span)
@@ -138,8 +139,9 @@ def cmd_plot(args) -> int:
     guides = [parse_rational(tok) for tok in args.guides.split(",")] if args.guides else []
     marks = []
     for raw in args.mark or []:
-        sx, sy = raw.split(",")
-        marks.append((parse_rational(sx), parse_rational(sy)))
+        if raw.count(",") != 1:
+            raise ValueError(f"--mark takes X,Y, got {raw!r}")
+        marks.append(tuple(parse_rational(v) for v in raw.split(",")))
     _emit(render_svg(f, size=args.size, guides=guides, marks=marks), args.out)
     return 0
 
@@ -182,6 +184,8 @@ def analysis_report(
 
 
 def cmd_analyze(args) -> int:
+    if args.orbit_budget < 0:
+        raise ValueError(f"--orbit-budget must be at least 0, got {args.orbit_budget}")
     f = _load_source(args)
     if args.iterate != 1:
         f = iterate(f, args.iterate)
@@ -307,7 +311,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OrbitValidationError, CertifyError, BudgetExceededError, ValueError, OSError) as exc:
+    except (CertifyError, BudgetExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

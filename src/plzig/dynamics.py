@@ -17,10 +17,10 @@ from .plmap import (
     ONE,
     ZERO,
     BudgetExceededError,
+    IterateCache,
     PLMap,
     _as_rational,
     _laps_at,
-    compose,
     critical_set,
     is_onto,
     laps,
@@ -34,7 +34,6 @@ __all__ = [
     "MapFacts",
     "BackwardOrbit",
     "OrbitValidationError",
-    "NSequence",
     "StabilizationData",
     "branch",
     "post_critical_orbits",
@@ -49,7 +48,6 @@ __all__ = [
     "parse_orbit",
     "format_orbit",
     "load_orbit",
-    "IterateCache",
 ]
 
 Interval = tuple[Fraction, Fraction]
@@ -322,12 +320,10 @@ def leo_uniform_N(f: PLMap, eps, max_power: int = 64) -> int:
     rejects a scale that is not positive).
     """
     eps = _as_rational(eps)
-    power = f
+    powers = IterateCache(f)
     for n in range(1, max_power + 1):
-        if uniformly_onto(power, eps):
+        if uniformly_onto(powers.power(n), eps):
             return n
-        if n < max_power:
-            power = compose(f, power)
     raise BudgetExceededError(
         f"no uniform covering time at scale {eps} within {max_power} powers"
     )
@@ -446,58 +442,24 @@ PROBE_SLACK = 12
 MAX_BLOCK_MULTIPLE = 64
 
 
-class IterateCache:
-    """Incrementally materialized iterates f, f^2, ... under one budget."""
-
-    def __init__(self, f: PLMap, budget: Optional[int] = None):
-        self.base = f
-        self.budget = budget
-        self._powers: dict[int, PLMap] = {1: f}
-        self._top = 1
-
-    def power(self, n: int) -> PLMap:
-        if n < 1:
-            raise ValueError("iterate exponent must be >= 1")
-        while self._top < n:
-            nxt = compose(self.base, self._powers[self._top], budget=self.budget)
-            self._top += 1
-            self._powers[self._top] = nxt
-        return self._powers[n]
-
-
-@dataclass(frozen=True)
-class NSequence:
-    """Strictly increasing index sequence: explicit head, arithmetic tail."""
-
-    head: tuple[int, ...]
-    step: int
-
-    def __post_init__(self) -> None:
-        if not self.head:
-            raise ValueError("sequence head must be nonempty")
-        if self.step <= 0:
-            raise ValueError("tail step must be positive")
-
-    def value(self, i: int) -> int:
-        if i < len(self.head):
-            return self.head[i]
-        return self.head[-1] + self.step * (i - len(self.head) + 1)
-
-
 @dataclass(frozen=True)
 class StabilizationData:
-    """The stabilized branch window and subsequence for one backward orbit.
+    """The stabilized branch window [a, b] of one backward orbit and the
+    orbit indices n_i = n0 + i·step that the stages track.
 
     ``side`` records which end of [a, b] carries the epsilon gap that the
-    tracked subsequence values avoid: ``left-gap`` keeps them out of
-    [a, a + eps), ``right-gap`` out of (b - eps, b].
+    tracked values x_{n_i} avoid: ``left-gap`` keeps them out of
+    [a, a + eps), ``right-gap`` out of (b - eps, b].  ``step`` is the
+    block length, a multiple of the orbit's period, so every x_{n_i} is
+    x_{n0}.
     """
 
     a: Fraction
     b: Fraction
     epsilon: Fraction
     side: str  # "left-gap" | "right-gap"
-    n_sequence: NSequence
+    n0: int
+    step: int
 
 
 def _stable_branch_limit(
@@ -525,18 +487,19 @@ def branch_stabilization(
     orbit: BackwardOrbit,
     budget: Optional[int] = None,
 ) -> tuple[StabilizationData, PLMap]:
-    """Extract (a, b, epsilon, side, n-sequence) for the certificate pipeline,
-    together with the block map f^step it chose.
+    """Extract the window (a, b), epsilon, the gap side, n0 and step for
+    the certificate pipeline, together with the block map f^step it chose.
 
     Checks every hypothesis of the theorem first: the orbit is a backward
     orbit of f, f is onto, and f is post-critically finite and leo (both
     read from one :func:`map_facts` table); a failed hypothesis raises
     ValueError.  The branch limit [a, b] is detected along one orbit
-    residue, the gap side and epsilon come from the residue's tracked
-    value, and the block length is the least period multiple that restores
+    residue n0, the gap side and epsilon come from the residue's tracked
+    value x_{n0}, and the step is the least period multiple that restores
     the branch [a, b] and covers [0, 1] from every interval of diameter
-    epsilon/2 (both facts checked exactly on the chosen block map).  The
-    block map is taken from the iterates composed on the way.
+    epsilon/2 (both facts checked exactly on the block map f^step).  The
+    block map is taken from the one :class:`IterateCache` that built every
+    iterate on the way.
     """
     if not is_onto(f):
         raise ValueError("base map must be onto")
@@ -580,8 +543,7 @@ def branch_stabilization(
             continue
         if branch(block, orbit.value_at(n0 + step)).B != (a, b):
             continue
-        stab = StabilizationData(a, b, eps, side, NSequence(head=(n0,), step=step))
-        return stab, block
+        return StabilizationData(a, b, eps, side, n0, step), block
     raise BudgetExceededError(
         f"no block length up to {MAX_BLOCK_MULTIPLE} periods satisfies the "
         "branch and covering conditions"

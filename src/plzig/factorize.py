@@ -35,7 +35,6 @@ from .plmap import (
 from .zigzag import ZigzagVerdict, composite_verdict
 from .dynamics import (
     BackwardOrbit,
-    NSequence,
     OrbitValidationError,
     StabilizationData,
     branch,
@@ -330,7 +329,7 @@ def certify_minc(orbit: BackwardOrbit, stages: int) -> Certificate:
 def certify_general(
     f: PLMap,
     orbit: BackwardOrbit,
-    stages: int = 4,
+    stages: int,
     budget: Optional[int] = None,
 ) -> Certificate:
     """Full certificate pipeline for a post-critically finite leo map.
@@ -356,8 +355,7 @@ def certify_general(
     else:
         _, beta = find_beta(block, (stab.b - stab.epsilon, stab.b), CASE2)
         pair = split_case2(block, beta)
-    n0, step = stab.n_sequence.head[0], stab.n_sequence.step
-    return _assemble(f, orbit, stab, block, n0, step, pair_of=lambda i: pair, stage_count=stages)
+    return _assemble(f, orbit, stab, block, stab.n0, stab.step, lambda i: pair, stages)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +370,9 @@ def certify_general(
 # ---------------------------------------------------------------------------
 
 VERSION = 3
+
+# the keys of a stage, in the order in which the verifier reports a first difference
+_STAGE_KEYS = ("n_i", "case", "beta", "s", "t", "coordinate", "zigzag_verdict")
 
 
 def _dec_orbit(data: dict) -> BackwardOrbit:
@@ -398,22 +399,17 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "b": str(s.b),
         "epsilon": str(s.epsilon),
         "side": s.side,
-        "n-sequence": {"head": list(s.n_sequence.head), "step": s.n_sequence.step},
+        "n-sequence": {"head": [s.n0], "step": s.step},
     }
     base = ref(cert.base_map)
     # keys in the order in which the verifier reports a first difference
     return {
         "stabilization": stab,
         "stages": [
-            {
-                "n_i": st.n,
-                "case": st.pair.case,
-                "beta": str(st.pair.beta),
-                "s": ref(st.pair.s),
-                "t": ref(st.pair.t),
-                "coordinate": str(st.coordinate),
-                "zigzag_verdict": st.verdict.to_dict() if st.verdict is not None else None,
-            }
+            dict(zip(_STAGE_KEYS, (
+                st.n, st.pair.case, str(st.pair.beta), ref(st.pair.s), ref(st.pair.t),
+                str(st.coordinate), st.verdict.to_dict() if st.verdict is not None else None,
+            )))
             for st in cert.stages
         ],
         "result": cert.result,
@@ -436,9 +432,9 @@ def certificate_from_dict(data: dict) -> Certificate:
     stab = data["stabilization"]
     if stab is not None:
         seq = stab["n-sequence"]
+        [n0] = seq["head"]
         stab = StabilizationData(
-            *(parse_rational(stab[k]) for k in ("a", "b", "epsilon")), stab["side"],
-            NSequence(tuple(seq["head"]), seq["step"]),
+            *(parse_rational(stab[k]) for k in ("a", "b", "epsilon")), stab["side"], n0, seq["step"]
         )
     stages = []
     for idx, st in enumerate(data["stages"], start=1):
@@ -487,6 +483,16 @@ def verify_certificate(data: dict) -> tuple[bool, str]:
         return False, f"malformed certificate: {type(exc).__name__}: {exc}"
     if not general and f != minc_map():
         return False, "map: a certificate without stabilization data must be on the Minc map"
+    # re-deriving runs one stage per stored entry, so a malformed one is named first
+    for i, st in enumerate(data["stages"], start=1):
+        if not isinstance(st, dict):
+            return False, f"stage {i}: stored {type(st).__name__}, not an object"
+        missing = [k for k in _STAGE_KEYS if k not in st]
+        if missing:
+            return False, f"stage {i} {missing[0]}: missing"
+        extra = [k for k in st if k not in _STAGE_KEYS]
+        if extra:
+            return False, f"stage {i}: unknown key {extra[0]!r}"
     try:
         derived = certify_general(f, orbit, count) if general else certify_minc(orbit, count)
     except OrbitValidationError as exc:

@@ -26,6 +26,7 @@ __all__ = [
     "parse_rational",
     "make_plmap",
     "compose",
+    "IterateCache",
     "iterate",
     "critical_set",
     "laps",
@@ -289,14 +290,27 @@ def _merge_collinear(points: Iterable[tuple[Fraction, Fraction]]) -> list[tuple[
     return merged
 
 
+class IterateCache:
+    """The iterates f, f^2, ... of one map, each composed once, on first
+    use, under one breakpoint budget.  This is the only place where f is
+    composed with one of its own powers: f^(k+1) = f∘f^k."""
+
+    def __init__(self, f: PLMap, budget: int | None = None):
+        self.base = f
+        self.budget = budget
+        self._powers = [f]  # f^(k+1) at index k
+
+    def power(self, n: int) -> PLMap:
+        if n < 1:
+            raise ValueError("iteration count must be at least 1")
+        while len(self._powers) < n:
+            self._powers.append(compose(self.base, self._powers[-1], self.budget))
+        return self._powers[n - 1]
+
+
 def iterate(f: PLMap, n: int) -> PLMap:
     """Exact n-fold composition of f with itself, n >= 1."""
-    if n < 1:
-        raise ValueError("iteration count must be at least 1")
-    acc = f
-    for _ in range(n - 1):
-        acc = compose(f, acc)
-    return acc
+    return IterateCache(f).power(n)
 
 
 def level_crossings(f: PLMap, c) -> list[Fraction]:

@@ -19,8 +19,7 @@ from plzig.plmap import (
     make_plmap,
 )
 from plzig.zigzag import (
-    _lap_witness,
-    _search_witness,
+    _WitnessIndex,
     composition_property_check,
     is_in_zigzag,
     lemma_witness,
@@ -185,11 +184,7 @@ def _grid_witness_exists(f, lap) -> bool:
     xs = sorted(set(f.xs) | {F(i, 1024) for i in range(1025)})
     ys = tuple(f(x) for x in xs)
     xs = tuple(xs)
-    p = xs.index(lap.left)
-    q = xs.index(lap.right)
-    if f(lap.left) > f(lap.right):
-        return _search_witness(xs, ys, p, q) is not None
-    return _search_witness(xs, tuple(-y for y in ys), p, q) is not None
+    return _WitnessIndex(xs, ys).witness(lap) is not None
 
 
 def test_acceptance_09_grid_oracle_equivalence():
@@ -199,7 +194,8 @@ def test_acceptance_09_grid_oracle_equivalence():
     for _ in range(200):
         f = random_map(rng, max_breakpoints=6, min_breakpoints=4)
         for lap in laps(f)[1:-1]:
-            assert (_lap_witness(f, lap) is not None) == _grid_witness_exists(f, lap)
+            found = _WitnessIndex(f.xs, f.ys).witness(lap)
+            assert (found is not None) == _grid_witness_exists(f, lap)
             laps_checked += 1
     elapsed = time.monotonic() - start
     report(9, elapsed, f"breakpoint and grid searches agree on {laps_checked} laps")

@@ -61,6 +61,21 @@ class TestPlot:
         f = minc_map()
         assert render_svg(f, guides=[F(1, 3)]) == render_svg(f, guides=[F(1, 3)])
 
+    @pytest.mark.parametrize("size", ["0", "40", "-5"])
+    def test_size_without_drawing_area_rejected(self, capsys, size):
+        # the plot sits inside a 20-unit padding on each side
+        code, out, err = run(capsys, "plot", "--builtin", "minc", "--size", size)
+        assert code == 2 and out == ""
+        assert f"error: --size must exceed 40, the padding around the plot, got {size}" in err
+        code, out, _ = run(capsys, "plot", "--builtin", "minc", "--size", "41")
+        assert code == 0 and 'width="1" height="1"' in out
+
+    @pytest.mark.parametrize("mark", ["1/2", "1/2,1/2,1/2"])
+    def test_mark_needs_two_coordinates(self, capsys, mark):
+        code, out, err = run(capsys, "plot", "--builtin", "minc", "--mark", mark)
+        assert code == 2 and out == ""
+        assert f"error: --mark takes X,Y, got '{mark}'" in err
+
 
 class TestAnalyze:
     def test_minc_report(self, capsys):
@@ -90,6 +105,14 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "--builtin", "minc", "--eps", "1/6")
         assert code == 0
         assert json.loads(out)["uniform_covering"] == {"eps": "1/6", "N": 3}
+
+    def test_negative_orbit_budget_rejected(self, capsys):
+        # a negative budget would leave every orbit open and the map undecided
+        code, out, err = run(capsys, "analyze", "--builtin", "tent", "--orbit-budget", "-3")
+        assert code == 2 and out == ""
+        assert "error: --orbit-budget must be at least 0, got -3" in err
+        code, out, _ = run(capsys, "analyze", "--builtin", "tent", "--orbit-budget", "0")
+        assert code == 0 and json.loads(out)["leo"] is None
 
     def test_open_orbits_reported_indeterminate(self, capsys, tmp_path):
         # endpoint orbits of this map converge to the interior fixed point

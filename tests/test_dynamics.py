@@ -11,7 +11,6 @@ from plzig.plmap import BudgetExceededError, compose, iterate, make_plmap
 from conftest import dense_is_primitive, random_markov_map, transition_matrix
 from plzig.dynamics import (
     BackwardOrbit,
-    NSequence,
     OrbitValidationError,
     branch,
     branch_stabilization,
@@ -291,8 +290,13 @@ class TestBranchStabilization:
         assert (stab.a, stab.b) == (F(1, 3), F(2, 3))
         assert stab.side == "left-gap"
         assert stab.epsilon == F(1, 12)
-        assert stab.n_sequence.head == (0,)
-        assert stab.n_sequence.step == 4
+        assert stab.n0 == 0
+        assert stab.step == 4
+
+    def test_prefix_moves_the_first_index(self, minc):
+        # the tracked indices n0 + i·step start after the orbit's prefix
+        stab, _ = branch_stabilization(minc, BackwardOrbit.of([F(1, 2)], [F(1, 2)]))
+        assert (stab.n0, stab.step) == (1, 4)
 
     def test_window_avoids_orbit_values(self, minc):
         stab, _ = branch_stabilization(minc, BackwardOrbit.constant(F(1, 2)))
@@ -309,20 +313,8 @@ class TestBranchStabilization:
 
     def test_branch_window_reproduced_by_block_map(self, minc):
         stab, block = branch_stabilization(minc, BackwardOrbit.constant(F(1, 2)))
-        assert block == iterate(minc, stab.n_sequence.step)
+        assert block == iterate(minc, stab.step)
         assert branch(block, F(1, 2)).B == (stab.a, stab.b)
-
-
-class TestNSequence:
-    def test_values(self):
-        seq = NSequence(head=(3,), step=4)
-        assert [seq.value(i) for i in range(4)] == [3, 7, 11, 15]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NSequence(head=(), step=1)
-        with pytest.raises(ValueError):
-            NSequence(head=(0,), step=0)
 
 
 class TestBranchStructure:
@@ -403,11 +395,11 @@ class TestOneOrbitTable:
         assert len(tables) == 1
 
     def test_certify_general(self, minc, tables):
-        assert certify_general(minc, BackwardOrbit.constant(F(1, 2))).passed
+        assert certify_general(minc, BackwardOrbit.constant(F(1, 2)), 4).passed
         assert len(tables) == 1
 
     def test_verify_general_certificate(self, minc, tables):
-        data = certificate_to_dict(certify_general(minc, BackwardOrbit.constant(F(1, 2))))
+        data = certificate_to_dict(certify_general(minc, BackwardOrbit.constant(F(1, 2)), 4))
         tables.clear()
         assert verify_certificate(data) == (True, "ok")
         assert len(tables) == 1

@@ -382,7 +382,7 @@ class TestCertifyGeneral:
         assert cert.passed
         assert (cert.stabilization.a, cert.stabilization.b) == (F(1, 3), F(2, 3))
         assert cert.stabilization.side == "left-gap"
-        block = iterate(minc, cert.stabilization.n_sequence.step)
+        block = iterate(minc, cert.stabilization.step)
         for st in cert.stages:
             assert compose(st.pair.t, st.pair.s) == block
         assert [st.coordinate for st in cert.stages] == [F(1, 2)] * len(cert.stages)
@@ -391,7 +391,7 @@ class TestCertifyGeneral:
         orbit = BackwardOrbit.constant(F(2, 3))
         cert = certify_general(tent, orbit, stages=3)
         assert cert.passed
-        block = iterate(tent, cert.stabilization.n_sequence.step)
+        block = iterate(tent, cert.stabilization.step)
         for st in cert.stages:
             assert compose(st.pair.t, st.pair.s) == block
         for st, g in zip(cert.stages[1:], _rebonded(cert)):
@@ -404,7 +404,7 @@ class TestCertifyGeneral:
             orbit = BackwardOrbit.of([], block)
             cert = certify_general(f, orbit, stages=3)
             assert cert.passed
-            assert cert.stabilization.n_sequence.step % 2 == 0
+            assert cert.stabilization.step % 2 == 0
             assert [st.coordinate for st in cert.stages] == [block[0]] * len(cert.stages)
             ok, msg = verify_certificate(certificate_to_dict(cert))
             assert ok, msg
@@ -532,10 +532,22 @@ class TestCertifyGeneral:
 class TestCertificateSerialization:
     def test_json_round_trip_is_bit_exact(self, minc):
         orbit = BackwardOrbit.constant(F(1, 2))
-        for cert in (certify_minc(orbit, stages=4), certify_general(minc, orbit, stages=3)):
+        certs = [certify_minc(orbit, stages=4), certify_general(minc, orbit, stages=3)]
+        # a prefix moves n0 to 1; the constant-0 orbit takes the right gap and step 2
+        certs += [
+            certify_general(minc, BackwardOrbit.of([F(1, 2)], [F(1, 2)]), stages=3),
+            certify_general(minc, BackwardOrbit.constant(0), stages=3),
+        ]
+        sequences = []
+        for cert in certs:
             text = certificate_to_json(cert)
-            again = certificate_to_json(certificate_from_json(text))
-            assert again == text
+            decoded = certificate_from_json(text)
+            assert decoded.stabilization == cert.stabilization
+            assert certificate_to_json(decoded) == text
+            sequences.append((json.loads(text)["stabilization"] or {}).get("n-sequence"))
+        assert sequences == [
+            None, {"head": [0], "step": 4}, {"head": [1], "step": 4}, {"head": [0], "step": 2},
+        ]
 
     @pytest.mark.parametrize("kind", ["minc", "general"])
     def test_encoding_is_canonical(self, passing_certificates, kind):
@@ -828,6 +840,18 @@ TAMPERS = [
         "stage 2: unknown key 'note'",
     ),
     (
+        "stage-not-object",
+        ("minc", "general"),
+        lambda d: d["stages"].__setitem__(1, ["n_i"]),
+        "stage 2: stored list, not an object",
+    ),
+    (
+        "two-entry-head",
+        ("general",),
+        lambda d: d["stabilization"]["n-sequence"].update(head=[0, 4]),
+        "stabilization n-sequence head: 2 entries stored, 1 re-derived",
+    ),
+    (
         "extra-verdict-key",
         ("minc", "general"),
         lambda d: d["stages"][1]["zigzag_verdict"].update(note="x"),
@@ -913,7 +937,7 @@ TAMPER_CASES = [
 @pytest.fixture(scope="module")
 def passing_certificates(tent):
     general = certify_general(tent, BackwardOrbit.constant(F(2, 3)), stages=3)
-    assert general.stabilization.n_sequence.step == 4
+    assert general.stabilization.step == 4
     return {
         "minc": certificate_to_dict(certify_minc(BackwardOrbit.constant(F(1, 2)), stages=4)),
         "general": certificate_to_dict(general),
@@ -934,6 +958,19 @@ class TestTamperSuite:
         elapsed = time.perf_counter() - start
         assert not ok and reason in msg, msg
         assert elapsed < 0.1, f"rejection took {elapsed:.3f} s"
+
+    @pytest.mark.parametrize("kind", ["minc", "general"])
+    def test_long_empty_stage_list_is_rejected_quickly(self, passing_certificates, kind):
+        # re-deriving runs one stage per stored entry, so the stage shapes
+        # are checked first
+        data = copy.deepcopy(passing_certificates[kind])
+        data["stages"] = [{}] * 100_000
+        text = json.dumps(data)
+        start = time.perf_counter()
+        ok, msg = verify_certificate(json.loads(text))
+        elapsed = time.perf_counter() - start
+        assert (ok, msg) == (False, "stage 1 n_i: missing")
+        assert elapsed < 0.5, f"rejection took {elapsed:.3f} s"
 
     def test_reason_shows_the_first_differing_line(self, passing_certificates):
         # every stage shares one t with 17 breakpoints; halve the value on line 14

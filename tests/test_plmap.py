@@ -20,6 +20,7 @@ from plzig.plmap import (
     _laps_at,
 )
 import plzig.dynamics as dynamics
+import plzig.plmap as plmap
 import plzig.zigzag as zigzag
 
 from conftest import compose_candidates, naive_compose, random_map, scan_laps_at
@@ -186,6 +187,51 @@ class TestIterate:
 
     def test_additive_law(self, minc):
         assert iterate(minc, 5) == compose(iterate(minc, 2), iterate(minc, 3))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda f: iterate(f, 3),
+            lambda f: dynamics.leo_uniform_N(f, F(1, 6)),
+            lambda f: dynamics.branch_stabilization(f, dynamics.BackwardOrbit.constant(F(1, 2))),
+        ],
+        ids=["iterate", "leo_uniform_N", "branch_stabilization"],
+    )
+    def test_powers_are_built_by_the_iterate_cache(self, monkeypatch, minc, build):
+        # every f∘f^k is composed inside IterateCache.power, nowhere else
+        power, compose_ = plmap.IterateCache.power, plmap.compose
+        calls, depth, stray = [], [0], []
+
+        def counted_power(self, n):
+            calls.append(n)
+            depth[0] += 1
+            try:
+                return power(self, n)
+            finally:
+                depth[0] -= 1
+
+        def watched_compose(outer, inner, budget=None):
+            if outer == minc and depth[0] == 0:
+                stray.append(len(inner.points))
+            return compose_(outer, inner, budget)
+
+        monkeypatch.setattr(plmap.IterateCache, "power", counted_power)
+        for module in (plmap, dynamics, zigzag):
+            if getattr(module, "compose", None) is compose_:
+                monkeypatch.setattr(module, "compose", watched_compose)
+        build(minc)
+        assert calls and not stray
+
+    def test_iterate_cache_composes_each_power_once(self, monkeypatch, minc):
+        want = [minc, iterate(minc, 2), iterate(minc, 3)]
+        composed = []
+        compose_ = plmap.compose
+        monkeypatch.setattr(plmap, "compose", lambda *a: composed.append(a) or compose_(*a))
+        cache = plmap.IterateCache(minc)
+        assert [cache.power(n) for n in (3, 1, 2, 3)] == [want[2], want[0], want[1], want[2]]
+        assert len(composed) == 2
+        with pytest.raises(ValueError, match="iteration count must be at least 1"):
+            cache.power(0)
 
 
 class TestCriticalSetAndLaps:

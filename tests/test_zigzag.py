@@ -5,7 +5,7 @@ import pytest
 
 from plzig.plmap import compose, critical_set, iterate, laps, make_plmap
 from plzig.zigzag import (
-    _lap_witness,
+    _WitnessIndex,
     _witness_table,
     composition_property_check,
     is_in_zigzag,
@@ -94,12 +94,10 @@ class TestIsInZigzag:
 
     def test_search_matches_naive_reference(self):
         rng = random.Random(22)
-        from plzig.zigzag import _lap_witness
-
         for _ in range(200):
             f = random_map(rng)
             for lap in laps(f)[1:-1]:
-                got = _lap_witness(f, lap)
+                got = _WitnessIndex(f.xs, f.ys).witness(lap)
                 ref = naive_lap_witness(f, lap.left, lap.right)
                 assert (got is None) == (ref is None)
                 if got is not None:
@@ -126,7 +124,7 @@ class TestWitnessIdentity:
             for lap, w in zip(lap_list[1:-1], table[1:-1]):
                 ref = two_pointer_lap_witness(f, lap)
                 assert w == ref, (f.points, lap)
-                assert _lap_witness(f, lap) == ref, (f.points, lap)
+                assert _WitnessIndex(f.xs, f.ys).witness(lap) == ref, (f.points, lap)
 
     def test_minc4_table_revalidates(self, minc):
         f = iterate(minc, 4)
