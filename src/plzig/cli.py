@@ -142,6 +142,10 @@ def cmd_plot(args) -> int:
         if raw.count(",") != 1:
             raise ValueError(f"--mark takes X,Y, got {raw!r}")
         marks.append(tuple(parse_rational(v) for v in raw.split(",")))
+    values = [("--guides", g) for g in guides] + [("--mark", v) for mark in marks for v in mark]
+    for option, value in values:
+        if not 0 <= value <= 1:
+            raise ValueError(f"{option} coordinate {value} lies outside [0, 1]")
     _emit(render_svg(f, size=args.size, guides=guides, marks=marks), args.out)
     return 0
 

@@ -516,34 +516,28 @@ def branch_stabilization(
     probe_depth = PROBE_PER_PERIOD * p + PROBE_SLACK
 
     # block lengths are period multiples, so the tracked subsequence sits on
-    # one orbit residue and takes a single value; only that value has to
-    # clear the epsilon window
+    # one orbit residue and takes a single value
     for n0 in range(q, q + p):
         found = _stable_branch_limit(cache, orbit, n0, window=p, probe=probe_depth)
-        if found is None:
-            continue
-        a, b = found
-        tracked = orbit.value_at(n0)
-        if tracked > a:
-            side, eps = "left-gap", min(tracked - a, b - a) / 2
-            break
-        if tracked < b:
-            side, eps = "right-gap", min(b - tracked, b - a) / 2
+        if found is not None:
             break
     else:
         raise BudgetExceededError(
-            "no orbit residue produced a stabilized branch with a usable gap "
-            f"within probe depth {probe_depth}"
+            f"no orbit residue produced a stabilized branch within probe depth {probe_depth}"
         )
+    # x_{n0} = f^j(x_{n0+j}) lies in the branch image [a, b]; a < b, as no lap is flat
+    a, b = found
+    tracked = orbit.value_at(n0)
+    if tracked > a:
+        side, eps = "left-gap", min(tracked - a, b - a) / 2
+    else:
+        side, eps = "right-gap", min(b - tracked, b - a) / 2
 
     for m in range(1, MAX_BLOCK_MULTIPLE + 1):
         step = m * p
         block = cache.power(step)
-        if not uniformly_onto(block, eps / 2):
-            continue
-        if branch(block, orbit.value_at(n0 + step)).B != (a, b):
-            continue
-        return StabilizationData(a, b, eps, side, n0, step), block
+        if uniformly_onto(block, eps / 2) and branch(block, tracked).B == (a, b):
+            return StabilizationData(a, b, eps, side, n0, step), block
     raise BudgetExceededError(
         f"no block length up to {MAX_BLOCK_MULTIPLE} periods satisfies the "
         "branch and covering conditions"

@@ -37,7 +37,6 @@ from .dynamics import (
     BackwardOrbit,
     OrbitValidationError,
     StabilizationData,
-    branch,
     branch_stabilization,
     validate_orbit,
 )
@@ -227,7 +226,6 @@ def _assemble(
     base_map: PLMap,
     orbit: BackwardOrbit,
     stabilization: Optional[StabilizationData],
-    block: PLMap,
     n0: int,
     step: int,
     pair_of,
@@ -235,30 +233,31 @@ def _assemble(
 ) -> Certificate:
     """Run the stage loop shared by both pipelines.
 
-    Stage i sits at orbit index n0 + i·step and uses the factor pair
-    ``pair_of(i)`` of ``block`` = f^step.  It fails when s moves x_n, when
-    (with stabilization data) the branch of the block map at x_n is not
-    [a, b] or x_n enters the gap window, when g = s_prev∘t does not carry
-    the coordinate to the previous one, or when the coordinate lies in a
-    zigzag of g; the first failing stage's reason is kept on the
-    certificate.  g is never composed: g(c_i) is s_prev(t(c_i)), and the
-    zigzag verdict is decided by :func:`composite_verdict` on the window of
-    g between the nearest points on either side of c_i where g is 0 or 1,
-    which only composes the segments of t that the window spans.  The
-    repeat index is the first stage whose state (both pairs and both orbit
-    values) duplicates an earlier full stage.  At least
+    Stage i sits at orbit index n_i = n0 + i·step and uses the factor pair
+    ``pair_of(i)`` of the block map f^step.  It relies on checks made
+    before: each pair's t∘s is f^step exactly (:func:`_checked_pair`), the
+    orbit is validated (:func:`validate_orbit`), and with stabilization
+    data every tracked value is x_{n0}, whose branch and gap window
+    :func:`branch_stabilization` checked on the same block.  A stage fails
+    when s moves x_n (the stage rule) or when its coordinate lies in a
+    zigzag of g = s_prev∘t; the first failing stage's reason is kept.  g
+    carries c_i to c_{i-1}: once s(c_i) = c_i = x_{n_i}, t(c_i) =
+    f^step(x_{n_i}) = x_{n_{i-1}}, so g(c_i) = s_prev(x_{n_{i-1}}) = c_{i-1}.
+    g is never composed: :func:`composite_verdict` decides the verdict on
+    the window of g between the nearest points around c_i where g is 0 or 1.
+    The repeat index is the first stage whose state (both pairs and both
+    orbit values) duplicates an earlier full stage.  At least
     ``stage_count`` stages run, and enough to exhibit the repeat: the state
     recurs after the orbit's period counted in blocks of ``step``.
     """
     if stage_count < 2:
         raise ValueError("need at least two stages to run any zigzag check")
     p = orbit.minimal_period()
-    stab = stabilization
     verdict_cache: dict[tuple, ZigzagVerdict] = {}
     seen_states: dict[tuple, int] = {}
     stages: list[StageRecord] = []
     failing = failure_reason = repeat_index = None
-    prev = None  # (pair key, pair, x, coordinate) of the previous stage
+    prev = None  # (pair key, pair, x) of the previous stage
     for i in range(1, max(stage_count, p // gcd(step, p) + 2) + 1):
         n_i = n0 + i * step
         x = orbit.value_at(n_i)
@@ -268,24 +267,13 @@ def _assemble(
         reason: Optional[str] = None
         if coordinate != x:  # the stage rule pins x inside s's identity part
             reason = f"s moves x_{n_i} = {x} to {coordinate}"
-        elif stab is not None:
-            B = branch(block, x).B
-            if B != (stab.a, stab.b):
-                reason = f"branch {B} differs from ({stab.a}, {stab.b})"
-            elif stab.side == "left-gap" and stab.a <= x < stab.a + stab.epsilon:
-                reason = f"coordinate {x} entered the left gap window"
-            elif stab.side == "right-gap" and stab.b - stab.epsilon < x <= stab.b:
-                reason = f"coordinate {x} entered the right gap window"
         verdict: Optional[ZigzagVerdict] = None
         if prev is not None:
-            prev_key, prev_pair, prev_x, prev_coord = prev
+            prev_key, prev_pair, prev_x = prev
             vkey = (prev_key, key, coordinate)
             verdict = verdict_cache.get(vkey)
             if verdict is None:
                 verdict = verdict_cache[vkey] = composite_verdict(prev_pair.s, pair.t, coordinate)
-            image = prev_pair.s(pair.t(coordinate))
-            if reason is None and image != prev_coord:
-                reason = f"g sends {coordinate} to {image}, not to {prev_coord}"
             if reason is None and verdict.in_zigzag:
                 reason = f"coordinate {coordinate} lies in a zigzag of g"
             state = (prev_key, key, prev_x, x)
@@ -294,12 +282,12 @@ def _assemble(
         if reason is not None and failing is None:
             failing, failure_reason = i, reason
         stages.append(StageRecord(i, n_i, pair, coordinate, verdict))
-        prev = (key, pair, x, coordinate)
+        prev = (key, pair, x)
 
     return Certificate(
         base_map=base_map,
         orbit=orbit,
-        stabilization=stab,
+        stabilization=stabilization,
         stages=tuple(stages),
         result="pass" if failing is None else "fail",
         failing_stage=failing,
@@ -320,7 +308,7 @@ def certify_minc(orbit: BackwardOrbit, stages: int) -> Certificate:
         CASE2: split_case2(block, MINC_BETA_HIGH),
     }
     return _assemble(
-        f, orbit, None, block, n0=0, step=MINC_STEP,
+        f, orbit, None, n0=0, step=MINC_STEP,
         pair_of=lambda i: pairs[minc_stage_choice(orbit.value_at(MINC_STEP * i))],
         stage_count=stages,
     )
@@ -334,14 +322,15 @@ def certify_general(
 ) -> Certificate:
     """Full certificate pipeline for a post-critically finite leo map.
 
-    :func:`branch_stabilization` checks the orbit and every hypothesis on
-    the map (a failed hypothesis raises :class:`CertifyError`, an
-    inconsistent orbit :class:`OrbitValidationError`), extracts the
-    stabilized branch window and hands over the block map f^step it chose.
-    Then the fold inside the gap window is picked and every stage is
-    checked: the branch of the block map at the tracked coordinate equals
-    [a, b], the coordinate avoids the gap window, the fold identities hold
-    exactly, and the coordinate is outside every zigzag of the rebonded map.
+    Each fact is checked once.  :func:`branch_stabilization` checks the
+    orbit (:func:`validate_orbit`; a failure raises
+    :class:`OrbitValidationError`), the map hypotheses (:func:`map_facts`;
+    a failure raises :class:`CertifyError`) and the stabilized branch
+    [a, b] with its gap, and hands over the block map f^step it chose.
+    :func:`split_case1` or :func:`split_case2` splits the fold inside the
+    gap window and checks t∘s = f^step exactly.  The stage loop checks that
+    s fixes each tracked x_n and that its coordinate is outside every
+    zigzag of the rebonded map.
     """
     try:
         stab, block = branch_stabilization(f, orbit, budget)
@@ -355,7 +344,7 @@ def certify_general(
     else:
         _, beta = find_beta(block, (stab.b - stab.epsilon, stab.b), CASE2)
         pair = split_case2(block, beta)
-    return _assemble(f, orbit, stab, block, stab.n0, stab.step, lambda i: pair, stages)
+    return _assemble(f, orbit, stab, stab.n0, stab.step, lambda i: pair, stages)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,16 @@ class TestPlot:
         assert code == 2 and out == ""
         assert f"error: --mark takes X,Y, got '{mark}'" in err
 
+    @pytest.mark.parametrize(
+        "option, value, bad",
+        [("--guides", "1/3,5", "5"), ("--mark", "1/2,-2", "-2")],
+        ids=["guides", "mark"],
+    )
+    def test_coordinate_outside_unit_interval_rejected(self, capsys, option, value, bad):
+        code, out, err = run(capsys, "plot", "--builtin", "minc", option, value)
+        assert code == 2 and out == ""
+        assert f"error: {option} coordinate {bad} lies outside [0, 1]" in err
+
 
 class TestAnalyze:
     def test_minc_report(self, capsys):
@@ -169,6 +179,29 @@ class TestCertifyCommand:
         )
         assert code == 0
         assert json.loads(out)["result"] == "pass"
+
+    @pytest.mark.parametrize(
+        "pipeline, text, message",
+        [
+            (
+                ["--pipeline", "minc"],
+                "prefix 1/2 ; period: 1/2\n",
+                "orbit text must look like 'prefix: ... ; period: ...'",
+            ),
+            (
+                ["--pipeline", "general", "--builtin", "minc"],
+                "prefix: ; period: 3/2\n",
+                "orbit entry 1 = 3/2 lies outside [0, 1]",
+            ),
+        ],
+        ids=["format", "out-of-range"],
+    )
+    def test_orbit_file_errors(self, capsys, tmp_path, pipeline, text, message):
+        orbit_path = tmp_path / "bad.orbit"
+        orbit_path.write_text(text)
+        code, out, err = run(capsys, "certify", *pipeline, "--orbit", str(orbit_path))
+        assert code == 2 and out == ""
+        assert f"error: {message}" in err
 
     def test_certificates_are_deterministic(self, capsys):
         _, out1, _ = run(capsys, "certify", "--pipeline", "minc", "--orbit", "const:1/2")

@@ -7,7 +7,7 @@ import pytest
 import plzig.dynamics as dynamics
 from plzig.cli import analysis_report
 from plzig.factorize import certificate_to_dict, certify_general, verify_certificate
-from plzig.plmap import BudgetExceededError, compose, iterate, make_plmap
+from plzig.plmap import BudgetExceededError, compose, iterate, laps, make_plmap
 from conftest import dense_is_primitive, random_markov_map, transition_matrix
 from plzig.dynamics import (
     BackwardOrbit,
@@ -316,6 +316,57 @@ class TestBranchStabilization:
         assert block == iterate(minc, stab.step)
         assert branch(block, F(1, 2)).B == (stab.a, stab.b)
 
+    @pytest.mark.parametrize(
+        "name, orbit, side",
+        [
+            ("minc", BackwardOrbit.constant(F(1, 2)), "left-gap"),
+            ("minc", BackwardOrbit.constant(F(0)), "right-gap"),
+            ("minc", BackwardOrbit.of([], [F(4, 19), F(12, 19)]), "left-gap"),
+            ("tent", BackwardOrbit.constant(F(2, 3)), "left-gap"),
+        ],
+        ids=["minc-half", "minc-zero", "minc-2-cycle", "tent-two-thirds"],
+    )
+    def test_every_tracked_value_keeps_the_branch_and_clears_the_gap(
+        self, request, name, orbit, side
+    ):
+        # the stage loop does not check these again: every tracked index
+        # n0 + i·step sits on the residue whose value was checked here
+        stab, block = branch_stabilization(request.getfixturevalue(name), orbit)
+        assert stab.side == side
+        for i in (1, 2, 3):
+            x = orbit.value_at(stab.n0 + i * stab.step)
+            assert branch(block, x).B == (stab.a, stab.b)
+            if side == "left-gap":
+                assert not stab.a <= x < stab.a + stab.epsilon
+            else:
+                assert not stab.b - stab.epsilon < x <= stab.b
+
+    @pytest.mark.parametrize(
+        "limits, reason",
+        [
+            (
+                {"PROBE_PER_PERIOD": 0, "PROBE_SLACK": 0},
+                "no orbit residue produced a stabilized branch within probe depth 0",
+            ),
+            (
+                {"MAX_BLOCK_MULTIPLE": 0},
+                "no block length up to 0 periods satisfies the branch and covering conditions",
+            ),
+        ],
+        ids=["no-residue", "no-block-length"],
+    )
+    def test_search_limits_refuse_with_a_budget_error(self, monkeypatch, minc, limits, reason):
+        orbit = BackwardOrbit.constant(F(1, 2))
+        data = certificate_to_dict(certify_general(minc, orbit, 4))
+        for name, value in limits.items():
+            monkeypatch.setattr(dynamics, name, value)
+        with pytest.raises(BudgetExceededError) as excinfo:
+            certify_general(minc, orbit, 4)
+        assert str(excinfo.value) == reason
+        assert verify_certificate(data) == (
+            False, f"re-deriving the certificate exceeds the budget: {reason}"
+        )
+
 
 class TestBranchStructure:
     def test_branch_endpoints_live_in_the_orbit_closure(self, minc):
@@ -345,6 +396,16 @@ class TestBranchStructure:
         # growth-and-covering fallback, which must agree
         assert is_leo(minc, orbit_budget=0) is True
         assert is_leo(minc) is True
+
+    def test_growth_fallback_on_a_two_lap_map(self):
+        # no interior lap: growth above 1 alone decides, with no orbit closed
+        f = make_plmap([(0, 0), (F(6, 25), F(9, 10)), (F(1, 4), 1), (F(13, 50), F(9, 10)), (1, 0)])
+        assert len(laps(f)) == 2 and dynamics._growth(f) == F(45, 37)
+        assert is_leo(f, orbit_budget=0) is True
+
+    def test_growth_fallback_undecided_past_its_depth(self, monkeypatch, minc):
+        monkeypatch.setattr(dynamics, "LEO_FALLBACK_DEPTH", 1)
+        assert is_leo(minc, orbit_budget=0) is None
 
 
 class TestBranchNesting:

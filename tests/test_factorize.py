@@ -30,6 +30,7 @@ from plzig.factorize import (
     certify_general,
     certify_minc,
     _assemble,
+    _checked_pair,
     find_beta,
     minc_map,
     minc_stage_choice,
@@ -214,6 +215,13 @@ class TestBuildGSequence:
             assert st.verdict == is_in_zigzag(g, st.coordinate)
         for pair in (low_pair, high_pair):
             assert compose(pair.t, pair.s) == f2
+
+    def test_pair_that_does_not_split_the_block_rejected(self, minc):
+        # g(c_i) = c_{i-1} follows from t∘s = f^step, which the stage loop
+        # does not check again; the pair's constructor is its one check
+        identity = [(0, 0), (1, 1)]
+        with pytest.raises(CertifyError, match="t∘s = F failed to hold exactly"):
+            _checked_pair(minc, identity, identity, CASE1, F(1, 2))
 
     def test_mismatched_blocks_rejected(self, minc):
         # a stage whose pair splits another block map does not verify
@@ -1005,7 +1013,7 @@ class TestTamperSuite:
         # is still not what the Minc pipeline emits for these inputs
         pair = (split_case1 if case == CASE1 else split_case2)(MINC_BLOCK, F(beta))
         orbit = BackwardOrbit.constant(F(1, 2))
-        cert = _assemble(minc, orbit, None, MINC_BLOCK, 0, 2, lambda i: pair, 4)
+        cert = _assemble(minc, orbit, None, 0, 2, lambda i: pair, 4)
         ok, msg = verify_certificate(certificate_to_dict(cert))
         if case == CASE1:
             assert (ok, msg) == (False, f"stage 1 beta: stored '{beta}', re-derived '7/18'")
