@@ -81,25 +81,22 @@ class BranchResult:
     tie_rule_applied: bool
 
 
-def _lap_image(f: PLMap, left: Fraction, right: Fraction) -> Interval:
-    u, v = f(left), f(right)
-    return (u, v) if u <= v else (v, u)
+def _lap_branch(f: PLMap, k: int) -> tuple[Interval, Interval]:
+    """Lap k of f and its image, read from the breakpoints at its ends."""
+    p, q = f._ends[k], f._ends[k + 1]
+    u, v = f.ys[p], f.ys[q]
+    return (f.xs[p], f.xs[q]), ((u, v) if u <= v else (v, u))
 
 
 def branch(f: PLMap, y) -> BranchResult:
     y = _as_rational(y)
     if not (ZERO <= y <= ONE):
         raise ValueError(f"point {y} outside [0, 1]")
-    containing = [f._laps[k] for k in _laps_at(f, y)]
+    containing = [_lap_branch(f, k) for k in _laps_at(f, y)]
     if len(containing) == 1:
-        lap = containing[0]
-        J = (lap.left, lap.right)
-        return BranchResult(J, _lap_image(f, *J), at_critical=False, tie_rule_applied=False)
-    left_lap, right_lap = containing
-    J1 = (left_lap.left, left_lap.right)
-    J2 = (right_lap.left, right_lap.right)
-    B1 = _lap_image(f, *J1)
-    B2 = _lap_image(f, *J2)
+        J, B = containing[0]
+        return BranchResult(J, B, at_critical=False, tie_rule_applied=False)
+    (J1, B1), (J2, B2) = containing
     contained = B2[0] <= B1[0] and B1[1] <= B2[1]
     if contained:
         J, B = J1, B1
@@ -207,7 +204,7 @@ def is_primitive(f: PLMap, partition: Sequence[Fraction]) -> bool:
     n = len(pts) - 1
     lo, hi = [], []  # row u of A^k is the run of cells lo[u]..hi[u]
     for u in range(n):
-        a, b = _lap_image(f, pts[u], pts[u + 1])
+        a, b = sorted((f(pts[u]), f(pts[u + 1])))
         if a not in index or b not in index:
             raise ValueError("partition is not forward invariant")
         lo.append(index[a])
@@ -246,8 +243,7 @@ def _growth(f: PLMap) -> Fraction:
     magnitude, or u*v/(u+v) for the slope magnitudes u, v on either side of
     a turning point (an interval straddling it) when that is smaller."""
     slopes = [abs((y1 - y0) / (x1 - x0)) for (x0, y0), (x1, y1) in zip(f.points, f.points[1:])]
-    turns = set(critical_set(f))
-    folds = [u * v / (u + v) for x, u, v in zip(f.xs[1:], slopes, slopes[1:]) if x in turns]
+    folds = [slopes[i - 1] * slopes[i] / (slopes[i - 1] + slopes[i]) for i in f._ends[1:-1]]
     return min(slopes + folds)
 
 
@@ -279,10 +275,10 @@ def _leo(f: PLMap, markov: Optional[Sequence[Fraction]]) -> Optional[bool]:
 
     if _growth(f) <= 1:
         return None
-    interior = laps(f)[1:-1]
-    if not interior:
+    ends, ys = f._ends, f.ys
+    if len(ends) < 4:  # no interior lap
         return True
-    scale = min(abs(f(lap.right) - f(lap.left)) for lap in interior)
+    scale = min(abs(ys[q] - ys[p]) for p, q in zip(ends[1:-2], ends[2:-1]))
     try:
         leo_uniform_N(f, scale, LEO_FALLBACK_DEPTH)
     except BudgetExceededError:
@@ -371,7 +367,7 @@ class BackwardOrbit:
     def minimal_period(self) -> int:
         block = self.period_block
         p = len(block)
-        for d in range(1, p + 1):
+        for d in range(1, p):
             if p % d == 0 and all(block[k] == block[k % d] for k in range(p)):
                 return d
         return p

@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "ZERO",
@@ -48,9 +48,6 @@ ONE = Fraction(1)
 # refuse to cross this bound instead of silently grinding away.
 DEFAULT_BREAKPOINT_BUDGET = 10**6
 
-INCREASING = "increasing"
-DECREASING = "decreasing"
-
 
 class BudgetExceededError(RuntimeError):
     """An operation would exceed its breakpoint or step budget."""
@@ -79,13 +76,11 @@ def _as_rational(value) -> Fraction:
     raise TypeError(f"expected a rational value, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class Lap:
+class Lap(NamedTuple):
     """A maximal interval of strict monotonicity."""
 
     left: Fraction
     right: Fraction
-    direction: str  # INCREASING or DECREASING
 
 
 @dataclass(frozen=True)
@@ -127,8 +122,14 @@ class PLMap:
         return tuple(p[1] for p in self.points)
 
     @cached_property
+    def _ends(self) -> tuple[int, ...]:
+        """The lap table: breakpoint indices of the lap ends."""
+        return _lap_ends(self.ys)
+
+    @cached_property
     def _laps(self) -> tuple[Lap, ...]:
-        return _laps_of(self.points)
+        xs, ends = self.xs, self._ends
+        return tuple(Lap(xs[p], xs[q]) for p, q in zip(ends, ends[1:]))
 
     @cached_property
     def _extremes(self) -> dict[Fraction, tuple[Fraction, ...]]:
@@ -139,7 +140,7 @@ class PLMap:
 
     @cached_property
     def _lap_lefts(self) -> tuple[Fraction, ...]:
-        return tuple(lap.left for lap in self._laps)
+        return tuple(self.xs[p] for p in self._ends[:-1])
 
     def __call__(self, x) -> Fraction:
         """Exact evaluation by linear interpolation on the containing segment."""
@@ -174,24 +175,13 @@ def make_plmap(points: Iterable[tuple]) -> PLMap:
     return PLMap(tuple(merged))
 
 
-def _slope_sign(p: tuple[Fraction, Fraction], q: tuple[Fraction, Fraction]) -> int:
-    return 1 if q[1] > p[1] else -1
-
-
-def _laps_of(points: Sequence[tuple[Fraction, Fraction]]) -> tuple[Lap, ...]:
-    """Maximal monotone intervals of the piecewise-linear function through
-    ``points``, in order."""
-    out: list[Lap] = []
-    start = points[0][0]
-    sign = _slope_sign(points[0], points[1])
-    for i in range(1, len(points) - 1):
-        s = _slope_sign(points[i], points[i + 1])
-        if s != sign:
-            out.append(Lap(start, points[i][0], INCREASING if sign > 0 else DECREASING))
-            start = points[i][0]
-            sign = s
-    out.append(Lap(start, points[-1][0], INCREASING if sign > 0 else DECREASING))
-    return tuple(out)
+def _lap_ends(ys: Sequence[Fraction]) -> tuple[int, ...]:
+    """Breakpoint indices of the lap ends of the piecewise-linear function
+    with breakpoint values ``ys`` and no flat segment: index 0, each turning
+    point (a value above or below both neighbours) and the last index.
+    Lap k runs from the k-th of these to the next."""
+    turns = [i for i in range(1, len(ys) - 1) if (ys[i - 1] < ys[i]) == (ys[i + 1] < ys[i])]
+    return (0, *turns, len(ys) - 1)
 
 
 def laps(f: PLMap) -> list[Lap]:

@@ -24,9 +24,9 @@ from .plmap import (
     PLMap,
     _as_rational,
     _compose_segments,
+    _lap_ends,
     _laps_at,
     _laps_holding,
-    _laps_of,
     compose,
     laps,
     level_crossings,
@@ -174,12 +174,13 @@ class _Chains:
 
 
 class _WitnessIndex:
-    """Witness search for any number of laps of one map.
+    """Witness search for any number of laps of one map, each named by the
+    breakpoint indices of its ends.
 
     Holds the exact integer keys of the values ``ys`` and builds the
     pointers of each orientation on first use: the keys for falling laps,
-    the negated keys for rising ones.  Everything is O(n) to build, after which each lap is
-    one walk along the pointer chains.
+    the negated keys for rising ones.  Everything is O(n) to build, after
+    which each lap is one walk along the pointer chains.
     """
 
     def __init__(self, xs: Sequence[Fraction], ys: Sequence[Fraction]) -> None:
@@ -194,26 +195,22 @@ class _WitnessIndex:
     def _rising(self) -> _Chains:
         return _Chains([-k for k in self.keys])
 
-    def witness(self, lap: Lap) -> Optional[Interval]:
-        """Witness for one interior lap, located by its end points."""
-        xs = self.xs
-        p = bisect_left(xs, lap.left)
-        q = bisect_left(xs, lap.right, p)
-        if xs[p] != lap.left or xs[q] != lap.right:
-            raise ValueError(f"lap ({lap.left}, {lap.right}) does not end at breakpoints")
+    def witness(self, p: int, q: int) -> Optional[Interval]:
+        """Witness for the interior lap [xs[p], xs[q]]."""
         chains = self._falling if self.keys[p] > self.keys[q] else self._rising
-        return chains.witness(xs, p, q)
+        return chains.witness(self.xs, p, q)
 
 
 def _witness_table(f: PLMap) -> tuple[list[Lap], list[Optional[Interval]]]:
     """Witness (or None) for every lap; boundary laps never have one."""
-    lap_list = laps(f)
     index = _WitnessIndex(f.xs, f.ys)
-    table: list[Optional[Interval]] = []
-    last = len(lap_list) - 1
-    for k, lap in enumerate(lap_list):
-        table.append(None if k == 0 or k == last else index.witness(lap))
-    return lap_list, table
+    ends = f._ends
+    last = len(ends) - 2
+    table = [
+        None if k == 0 or k == last else index.witness(p, q)
+        for k, (p, q) in enumerate(zip(ends, ends[1:]))
+    ]
+    return laps(f), table
 
 
 def is_in_zigzag(f: PLMap, y) -> ZigzagVerdict:
@@ -221,7 +218,7 @@ def is_in_zigzag(f: PLMap, y) -> ZigzagVerdict:
     y = _as_rational(y)
     if not (ZERO <= y <= ONE):
         raise ValueError(f"query point {y} outside [0, 1]")
-    return _verdict(f.xs, f.ys, f._laps, _laps_at(f, y), True, True)
+    return _verdict(f.xs, f.ys, f._ends, _laps_at(f, y), True, True)
 
 
 def composite_verdict(outer: PLMap, inner: PLMap, y) -> ZigzagVerdict:
@@ -269,46 +266,48 @@ def composite_verdict(outer: PLMap, inner: PLMap, y) -> ZigzagVerdict:
         near, lo = ys[lo], lo - 1
 
     points = _compose_segments(outer, inner, lo, hi)
-    ends = [i for i, (x, v) in enumerate(points) if x != y and (v == ZERO or v == ONE)]
-    k = bisect_left(ends, bisect_left(points, (y,)))
-    window = points[ends[k - 1] if k else 0 : ends[k] + 1 if k < len(ends) else len(points)]
+    cuts = [i for i, (x, v) in enumerate(points) if x != y and (v == ZERO or v == ONE)]
+    k = bisect_left(cuts, bisect_left(points, (y,)))
+    window = points[cuts[k - 1] if k else 0 : cuts[k] + 1 if k < len(cuts) else len(points)]
     wxs, wys = tuple(p[0] for p in window), tuple(p[1] for p in window)
-    lap_list = _laps_of(window)
-    holding = _laps_holding(tuple(lap.left for lap in lap_list), y)
-    return _verdict(wxs, wys, lap_list, holding, wxs[0] == ZERO, wxs[-1] == ONE)
+    ends = _lap_ends(wys)
+    holding = _laps_holding([wxs[p] for p in ends[:-1]], y)
+    return _verdict(wxs, wys, ends, holding, wxs[0] == ZERO, wxs[-1] == ONE)
 
 
 def _verdict(
     xs: Sequence[Fraction],
     ys: Sequence[Fraction],
-    lap_list: Sequence[Lap],
+    ends: Sequence[int],
     holding: list[int],
     first_is_boundary: bool,
     last_is_boundary: bool,
 ) -> ZigzagVerdict:
     """The verdict at a point from the breakpoints of the map around it,
-    the laps they span and the indices of the laps holding the point.  The
-    flags say whether the first and last of those laps are the map's own
-    boundary laps, which never have a witness."""
-    last = len(lap_list) - 1
+    the lap table of those breakpoints (the indices of the lap ends, as
+    :func:`plmap._lap_ends` gives them) and the numbers of the laps holding
+    the point.  The flags say whether the first and last of those laps are
+    the map's own boundary laps, which never have a witness."""
+    last = len(ends) - 2
     boundary = lambda k: (k == 0 and first_is_boundary) or (k == last and last_is_boundary)
-    applicable = tuple((lap_list[k].left, lap_list[k].right) for k in holding if not boundary(k))
+    lap = lambda k: (xs[ends[k]], xs[ends[k + 1]])
+    applicable = tuple(lap(k) for k in holding if not boundary(k))
     edge = next((k for k in holding if boundary(k)), None)
     if edge is not None:
         return ZigzagVerdict(
             in_zigzag=False,
             applicable_laps=applicable,
             witnesses=(None,) * len(applicable),
-            failing_lap=(lap_list[edge].left, lap_list[edge].right),
+            failing_lap=lap(edge),
         )
     index = _WitnessIndex(xs, ys)
     witnesses: list[Optional[Interval]] = []
     failing: Optional[Interval] = None
     for k in holding:
-        w = index.witness(lap_list[k])
+        w = index.witness(ends[k], ends[k + 1])
         witnesses.append(w)
         if w is None and failing is None:
-            failing = (lap_list[k].left, lap_list[k].right)
+            failing = lap(k)
     return ZigzagVerdict(
         in_zigzag=failing is None and bool(witnesses),
         applicable_laps=applicable,
@@ -346,11 +345,10 @@ def remark_no_zigzag(f: PLMap, k: int) -> bool:
     ``k`` indexes an interior lap of f (1 <= k <= lap count - 2).  A true
     return guarantees ``is_in_zigzag`` is false everywhere on that lap.
     """
-    lap_list = laps(f)
-    if not (1 <= k <= len(lap_list) - 2):
+    ends = f._ends
+    if not (1 <= k <= len(ends) - 3):
         raise ValueError(f"lap index {k} does not name an interior lap")
-    lap = lap_list[k]
-    return f(lap.left) in (ZERO, ONE) or f(lap.right) in (ZERO, ONE)
+    return f.ys[ends[k]] in (ZERO, ONE) or f.ys[ends[k + 1]] in (ZERO, ONE)
 
 
 def _level_clear(crossings: list[Fraction], a: Fraction, b: Fraction) -> bool:
@@ -373,15 +371,15 @@ def lemma_witness(f: PLMap, y) -> Optional[tuple[Fraction, Fraction, int]]:
     y = _as_rational(y)
     if not (ZERO <= y <= ONE):
         raise ValueError(f"query point {y} outside [0, 1]")
-    anchors = [x for x, v in f.points if v == ZERO or v == ONE]
+    # (x, f(x)) at every solution of f(x) = 0 or f(x) = 1
+    anchors = sorted((x, v) for v in (ZERO, ONE) for x in f._extremes[v])
     # f is one-to-one on [y, rlim] and on [llim, y]: the laps holding y end there
     holding = _laps_at(f, y)
     rlim, llim = f._laps[holding[-1]].right, f._laps[holding[0]].left
     crossings = cache(lambda value: level_crossings(f, value))
 
     b_cands = sorted({x for x in f.xs if y < x < rlim} | {y, rlim}, reverse=True)
-    for a in sorted((x for x in anchors if x <= y), reverse=True):
-        fa = f(a)
+    for a, fa in reversed([(x, v) for x, v in anchors if x <= y]):
         for b in b_cands:
             if a >= b:
                 continue
@@ -389,8 +387,7 @@ def lemma_witness(f: PLMap, y) -> Optional[tuple[Fraction, Fraction, int]]:
                 return (a, b, 1)
 
     a_cands = sorted({x for x in f.xs if llim < x < y} | {y, llim})
-    for b in sorted(x for x in anchors if x >= y):
-        fb = f(b)
+    for b, fb in ((x, v) for x, v in anchors if x >= y):
         for a in a_cands:
             if a >= b:
                 continue

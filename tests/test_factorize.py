@@ -8,6 +8,7 @@ import pytest
 
 from plzig.plmap import (
     DEFAULT_BREAKPOINT_BUDGET,
+    PLMap,
     compose,
     dumps_map,
     is_onto,
@@ -17,7 +18,7 @@ from plzig.plmap import (
     make_plmap,
 )
 from plzig.zigzag import composite_verdict, is_in_zigzag
-from plzig.dynamics import BackwardOrbit, OrbitValidationError
+from plzig.dynamics import BackwardOrbit, OrbitValidationError, branch
 from plzig.factorize import (
     CASE1,
     CASE2,
@@ -1080,6 +1081,15 @@ class TestVerifierNeverRaises:
                 head, key, result,
             )
 
+    def test_value_json_cannot_encode_is_a_rejection(self, passing_certificates):
+        # the inputs certify again; encoding the stored dict meets the set
+        data = copy.deepcopy(passing_certificates["minc"])
+        data["extra"] = {1, 2}
+        assert verify_certificate(data) == (
+            False,
+            "malformed certificate: TypeError: Object of type set is not JSON serializable",
+        )
+
     def test_unprintable_orbit_value_is_a_rejection(self, passing_certificates):
         # under a slope of 5/4 the orbit value 1/(10^4300 - 1) maps to a
         # number with a 4,301-digit denominator, which Python 3.11 refuses to
@@ -1089,3 +1099,39 @@ class TestVerifierNeverRaises:
         data["orbit"]["period"] = ["1/" + "9" * 4300]
         ok, msg = verify_certificate(data)
         assert ok is False and msg.startswith("orbit: orbit entry 1 maps to a rational of "), msg
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: branch(minc_map(), F(3, 2)), ValueError, "point 3/2 outside [0, 1]"),
+        (lambda: BackwardOrbit.constant(1).value_at(-1), IndexError, "orbit indices start at 0"),
+        (lambda: split_case1(iterate(minc_map(), 2), 0), ValueError, "beta must lie in (0, 1], got 0"),
+        (lambda: split_case2(iterate(minc_map(), 2), 1), ValueError, "beta must lie in [0, 1), got 1"),
+        (
+            lambda: split_case2(make_plmap([(0, 0), (F(1, 2), 1), (1, F(1, 2))]), F(1, 2)),
+            ValueError,
+            "case 2 split needs a point above 1/2 mapping to 0",
+        ),
+        (lambda: find_beta(minc_map(), (0, 1), "case3"), ValueError, "unknown case 'case3'"),
+        (
+            lambda: composite_verdict(minc_map(), minc_map(), F(3, 2)),
+            ValueError,
+            "query point 3/2 outside [0, 1]",
+        ),
+        (
+            lambda: PLMap(((F(0), F(0)),)),
+            ValueError,
+            "a piecewise-linear map needs at least two breakpoints",
+        ),
+        (lambda: make_plmap([(0, 0), (1, 0.5)]), TypeError, "expected a rational value, got float"),
+    ],
+    ids=[
+        "branch", "value_at", "split_case1", "split_case2-beta", "split_case2-no-zero",
+        "find_beta", "composite_verdict", "PLMap", "make_plmap",
+    ],
+)
+def test_library_error_messages(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -249,17 +249,17 @@ class TestCriticalSetAndLaps:
 
     def test_minc_laps(self, minc):
         lp = laps(minc)
-        assert [(l.left, l.right, l.direction) for l in lp] == [
-            (F(0), F(1, 3), "increasing"),
-            (F(1, 3), F(4, 9), "decreasing"),
-            (F(4, 9), F(5, 9), "increasing"),
-            (F(5, 9), F(2, 3), "decreasing"),
-            (F(2, 3), F(1), "increasing"),
+        assert lp == [
+            (F(0), F(1, 3)),
+            (F(1, 3), F(4, 9)),
+            (F(4, 9), F(5, 9)),
+            (F(5, 9), F(2, 3)),
+            (F(2, 3), F(1)),
         ]
 
     def test_identity_single_lap(self, identity):
         lp = laps(identity)
-        assert len(lp) == 1 and lp[0].direction == "increasing"
+        assert lp == [(F(0), F(1))]
 
     def test_laps_alternate_and_cover(self):
         rng = random.Random(13)
@@ -267,9 +267,17 @@ class TestCriticalSetAndLaps:
             f = random_map(rng)
             lp = laps(f)
             assert lp[0].left == 0 and lp[-1].right == 1
-            for a, b in zip(lp, lp[1:]):
+            # the breakpoint values inside each lap strictly rise or strictly
+            # fall (no segment is flat), so a missed turning point fails here
+            rising = []
+            for lap in lp:
+                vals = [y for x, y in f.points if lap.left <= x <= lap.right]
+                steps = {v > u for u, v in zip(vals, vals[1:])}
+                assert len(steps) == 1, (f, lap)
+                rising.append(steps.pop())
+            for a, b, ra, rb in zip(lp, lp[1:], rising, rising[1:]):
                 assert a.right == b.left
-                assert a.direction != b.direction
+                assert ra != rb
 
 
 class TestLevelCrossings:

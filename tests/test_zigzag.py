@@ -97,7 +97,8 @@ class TestIsInZigzag:
         for _ in range(200):
             f = random_map(rng)
             for lap in laps(f)[1:-1]:
-                got = _WitnessIndex(f.xs, f.ys).witness(lap)
+                p, q = f.xs.index(lap.left), f.xs.index(lap.right)
+                got = _WitnessIndex(f.xs, f.ys).witness(p, q)
                 ref = naive_lap_witness(f, lap.left, lap.right)
                 assert (got is None) == (ref is None)
                 if got is not None:
@@ -124,7 +125,8 @@ class TestWitnessIdentity:
             for lap, w in zip(lap_list[1:-1], table[1:-1]):
                 ref = two_pointer_lap_witness(f, lap)
                 assert w == ref, (f.points, lap)
-                assert _WitnessIndex(f.xs, f.ys).witness(lap) == ref, (f.points, lap)
+                p, q = f.xs.index(lap.left), f.xs.index(lap.right)
+                assert _WitnessIndex(f.xs, f.ys).witness(p, q) == ref, (f.points, lap)
 
     def test_minc4_table_revalidates(self, minc):
         f = iterate(minc, 4)
