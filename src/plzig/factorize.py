@@ -214,8 +214,9 @@ class Certificate:
     result: str  # "pass" | "fail"
     failing_stage: Optional[int]
     repeat_index: Optional[int]
-    # why the failing stage failed; kept in memory, never serialized
-    failure_reason: Optional[str] = None
+    # why the failing stage failed; never serialized, and re-derived when a
+    # certificate is decoded
+    failure_reason: Optional[str]
 
     @property
     def passed(self) -> bool:
@@ -364,10 +365,6 @@ VERSION = 3
 _STAGE_KEYS = ("n_i", "case", "beta", "s", "t", "coordinate", "zigzag_verdict")
 
 
-def _dec_orbit(data: dict) -> BackwardOrbit:
-    return BackwardOrbit(*(tuple(map(parse_rational, data[k])) for k in ("prefix", "period")))
-
-
 def _canonical(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
@@ -414,37 +411,22 @@ def certificate_to_dict(cert: Certificate) -> dict:
     }
 
 
-def certificate_from_dict(data: dict) -> Certificate:
-    """Decode a certificate, parsing each entry of its maps table once.
-    Nothing is checked here; :func:`verify_certificate` does that."""
-    maps = [loads_map(text) for text in data["maps"]]
-    stab = data["stabilization"]
-    if stab is not None:
-        seq = stab["n-sequence"]
-        [n0] = seq["head"]
-        stab = StabilizationData(
-            *(parse_rational(stab[k]) for k in ("a", "b", "epsilon")), stab["side"], n0, seq["step"]
-        )
-    stages = []
-    for idx, st in enumerate(data["stages"], start=1):
-        pair = FactorPair(maps[st["s"]], maps[st["t"]], st["case"], parse_rational(st["beta"]))
-        verdict = st["zigzag_verdict"]
-        stages.append(StageRecord(
-            idx, st["n_i"], pair, parse_rational(st["coordinate"]),
-            None if verdict is None else ZigzagVerdict.from_dict(verdict),
-        ))
-    return Certificate(
-        maps[data["map"]], _dec_orbit(data["orbit"]), stab, tuple(stages),
-        data["result"], data["failing_stage"], data["repeat_index"],
-    )
-
-
 def certificate_to_json(cert: Certificate) -> str:
     return _canonical(certificate_to_dict(cert)) + "\n"
 
 
 def certificate_from_json(text: str) -> Certificate:
     return certificate_from_dict(json.loads(text))
+
+
+def certificate_from_dict(data: dict) -> Certificate:
+    """Decode a certificate by re-deriving it: the certificate the pipeline
+    builds on the stored inputs, if ``data`` is its encoding.  Else raises
+    ValueError with :func:`verify_certificate`'s reason."""
+    cert, reason = _rederive(data)
+    if cert is None:
+        raise ValueError(reason)
+    return cert
 
 
 def verify_certificate(data: dict) -> tuple[bool, str]:
@@ -457,48 +439,58 @@ def verify_certificate(data: dict) -> tuple[bool, str]:
     every hypothesis again.  A certificate passes only when its canonical
     encoding is the re-derived one, so exactly the pipelines' outputs pass;
     else the reason names the first field that differs.  Returns (ok,
-    message) and never raises.
+    message) and never raises; :func:`certificate_from_dict` decodes by the
+    same re-derivation.
     """
+    cert, reason = _rederive(data)
+    return cert is not None, reason
+
+
+def _rederive(data: dict) -> tuple[Optional[Certificate], str]:
+    """The re-derived certificate and "ok" when ``data`` is its encoding,
+    else None and the reason (see :func:`verify_certificate`)."""
     try:
         if data.get("version") != VERSION:
-            return False, f"version: stored {data.get('version')!r}, this verifier reads {VERSION}"
+            return None, f"version: stored {data.get('version')!r}, this verifier reads {VERSION}"
         f = loads_map(data["maps"][data["map"]])
-        orbit = _dec_orbit(data["orbit"])
+        orbit = BackwardOrbit(
+            *(tuple(map(parse_rational, data["orbit"][k])) for k in ("prefix", "period"))
+        )
         general = data["stabilization"] is not None
         if type(data["stages"]) is not list:
             raise TypeError(f"stages must be a list, got {type(data['stages']).__name__}")
         count = len(data["stages"])
     except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
-        return False, f"malformed certificate: {type(exc).__name__}: {exc}"
+        return None, f"malformed certificate: {type(exc).__name__}: {exc}"
     if not general and f != minc_map():
-        return False, "map: a certificate without stabilization data must be on the Minc map"
+        return None, "map: a certificate without stabilization data must be on the Minc map"
     # re-deriving runs one stage per stored entry, so a malformed one is named first
     for i, st in enumerate(data["stages"], start=1):
         if not isinstance(st, dict):
-            return False, f"stage {i}: stored {type(st).__name__}, not an object"
+            return None, f"stage {i}: stored {type(st).__name__}, not an object"
         missing = [k for k in _STAGE_KEYS if k not in st]
         if missing:
-            return False, f"stage {i} {missing[0]}: missing"
+            return None, f"stage {i} {missing[0]}: missing"
         extra = [k for k in st if k not in _STAGE_KEYS]
         if extra:
-            return False, f"stage {i}: unknown key {extra[0]!r}"
+            return None, f"stage {i}: unknown key {extra[0]!r}"
     try:
         derived = certify_general(f, orbit, count) if general else certify_minc(orbit, count)
     except OrbitValidationError as exc:
-        return False, f"orbit: {exc}"
+        return None, f"orbit: {exc}"
     except CertifyError as exc:
-        return False, f"map: {exc}"
+        return None, f"map: {exc}"
     except BudgetExceededError as exc:
-        return False, f"re-deriving the certificate exceeds the budget: {exc}"
+        return None, f"re-deriving the certificate exceeds the budget: {exc}"
     except ValueError as exc:  # too few stages, or a number too long to print
-        return False, f"re-deriving the certificate: {exc}"
+        return None, f"re-deriving the certificate: {exc}"
 
     want = certificate_to_dict(derived)
     try:
         if _canonical(data) == _canonical(want):
-            return True, "ok"
+            return derived, "ok"
     except (TypeError, ValueError, RecursionError) as exc:
-        return False, f"malformed certificate: {type(exc).__name__}: {exc}"
+        return None, f"malformed certificate: {type(exc).__name__}: {exc}"
     stored, want = _resolved(data), _resolved(want)
     found = _first_difference("stabilization", stored["stabilization"], want["stabilization"])
     for i, (st, rd) in enumerate(zip(stored["stages"], want["stages"]), start=1):
@@ -508,7 +500,7 @@ def verify_certificate(data: dict) -> tuple[bool, str]:
         stage, why = derived.failing_stage, derived.failure_reason
         got = "pass" if derived.passed else f"fail at stage {stage}: {why}"
         found = f"result: stored {verdict[0]!r} with failing_stage {verdict[1]}, re-derived {got}"
-    return False, found or _first_difference("", stored, want) or "the encoding differs"
+    return None, found or _first_difference("", stored, want) or "the encoding differs"
 
 
 def _resolved(data: dict) -> dict:

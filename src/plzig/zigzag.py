@@ -30,7 +30,6 @@ from .plmap import (
     compose,
     laps,
     level_crossings,
-    parse_rational,
 )
 
 __all__ = [
@@ -72,16 +71,6 @@ class ZigzagVerdict:
             "witnesses": [enc(w) if w is not None else None for w in self.witnesses],
             "failing_lap": enc(self.failing_lap) if self.failing_lap is not None else None,
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "ZigzagVerdict":
-        dec = lambda pair: (parse_rational(pair[0]), parse_rational(pair[1]))
-        return ZigzagVerdict(
-            in_zigzag=bool(data["in_zigzag"]),
-            applicable_laps=tuple(dec(l) for l in data["applicable_laps"]),
-            witnesses=tuple(dec(w) if w is not None else None for w in data["witnesses"]),
-            failing_lap=dec(data["failing_lap"]) if data["failing_lap"] is not None else None,
-        )
 
 
 def _exact_keys(ys: Sequence[Fraction]) -> list[int]:

@@ -1,6 +1,7 @@
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -291,11 +292,21 @@ def check_rebonded_verdict(s: PLMap, t: PLMap, g: PLMap, c: Fraction, verdict, p
 _checked_stages: set = set()
 
 
+def rotation_period(block) -> int:
+    """The least d > 0 such that rotating ``block`` by d gives it back."""
+    return next(d for d in range(1, len(block) + 1) if block[d:] + block[:d] == block)
+
+
 def check_certificate_stages(cert) -> None:
     """:func:`check_rebonded_verdict` on every rebonded stage of a
     certificate whose composite is :func:`naive_composable`, once per
     distinct claim.  Stages before the failing one must carry the previous
-    coordinate."""
+    coordinate.  The stage state recurs once the orbit has turned by a
+    multiple of its period p: stage 2's state is repeated at stage
+    2 + p / gcd(step, p)."""
+    p = rotation_period(cert.orbit.period_block)
+    step = cert.stages[1].n - cert.stages[0].n
+    assert cert.repeat_index == 2 + p // gcd(step, p), (cert.orbit, step, cert.repeat_index)
     end = cert.failing_stage or len(cert.stages) + 1
     for prev, st in zip(cert.stages, cert.stages[1:]):
         s, t = prev.pair.s, st.pair.t

@@ -33,6 +33,7 @@ class TestBranch:
         assert r.J == (F(4, 9), F(5, 9))
         assert r.B == (F(1, 3), F(2, 3))
         assert not r.at_critical
+        assert branch(minc, "1/2") == r
 
     def test_identity_whole_interval(self, identity):
         r = branch(identity, F(3, 7))
@@ -244,6 +245,9 @@ class TestUniformCovering:
     def test_positive_scale_required(self, minc):
         with pytest.raises(ValueError):
             leo_uniform_N(minc, 0)
+
+    def test_map_that_is_not_onto(self):
+        assert not uniformly_onto(make_plmap([(0, 0), (F(1, 2), F(1, 2)), (1, 0)]), F(1, 2))
 
 
 class TestBackwardOrbit:

@@ -11,13 +11,14 @@ from plzig.plmap import (
     PLMap,
     compose,
     dumps_map,
+    image_interval,
     is_onto,
     iterate,
     laps,
     level_crossings,
     make_plmap,
 )
-from plzig.zigzag import composite_verdict, is_in_zigzag
+from plzig.zigzag import composite_verdict, is_in_zigzag, lemma_witness
 from plzig.dynamics import BackwardOrbit, OrbitValidationError, branch
 from plzig.factorize import (
     CASE1,
@@ -25,6 +26,7 @@ from plzig.factorize import (
     CertifyError,
     MINC_BETA_HIGH,
     MINC_BETA_LOW,
+    certificate_from_dict,
     certificate_from_json,
     certificate_to_dict,
     certificate_to_json,
@@ -444,15 +446,23 @@ class TestCertifyGeneral:
                     cycles.add(tuple(forward[i:] + forward[:i]))
         assert len(cycles) == 31
         too_big = set()
+        minc_repeats = []
         for forward in sorted(cycles):
             orbit = BackwardOrbit.of([], forward[:1] + forward[:0:-1])
             cert = certify_general(minc, orbit, stages=6)
             assert cert.passed, forward
             assert verify_certificate(certificate_to_dict(cert)) == (True, "ok"), forward
+            # the Minc pipeline's step 2 is prime to period 3, so its state
+            # recurs only after three stages
+            minc_cert = certify_minc(orbit, stages=6)
+            assert minc_cert.passed, forward
+            assert verify_certificate(certificate_to_dict(minc_cert)) == (True, "ok"), forward
+            minc_repeats.append((len(forward), minc_cert.repeat_index))
             rebonds = {(a.pair.s, b.pair.t) for a, b in zip(cert.stages, cert.stages[1:])}
             if max(candidate_count(s, t) for s, t in rebonds) > DEFAULT_BREAKPOINT_BUDGET:
                 too_big.add(frozenset(forward))
         assert len(too_big) == 7
+        assert minc_repeats.count((3, 5)) == 20
         assert {frozenset({F(8, 19), F(9, 19)}), frozenset({F(4, 11), F(5, 11), F(9, 11)})} <= too_big
 
     def test_identity_rejected(self, identity):
@@ -463,6 +473,19 @@ class TestCertifyGeneral:
         f = make_plmap([(0, F(1, 4)), (F(1, 2), F(3, 4)), (1, F(1, 4))])
         with pytest.raises(CertifyError):
             certify_general(f, BackwardOrbit.constant(F(1, 2)), stages=3)
+
+    def test_map_without_finite_critical_orbits_rejected(self, passing_certificates):
+        # the orbit of the turning point 1/2 under this onto map is not
+        # seen to close within the budget
+        f = make_plmap([(0, 0), (F(1, 2), 1), (1, F(1, 3))])
+        refusal = "map is not verifiably post-critically finite at this budget"
+        with pytest.raises(CertifyError) as info:
+            certify_general(f, BackwardOrbit.constant(0), stages=3)
+        assert str(info.value) == refusal
+        data = copy.deepcopy(passing_certificates["general"])
+        data["maps"][data["map"]] = dumps_map(f)
+        data["orbit"] = {"prefix": [], "period": ["0"]}
+        assert verify_certificate(data) == (False, f"map: {refusal}")
 
     def test_block_comes_from_the_stabilization(self, monkeypatch, minc, tent):
         # f^step is composed once, by the stabilization; neither the pipeline
@@ -582,6 +605,9 @@ class TestCertificateSerialization:
         for data in passing_certificates.values():
             decoded.clear()
             assert verify_certificate(data) == (True, "ok")
+            assert decoded == [data["maps"][data["map"]]]
+            decoded.clear()
+            certificate_from_dict(data)
             assert decoded == [data["maps"][data["map"]]]
 
     def test_verify_minc(self, minc):
@@ -967,6 +993,9 @@ class TestTamperSuite:
         elapsed = time.perf_counter() - start
         assert not ok and reason in msg, msg
         assert elapsed < 0.1, f"rejection took {elapsed:.3f} s"
+        with pytest.raises(ValueError) as info:
+            certificate_from_dict(data)
+        assert str(info.value) == msg
 
     @pytest.mark.parametrize("kind", ["minc", "general"])
     def test_long_empty_stage_list_is_rejected_quickly(self, passing_certificates, kind):
@@ -1032,6 +1061,7 @@ class TestTamperSuite:
         data = certificate_to_dict(cert)
         assert "failure_reason" not in json.dumps(data)
         assert verify_certificate(data) == (True, "ok")
+        assert certificate_from_dict(data).failure_reason == "s moves x_2 = 1 to 11/18"
         data.update(result="pass", failing_stage=None)
         ok, msg = verify_certificate(data)
         assert not ok
@@ -1125,10 +1155,18 @@ class TestVerifierNeverRaises:
             "a piecewise-linear map needs at least two breakpoints",
         ),
         (lambda: make_plmap([(0, 0), (1, 0.5)]), TypeError, "expected a rational value, got float"),
+        (
+            lambda: image_interval(minc_map(), F(1, 2), F(1, 3)),
+            ValueError,
+            "[1/2, 1/3] is not a subinterval of [0, 1]",
+        ),
+        (lambda: lemma_witness(minc_map(), F(3, 2)), ValueError, "query point 3/2 outside [0, 1]"),
+        (lambda: branch(minc_map(), "0.5"), ValueError, "malformed rational literal '0.5'"),
     ],
     ids=[
         "branch", "value_at", "split_case1", "split_case2-beta", "split_case2-no-zero",
-        "find_beta", "composite_verdict", "PLMap", "make_plmap",
+        "find_beta", "composite_verdict", "PLMap", "make_plmap", "image_interval",
+        "lemma_witness", "branch-string",
     ],
 )
 def test_library_error_messages(call, error, message):

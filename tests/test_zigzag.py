@@ -92,6 +92,12 @@ class TestIsInZigzag:
                     if w is not None:
                         assert witness_is_valid(f, ck, ck1, *w)
 
+    def test_witness_must_bracket_the_lap(self, minc):
+        # a pair that does not hold the lap strictly inside is no witness
+        assert not witness_is_valid(minc, F(4, 9), F(5, 9), F(1, 2), F(2, 3))
+        assert not witness_is_valid(minc, F(4, 9), F(5, 9), F(1, 3), F(5, 9))
+        assert witness_is_valid(minc, F(4, 9), F(5, 9), F(1, 3), F(2, 3))
+
     def test_search_matches_naive_reference(self):
         rng = random.Random(22)
         for _ in range(200):
