@@ -14,6 +14,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from itertools import chain, islice
+from operator import attrgetter, itemgetter, lt, mul, ne
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -47,6 +50,10 @@ ONE = Fraction(1)
 # gains a factor of ~5 per composition), so operations that build new maps
 # refuse to cross this bound instead of silently grinding away.
 DEFAULT_BREAKPOINT_BUDGET = 10**6
+
+
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 class BudgetExceededError(RuntimeError):
@@ -85,13 +92,14 @@ class Lap(NamedTuple):
 
 @dataclass(frozen=True)
 class PLMap:
-    """A normalized piecewise-linear map of [0, 1] to itself.
+    """A piecewise-linear map of [0, 1] to itself.
 
-    ``points`` is the breakpoint list: x strictly increasing from 0 to 1,
-    all y in [0, 1], no zero-slope segment, and no three consecutive
-    collinear points (every interior breakpoint is a genuine slope change).
-    Use :func:`make_plmap` to construct one; it normalizes its input.
-    Instances are immutable and safe to share between threads.
+    ``points`` is the breakpoint list: int or ``Fraction`` coordinates, x
+    strictly increasing from 0 to 1, all y in [0, 1] and no zero-slope
+    segment.  Three consecutive points may be collinear; :func:`make_plmap`
+    merges such points, and :func:`compose` never emits them, so the maps
+    both build are normalized (every interior breakpoint is a genuine slope
+    change).  Instances are immutable and safe to share between threads.
     """
 
     points: tuple[tuple[Fraction, Fraction], ...]
@@ -100,18 +108,49 @@ class PLMap:
         pts = self.points
         if len(pts) < 2:
             raise ValueError("a piecewise-linear map needs at least two breakpoints")
-        if pts[0][0] != ZERO:
+        den, xk, yk = self._keys
+        if xk[0] != 0:
             raise ValueError(f"first breakpoint must have x=0, got x={pts[0][0]}")
-        if pts[-1][0] != ONE:
+        if xk[-1] != den:
             raise ValueError(f"last breakpoint must have x=1, got x={pts[-1][0]}")
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x1 <= x0:
-                raise ValueError(f"breakpoint x-coordinates must increase: {x0} then {x1}")
-            if y1 == y0:
-                raise ValueError(f"constant segment at level {y0}: maps must be piecewise strictly monotone")
-        for x, y in pts:
-            if not (ZERO <= y <= ONE):
-                raise ValueError(f"value {y} at x={x} lies outside [0, 1]")
+        if not (all(map(lt, xk, islice(xk, 1, None))) and all(map(ne, yk, islice(yk, 1, None)))):
+            for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+                if x1 <= x0:
+                    raise ValueError(f"breakpoint x-coordinates must increase: {x0} then {x1}")
+                if y1 == y0:
+                    raise ValueError(f"constant segment at level {y0}: maps must be piecewise strictly monotone")
+        if min(yk) < 0 or max(yk) > den:
+            x, y = next(p for p in pts if not (ZERO <= p[1] <= ONE))
+            raise ValueError(f"value {y} at x={x} lies outside [0, 1]")
+
+    @cached_property
+    def _keys(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """``(den, xs, ys)``: the least common denominator of all
+        coordinates and the coordinates times it, as ints.  Keys of one map
+        compare and interpolate exactly as its coordinates do."""
+        pts = self.points
+        for kind in dict.fromkeys(map(type, chain.from_iterable(pts))):
+            if not issubclass(kind, (int, Fraction)):
+                raise TypeError(f"expected a rational value, got {kind.__name__}")
+        dens = set(map(_denominator, chain.from_iterable(pts)))
+        den = lcm(*dens)
+        scale = {d: den // d for d in dens}.__getitem__
+
+        def keys(coord: itemgetter) -> tuple[int, ...]:
+            numerators = map(_numerator, map(coord, pts))
+            return tuple(map(mul, numerators, map(scale, map(_denominator, map(coord, pts)))))
+
+        return den, keys(itemgetter(0)), keys(itemgetter(1))
+
+    @cached_property
+    def _straight(self) -> frozenset[int]:
+        """Indices of the interior breakpoints where the slope does not
+        change; empty on a normalized map."""
+        _, xk, yk = self._keys
+        return frozenset(
+            i for i in range(1, len(xk) - 1)
+            if (yk[i] - yk[i - 1]) * (xk[i + 1] - xk[i]) == (yk[i + 1] - yk[i]) * (xk[i] - xk[i - 1])
+        )
 
     @cached_property
     def xs(self) -> tuple[Fraction, ...]:
@@ -218,13 +257,19 @@ def compose(outer: PLMap, inner: PLMap, budget: int | None = None) -> PLMap:
     consecutive points the composition is a single linear piece, so this
     candidate set is exhaustive.  One walk over inner's segments finds the
     outer breakpoints strictly inside each segment's y-range by bisection on
-    ``outer.xs`` and emits their preimages in x order, merging collinear
-    points as they are emitted: O(|inner|·log|outer| + |output|) rational
-    operations.  The result is normalized.
+    outer's x keys and emits their preimages in x order.  The walk runs on
+    both maps' integer keys (see :attr:`PLMap._keys`), rescaled to the lcm
+    of the two common denominators: O(|inner|·log|outer| + |output|)
+    integer operations on numbers as long as that lcm, plus one
+    ``Fraction`` per new coordinate.  A map whose breakpoints have many
+    unrelated denominators has a huge common denominator, and then every
+    one of these operations is slow.  The result is normalized: a candidate
+    is kept exactly when the composite's slope changes there.
 
     The budget bounds the distinct candidate breakpoints before merging:
-    inner's breakpoints plus the strictly interior preimages.  Exceeding it
-    raises :class:`BudgetExceededError`.
+    inner's breakpoints plus the strictly interior preimages.  It is
+    counted from the bisection indices before any point is built, so
+    exceeding it raises :class:`BudgetExceededError` at once.
     """
     return PLMap(tuple(_compose_segments(outer, inner, 0, len(inner.xs) - 1, budget)))
 
@@ -237,31 +282,62 @@ def _compose_segments(
     hi - 1.  :func:`compose` is the whole range; the budget counts the
     candidates of the range in the same way."""
     limit = DEFAULT_BREAKPOINT_BUDGET if budget is None else budget
-    return _merge_collinear(_compose_candidates(outer, inner, limit, lo, hi))
+    oden, oxk, oyk = outer._keys
+    iden, ixk, iyk = inner._keys
+    den = lcm(oden, iden)
+    oxk, oyk = _rescaled(oxk, den // oden), _rescaled(oyk, den // oden)
+    ixk, iyk = _rescaled(ixk[lo:hi + 1], den // iden), _rescaled(iyk[lo:hi + 1], den // iden)
+    # the outer breakpoints equal to iyk[k] are oxk[left[k]:right[k]]
+    left = [bisect_left(oxk, y) for y in iyk]
+    right = [j + (oxk[j] == y) for j, y in zip(left, iyk)]
+    # a rising segment k meets the outer breakpoints right[k] to left[k+1] - 1
+    # strictly inside its range, a falling one left[k] - 1 down to right[k+1]
+    last = len(iyk) - 1
+    count = last + 1 + sum(
+        left[k + 1] - right[k] if iyk[k] < iyk[k + 1] else left[k] - right[k + 1] for k in range(last)
+    )
+    if count > limit:
+        raise BudgetExceededError(f"composition needs more than {limit} breakpoints")
+
+    oys, straight = outer.ys, outer._straight
+    ixs = inner.xs[lo:hi + 1]
+
+    def value(k: int) -> Fraction:
+        """outer at inner's k-th breakpoint of the range."""
+        j = left[k]
+        if right[k] > j:
+            return oys[j]
+        dx = oxk[j] - oxk[j - 1]
+        return Fraction(oyk[j - 1] * dx + (iyk[k] - oxk[j - 1]) * (oyk[j] - oyk[j - 1]), den * dx)
+
+    def slope(rise: int, run: int, s: int) -> tuple[int, int]:
+        """The composite's slope as (rise, run) where inner rises ``rise``
+        over ``run`` and outer runs on its segment s."""
+        return rise * (oyk[s + 1] - oyk[s]), run * (oxk[s + 1] - oxk[s])
+
+    out = [(ixs[0], value(0))]
+    for k in range(last):
+        x0, y0 = ixk[k], iyk[k]
+        run, rise = ixk[k + 1] - x0, iyk[k + 1] - y0
+        # the outer breakpoints met inside the segment, and the outer
+        # segments the composite runs on at the segment's start and end
+        if rise > 0:
+            js, start, end = range(right[k], left[k + 1]), right[k] - 1, left[k + 1] - 1
+        else:
+            js, start, end = range(left[k] - 1, right[k + 1] - 1, -1), left[k] - 1, right[k + 1] - 1
+        # inner's breakpoint k is kept when the composite's slope changes there
+        a, b = slope(rise, run, start)
+        if k and a * before[1] != before[0] * b:
+            out.append((ixs[k], value(k)))
+        out.extend((Fraction(x0 * rise + (oxk[j] - y0) * run, den * rise), oys[j])
+                   for j in js if j not in straight)
+        before = slope(rise, run, end)
+    out.append((ixs[-1], value(last)))
+    return out
 
 
-def _compose_candidates(outer: PLMap, inner: PLMap, limit: int, lo: int, hi: int):
-    """Yield every candidate point of ``outer ∘ inner`` over inner's
-    segments lo to hi - 1, in increasing x."""
-    oxs, oys = outer.xs, outer.ys
-    ixs, iys = inner.xs, inner.ys
-    # outer.xs[left[k]:right[k]] holds the outer breakpoint equal to iys[lo + k], if any
-    left = [bisect_left(oxs, y) for y in iys[lo:hi + 1]]
-    right = [bisect_right(oxs, y) for y in iys[lo:hi + 1]]
-    count = hi - lo + 1  # distinct candidates so far, for the budget
-    for k, i in enumerate(range(lo, hi)):
-        x0, y0, y1 = ixs[i], iys[i], iys[i + 1]
-        # outer breakpoints strictly between y0 and y1, in the order inner meets them
-        js = range(right[k], left[k + 1]) if y0 < y1 else range(left[k] - 1, right[k + 1] - 1, -1)
-        count += len(js)
-        if count > limit:
-            raise BudgetExceededError(f"composition needs more than {limit} breakpoints")
-        yield x0, outer(y0)
-        if js:
-            run = (ixs[i + 1] - x0) / (y1 - y0)
-            for j in js:
-                yield x0 + (oxs[j] - y0) * run, oys[j]
-    yield ixs[hi], outer(iys[hi])
+def _rescaled(keys: Sequence[int], factor: int) -> Sequence[int]:
+    return keys if factor == 1 else [v * factor for v in keys]
 
 
 def _merge_collinear(points: Iterable[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:

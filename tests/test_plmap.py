@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -23,7 +24,7 @@ import plzig.dynamics as dynamics
 import plzig.plmap as plmap
 import plzig.zigzag as zigzag
 
-from conftest import compose_candidates, naive_compose, random_map, scan_laps_at
+from conftest import compose_candidates, naive_compose, random_map, random_markov_map, scan_laps_at
 
 
 def _random_pair(rng):
@@ -106,6 +107,33 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_plmap([(0, F(1, 2)), (F(1, 2), F(1, 2)), (1, 1)])
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            (((0, 0),), "a piecewise-linear map needs at least two breakpoints"),
+            (((F(1, 8), 0), (1, 1)), "first breakpoint must have x=0, got x=1/8"),
+            (((0, 0), (F(1, 2), 1)), "last breakpoint must have x=1, got x=1/2"),
+            (((0, 0), (F(1, 2), 1), (F(1, 2), 0), (1, 1)), "breakpoint x-coordinates must increase: 1/2 then 1/2"),
+            (
+                ((0, 1), (F(1, 3), F(1, 2)), (F(2, 3), F(1, 2)), (1, 0)),
+                "constant segment at level 1/2: maps must be piecewise strictly monotone",
+            ),
+            (((0, 0), (F(1, 2), F(3, 2)), (1, 0)), "value 3/2 at x=1/2 lies outside [0, 1]"),
+            (((0, 0), (F(1, 2), F(-1, 4)), (1, 0)), "value -1/4 at x=1/2 lies outside [0, 1]"),
+        ],
+        ids=["two-points", "first-x", "last-x", "increasing-x", "flat", "above-1", "below-0"],
+    )
+    def test_validation_messages(self, points, message):
+        with pytest.raises(ValueError) as exc:
+            PLMap(points)
+        assert str(exc.value) == message
+
+    def test_rejects_float_coordinates(self):
+        # a float breakpoint would make evaluation return floats
+        for points in [((0, 0), (0.5, 1.0), (1, 0)), ((0, 0), (F(1, 2), 1), (1.0, 0))]:
+            with pytest.raises(TypeError, match="^expected a rational value, got float$"):
+                PLMap(points)
+
 
 class TestEvaluate:
     def test_minc_values(self, minc):
@@ -170,6 +198,43 @@ class TestCompose:
         assert compose(minc, inner, budget=count) == naive_compose(minc, inner)
         with pytest.raises(BudgetExceededError, match=f"more than {count - 1} breakpoints"):
             compose(minc, inner, budget=count - 1)
+
+
+    def test_matches_oracle_across_denominators(self, minc):
+        # minc's powers have denominators 3^k; the other maps' are unrelated
+        rng = random.Random(15)
+        family = [random_markov_map(rng, rng.choice([3, 4, 5])) for _ in range(6)]
+        family += [random_map(rng, max_breakpoints=8, denominator=2**a * 5**b) for a, b in [(3, 1), (1, 2), (4, 0), (0, 3)]]
+        for k in (1, 2, 3):
+            power = iterate(minc, k)
+            for f in family:
+                assert compose(power, f) == naive_compose(power, f), (k, f)
+                assert compose(f, power) == naive_compose(f, power), (k, f)
+
+    def test_range_matches_restricted_oracle(self, minc):
+        """_compose_segments over inner's segments lo to hi - 1 is the
+        composite on [inner.xs[lo], inner.xs[hi]]: its two ends and the
+        breakpoints strictly between them."""
+        rng = random.Random(16)
+        pairs = [_random_pair(rng) for _ in range(150)] + [(minc, iterate(minc, 2)), (iterate(minc, 2), minc)]
+        for outer, inner in pairs:
+            whole = naive_compose(outer, inner)
+            for _ in range(4):
+                lo, hi = sorted(rng.sample(range(len(inner.xs)), 2))
+                a, b = inner.xs[lo], inner.xs[hi]
+                expected = [(a, whole(a)), *(p for p in whole.points if a < p[0] < b), (b, whole(b))]
+                assert plmap._compose_segments(outer, inner, lo, hi) == expected, (outer, inner, lo, hi)
+
+    def test_outputs_are_byte_identical(self, minc):
+        # digests of the maps the Fraction kernel built before integer keys
+        f19 = make_plmap([(0, 0), (F(1, 3), F(1, 3)), (F(2, 3), 1), (1, 0)])
+        for f, n, size, digest in [
+            (minc, 6, 5_462, "66daa9893c1b2fe78579fda81749f50cbfb85f9442946121e2bd2834cabe7738"),
+            (f19, 14, 24_577, "91812307d1c2344c86f7d2b084683abac75a5ed8a7aea6a5ef5499488835ef20"),
+        ]:
+            power = iterate(f, n)
+            assert len(power.points) == size
+            assert hashlib.sha256(dumps_map(power).encode()).hexdigest() == digest
 
 
 class TestIterate:
