@@ -202,9 +202,10 @@ def is_primitive(f: PLMap, partition: Sequence[Fraction]) -> bool:
     if any(c not in index for c in critical_set(f)):
         raise ValueError("partition must contain every critical point")
     n = len(pts) - 1
+    values = list(map(f, pts))
     lo, hi = [], []  # row u of A^k is the run of cells lo[u]..hi[u]
     for u in range(n):
-        a, b = sorted((f(pts[u]), f(pts[u + 1])))
+        a, b = sorted(values[u:u + 2])
         if a not in index or b not in index:
             raise ValueError("partition is not forward invariant")
         lo.append(index[a])

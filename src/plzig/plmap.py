@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from itertools import chain, islice
-from operator import attrgetter, itemgetter, lt, mul, ne
+from operator import attrgetter, lt, mul, ne
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -100,6 +100,13 @@ class PLMap:
     merges such points, and :func:`compose` never emits them, so the maps
     both build are normalized (every interior breakpoint is a genuine slope
     change).  Instances are immutable and safe to share between threads.
+
+    Validation, the collinearity test (:attr:`_straight`, which
+    :func:`make_plmap` drops), evaluation, composition, the lap table and
+    the witness search all read the integer keys (:attr:`_keys`), and each
+    has no second implementation on the ``Fraction`` coordinates.
+    :func:`level_crossings` at a level other than 0 or 1 solves on the
+    ``Fraction`` coordinates.
     """
 
     points: tuple[tuple[Fraction, Fraction], ...]
@@ -128,19 +135,12 @@ class PLMap:
         """``(den, xs, ys)``: the least common denominator of all
         coordinates and the coordinates times it, as ints.  Keys of one map
         compare and interpolate exactly as its coordinates do."""
-        pts = self.points
-        for kind in dict.fromkeys(map(type, chain.from_iterable(pts))):
+        coords = tuple(chain.from_iterable(self.points))
+        for kind in dict.fromkeys(map(type, coords)):
             if not issubclass(kind, (int, Fraction)):
                 raise TypeError(f"expected a rational value, got {kind.__name__}")
-        dens = set(map(_denominator, chain.from_iterable(pts)))
-        den = lcm(*dens)
-        scale = {d: den // d for d in dens}.__getitem__
-
-        def keys(coord: itemgetter) -> tuple[int, ...]:
-            numerators = map(_numerator, map(coord, pts))
-            return tuple(map(mul, numerators, map(scale, map(_denominator, map(coord, pts)))))
-
-        return den, keys(itemgetter(0)), keys(itemgetter(1))
+        den, keys = _int_keys(coords)
+        return den, keys[0::2], keys[1::2]
 
     @cached_property
     def _straight(self) -> frozenset[int]:
@@ -163,7 +163,7 @@ class PLMap:
     @cached_property
     def _ends(self) -> tuple[int, ...]:
         """The lap table: breakpoint indices of the lap ends."""
-        return _lap_ends(self.ys)
+        return _lap_ends(self._keys[2])
 
     @cached_property
     def _laps(self) -> tuple[Lap, ...]:
@@ -182,19 +182,19 @@ class PLMap:
         return tuple(self.xs[p] for p in self._ends[:-1])
 
     def __call__(self, x) -> Fraction:
-        """Exact evaluation by linear interpolation on the containing segment."""
+        """Exact evaluation by linear interpolation on the containing
+        segment, found by bisecting the x keys: x = n/d has key n·den/d,
+        and an int key is at most that exactly when it is at most its
+        floor."""
         x = _as_rational(x)
         if not (ZERO <= x <= ONE):
             raise ValueError(f"argument {x} outside [0, 1]")
-        xs = self.xs
-        i = bisect_right(xs, x) - 1
-        if i >= len(xs) - 1:
-            i = len(xs) - 2
-        x0, y0 = self.points[i]
-        x1, y1 = self.points[i + 1]
-        if x == x0:
-            return y0
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        den, xk, yk = self._keys
+        n, d = x.numerator * den, x.denominator
+        i = bisect_right(xk, n // d) - 1
+        if xk[i] * d == n:
+            return self.points[i][1]
+        return _interpolate(xk, yk, i, n, d, den)
 
     def __repr__(self) -> str:  # keeps pytest diffs readable
         pts = ", ".join(f"({x},{y})" for x, y in self.points)
@@ -204,21 +204,38 @@ class PLMap:
 def make_plmap(points: Iterable[tuple]) -> PLMap:
     """Build a normalized map from a breakpoint list.
 
-    Collinear interior input points are merged (with a debug log note);
-    everything else about the input must already satisfy the map invariants.
+    The input must satisfy the map invariants.  Its interior points where
+    the slope does not change are then dropped (with a debug log note): each
+    maximal run of them lies on one line with the two points around it.
     """
-    pts = [(_as_rational(x), _as_rational(y)) for x, y in points]
-    merged = _merge_collinear(pts)
-    if len(merged) < len(pts):
-        log.debug("merged %d collinear interior breakpoint(s)", len(pts) - len(merged))
-    return PLMap(tuple(merged))
+    f = PLMap(tuple((_as_rational(x), _as_rational(y)) for x, y in points))
+    if f._straight:
+        log.debug("merged %d collinear interior breakpoint(s)", len(f._straight))
+        f = PLMap(tuple(p for i, p in enumerate(f.points) if i not in f._straight))
+    return f
 
 
-def _lap_ends(ys: Sequence[Fraction]) -> tuple[int, ...]:
+def _int_keys(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """``(den, keys)``: the least common denominator of ``values`` and each
+    value times it, as ints.  The keys compare exactly as the values do."""
+    dens = set(map(_denominator, values))
+    den = lcm(*dens)
+    scale = {d: den // d for d in dens}.__getitem__
+    return den, tuple(map(mul, map(_numerator, values), map(scale, map(_denominator, values))))
+
+
+def _interpolate(xk: Sequence[int], yk: Sequence[int], i: int, n: int, d: int, den: int) -> Fraction:
+    """The value at the x key n/d on segment i of the keys ``xk``, ``yk``
+    of one map, whose common denominator is ``den``."""
+    dx = xk[i + 1] - xk[i]
+    return Fraction(yk[i] * dx * d + (n - xk[i] * d) * (yk[i + 1] - yk[i]), den * dx * d)
+
+
+def _lap_ends(ys: Sequence[int]) -> tuple[int, ...]:
     """Breakpoint indices of the lap ends of the piecewise-linear function
-    with breakpoint values ``ys`` and no flat segment: index 0, each turning
-    point (a value above or below both neighbours) and the last index.
-    Lap k runs from the k-th of these to the next."""
+    with breakpoint value keys ``ys`` and no flat segment: index 0, each
+    turning point (a value above or below both neighbours) and the last
+    index.  Lap k runs from the k-th of these to the next."""
     turns = [i for i in range(1, len(ys) - 1) if (ys[i - 1] < ys[i]) == (ys[i + 1] < ys[i])]
     return (0, *turns, len(ys) - 1)
 
@@ -307,8 +324,7 @@ def _compose_segments(
         j = left[k]
         if right[k] > j:
             return oys[j]
-        dx = oxk[j] - oxk[j - 1]
-        return Fraction(oyk[j - 1] * dx + (iyk[k] - oxk[j - 1]) * (oyk[j] - oyk[j - 1]), den * dx)
+        return _interpolate(oxk, oyk, j - 1, iyk[k], 1, den)
 
     def slope(rise: int, run: int, s: int) -> tuple[int, int]:
         """The composite's slope as (rise, run) where inner rises ``rise``
@@ -338,22 +354,6 @@ def _compose_segments(
 
 def _rescaled(keys: Sequence[int], factor: int) -> Sequence[int]:
     return keys if factor == 1 else [v * factor for v in keys]
-
-
-def _merge_collinear(points: Iterable[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
-    """One stack pass over points in order, dropping each interior point
-    collinear with its kept neighbours."""
-    merged: list[tuple[Fraction, Fraction]] = []
-    for p in points:
-        while len(merged) >= 2:
-            (ax, ay), (bx, by) = merged[-2], merged[-1]
-            # exact collinearity: slope(a,b) == slope(b,p)
-            if (by - ay) * (p[0] - bx) == (p[1] - by) * (bx - ax):
-                merged.pop()
-            else:
-                break
-        merged.append(p)
-    return merged
 
 
 class IterateCache:

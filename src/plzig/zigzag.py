@@ -13,7 +13,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import lcm
 from operator import gt, le, lt
 from typing import Callable, Optional, Sequence
 
@@ -24,6 +23,7 @@ from .plmap import (
     PLMap,
     _as_rational,
     _compose_segments,
+    _int_keys,
     _lap_ends,
     _laps_at,
     _laps_holding,
@@ -71,14 +71,6 @@ class ZigzagVerdict:
             "witnesses": [enc(w) if w is not None else None for w in self.witnesses],
             "failing_lap": enc(self.failing_lap) if self.failing_lap is not None else None,
         }
-
-
-def _exact_keys(ys: Sequence[Fraction]) -> list[int]:
-    """Integers ordered exactly as ``ys``: each value scaled to the least
-    common denominator.  The witness search only compares values, so it can
-    run on these instead of on ``Fraction`` objects."""
-    scale = lcm(*(y.denominator for y in ys))
-    return [y.numerator * (scale // y.denominator) for y in ys]
 
 
 def _nearest(keys: list[int], forward: bool, hit: Callable[[int, int], bool]) -> list[int]:
@@ -166,15 +158,17 @@ class _WitnessIndex:
     """Witness search for any number of laps of one map, each named by the
     breakpoint indices of its ends.
 
-    Holds the exact integer keys of the values ``ys`` and builds the
-    pointers of each orientation on first use: the keys for falling laps,
-    the negated keys for rising ones.  Everything is O(n) to build, after
-    which each lap is one walk along the pointer chains.
+    Takes the breakpoints ``xs`` and the integer keys of their values (see
+    :attr:`PLMap._keys`); the search only compares values, so it runs on
+    the keys.  It builds the pointers of each orientation on first use: the
+    keys for falling laps, the negated keys for rising ones.  Everything is
+    O(n) to build, after which each lap is one walk along the pointer
+    chains.
     """
 
-    def __init__(self, xs: Sequence[Fraction], ys: Sequence[Fraction]) -> None:
+    def __init__(self, xs: Sequence[Fraction], keys: Sequence[int]) -> None:
         self.xs = xs
-        self.keys = _exact_keys(ys)
+        self.keys = keys
 
     @cached_property
     def _falling(self) -> _Chains:
@@ -192,7 +186,7 @@ class _WitnessIndex:
 
 def _witness_table(f: PLMap) -> tuple[list[Lap], list[Optional[Interval]]]:
     """Witness (or None) for every lap; boundary laps never have one."""
-    index = _WitnessIndex(f.xs, f.ys)
+    index = _WitnessIndex(f.xs, f._keys[2])
     ends = f._ends
     last = len(ends) - 2
     table = [
@@ -207,7 +201,7 @@ def is_in_zigzag(f: PLMap, y) -> ZigzagVerdict:
     y = _as_rational(y)
     if not (ZERO <= y <= ONE):
         raise ValueError(f"query point {y} outside [0, 1]")
-    return _verdict(f.xs, f.ys, f._ends, _laps_at(f, y), True, True)
+    return _verdict(f.xs, f._keys[2], f._ends, _laps_at(f, y), True, True)
 
 
 def composite_verdict(outer: PLMap, inner: PLMap, y) -> ZigzagVerdict:
@@ -246,11 +240,11 @@ def composite_verdict(outer: PLMap, inner: PLMap, y) -> ZigzagVerdict:
     xs, ys = inner.xs, inner.ys
     last = len(xs) - 1
     hi = min(bisect_right(xs, y), last)  # first breakpoint right of y
-    near = inner(y)
+    near = at = inner(y)
     while hi < last and not reaches(near, ys[hi]):
         near, hi = ys[hi], hi + 1
     lo = max(bisect_left(xs, y) - 1, 0)  # last breakpoint left of y
-    near = inner(y)
+    near = at
     while lo > 0 and not reaches(near, ys[lo]):
         near, lo = ys[lo], lo - 1
 
@@ -258,24 +252,25 @@ def composite_verdict(outer: PLMap, inner: PLMap, y) -> ZigzagVerdict:
     cuts = [i for i, (x, v) in enumerate(points) if x != y and (v == ZERO or v == ONE)]
     k = bisect_left(cuts, bisect_left(points, (y,)))
     window = points[cuts[k - 1] if k else 0 : cuts[k] + 1 if k < len(cuts) else len(points)]
-    wxs, wys = tuple(p[0] for p in window), tuple(p[1] for p in window)
-    ends = _lap_ends(wys)
+    wxs = tuple(p[0] for p in window)
+    _, keys = _int_keys([p[1] for p in window])
+    ends = _lap_ends(keys)
     holding = _laps_holding([wxs[p] for p in ends[:-1]], y)
-    return _verdict(wxs, wys, ends, holding, wxs[0] == ZERO, wxs[-1] == ONE)
+    return _verdict(wxs, keys, ends, holding, wxs[0] == ZERO, wxs[-1] == ONE)
 
 
 def _verdict(
     xs: Sequence[Fraction],
-    ys: Sequence[Fraction],
+    keys: Sequence[int],
     ends: Sequence[int],
     holding: list[int],
     first_is_boundary: bool,
     last_is_boundary: bool,
 ) -> ZigzagVerdict:
     """The verdict at a point from the breakpoints of the map around it,
-    the lap table of those breakpoints (the indices of the lap ends, as
-    :func:`plmap._lap_ends` gives them) and the numbers of the laps holding
-    the point.  The flags say whether the first and last of those laps are
+    the integer keys of their values, the lap table of those breakpoints
+    (the indices of the lap ends, as :func:`plmap._lap_ends` gives them)
+    and the numbers of the laps holding the point.  The flags say whether the first and last of those laps are
     the map's own boundary laps, which never have a witness."""
     last = len(ends) - 2
     boundary = lambda k: (k == 0 and first_is_boundary) or (k == last and last_is_boundary)
@@ -289,7 +284,7 @@ def _verdict(
             witnesses=(None,) * len(applicable),
             failing_lap=lap(edge),
         )
-    index = _WitnessIndex(xs, ys)
+    index = _WitnessIndex(xs, keys)
     witnesses: list[Optional[Interval]] = []
     failing: Optional[Interval] = None
     for k in holding:

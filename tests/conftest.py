@@ -224,19 +224,50 @@ def compose_candidates(outer: PLMap, inner: PLMap) -> set[Fraction]:
     return out
 
 
+def naive_eval(f: PLMap, x) -> Fraction:
+    """Reference evaluation in ``Fraction``s: bisect the breakpoints and
+    interpolate on the segment holding x.  Independent of the integer keys
+    that ``PLMap.__call__`` reads."""
+    x = Fraction(x)
+    xs = f.xs
+    i = min(bisect_right(xs, x) - 1, len(xs) - 2)
+    (x0, y0), (x1, y1) = f.points[i], f.points[i + 1]
+    if x == x0:
+        return y0
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def naive_normalize(points) -> list[tuple[Fraction, Fraction]]:
+    """Reference normalization: one stack pass over the points in order,
+    dropping each interior point collinear with its kept neighbours.
+    Independent of the integer-key slope test that ``make_plmap`` reads."""
+    merged: list[tuple[Fraction, Fraction]] = []
+    for p in points:
+        while len(merged) >= 2:
+            (ax, ay), (bx, by) = merged[-2], merged[-1]
+            if (by - ay) * (p[0] - bx) == (p[1] - by) * (bx - ax):
+                merged.pop()
+            else:
+                break
+        merged.append(p)
+    return merged
+
+
 def naive_compose(outer: PLMap, inner: PLMap, budget=None) -> PLMap:
     """Reference composition by the candidate-set algorithm.
 
     Independent of the production segment walk: solves inner(x) = v over
     all of inner for each outer breakpoint v, refuses when the distinct
     candidates exceed the budget, evaluates outer(inner(x)) at every
-    candidate and normalizes with make_plmap.
+    candidate with :func:`naive_eval` and normalizes with
+    :func:`naive_normalize`.
     """
     limit = DEFAULT_BREAKPOINT_BUDGET if budget is None else budget
     candidates = compose_candidates(outer, inner)
     if len(candidates) > limit:
         raise BudgetExceededError(f"composition needs more than {limit} breakpoints")
-    return make_plmap([(x, outer(inner(x))) for x in sorted(candidates)])
+    points = [(x, naive_eval(outer, naive_eval(inner, x))) for x in sorted(candidates)]
+    return PLMap(tuple(naive_normalize(points)))
 
 
 def candidate_count(outer: PLMap, inner: PLMap) -> int:
@@ -284,7 +315,7 @@ def check_rebonded_verdict(s: PLMap, t: PLMap, g: PLMap, c: Fraction, verdict, p
     if verdict.failing_lap is not None and verdict.failing_lap not in boundary:
         assert naive_lap_witness(g, *verdict.failing_lap) is None, (g, c)
     if previous is not None:
-        assert s(t(c)) == previous, (g, c, previous)
+        assert naive_eval(s, naive_eval(t, c)) == previous, (g, c, previous)
 
 
 # stage claims already checked in this test run; the same claim recurs in

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from fractions import Fraction as F
@@ -110,6 +111,15 @@ class TestAnalyze:
         report = json.loads(out)
         spans = [(F(a), F(b)) for a, b in report["zigzag_set"]]
         assert any(a < F(1, 2) < b for a, b in spans)
+
+    def test_iterated_report_is_byte_identical(self, capsys):
+        # the report on minc^5 evaluates the map at every point of its
+        # 1,366-point Markov partition; digest of the report before maps
+        # were evaluated on integer keys
+        code, out, _ = run(capsys, "analyze", "--builtin", "minc", "--iterate", "5")
+        assert code == 0 and len(out.encode()) == 285_435
+        digest = "408dbf1f20ed7ca310d08c3d06109331f130ea6aba380e574a11bf8e680f68ed"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_uniform_covering_option(self, capsys):
         code, out, _ = run(capsys, "analyze", "--builtin", "minc", "--eps", "1/6")
@@ -298,6 +308,14 @@ class TestMapAlgebraCommands:
         bad.write_text("0 zero\n1 1\n")
         code, _, err = run(capsys, "plot", "--map", str(bad))
         assert code == 2 and "error" in err
+
+    def test_backtracking_map_file(self, capsys, tmp_path):
+        # collinear points in the wrong order are not the identity
+        bad = tmp_path / "back.map"
+        bad.write_text("0 0\n1/2 1/2\n1/4 1/4\n1 1\n")
+        code, out, err = run(capsys, "analyze", "--map", str(bad))
+        assert code == 2 and out == ""
+        assert "error: breakpoint x-coordinates must increase: 1/2 then 1/4" in err
 
     @pytest.mark.parametrize("command", ["analyze", "plot"])
     @pytest.mark.parametrize("count", ["0", "-1"])

@@ -24,7 +24,15 @@ import plzig.dynamics as dynamics
 import plzig.plmap as plmap
 import plzig.zigzag as zigzag
 
-from conftest import compose_candidates, naive_compose, random_map, random_markov_map, scan_laps_at
+from conftest import (
+    compose_candidates,
+    naive_compose,
+    naive_eval,
+    naive_normalize,
+    random_map,
+    random_markov_map,
+    scan_laps_at,
+)
 
 
 def _random_pair(rng):
@@ -40,6 +48,29 @@ def _random_pair(rng):
         mid = ((x0 + x1) / 2, (y0 + y1) / 2)
         outer = PLMap(outer.points[: i + 1] + (mid,) + outer.points[i + 1 :])
     return outer, inner
+
+
+def _mixed_points(rng, runs: int = 0) -> list:
+    """A random valid breakpoint list whose coordinates have unrelated
+    denominators, with ``runs`` runs of collinear points inserted into
+    random segments."""
+    n = rng.randint(2, 9)
+    xs = sorted({F(rng.randint(1, q - 1), q) for q in (rng.randint(2, 90) for _ in range(n - 2))})
+    ys = []
+    for _ in range(len(xs) + 2):
+        while True:
+            q = rng.choice([1, 2, 3, 5, 7, 16, 27, 81, 97, 1000])
+            y = F(rng.randint(0, q), q)
+            if not ys or y != ys[-1]:
+                ys.append(y)
+                break
+    pts = list(zip([F(0), *xs, F(1)], ys))
+    for _ in range(runs):
+        i = rng.randrange(len(pts) - 1)
+        (x0, y0), (x1, y1) = pts[i], pts[i + 1]
+        ts = sorted({F(rng.randint(1, q - 1), q) for q in (rng.randint(2, 30) for _ in range(rng.randint(1, 3)))})
+        pts[i + 1:i + 1] = [(x0 + t * (x1 - x0), y0 + t * (y1 - y0)) for t in ts]
+    return pts
 
 
 def _refuses(compose_fn, outer, inner, budget) -> bool:
@@ -99,6 +130,26 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_plmap([(0, 0), (F(1, 2), 1), (F(1, 2), 0), (1, 1)])
 
+    def test_backtracking_points_rejected_before_merging(self):
+        # every point lies on the diagonal, so a merge would leave the
+        # identity; the input is validated first
+        message = "breakpoint x-coordinates must increase: 1/2 then 1/4"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_plmap([(0, 0), (F(1, 2), F(1, 2)), (F(1, 4), F(1, 4)), (1, 1)])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            loads_map("0 0\n1/2 1/2\n1/4 1/4\n1 1\n")
+
+    def test_normalization_matches_stack_oracle(self):
+        rng = random.Random(5)
+        merged = 0
+        for _ in range(300):
+            pts = _mixed_points(rng, runs=rng.randint(0, 3))
+            f = make_plmap(pts)
+            assert list(f.points) == naive_normalize(pts), pts
+            assert make_plmap([(str(x), str(y)) for x, y in pts]) == f
+            merged += len(pts) - len(f.points)
+        assert merged > 300
+
     def test_rejects_out_of_range_values(self):
         with pytest.raises(ValueError):
             make_plmap([(0, 0), (F(1, 2), F(3, 2)), (1, 0)])
@@ -151,6 +202,26 @@ class TestEvaluate:
             minc(F(3, 2))
         with pytest.raises(ValueError):
             minc(F(-1, 2))
+
+    def test_matches_fraction_oracle(self, minc):
+        rng = random.Random(6)
+        maps = [iterate(minc, 3)]
+        for _ in range(150):
+            pts = _mixed_points(rng, runs=rng.choice([0, 0, 1, 2]))
+            maps += [PLMap(tuple(pts)), make_plmap(pts)]
+        for f in maps:
+            queries = [F(0), F(1)]
+            for x in f.xs:
+                # each breakpoint, and points just either side of it
+                queries += [x, max(x - F(1, 10**9 + 7), F(0)), min(x + F(1, 10**9 + 9), F(1))]
+            for q in (9973, 10007, rng.randint(2, 10**6)):
+                queries += [F(rng.randint(0, q), q) for _ in range(4)]
+            for x in queries:
+                assert f(x) == naive_eval(f, x), (f, x)
+            for x in rng.sample(queries, 5):
+                assert f(str(x)) == naive_eval(f, x), (f, x)
+            for x, y in f.points:
+                assert f(x) == y
 
 
 class TestCompose:

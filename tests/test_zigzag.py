@@ -104,7 +104,7 @@ class TestIsInZigzag:
             f = random_map(rng)
             for lap in laps(f)[1:-1]:
                 p, q = f.xs.index(lap.left), f.xs.index(lap.right)
-                got = _WitnessIndex(f.xs, f.ys).witness(p, q)
+                got = _WitnessIndex(f.xs, f._keys[2]).witness(p, q)
                 ref = naive_lap_witness(f, lap.left, lap.right)
                 assert (got is None) == (ref is None)
                 if got is not None:
@@ -132,7 +132,7 @@ class TestWitnessIdentity:
                 ref = two_pointer_lap_witness(f, lap)
                 assert w == ref, (f.points, lap)
                 p, q = f.xs.index(lap.left), f.xs.index(lap.right)
-                assert _WitnessIndex(f.xs, f.ys).witness(p, q) == ref, (f.points, lap)
+                assert _WitnessIndex(f.xs, f._keys[2]).witness(p, q) == ref, (f.points, lap)
 
     def test_minc4_table_revalidates(self, minc):
         f = iterate(minc, 4)
