@@ -196,7 +196,8 @@ def is_primitive(f: PLMap, partition: Sequence[Fraction]) -> bool:
     the Wielandt bound n^2 - 2n + 2.
     """
     pts = [_as_rational(p) for p in partition]
-    if not pts or pts != sorted(set(pts)) or pts[0] != ZERO or pts[-1] != ONE:
+    increasing = all(a < b for a, b in zip(pts, pts[1:]))
+    if not pts or not increasing or pts[0] != ZERO or pts[-1] != ONE:
         raise ValueError("partition must be a sorted point set spanning [0, 1]")
     index = {p: i for i, p in enumerate(pts)}
     if any(c not in index for c in critical_set(f)):

@@ -1,3 +1,4 @@
+import json
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -12,7 +13,9 @@ from plzig.plmap import (
     PLMap,
     laps,
     level_crossings,
+    loads_map,
     make_plmap,
+    parse_rational,
 )
 from plzig.zigzag import is_in_zigzag, witness_is_valid
 from plzig.factorize import minc_map
@@ -350,10 +353,126 @@ def check_certificate_stages(cert) -> None:
             check_rebonded_verdict(s, t, naive_compose(s, t), st.coordinate, st.verdict, previous)
 
 
+# Independent checks of factor pairs and of whole certificates.  They read
+# maps through plzig.plmap's parser and decide every fact with the oracles
+# above; nothing below calls plzig.factorize, plzig.dynamics or plzig.zigzag.
+
+# (n0, step) of a certificate without stabilization data: the Minc
+# pipeline's blocks are second iterates, counted from x_0
+MINC_PIPELINE = (0, 2)
+
+_powers: dict = {}  # (f, k) -> f^k by naive_compose, or None past the cap
+_parsed: dict = {}  # map text -> PLMap
+_checked_pairs: set = set()  # (f, step, (s, t)) as map texts, of pairs already checked
+_checked_texts: set = set()  # certificate texts already checked
+
+
+def naive_power(f: PLMap, k: int):
+    """f^k as f∘f^(k-1) by :func:`naive_compose`, normalized by
+    :func:`naive_normalize`; None once a composition along the way is not
+    :func:`naive_composable`."""
+    if (f, k) not in _powers:
+        if k == 1:
+            power = PLMap(tuple(naive_normalize(f.points)))
+        else:
+            inner = naive_power(f, k - 1)
+            fits = inner is not None and naive_composable(f, inner)
+            power = naive_compose(f, inner) if fits else None
+        _powers[(f, k)] = power
+    return _powers[(f, k)]
+
+
+def check_factor_pair(f: PLMap, step: int, s: PLMap, t: PLMap) -> None:
+    """Check t∘s = f^step exactly, against f^step built by
+    :func:`naive_power`: by ``naive_compose(t, s)`` when t∘s is
+    :func:`naive_composable`, else by :func:`check_factor_pair_pointwise`."""
+    block = naive_power(f, step)
+    assert block is not None, f"f^{step} has more than NAIVE_CANDIDATE_CAP candidate breakpoints"
+    if naive_composable(t, s):
+        assert naive_compose(t, s) == block, ("t∘s is not f^step", f, step, s, t)
+    else:
+        check_factor_pair_pointwise(block, s, t)
+
+
+def check_factor_pair_pointwise(block: PLMap, s: PLMap, t: PLMap) -> None:
+    """Check t∘s = block by nested :func:`naive_eval` at every breakpoint of
+    s, every point that s sends to a breakpoint of t, and every breakpoint
+    of the block map.  t∘s is linear between neighbouring points of the
+    first two sets and the block map between those of the third, so
+    agreeing at every point is equality."""
+    points = set(s.xs) | set(block.xs)
+    for (x0, y0), (x1, y1) in zip(s.points, s.points[1:]):
+        for v in t.xs[bisect_right(t.xs, min(y0, y1)):bisect_left(t.xs, max(y0, y1))]:
+            points.add(x0 + (v - y0) * (x1 - x0) / (y1 - y0))
+    for x in points:
+        assert naive_eval(t, naive_eval(s, x)) == naive_eval(block, x), (
+            f"t∘s is not f^step at {x}", block, s, t,
+        )
+
+
+def check_certificate_text(text: str) -> None:
+    """Check a certificate's claims from its JSON text alone.
+
+    - The orbit relation f(x_(n+1)) = x_n, by :func:`naive_eval`, across
+      the prefix, the seam and the wrap-around of the period block.
+    - Stage i sits at n_i = n0 + i·step, with (n0, step) from the
+      stabilization's n-sequence or MINC_PIPELINE.
+    - Every stage's pair has t∘s = f^step (:func:`check_factor_pair`, once
+      per distinct pair in a test run), and its coordinate is s(x_(n_i));
+      before the failing stage, s fixes x_(n_i).
+    - The repeat index is the first stage whose state (both pairs and both
+      orbit values) recurs from an earlier stage.
+
+    Raises AssertionError naming the first claim that fails.  Leo, pcf, the
+    stabilized branch and the zigzag verdicts are not checked here.
+    """
+    data = json.loads(text)
+    texts = data["maps"]
+    for m in texts:
+        if m not in _parsed:
+            _parsed[m] = loads_map(m)
+    maps = [_parsed[m] for m in texts]
+    f = maps[data["map"]]
+    prefix, period = ([parse_rational(v) for v in data["orbit"][k]] for k in ("prefix", "period"))
+
+    def x(n):
+        return prefix[n] if n < len(prefix) else period[(n - len(prefix)) % len(period)]
+
+    for n in range(len(prefix) + len(period)):
+        y = x(n + 1)
+        assert 0 <= y <= 1 and naive_eval(f, y) == x(n), f"orbit: f(x_{n + 1}) != x_{n}"
+    stab = data["stabilization"]
+    if stab is None:
+        n0, step = MINC_PIPELINE
+    else:
+        (n0,), step = stab["n-sequence"]["head"], stab["n-sequence"]["step"]
+    failing = data["failing_stage"]
+    assert data["result"] == ("pass" if failing is None else "fail"), "result"
+    seen: dict = {}
+    repeat = prev = None
+    for i, st in enumerate(data["stages"], start=1):
+        n = n0 + i * step
+        assert st["n_i"] == n, f"stage {i} n_i: {st['n_i']}, not {n}"
+        pair = (texts[st["s"]], texts[st["t"]])
+        if (texts[data["map"]], step, pair) not in _checked_pairs:
+            check_factor_pair(f, step, maps[st["s"]], maps[st["t"]])
+            _checked_pairs.add((texts[data["map"]], step, pair))
+        c = parse_rational(st["coordinate"])
+        assert c == naive_eval(maps[st["s"]], x(n)), f"stage {i} coordinate: {c} is not s(x_{n})"
+        assert failing is not None and i >= failing or c == x(n), f"stage {i}: s moves x_{n}"
+        if prev is not None and repeat is None:
+            if seen.setdefault((prev, pair, x(n - step), x(n)), i) != i:
+                repeat = i
+        prev = pair
+    assert data["repeat_index"] == repeat, f"repeat_index: {data['repeat_index']}, not {repeat}"
+
+
 @pytest.fixture(autouse=True)
 def _check_certified_stages(monkeypatch):
     """After each test, check every stage of every certificate the test had
-    the stage loop build, through the pipelines or the verifier."""
+    the stage loop build, through the pipelines or the verifier, and check
+    each certificate's encoding with :func:`check_certificate_text`, once
+    per distinct text."""
     built = []
     assemble = plzig.factorize._assemble
 
@@ -365,3 +484,7 @@ def _check_certified_stages(monkeypatch):
     yield
     for cert in built:
         check_certificate_stages(cert)
+        text = plzig.factorize.certificate_to_json(cert)
+        if text not in _checked_texts:
+            check_certificate_text(text)
+            _checked_texts.add(text)

@@ -137,6 +137,8 @@ class TestMarkov:
             ([F(0), F(1, 3), F(1, 3), F(4, 9), F(5, 9), F(2, 3), F(1)], "sorted point set"),
             ([F(1, 3), F(4, 9), F(5, 9), F(2, 3), F(1)], "spanning"),
             ([F(0), F(1, 4), F(1, 3), F(4, 9), F(5, 9), F(2, 3), F(1)], "forward invariant"),
+            # two adjacent points swapped
+            ([F(0), F(4, 9), F(1, 3), F(5, 9), F(2, 3), F(1)], "sorted point set"),
         ],
     )
     def test_partition_is_checked(self, minc, partition, why):

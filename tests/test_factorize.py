@@ -1,8 +1,10 @@
 import copy
 import json
 import random
+import re
 import time
 from fractions import Fraction as F
+from types import ModuleType
 
 import pytest
 
@@ -33,7 +35,6 @@ from plzig.factorize import (
     certify_general,
     certify_minc,
     _assemble,
-    _checked_pair,
     find_beta,
     minc_map,
     minc_stage_choice,
@@ -44,6 +45,9 @@ from plzig.factorize import (
 
 from conftest import (
     candidate_count,
+    check_certificate_text,
+    check_factor_pair,
+    check_factor_pair_pointwise,
     check_rebonded_verdict,
     exact_fixed_points,
     naive_compose,
@@ -113,6 +117,15 @@ class TestSplitCase1:
         with pytest.raises(ValueError):
             split_case1(f, F(1, 2))
 
+    def test_map_with_a_collinear_point_splits(self):
+        # (1/6, 1/2) lies on the first segment: f is valid but not in normal
+        # form, and its pair still composes to f
+        f = PLMap(tuple(
+            (F(x), F(y)) for x, y in ((0, 0), ("1/6", "1/2"), ("1/3", 1), ("2/3", 0), (1, 1))
+        ))
+        pair = split_case1(f, F(2, 3))
+        check_factor_pair(make_plmap(f.points), 1, pair.s, pair.t)
+
 
 class TestSplitCase2:
     def test_known_shape(self, high_pair):
@@ -143,6 +156,14 @@ class TestSplitCase2:
     def test_wrong_beta_rejected(self, f2):
         with pytest.raises(ValueError):
             split_case2(f2, F(1, 2))
+
+    def test_map_with_a_collinear_point_splits(self):
+        # the mirror image of case 1's map: (5/6, 1/2) lies on the last segment
+        f = PLMap(tuple(
+            (F(x), F(y)) for x, y in ((0, 0), ("1/3", 1), ("2/3", 0), ("5/6", "1/2"), (1, 1))
+        ))
+        pair = split_case2(f, F(1, 3))
+        check_factor_pair(make_plmap(f.points), 1, pair.s, pair.t)
 
 
 class TestFoldCurveAnchors:
@@ -219,12 +240,14 @@ class TestBuildGSequence:
         for pair in (low_pair, high_pair):
             assert compose(pair.t, pair.s) == f2
 
-    def test_pair_that_does_not_split_the_block_rejected(self, minc):
-        # g(c_i) = c_{i-1} follows from t∘s = f^step, which the stage loop
-        # does not check again; the pair's constructor is its one check
-        identity = [(0, 0), (1, 1)]
-        with pytest.raises(CertifyError, match="t∘s = F failed to hold exactly"):
-            _checked_pair(minc, identity, identity, CASE1, F(1, 2))
+    def test_pair_that_does_not_split_the_block_rejected(self, minc, identity):
+        # g(c_i) = c_{i-1} follows from t∘s = f^step, which the library
+        # takes from the split's construction; the tests' checker of
+        # certificate texts is its one check, on either of its paths
+        with pytest.raises(AssertionError, match="t∘s is not f\\^step"):
+            check_factor_pair(minc, 1, identity, identity)
+        with pytest.raises(AssertionError, match="t∘s is not f\\^step"):
+            check_factor_pair_pointwise(minc, identity, identity)
 
     def test_mismatched_blocks_rejected(self, minc):
         # a stage whose pair splits another block map does not verify
@@ -242,6 +265,8 @@ def _foldable_map(rng):
         ones, zeros = level_crossings(f, 1), level_crossings(f, 0)
         pairs = [split_case1(f, z) for z in zeros if ones and 0 < z and ones[0] < z]
         pairs += [split_case2(f, w) for w in ones if zeros and w < 1 and w < zeros[-1]]
+        for pair in pairs:
+            check_factor_pair(f, 1, pair.s, pair.t)
         if pairs:
             return pairs
 
@@ -1069,6 +1094,93 @@ class TestTamperSuite:
             "result: stored 'pass' with failing_stage None, "
             "re-derived fail at stage 1: s moves x_2 = 1 to 11/18"
         )
+
+
+# (name, certificates it applies to, edit, text the checker's rejection must contain)
+TEXT_EDITS = [
+    ("repeat-99", ("minc", "general"), lambda d: d.update(repeat_index=99), "repeat_index"),
+    ("result-flip", ("minc", "general"), lambda d: d.update(result="fail"), "result"),
+    ("orbit", ("minc", "general"), lambda d: d["orbit"].update(period=["1/3"]), "orbit"),
+    (
+        "n_i",
+        ("minc", "general"),
+        lambda d: d["stages"][1].update(n_i=d["stages"][1]["n_i"] + 1),
+        "stage 2 n_i",
+    ),
+    (
+        "coordinate",
+        ("minc", "general"),
+        lambda d: d["stages"][0].update(coordinate="0"),
+        "stage 1 coordinate",
+    ),
+    (
+        "identity-s",
+        ("minc", "general"),
+        lambda d: d["stages"][1].update(s=_ref(d, make_plmap([(0, 0), (1, 1)]))),
+        "t∘s is not f^step",
+    ),
+    (
+        "case2-at-const-1",
+        ("minc",),
+        lambda d: _refold(d, [F(1)], split_case2(MINC_BLOCK, MINC_BETA_HIGH)),
+        "stage 1: s moves x_2",
+    ),
+]
+
+
+PRODUCER_MODULES = {"plzig", "plzig.factorize", "plzig.dynamics", "plzig.zigzag", "plzig.cli"}
+
+
+class TestCertificateTextChecker:
+    """conftest's check_certificate_text decides a certificate's claims from
+    its text, with oracles that share no code with the pipelines."""
+
+    @pytest.mark.parametrize("kind", ["minc", "general"])
+    def test_accepts_the_pipeline_output(self, passing_certificates, kind):
+        check_certificate_text(json.dumps(passing_certificates[kind]))
+
+    @pytest.mark.parametrize(
+        "kind, edit, reason",
+        [
+            pytest.param(kind, edit, reason, id=f"{name}-{kind}")
+            for name, kinds, edit, reason in TEXT_EDITS
+            for kind in kinds
+        ],
+    )
+    def test_rejects_an_edit(self, passing_certificates, kind, edit, reason):
+        data = copy.deepcopy(passing_certificates[kind])
+        edit(data)
+        with pytest.raises(AssertionError, match=re.escape(reason)):
+            check_certificate_text(json.dumps(data))
+
+    def test_reads_no_producer_code(self):
+        # no global that the checker or a conftest function it calls names
+        # is, or comes from, a module of the pipelines
+        import conftest
+
+        todo, seen = [conftest.check_certificate_text], set()
+        while todo:
+            fn = todo.pop()
+            if fn in seen:
+                continue
+            seen.add(fn)
+            codes = [fn.__code__]
+            while codes:
+                code = codes.pop()
+                codes += [c for c in code.co_consts if hasattr(c, "co_names")]
+                # '@'-names are pytest's assertion rewriter
+                for name in (n for n in code.co_names if not n.startswith("@")):
+                    obj = conftest.__dict__.get(name)
+                    if isinstance(obj, ModuleType):
+                        where = obj.__name__
+                    elif callable(obj):
+                        where = obj.__module__
+                    else:
+                        continue
+                    assert where not in PRODUCER_MODULES, (fn.__name__, name, where)
+                    if where == "conftest":
+                        todo.append(obj)
+        assert {"check_factor_pair", "naive_compose", "naive_eval"} <= {fn.__name__ for fn in seen}
 
 
 # values an edit puts in; the long denominator has 4,300 digits, the most
