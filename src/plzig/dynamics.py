@@ -24,7 +24,6 @@ from .plmap import (
     critical_set,
     is_onto,
     laps,
-    level_crossings,
     parse_rational,
 )
 
@@ -289,22 +288,34 @@ def _leo(f: PLMap, markov: Optional[Sequence[Fraction]]) -> Optional[bool]:
 
 
 def uniformly_onto(f: PLMap, eps) -> bool:
-    """True iff f(J) = [0, 1] for every subinterval J with diam(J) >= eps.
+    """The covering test at scale eps > 0: True iff f takes both values 0
+    and 1, and neither the solutions of f = 0 nor those of f = 1 leave a
+    gap wider than eps in [0, 1], the gaps from 0 to the first solution and
+    from the last solution to 1 included.
 
-    Equivalent finite criterion: every closed window of length eps meets
-    both the preimage set of 0 and the preimage set of 1, i.e. those sets
-    have no gap (including the boundary gaps) larger than eps.
+    For eps <= 1 this is f(J) = [0, 1] for every subinterval J with
+    diam(J) >= eps: J covers [0, 1] exactly when it meets a solution of
+    each level, and every J of diameter eps meets each solution set exactly
+    when that set has no wider gap.  Above 1 no such J exists, yet the test
+    still returns False for a map that is not onto.
+
+    The solutions are the breakpoints whose value key is 0 or den, the
+    map's common denominator, and the gaps are measured on their x keys: a
+    key gap g is wider than eps = n/d exactly when g * d > n * den.  It
+    caches nothing on f: it runs once on each block power the
+    stabilization builds, where a cached table of solutions would only
+    hold memory.
     """
     eps = _as_rational(eps)
     if eps <= 0:
         raise ValueError("scale must be positive")
-    for level in (ZERO, ONE):
-        pts = level_crossings(f, level)
+    den, xk, yk = f._keys
+    d, limit = eps.denominator, eps.numerator * den
+    for level in (0, den):
+        pts = [x for x, y in zip(xk, yk) if y == level]
         if not pts:
             return False
-        if pts[0] > eps or ONE - pts[-1] > eps:
-            return False
-        if any(b - a > eps for a, b in zip(pts, pts[1:])):
+        if any((b - a) * d > limit for a, b in zip([0, *pts], [*pts, den])):
             return False
     return True
 

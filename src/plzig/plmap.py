@@ -102,8 +102,10 @@ class PLMap:
     change).  Instances are immutable and safe to share between threads.
 
     Validation, the collinearity test (:attr:`_straight`, which
-    :func:`make_plmap` drops), evaluation, composition, the lap table and
-    the witness search all read the integer keys (:attr:`_keys`), and each
+    :func:`make_plmap` drops), evaluation, composition, the lap table, the
+    witness search, the solutions of f = 0 and f = 1 (:attr:`_extremes`),
+    the covering test :func:`plzig.dynamics.uniformly_onto` and
+    :func:`is_onto` all read the integer keys (:attr:`_keys`), and each
     has no second implementation on the ``Fraction`` coordinates.
     :func:`level_crossings` at a level other than 0 or 1 solves on the
     ``Fraction`` coordinates.
@@ -173,9 +175,10 @@ class PLMap:
     @cached_property
     def _extremes(self) -> dict[Fraction, tuple[Fraction, ...]]:
         """The solutions of f(x) = 0 and of f(x) = 1.  No segment is flat
-        and every value lies in [0, 1], so these are the breakpoints with
-        value 0 or 1."""
-        return {v: tuple(x for x, y in self.points if y == v) for v in (ZERO, ONE)}
+        and every value lies in [0, 1], so these are the breakpoints whose
+        value key is 0 or the common denominator."""
+        den, _, yk = self._keys
+        return {v: tuple(p[0] for p, y in zip(self.points, yk) if y == k) for v, k in ((ZERO, 0), (ONE, den))}
 
     @cached_property
     def _lap_lefts(self) -> tuple[Fraction, ...]:
@@ -400,8 +403,10 @@ def level_crossings(f: PLMap, c) -> list[Fraction]:
 
 
 def is_onto(f: PLMap) -> bool:
-    """True iff the range is all of [0, 1]."""
-    return min(f.ys) == ZERO and max(f.ys) == ONE
+    """True iff the range is all of [0, 1]: the least value key is 0 and
+    the greatest is the common denominator."""
+    den, _, yk = f._keys
+    return min(yk) == 0 and max(yk) == den
 
 
 def image_interval(f: PLMap, lo, hi) -> tuple[Fraction, Fraction]:

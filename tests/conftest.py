@@ -240,6 +240,40 @@ def naive_eval(f: PLMap, x) -> Fraction:
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
+def naive_solutions(f: PLMap, v) -> list[Fraction]:
+    """Reference solutions of f(x) = v, sorted: a ``Fraction`` scan of
+    ``f.points`` that solves every segment whose closed value range holds v.
+    Independent of the integer keys and of the breakpoint shortcut that
+    ``level_crossings`` takes at the levels 0 and 1."""
+    v = Fraction(v)
+    return sorted({
+        x0 + (v - y0) * (x1 - x0) / (y1 - y0)
+        for (x0, y0), (x1, y1) in zip(f.points, f.points[1:])
+        if min(y0, y1) <= v <= max(y0, y1)
+    })
+
+
+def naive_uniformly_onto(f: PLMap, eps) -> bool:
+    """Reference covering test from the definition, in ``Fraction``s:
+    f(J) = [0, 1] for every subinterval J of [0, 1] with diam(J) >= eps.
+
+    J covers [0, 1] exactly when it meets a solution of f = 0 and one of
+    f = 1.  The solutions of one level cut [0, 1] into pieces, and a J
+    missing them lies in one piece, so some J of diameter >= eps misses
+    them exactly when a piece is longer than eps, or when there are none
+    and eps <= 1.  Above 1 no J exists; the library's test still asks that
+    f take both values there, and so does this oracle."""
+    eps = Fraction(eps)
+    for v in (0, 1):
+        cuts = naive_solutions(f, v)
+        if not cuts:
+            return False
+        ends = [Fraction(0), *cuts, Fraction(1)]
+        if any(b - a > eps for a, b in zip(ends, ends[1:])):
+            return False
+    return True
+
+
 def naive_normalize(points) -> list[tuple[Fraction, Fraction]]:
     """Reference normalization: one stack pass over the points in order,
     dropping each interior point collinear with its kept neighbours.

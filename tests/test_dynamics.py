@@ -7,8 +7,8 @@ import pytest
 import plzig.dynamics as dynamics
 from plzig.cli import analysis_report
 from plzig.factorize import certificate_to_dict, certify_general, verify_certificate
-from plzig.plmap import BudgetExceededError, compose, iterate, laps, make_plmap
-from conftest import dense_is_primitive, random_markov_map, transition_matrix
+from plzig.plmap import BudgetExceededError, IterateCache, compose, iterate, laps, make_plmap
+from conftest import dense_is_primitive, naive_uniformly_onto, random_markov_map, transition_matrix
 from plzig.dynamics import (
     BackwardOrbit,
     OrbitValidationError,
@@ -250,6 +250,29 @@ class TestUniformCovering:
 
     def test_map_that_is_not_onto(self):
         assert not uniformly_onto(make_plmap([(0, 0), (F(1, 2), F(1, 2)), (1, 0)]), F(1, 2))
+
+    def test_map_19_refusal_stays_at_the_budget(self, monkeypatch):
+        # map 19 of the bench's Markov family is the identity on [0, 1/3], so
+        # it is not leo, though is_leo says it is.  The stabilization's
+        # covering test at its ε/2 = 1/4 must fail on every power it builds,
+        # f^1 to f^14, until composing f^15 trips the budget.
+        f = make_plmap([(0, 0), (F(1, 3), F(1, 3)), (F(2, 3), 1), (1, 0)])
+        calls = []
+
+        def recording(g, eps):
+            calls.append((g, eps, uniformly_onto(g, eps)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(dynamics, "uniformly_onto", recording)
+        with pytest.raises(BudgetExceededError) as info:
+            certify_general(f, BackwardOrbit.constant(F(0)), stages=2, budget=40_000)
+        assert str(info.value) == "composition needs more than 40000 breakpoints"
+        powers = IterateCache(f)
+        assert [(g, eps) for g, eps, _ in calls] == [(powers.power(k), F(1, 4)) for k in range(1, 15)]
+        assert len(calls[-1][0].points) == 24_577
+        for g, eps, covers in calls:
+            assert covers is False
+            assert naive_uniformly_onto(g, eps) is False
 
 
 class TestBackwardOrbit:

@@ -29,6 +29,8 @@ from conftest import (
     naive_compose,
     naive_eval,
     naive_normalize,
+    naive_solutions,
+    naive_uniformly_onto,
     random_map,
     random_markov_map,
     scan_laps_at,
@@ -443,15 +445,66 @@ class TestLevelCrossings:
         for _ in range(200):
             f = random_map(rng, denominator=8)
             for c in (F(0), F(1)):
-                want = sorted({
-                    x0 + (c - y0) * (x1 - x0) / (y1 - y0)
-                    for (x0, y0), (x1, y1) in zip(f.points, f.points[1:])
-                    if min(y0, y1) <= c <= max(y0, y1)
-                })
+                want = naive_solutions(f, c)
                 got = level_crossings(f, c)
                 assert got == want
                 got.append(F(2))
                 assert level_crossings(f, c) == want
+
+
+def _level_key_maps(minc: PLMap) -> list[PLMap]:
+    """Maps for the 0/1-level readers: random maps on one grid, Markov maps,
+    minc^1..4, maps whose breakpoints have unrelated denominators (some with
+    collinear points, built directly) and maps that miss 0, 1 or both."""
+    rng = random.Random(19)
+    maps = [random_map(rng, max_breakpoints=rng.randint(2, 12), denominator=rng.choice([4, 8, 60, 64, 250]))
+            for _ in range(120)]
+    maps += [random_markov_map(rng, rng.randint(2, 6)) for _ in range(80)]
+    maps += [iterate(minc, k) for k in (1, 2, 3, 4)]
+    maps += [make_plmap(_mixed_points(rng)) for _ in range(40)]
+    maps += [PLMap(tuple(_mixed_points(rng, runs=rng.randint(1, 3)))) for _ in range(40)]
+    # squeeze the values of random maps into [0, 2/3], [1/3, 1] and [1/5, 4/5]
+    for lo, width in ((F(0), F(2, 3)), (F(1, 3), F(2, 3)), (F(1, 5), F(3, 5))):
+        for _ in range(10):
+            f = random_map(rng, max_breakpoints=8, denominator=rng.choice([8, 64]))
+            maps.append(make_plmap([(x, lo + width * y) for x, y in f.points]))
+    return maps
+
+
+def _scales(f: PLMap) -> set:
+    """Every gap the solutions of f = 0 or f = 1 leave in [0, 1], each as
+    a Fraction, as a str and 10^-6 to either side, plus the ints 1 and 2."""
+    out = {1, 2}
+    for v in (0, 1):
+        ends = [F(0), *naive_solutions(f, v), F(1)]
+        for g in {b - a for a, b in zip(ends, ends[1:])} - {0}:
+            out |= {g, str(g), g + F(1, 10**6)}
+            if g > F(1, 10**6):
+                out.add(g - F(1, 10**6))
+    return out
+
+
+class TestLevelsOnKeys:
+    """The readers of the levels 0 and 1 read the integer keys; each
+    agrees with a ``Fraction`` scan of the breakpoints."""
+
+    def test_against_point_scans(self, minc):
+        maps = _level_key_maps(minc)
+        assert len(maps) >= 300
+        kinds = {(is_onto(f), bool(naive_solutions(f, 0)), bool(naive_solutions(f, 1))) for f in maps}
+        assert kinds == {(True, True, True), (False, True, False), (False, False, True), (False, False, False)}
+        for f in maps:
+            assert level_crossings(f, 0) == naive_solutions(f, 0), f
+            assert level_crossings(f, 1) == naive_solutions(f, 1), f
+            ys = [y for _, y in f.points]
+            assert is_onto(f) == (min(ys) == 0 and max(ys) == 1), f
+            for eps in _scales(f):
+                assert dynamics.uniformly_onto(f, eps) == naive_uniformly_onto(f, eps), (f, eps)
+
+    def test_scale_must_be_positive(self, minc):
+        for eps in (0, "0", F(-1, 2), "-1/3"):
+            with pytest.raises(ValueError, match="scale must be positive"):
+                dynamics.uniformly_onto(minc, eps)
 
 
 class TestLapLookup:
