@@ -1,7 +1,8 @@
 """Exact piecewise-linear self-maps of [0, 1] with rational breakpoints.
 
 Scalars are arbitrary-precision rationals and every operation (evaluation,
-composition, iteration, level solving) works directly on breakpoint lists.
+composition, iteration, level solving) works directly on breakpoint lists,
+held as integer keys over their least common denominator.
 There is no floating-point path anywhere in this module, so map equality is
 decidable and composition identities can be checked exactly.
 """
@@ -11,10 +12,10 @@ from __future__ import annotations
 import logging
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from itertools import chain, islice
 from operator import attrgetter, lt, mul, ne
 from typing import Iterable, NamedTuple, Sequence
@@ -90,59 +91,106 @@ class Lap(NamedTuple):
     right: Fraction
 
 
-@dataclass(frozen=True)
 class PLMap:
     """A piecewise-linear map of [0, 1] to itself.
 
-    ``points`` is the breakpoint list: int or ``Fraction`` coordinates, x
-    strictly increasing from 0 to 1, all y in [0, 1] and no zero-slope
-    segment.  Three consecutive points may be collinear; :func:`make_plmap`
-    merges such points, and :func:`compose` never emits them, so the maps
-    both build are normalized (every interior breakpoint is a genuine slope
+    A map is its integer keys (:attr:`_keys`): ``(den, xk, yk)``, the least
+    common denominator of all breakpoint coordinates and the coordinates
+    times it, as int tuples, with x strictly increasing from 0 to 1, all y
+    in [0, 1] and no zero-slope segment.  ``PLMap(points)`` builds a map
+    from a breakpoint list of int or ``Fraction`` coordinates and derives
+    its keys; :func:`compose` builds its result from keys alone.  Both
+    validate the keys.  ``xs``, ``ys`` and ``points`` are made on first
+    read, once per map; for a map built from keys they are ``Fraction``s
+    and equal values of ``ys`` are one object.  Equality and hashing
+    compare the keys, which are canonical for a breakpoint list.
+
+    Three consecutive points may be collinear; :func:`make_plmap` merges
+    such points, and :func:`compose` never emits them, so the maps both
+    build are normalized (every interior breakpoint is a genuine slope
     change).  Instances are immutable and safe to share between threads.
 
     Validation, the collinearity test (:attr:`_straight`, which
     :func:`make_plmap` drops), evaluation, composition, the lap table, the
     witness search, the solutions of f = 0 and f = 1 (:attr:`_extremes`),
     the covering test :func:`plzig.dynamics.uniformly_onto` and
-    :func:`is_onto` all read the integer keys (:attr:`_keys`), and each
-    has no second implementation on the ``Fraction`` coordinates.
-    :func:`level_crossings` at a level other than 0 or 1 solves on the
-    ``Fraction`` coordinates.
+    :func:`is_onto` all read the keys, and each has no second
+    implementation on the ``Fraction`` coordinates.  :func:`level_crossings`
+    at a level other than 0 or 1 solves on the ``Fraction`` coordinates.
     """
 
-    points: tuple[tuple[Fraction, Fraction], ...]
+    _keys: tuple[int, tuple[int, ...], tuple[int, ...]]
 
-    def __post_init__(self) -> None:
-        pts = self.points
-        if len(pts) < 2:
-            raise ValueError("a piecewise-linear map needs at least two breakpoints")
-        den, xk, yk = self._keys
-        if xk[0] != 0:
-            raise ValueError(f"first breakpoint must have x=0, got x={pts[0][0]}")
-        if xk[-1] != den:
-            raise ValueError(f"last breakpoint must have x=1, got x={pts[-1][0]}")
-        if not (all(map(lt, xk, islice(xk, 1, None))) and all(map(ne, yk, islice(yk, 1, None)))):
-            for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-                if x1 <= x0:
-                    raise ValueError(f"breakpoint x-coordinates must increase: {x0} then {x1}")
-                if y1 == y0:
-                    raise ValueError(f"constant segment at level {y0}: maps must be piecewise strictly monotone")
-        if min(yk) < 0 or max(yk) > den:
-            x, y = next(p for p in pts if not (ZERO <= p[1] <= ONE))
-            raise ValueError(f"value {y} at x={x} lies outside [0, 1]")
-
-    @cached_property
-    def _keys(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """``(den, xs, ys)``: the least common denominator of all
-        coordinates and the coordinates times it, as ints.  Keys of one map
-        compare and interpolate exactly as its coordinates do."""
-        coords = tuple(chain.from_iterable(self.points))
+    def __init__(self, points: Sequence[tuple]) -> None:
+        points = tuple(points)
+        coords = tuple(chain.from_iterable(points))
         for kind in dict.fromkeys(map(type, coords)):
             if not issubclass(kind, (int, Fraction)):
                 raise TypeError(f"expected a rational value, got {kind.__name__}")
         den, keys = _int_keys(coords)
-        return den, keys[0::2], keys[1::2]
+        self.__dict__.update(points=points, _keys=(den, keys[0::2], keys[1::2]))
+        self._check()
+
+    @classmethod
+    def _of_keys(cls, den: int, xk: Sequence[int], yk: Sequence[int]) -> PLMap:
+        """The normalized map with keys ``(den, xk, yk)``, given at their
+        least common denominator."""
+        f = object.__new__(cls)
+        f.__dict__.update(_keys=(den, tuple(xk), tuple(yk)), _straight=frozenset())
+        f._check()
+        return f
+
+    def _check(self) -> None:
+        """The map invariants, on the keys."""
+        den, xk, yk = self._keys
+        at = lambda k: Fraction(k, den)
+        if len(xk) < 2:
+            raise ValueError("a piecewise-linear map needs at least two breakpoints")
+        if xk[0] != 0:
+            raise ValueError(f"first breakpoint must have x=0, got x={at(xk[0])}")
+        if xk[-1] != den:
+            raise ValueError(f"last breakpoint must have x=1, got x={at(xk[-1])}")
+        if not (all(map(lt, xk, islice(xk, 1, None))) and all(map(ne, yk, islice(yk, 1, None)))):
+            for i in range(len(xk) - 1):
+                if xk[i + 1] <= xk[i]:
+                    raise ValueError(f"breakpoint x-coordinates must increase: {at(xk[i])} then {at(xk[i + 1])}")
+                if yk[i + 1] == yk[i]:
+                    raise ValueError(f"constant segment at level {at(yk[i])}: maps must be piecewise strictly monotone")
+        if min(yk) < 0 or max(yk) > den:
+            i = next(i for i, y in enumerate(yk) if not 0 <= y <= den)
+            raise ValueError(f"value {at(yk[i])} at x={at(xk[i])} lies outside [0, 1]")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, PLMap):
+            return NotImplemented
+        return self._keys == other._keys
+
+    def __hash__(self) -> int:
+        return hash(self._keys)
+
+    @cached_property
+    def points(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple(zip(self.xs, self.ys))
+
+    @cached_property
+    def xs(self) -> tuple[Fraction, ...]:
+        if "points" in self.__dict__:
+            return tuple(p[0] for p in self.points)
+        den, xk, _ = self._keys
+        return tuple(Fraction(k, den) for k in xk)
+
+    @cached_property
+    def ys(self) -> tuple[Fraction, ...]:
+        if "points" in self.__dict__:
+            return tuple(p[1] for p in self.points)
+        den, _, yk = self._keys
+        return tuple(map({k: Fraction(k, den) for k in set(yk)}.__getitem__, yk))
 
     @cached_property
     def _straight(self) -> frozenset[int]:
@@ -153,14 +201,6 @@ class PLMap:
             i for i in range(1, len(xk) - 1)
             if (yk[i] - yk[i - 1]) * (xk[i + 1] - xk[i]) == (yk[i + 1] - yk[i]) * (xk[i] - xk[i - 1])
         )
-
-    @cached_property
-    def xs(self) -> tuple[Fraction, ...]:
-        return tuple(p[0] for p in self.points)
-
-    @cached_property
-    def ys(self) -> tuple[Fraction, ...]:
-        return tuple(p[1] for p in self.points)
 
     @cached_property
     def _ends(self) -> tuple[int, ...]:
@@ -178,7 +218,7 @@ class PLMap:
         and every value lies in [0, 1], so these are the breakpoints whose
         value key is 0 or the common denominator."""
         den, _, yk = self._keys
-        return {v: tuple(p[0] for p, y in zip(self.points, yk) if y == k) for v, k in ((ZERO, 0), (ONE, den))}
+        return {v: tuple(x for x, y in zip(self.xs, yk) if y == k) for v, k in ((ZERO, 0), (ONE, den))}
 
     @cached_property
     def _lap_lefts(self) -> tuple[Fraction, ...]:
@@ -196,8 +236,8 @@ class PLMap:
         n, d = x.numerator * den, x.denominator
         i = bisect_right(xk, n // d) - 1
         if xk[i] * d == n:
-            return self.points[i][1]
-        return _interpolate(xk, yk, i, n, d, den)
+            return self.ys[i]
+        return Fraction(*_interpolate(xk, yk, i, n, d, den))
 
     def __repr__(self) -> str:  # keeps pytest diffs readable
         pts = ", ".join(f"({x},{y})" for x, y in self.points)
@@ -227,11 +267,12 @@ def _int_keys(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     return den, tuple(map(mul, map(_numerator, values), map(scale, map(_denominator, values))))
 
 
-def _interpolate(xk: Sequence[int], yk: Sequence[int], i: int, n: int, d: int, den: int) -> Fraction:
+def _interpolate(xk: Sequence[int], yk: Sequence[int], i: int, n: int, d: int, den: int) -> tuple[int, int]:
     """The value at the x key n/d on segment i of the keys ``xk``, ``yk``
-    of one map, whose common denominator is ``den``."""
+    of one map, whose common denominator is ``den``, as a numerator and a
+    positive denominator."""
     dx = xk[i + 1] - xk[i]
-    return Fraction(yk[i] * dx * d + (n - xk[i] * d) * (yk[i + 1] - yk[i]), den * dx * d)
+    return yk[i] * dx * d + (n - xk[i] * d) * (yk[i + 1] - yk[i]), den * dx * d
 
 
 def _lap_ends(ys: Sequence[int]) -> tuple[int, ...]:
@@ -279,27 +320,30 @@ def compose(outer: PLMap, inner: PLMap, budget: int | None = None) -> PLMap:
     outer breakpoints strictly inside each segment's y-range by bisection on
     outer's x keys and emits their preimages in x order.  The walk runs on
     both maps' integer keys (see :attr:`PLMap._keys`), rescaled to the lcm
-    of the two common denominators: O(|inner|·log|outer| + |output|)
-    integer operations on numbers as long as that lcm, plus one
-    ``Fraction`` per new coordinate.  A map whose breakpoints have many
-    unrelated denominators has a huge common denominator, and then every
-    one of these operations is slow.  The result is normalized: a candidate
-    is kept exactly when the composite's slope changes there.
+    of the two common denominators, and emits the result's keys: an
+    affine image of a slice of outer's x keys and that slice of its y keys
+    per inner segment, so O(|inner|·log|outer| + |output|) integer
+    operations on numbers as long as that lcm, and no ``Fraction``.  A map
+    whose breakpoints have many unrelated denominators has a huge common
+    denominator, and then every one of these operations is slow.  The
+    result is normalized: a candidate is kept exactly when the composite's
+    slope changes there.
 
     The budget bounds the distinct candidate breakpoints before merging:
     inner's breakpoints plus the strictly interior preimages.  It is
-    counted from the bisection indices before any point is built, so
+    counted from the bisection indices before any key is built, so
     exceeding it raises :class:`BudgetExceededError` at once.
     """
-    return PLMap(tuple(_compose_segments(outer, inner, 0, len(inner.xs) - 1, budget)))
+    return PLMap._of_keys(*_compose_segments(outer, inner, 0, len(inner._keys[1]) - 1, budget))
 
 
 def _compose_segments(
     outer: PLMap, inner: PLMap, lo: int, hi: int, budget: int | None = None
-) -> list[tuple[Fraction, Fraction]]:
-    """Normalized breakpoint list of ``outer ∘ inner`` restricted to
-    [inner.xs[lo], inner.xs[hi]], that is, over inner's segments lo to
-    hi - 1.  :func:`compose` is the whole range; the budget counts the
+) -> tuple[int, list[int], list[int]]:
+    """Keys ``(den, xk, yk)`` of the normalized breakpoint list of ``outer ∘
+    inner`` restricted to [inner.xs[lo], inner.xs[hi]], that is, over
+    inner's segments lo to hi - 1, at the least common denominator of its
+    coordinates.  :func:`compose` is the whole range; the budget counts the
     candidates of the range in the same way."""
     limit = DEFAULT_BREAKPOINT_BUDGET if budget is None else budget
     oden, oxk, oyk = outer._keys
@@ -319,40 +363,82 @@ def _compose_segments(
     if count > limit:
         raise BudgetExceededError(f"composition needs more than {limit} breakpoints")
 
-    oys, straight = outer.ys, outer._straight
-    ixs = inner.xs[lo:hi + 1]
+    straight = outer._straight
+    # the composite's x and y coordinates in order, as runs of numerators
+    # over one denominator each
+    xruns: list[tuple[list[int], int]] = []
+    yruns: list[tuple[list[int], int]] = []
 
-    def value(k: int) -> Fraction:
-        """outer at inner's k-th breakpoint of the range."""
+    def keep(k: int) -> None:
+        """Emit inner's k-th breakpoint of the range and outer's value there."""
+        xruns.append(([ixk[k]], den))
         j = left[k]
         if right[k] > j:
-            return oys[j]
-        return _interpolate(oxk, oyk, j - 1, iyk[k], 1, den)
+            yruns.append(([oyk[j]], den))
+        else:
+            n, d = _interpolate(oxk, oyk, j - 1, iyk[k], 1, den)
+            yruns.append(([n], d))
 
     def slope(rise: int, run: int, s: int) -> tuple[int, int]:
         """The composite's slope as (rise, run) where inner rises ``rise``
         over ``run`` and outer runs on its segment s."""
         return rise * (oyk[s + 1] - oyk[s]), run * (oxk[s + 1] - oxk[s])
 
-    out = [(ixs[0], value(0))]
+    keep(0)
     for k in range(last):
         x0, y0 = ixk[k], iyk[k]
         run, rise = ixk[k + 1] - x0, iyk[k + 1] - y0
-        # the outer breakpoints met inside the segment, and the outer
-        # segments the composite runs on at the segment's start and end
+        # the outer breakpoints a to b - 1 lie inside the segment, met in
+        # increasing order when it rises; the composite runs on the outer
+        # segments start and end at the segment's start and end
         if rise > 0:
-            js, start, end = range(right[k], left[k + 1]), right[k] - 1, left[k + 1] - 1
+            a, b, start, end = right[k], left[k + 1], right[k] - 1, left[k + 1] - 1
         else:
-            js, start, end = range(left[k] - 1, right[k + 1] - 1, -1), left[k] - 1, right[k + 1] - 1
+            a, b, start, end = right[k + 1], left[k], left[k] - 1, right[k + 1] - 1
         # inner's breakpoint k is kept when the composite's slope changes there
-        a, b = slope(rise, run, start)
-        if k and a * before[1] != before[0] * b:
-            out.append((ixs[k], value(k)))
-        out.extend((Fraction(x0 * rise + (oxk[j] - y0) * run, den * rise), oys[j])
-                   for j in js if j not in straight)
+        u, v = slope(rise, run, start)
+        if k and u * before[1] != before[0] * v:
+            keep(k)
+        if a < b:
+            js = range(a, b) if rise > 0 else range(b - 1, a - 1, -1)
+            if straight:
+                js = [j for j in js if j not in straight]
+                xs, ys = [oxk[j] for j in js], [oyk[j] for j in js]
+            else:
+                xs, ys = (oxk[a:b], oyk[a:b]) if rise > 0 else (oxk[a:b][::-1], oyk[a:b][::-1])
+            # the preimage of the outer key w is (x0·rise + (w - y0)·run) / (den·rise),
+            # taken with rise and run divided by their gcd to keep the numbers short
+            h = gcd(run, rise) if rise > 0 else -gcd(run, rise)
+            c0, c1 = (x0 * rise - y0 * run) // h, run // h
+            xruns.append(([c0 + c1 * w for w in xs], den * rise // h))
+            yruns.append((ys, den))
         before = slope(rise, run, end)
-    out.append((ixs[-1], value(last)))
-    return out
+    keep(last)
+    return _least_keys(xruns, yruns)
+
+
+def _least_keys(*columns: list[tuple[Sequence[int], int]]) -> tuple:
+    """``(den, keys, ...)`` for columns of rationals, each given as runs of
+    numerators over one positive denominator: the least common denominator
+    of every value, and each column's values times it, as ints, as
+    :func:`_int_keys` gives them.  The runs over one denominator d are
+    reduced first, to d // gcd(d, their numerators), and the lcm is taken
+    over those: reducing each run before the lcm keeps the numbers short
+    when the runs' denominators are unrelated."""
+    common: dict[int, int] = {}
+    for column in columns:
+        for nums, d in column:
+            common[d] = gcd(common.get(d, d), *nums)
+    den = lcm(*(d // g for d, g in common.items()))
+    scale = {d: (g, den // (d // g)) for d, g in common.items()}
+    out = []
+    for column in columns:
+        keys: list[int] = []
+        for nums, d in column:
+            g, c = scale[d]
+            keys.extend(nums if g == c == 1 else [n // g * c for n in nums])
+        out.append(keys)
+    return (den, *out)
 
 
 def _rescaled(keys: Sequence[int], factor: int) -> Sequence[int]:
@@ -362,7 +448,9 @@ def _rescaled(keys: Sequence[int], factor: int) -> Sequence[int]:
 class IterateCache:
     """The iterates f, f^2, ... of one map, each composed once, on first
     use, under one breakpoint budget.  This is the only place where f is
-    composed with one of its own powers: f^(k+1) = f∘f^k."""
+    composed with one of its own powers: f^(k+1) = f^k∘f, so the large map
+    is the outer one, and each of f's few segments takes a slice of its
+    keys."""
 
     def __init__(self, f: PLMap, budget: int | None = None):
         self.base = f
@@ -373,7 +461,7 @@ class IterateCache:
         if n < 1:
             raise ValueError("iteration count must be at least 1")
         while len(self._powers) < n:
-            self._powers.append(compose(self.base, self._powers[-1], self.budget))
+            self._powers.append(compose(self._powers[-1], self.base, self.budget))
         return self._powers[n - 1]
 
 

@@ -23,7 +23,6 @@ from .plmap import (
     PLMap,
     _as_rational,
     _compose_segments,
-    _int_keys,
     _lap_ends,
     _laps_at,
     _laps_holding,
@@ -248,15 +247,35 @@ def composite_verdict(outer: PLMap, inner: PLMap, y) -> ZigzagVerdict:
     while lo > 0 and not reaches(near, ys[lo]):
         near, lo = ys[lo], lo - 1
 
-    points = _compose_segments(outer, inner, lo, hi)
-    cuts = [i for i, (x, v) in enumerate(points) if x != y and (v == ZERO or v == ONE)]
-    k = bisect_left(cuts, bisect_left(points, (y,)))
-    window = points[cuts[k - 1] if k else 0 : cuts[k] + 1 if k < len(cuts) else len(points)]
-    wxs = tuple(p[0] for p in window)
-    _, keys = _int_keys([p[1] for p in window])
+    den, xk, yk = _compose_segments(outer, inner, lo, hi)
+    # the window runs between the nearest breakpoints other than y where
+    # g is 0 or 1; its value keys compare as g's values do, at any common
+    # denominator, and its x values are made only where they are read
+    yn, yd = y.numerator * den, y.denominator
+    cuts = [i for i, v in enumerate(yk) if (v == 0 or v == den) and xk[i] * yd != yn]
+    k = bisect_left(cuts, bisect_left(xk, -(-yn // yd)))
+    a, b = cuts[k - 1] if k else 0, cuts[k] + 1 if k < len(cuts) else len(xk)
+    wxk, keys = xk[a:b], yk[a:b]
+    wxs = _KeyXs(den, wxk)
     ends = _lap_ends(keys)
     holding = _laps_holding([wxs[p] for p in ends[:-1]], y)
-    return _verdict(wxs, keys, ends, holding, wxs[0] == ZERO, wxs[-1] == ONE)
+    return _verdict(wxs, keys, ends, holding, wxk[0] == 0, wxk[-1] == den)
+
+
+class _KeyXs:
+    """The x values of a run of breakpoints from their keys over ``den``,
+    each made when read."""
+
+    __slots__ = ("den", "keys")
+
+    def __init__(self, den: int, keys: Sequence[int]) -> None:
+        self.den, self.keys = den, keys
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i: int) -> Fraction:
+        return Fraction(self.keys[i], self.den)
 
 
 def _verdict(

@@ -75,6 +75,15 @@ def _mixed_points(rng, runs: int = 0) -> list:
     return pts
 
 
+def _unrelated_family() -> list:
+    """Markov maps and maps on grids 2^a·5^b, whose denominators are
+    unrelated to the powers of 3 of minc's iterates."""
+    rng = random.Random(15)
+    family = [random_markov_map(rng, rng.choice([3, 4, 5])) for _ in range(6)]
+    family += [random_map(rng, max_breakpoints=8, denominator=2**a * 5**b) for a, b in [(3, 1), (1, 2), (4, 0), (0, 3)]]
+    return family
+
+
 def _refuses(compose_fn, outer, inner, budget) -> bool:
     try:
         compose_fn(outer, inner, budget=budget)
@@ -275,9 +284,7 @@ class TestCompose:
 
     def test_matches_oracle_across_denominators(self, minc):
         # minc's powers have denominators 3^k; the other maps' are unrelated
-        rng = random.Random(15)
-        family = [random_markov_map(rng, rng.choice([3, 4, 5])) for _ in range(6)]
-        family += [random_map(rng, max_breakpoints=8, denominator=2**a * 5**b) for a, b in [(3, 1), (1, 2), (4, 0), (0, 3)]]
+        family = _unrelated_family()
         for k in (1, 2, 3):
             power = iterate(minc, k)
             for f in family:
@@ -285,9 +292,10 @@ class TestCompose:
                 assert compose(f, power) == naive_compose(f, power), (k, f)
 
     def test_range_matches_restricted_oracle(self, minc):
-        """_compose_segments over inner's segments lo to hi - 1 is the
-        composite on [inner.xs[lo], inner.xs[hi]]: its two ends and the
-        breakpoints strictly between them."""
+        """_compose_segments over inner's segments lo to hi - 1 gives the
+        keys of the composite on [inner.xs[lo], inner.xs[hi]]: its two ends
+        and the breakpoints strictly between them, at their least common
+        denominator."""
         rng = random.Random(16)
         pairs = [_random_pair(rng) for _ in range(150)] + [(minc, iterate(minc, 2)), (iterate(minc, 2), minc)]
         for outer, inner in pairs:
@@ -296,7 +304,9 @@ class TestCompose:
                 lo, hi = sorted(rng.sample(range(len(inner.xs)), 2))
                 a, b = inner.xs[lo], inner.xs[hi]
                 expected = [(a, whole(a)), *(p for p in whole.points if a < p[0] < b), (b, whole(b))]
-                assert plmap._compose_segments(outer, inner, lo, hi) == expected, (outer, inner, lo, hi)
+                den, xk, yk = plmap._compose_segments(outer, inner, lo, hi)
+                keys = tuple(k for pair in zip(xk, yk) for k in pair)
+                assert (den, keys) == plmap._int_keys([c for p in expected for c in p]), (outer, inner, lo, hi)
 
     def test_outputs_are_byte_identical(self, minc):
         # digests of the maps the Fraction kernel built before integer keys
@@ -308,6 +318,62 @@ class TestCompose:
             power = iterate(f, n)
             assert len(power.points) == size
             assert hashlib.sha256(dumps_map(power).encode()).hexdigest() == digest
+
+
+class TestKeyBornMaps:
+    """compose builds its result from integer keys; the map's points are
+    made from them on first read."""
+
+    def test_keys_are_the_least_common_denominator_keys(self, minc):
+        rng = random.Random(17)
+        pairs = [_random_pair(rng) for _ in range(300)]
+        powers = [iterate(minc, k) for k in (1, 2, 3, 4)]
+        pairs += [(p, minc) for p in powers] + [(minc, p) for p in powers]
+        pairs += [(p, f) for p in powers[:3] for f in _unrelated_family()]
+        pairs += [(f, p) for p in powers[:3] for f in _unrelated_family()]
+        for outer, inner in pairs:
+            g = compose(outer, inner)
+            den, xk, yk = g._keys
+            keys = tuple(k for pair in zip(xk, yk) for k in pair)
+            assert (den, keys) == plmap._int_keys([c for p in g.points for c in p]), (outer, inner)
+
+    def test_equality_and_hash_follow_the_breakpoints(self, minc):
+        rng = random.Random(18)
+        maps = [compose(*_random_pair(rng)) for _ in range(50)] + [iterate(minc, k) for k in (2, 3)]
+        for g in maps:
+            twin = make_plmap(g.points)
+            assert g == twin and hash(g) == hash(twin)
+            assert twin.points == g.points and twin.points is not g.points
+        # an unnormalized map is another breakpoint list
+        twin = make_plmap([(0, 0), (F(1, 2), 1), (1, 0)])
+        unnormalized = PLMap(((0, 0), (F(1, 4), F(1, 2)), (F(1, 2), 1), (1, 0)))
+        assert unnormalized != twin and make_plmap(unnormalized.points) == twin
+
+    def test_points_are_made_once_from_the_keys(self, minc):
+        g = compose(minc, iterate(minc, 2))
+        assert not {"points", "xs", "ys"} & set(g.__dict__)
+        assert g.points is g.points and g.xs is g.xs and g.ys is g.ys
+        assert g.points == tuple(zip(g.xs, g.ys))
+        assert all(type(v) is F for p in g.points for v in p)
+        # equal values are one object
+        assert len({id(y) for y in g.ys}) == len(set(g.ys))
+
+    def test_maps_are_frozen(self, minc):
+        g = iterate(minc, 2)
+        for f in (minc, g):
+            with pytest.raises(AttributeError):
+                f.points = ()
+            with pytest.raises(AttributeError):
+                f.anything = 1
+            with pytest.raises(AttributeError):
+                del f._keys
+
+    def test_power_is_the_previous_power_then_the_map(self, minc):
+        f19 = make_plmap([(0, 0), (F(1, 3), F(1, 3)), (F(2, 3), 1), (1, 0)])
+        for f, top in ((minc, 4), (f19, 8)):
+            cache = plmap.IterateCache(f)
+            for k in range(1, top):
+                assert cache.power(k + 1) == naive_compose(cache.power(k), f), (f, k)
 
 
 class TestIterate:
@@ -336,7 +402,7 @@ class TestIterate:
         ids=["iterate", "leo_uniform_N", "branch_stabilization"],
     )
     def test_powers_are_built_by_the_iterate_cache(self, monkeypatch, minc, build):
-        # every f∘f^k is composed inside IterateCache.power, nowhere else
+        # every power f^k∘f is composed inside IterateCache.power, nowhere else
         power, compose_ = plmap.IterateCache.power, plmap.compose
         calls, depth, stray = [], [0], []
 
@@ -349,7 +415,7 @@ class TestIterate:
                 depth[0] -= 1
 
         def watched_compose(outer, inner, budget=None):
-            if outer == minc and depth[0] == 0:
+            if minc in (outer, inner) and depth[0] == 0:
                 stray.append(len(inner.points))
             return compose_(outer, inner, budget)
 
@@ -368,6 +434,8 @@ class TestIterate:
         cache = plmap.IterateCache(minc)
         assert [cache.power(n) for n in (3, 1, 2, 3)] == [want[2], want[0], want[1], want[2]]
         assert len(composed) == 2
+        # f^(k+1) is f^k∘f: the power is the outer map
+        assert [(outer, inner) for outer, inner, _ in composed] == [(minc, minc), (want[1], minc)]
         with pytest.raises(ValueError, match="iteration count must be at least 1"):
             cache.power(0)
 
