@@ -29,7 +29,6 @@ from .plmap import (
     dumps_map,
     is_onto,
     iterate,
-    laps,
     load_map,
     make_plmap,
     parse_rational,
@@ -172,8 +171,8 @@ def analysis_report(
             row["orbit_truncated"] = True
         orbit_rows.append(row)
     report = {
-        "breakpoints": len(f.points),
-        "laps": len(laps(f)),
+        "breakpoints": len(f._keys[1]),
+        "laps": len(f._ends) - 1,
         "onto": is_onto(f),
         "critical_set": [str(c) for c in critical_set(f)],
         "zigzag_set": [[str(a), str(b)] for a, b in zigzag_set(f)],

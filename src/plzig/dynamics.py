@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import gcd, lcm
+from operator import lt
 from typing import Optional, Sequence
 
 from .plmap import (
@@ -20,10 +23,9 @@ from .plmap import (
     IterateCache,
     PLMap,
     _as_rational,
+    _key_image,
     _laps_at,
-    critical_set,
     is_onto,
-    laps,
     parse_rational,
 )
 
@@ -52,6 +54,9 @@ __all__ = [
 Interval = tuple[Fraction, Fraction]
 
 DEFAULT_ORBIT_BUDGET = 10**4
+
+# Slack bits of the orbit size bound, see _size_bound.
+ORBIT_SIZE_SLACK = 64
 
 # Powers f, f^2, ... tried by the leo semi-decision before it gives up.
 LEO_FALLBACK_DEPTH = 32
@@ -117,33 +122,104 @@ class OrbitEntry:
     closed: bool
 
 
-def _orbit_of(f: PLMap, start: Fraction, budget: int) -> OrbitEntry:
-    seen: dict[Fraction, int] = {start: 0}
+# An orbit value is carried as its key: a reduced pair (n, d) meaning n/d
+# over the map's common denominator, so d == 1 on the key grid.
+Key = tuple[int, int]
+
+
+def _size_bound(den: int) -> int:
+    """Bit length past which an orbit value's key denominator ends its
+    orbit as open.  Every post-critically finite map checked so far keeps
+    its orbit keys on the grid (d == 1) or close to it, while a wandering
+    orbit's denominators grow at every step, so the bound refuses such a
+    map long before the step budget does."""
+    return 2 * den.bit_length() + ORBIT_SIZE_SLACK
+
+
+def _orbit_of(start: Key, budget: int, successor, limit: int) -> tuple[list[Key], Optional[int]]:
+    """The keys of the forward orbit of ``start`` up to its first repeat,
+    and the index where the repeated value first appeared; None for an
+    orbit still open after ``budget`` steps or at a key denominator longer
+    than ``limit`` bits, whose keys stop before that value."""
+    seen = {start: 0}
     seq = [start]
     for _ in range(budget):
-        nxt = f(seq[-1])
-        if nxt in seen:
-            k = seen[nxt]
-            return OrbitEntry(start, tuple(seq), preperiod=k, period=len(seq) - k, closed=True)
+        nxt = successor(seq[-1])
+        k = seen.get(nxt)
+        if k is not None:
+            return seq, k
+        if nxt[1].bit_length() > limit:
+            break
         seen[nxt] = len(seq)
         seq.append(nxt)
-    return OrbitEntry(start, tuple(seq), preperiod=None, period=None, closed=False)
+    return seq, None
 
 
 def post_critical_orbits(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> tuple[OrbitEntry, ...]:
     """Forward orbit of 0, of every turning point and of 1, in that order,
     with the detected minimal preperiod/period, or an open flag past the
-    budget."""
-    return tuple(_orbit_of(f, pt, budget) for pt in [ZERO, *critical_set(f), ONE])
+    budget.
+
+    The orbits run on f's integer keys.  Orbits merge quickly, so each
+    distinct value is evaluated once, through one table of successors, and
+    becomes one ``Fraction`` object for the entries: a breakpoint's own x,
+    or a new one.  An orbit is also reported open when a value's key
+    denominator grows longer than :func:`_size_bound` bits."""
+    keys = f._keys
+    den, xk, _ = keys
+    limit = _size_bound(den)
+    table: dict[Key, Key] = {}
+
+    def successor(key: Key) -> Key:
+        nxt = table.get(key)
+        if nxt is None:
+            nxt = table[key] = _key_image(keys, *key)
+        return nxt
+
+    ends, xs = f._ends, f.xs
+    orbits = [_orbit_of((xk[i], 1), budget, successor, limit) for i in ends]
+    made = {(xk[i], 1): xs[i] for i in ends}
+    for seq, _ in orbits:
+        for key in seq:
+            if key not in made:
+                made[key] = Fraction(key[0], key[1] * den)
+    value = made.__getitem__
+    entries = []
+    for seq, k in orbits:
+        orbit = tuple(map(value, seq))
+        closed = k is not None
+        entries.append(OrbitEntry(orbit[0], orbit, k, len(seq) - k if closed else None, closed))
+    return tuple(entries)
 
 
-def _orbit_closure(orbits: Sequence[OrbitEntry]) -> Optional[tuple[Fraction, ...]]:
+def _key_of(den: int, v: Fraction) -> Key:
+    """The key of the value v over the common denominator den."""
+    p, q = v.numerator, v.denominator
+    g = gcd(den, q)
+    return p * (den // g), q // g
+
+
+def _scaled(keys: Sequence[Key]) -> tuple[int, list[int]]:
+    """``(L, ints)``: the least common multiple L of the keys' denominators
+    and each key n/d times L, as ints that compare as the values do."""
+    L = lcm(*{d for _, d in keys})
+    if L == 1:
+        return L, [n for n, _ in keys]
+    return L, [n * (L // d) for n, d in keys]
+
+
+def _orbit_closure(f: PLMap, orbits: Sequence[OrbitEntry]) -> Optional[tuple[Fraction, ...]]:
     """The sorted union of the orbits of the endpoints and the turning
     points, or None when some orbit stayed open.  Each closed orbit holds the
-    image of each of its points, so the union is forward invariant."""
+    image of each of its points, so the union is forward invariant.  The
+    values are sorted on their keys, each object once:
+    :func:`post_critical_orbits` makes one object per distinct value."""
     if not all(e.closed for e in orbits):
         return None
-    return tuple(sorted({x for e in orbits for x in e.orbit}))
+    values = {id(v): v for e in orbits for v in e.orbit}.values()
+    _, scaled = _scaled([_key_of(f._keys[0], v) for v in values])
+    by_key = dict(zip(scaled, values))
+    return tuple(by_key[s] for s in sorted(by_key))
 
 
 @dataclass(frozen=True)
@@ -165,14 +241,14 @@ def map_facts(f: PLMap, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> MapFacts:
     """Critical orbits, Markov partition and leo verdict of f from a single
     :func:`post_critical_orbits` call."""
     orbits = post_critical_orbits(f, orbit_budget)
-    markov = _orbit_closure(orbits)
+    markov = _orbit_closure(f, orbits)
     return MapFacts(orbits, markov, _leo(f, markov))
 
 
 def markov_partition(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> list[Fraction]:
     """Smallest forward-invariant finite set containing the critical set and
     the endpoints: the orbit closure of those points, sorted."""
-    pts = _orbit_closure(post_critical_orbits(f, budget))
+    pts = _orbit_closure(f, post_critical_orbits(f, budget))
     if pts is None:
         raise BudgetExceededError(
             "critical orbits did not close within the budget; "
@@ -193,23 +269,30 @@ def is_primitive(f: PLMap, partition: Sequence[Fraction]) -> bool:
     sparse tables.  No row is empty (f has no constant piece), so positivity
     persists once reached; it is checked at powers of two until one reaches
     the Wielandt bound n^2 - 2n + 2.
+
+    The points and their images are read as keys over f's common
+    denominator, scaled to one lcm, so the cells are found in a dict of ints.
     """
-    pts = [_as_rational(p) for p in partition]
-    increasing = all(a < b for a, b in zip(pts, pts[1:]))
-    if not pts or not increasing or pts[0] != ZERO or pts[-1] != ONE:
+    den, xk, _ = f._keys
+    keys = [_key_of(den, _as_rational(p)) for p in partition]
+    L, pts = _scaled(keys)
+    increasing = all(map(lt, pts, islice(pts, 1, None)))
+    if not pts or not increasing or pts[0] != 0 or pts[-1] != den * L:
         raise ValueError("partition must be a sorted point set spanning [0, 1]")
     index = {p: i for i, p in enumerate(pts)}
-    if any(c not in index for c in critical_set(f)):
+    if any(xk[i] * L not in index for i in f._ends[1:-1]):
         raise ValueError("partition must contain every critical point")
     n = len(pts) - 1
-    values = list(map(f, pts))
+    images = []  # the partition index of each point's image, or None
+    for key in keys:
+        m, d = _key_image(f._keys, *key)
+        images.append(index.get(m * (L // d)) if L % d == 0 else None)
     lo, hi = [], []  # row u of A^k is the run of cells lo[u]..hi[u]
-    for u in range(n):
-        a, b = sorted(values[u:u + 2])
-        if a not in index or b not in index:
+    for a, b in zip(images, images[1:]):
+        if a is None or b is None:
             raise ValueError("partition is not forward invariant")
-        lo.append(index[a])
-        hi.append(index[b] - 1)
+        lo.append(min(a, b))
+        hi.append(max(a, b) - 1)
 
     exponent = 1
     while max(lo) > 0 or min(hi) < n - 1:
@@ -258,8 +341,8 @@ def is_leo(f: PLMap, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> Optional[bool]
     spacing; the result is None when neither route concludes.
     """
     markov = None
-    if is_onto(f) and len(laps(f)) > 1:
-        markov = _orbit_closure(post_critical_orbits(f, orbit_budget))
+    if is_onto(f) and len(f._ends) > 2:
+        markov = _orbit_closure(f, post_critical_orbits(f, orbit_budget))
     return _leo(f, markov)
 
 
@@ -268,7 +351,7 @@ def _leo(f: PLMap, markov: Optional[Sequence[Fraction]]) -> Optional[bool]:
     unavailable (None)."""
     if not is_onto(f):
         return False
-    if len(laps(f)) == 1:
+    if len(f._ends) == 2:
         # a monotone onto map is a bijection; proper subintervals never cover
         return False
     if markov is not None:

@@ -14,10 +14,11 @@ certificate only as the pipeline's own output on the certificate's inputs.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import Optional, Sequence
 
 from .plmap import (
     ONE,
@@ -102,6 +103,17 @@ class FactorPair:
     beta: Fraction
 
 
+def _around(f: PLMap, beta: Fraction) -> tuple[Sequence[tuple], Sequence[tuple]]:
+    """The breakpoints of f left of beta and those right of it, from one
+    bisection of the x keys at beta's key, or at its floor when beta is
+    off the key grid."""
+    den, xk, _ = f._keys
+    key = beta.numerator * den
+    j = bisect_right(xk, key // beta.denominator)
+    i = j - 1 if xk[j - 1] * beta.denominator == key else j
+    return f.points[:i], f.points[j:]
+
+
 def split_case1(f: PLMap, beta) -> FactorPair:
     """Split f at a fold to 0: s(y) = beta*(1-f(y)) below beta, identity
     above; t unwinds the fold linearly and continues as f."""
@@ -112,11 +124,12 @@ def split_case1(f: PLMap, beta) -> FactorPair:
         raise ValueError(f"case 1 split needs f(beta) = 0, but f({beta}) = {f(beta)}")
     if not any(w < beta for w in level_crossings(f, ONE)):
         raise ValueError(f"case 1 split needs a point below {beta} mapping to 1")
-    s_pts = [(x, beta * (1 - y)) for x, y in f.points if x < beta]
+    below, above = _around(f, beta)
+    s_pts = [(x, beta * (1 - y)) for x, y in below]
     s_pts.append((beta, beta))
     if beta < ONE:
         s_pts.append((ONE, ONE))
-    t_pts = [(ZERO, ONE), (beta, ZERO)] + [(x, y) for x, y in f.points if x > beta]
+    t_pts = [(ZERO, ONE), (beta, ZERO), *above]
     return FactorPair(make_plmap(s_pts), make_plmap(t_pts), CASE1, beta)
 
 
@@ -130,10 +143,11 @@ def split_case2(f: PLMap, beta) -> FactorPair:
         raise ValueError(f"case 2 split needs f(beta) = 1, but f({beta}) = {f(beta)}")
     if not any(w > beta for w in level_crossings(f, ZERO)):
         raise ValueError(f"case 2 split needs a point above {beta} mapping to 0")
+    below, above = _around(f, beta)
     s_pts = [(ZERO, ZERO)] if beta > ZERO else []
     s_pts.append((beta, beta))
-    s_pts += [(x, 1 - (1 - beta) * y) for x, y in f.points if x > beta]
-    t_pts = [(x, y) for x, y in f.points if x < beta] + [(beta, ONE), (ONE, ZERO)]
+    s_pts += [(x, 1 - (1 - beta) * y) for x, y in above]
+    t_pts = [*below, (beta, ONE), (ONE, ZERO)]
     return FactorPair(make_plmap(s_pts), make_plmap(t_pts), CASE2, beta)
 
 

@@ -113,10 +113,13 @@ class PLMap:
     Validation, the collinearity test (:attr:`_straight`, which
     :func:`make_plmap` drops), evaluation, composition, the lap table, the
     witness search, the solutions of f = 0 and f = 1 (:attr:`_extremes`),
-    the covering test :func:`plzig.dynamics.uniformly_onto` and
-    :func:`is_onto` all read the keys, and each has no second
-    implementation on the ``Fraction`` coordinates.  :func:`level_crossings`
-    at a level other than 0 or 1 solves on the ``Fraction`` coordinates.
+    the covering test :func:`plzig.dynamics.uniformly_onto`,
+    :func:`is_onto`, the critical orbits
+    (:func:`plzig.dynamics.post_critical_orbits`) and the primitivity test
+    :func:`plzig.dynamics.is_primitive` all read the keys, and each has no
+    second implementation on the ``Fraction`` coordinates.
+    :func:`level_crossings` at a level other than 0 or 1 solves on the
+    ``Fraction`` coordinates.
     """
 
     _keys: tuple[int, tuple[int, ...], tuple[int, ...]]
@@ -232,12 +235,9 @@ class PLMap:
         x = _as_rational(x)
         if not (ZERO <= x <= ONE):
             raise ValueError(f"argument {x} outside [0, 1]")
-        den, xk, yk = self._keys
-        n, d = x.numerator * den, x.denominator
-        i = bisect_right(xk, n // d) - 1
-        if xk[i] * d == n:
-            return self.ys[i]
-        return Fraction(*_interpolate(xk, yk, i, n, d, den))
+        den = self._keys[0]
+        n, d = _key_image(self._keys, x.numerator * den, x.denominator)
+        return Fraction(n, d * den)
 
     def __repr__(self) -> str:  # keeps pytest diffs readable
         pts = ", ".join(f"({x},{y})" for x, y in self.points)
@@ -273,6 +273,19 @@ def _interpolate(xk: Sequence[int], yk: Sequence[int], i: int, n: int, d: int, d
     positive denominator."""
     dx = xk[i + 1] - xk[i]
     return yk[i] * dx * d + (n - xk[i] * d) * (yk[i + 1] - yk[i]), den * dx * d
+
+
+def _key_image(keys: tuple[int, Sequence[int], Sequence[int]], n: int, d: int) -> tuple[int, int]:
+    """The value at the x key n/d of the map with keys ``(den, xk, yk)``,
+    as its key: a reduced pair (m, e) meaning m/e over den, with e == 1 at
+    a breakpoint."""
+    _, xk, yk = keys
+    i = bisect_right(xk, n // d) - 1
+    if xk[i] * d == n:
+        return yk[i], 1
+    m, e = _interpolate(xk, yk, i, n, d, 1)  # the value times den
+    g = gcd(m, e)
+    return m // g, e // g
 
 
 def _lap_ends(ys: Sequence[int]) -> tuple[int, ...]:

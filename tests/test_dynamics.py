@@ -8,7 +8,13 @@ import plzig.dynamics as dynamics
 from plzig.cli import analysis_report
 from plzig.factorize import certificate_to_dict, certify_general, verify_certificate
 from plzig.plmap import BudgetExceededError, IterateCache, compose, iterate, laps, make_plmap
-from conftest import dense_is_primitive, naive_uniformly_onto, random_markov_map, transition_matrix
+from conftest import (
+    dense_is_primitive,
+    naive_eval,
+    naive_uniformly_onto,
+    random_markov_map,
+    transition_matrix,
+)
 from plzig.dynamics import (
     BackwardOrbit,
     OrbitValidationError,
@@ -85,6 +91,113 @@ class TestPostCriticalOrbits:
         f = make_plmap([(0, F(1, 7)), (1, F(6, 7))])
         orbits = post_critical_orbits(f, budget=100)
         assert not all(e.closed for e in orbits)
+
+
+def naive_orbits(f, budget):
+    """Reference critical orbits: a ``Fraction`` walk with :func:`naive_eval`
+    from 0, from each turning point read off ``f.points`` and from 1, as
+    (point, orbit, preperiod, period) rows; open rows have no preperiod."""
+    pts = f.points
+    turns = [x for (_, y0), (x, y), (_, y1) in zip(pts, pts[1:], pts[2:]) if (y0 < y) == (y1 < y)]
+    rows = []
+    for start in [F(0), *turns, F(1)]:
+        seq, seen = [start], {start: 0}
+        for _ in range(budget):
+            nxt = naive_eval(f, seq[-1])
+            if nxt in seen:
+                rows.append((start, tuple(seq), seen[nxt], len(seq) - seen[nxt]))
+                break
+            seen[nxt] = len(seq)
+            seq.append(nxt)
+        else:
+            rows.append((start, tuple(seq), None, None))
+    return rows
+
+
+def naive_matrix(f, partition):
+    """Reference cell-covering matrix from :func:`naive_eval` images."""
+    index = {p: i for i, p in enumerate(partition)}
+    n = len(partition) - 1
+    matrix = [[0] * n for _ in range(n)]
+    for u in range(n):
+        lo, hi = sorted((naive_eval(f, partition[u]), naive_eval(f, partition[u + 1])))
+        for v in range(index[lo], index[hi]):
+            matrix[u][v] = 1
+    return matrix
+
+
+# onto and leo, and its critical orbits leave the grid of its common
+# denominator 6 (1/8, 3/8, 1/32, ...) before they close
+OFF_GRID = [(0, F(1, 3)), (F(1, 6), 1), (F(1, 3), 0), (1, F(1, 2))]
+
+
+class TestKeyOrbitPass:
+    """The orbit pass runs on integer keys; a ``Fraction`` walk with the
+    reference evaluation must find the same orbits, partition and verdict."""
+
+    @staticmethod
+    def check(f):
+        rows = naive_orbits(f, 1000)
+        entries = post_critical_orbits(f)
+        assert [(e.point, e.orbit, e.preperiod, e.period) for e in entries] == rows
+        assert all(e.closed for e in entries)
+        partition = sorted({v for _, orbit, _, _ in rows for v in orbit})
+        assert markov_partition(f) == partition
+        verdict = is_primitive(f, partition)
+        assert verdict == dense_is_primitive(naive_matrix(f, partition))
+        return verdict
+
+    def test_iterates_of_minc(self, minc):
+        for k in range(1, 6):
+            assert self.check(iterate(minc, k)) is True
+
+    def test_tent_and_identity(self, tent, identity):
+        assert self.check(tent) is True
+        # one cell, covered by its own image; is_leo still refuses a monotone map
+        assert self.check(identity) is True
+
+    def test_random_markov_maps(self):
+        rng = random.Random(21)
+        verdicts = [self.check(random_markov_map(rng, rng.randint(2, 5))) for _ in range(120)]
+        assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+    def test_orbits_off_the_key_grid(self):
+        f = make_plmap(OFF_GRID)
+        den = f._keys[0]
+        values = {v for e in post_critical_orbits(f) for v in e.orbit}
+        assert any((v * den).denominator > 1 for v in values)
+        assert self.check(f) is True
+        assert map_facts(f).leo is True
+
+    def test_open_orbits_are_prefixes_of_the_walk(self):
+        # the endpoint orbits converge to the fixed point 1/2 and never close
+        f = make_plmap([(0, F(1, 7)), (1, F(6, 7))])
+        for e, (point, orbit, preperiod, _) in zip(post_critical_orbits(f), naive_orbits(f, 100)):
+            assert not e.closed and e.preperiod is None and preperiod is None
+            assert e.point == point and e.orbit == orbit[:len(e.orbit)]
+
+    def test_size_bound_stops_a_wandering_orbit(self):
+        # the orbit of 1/2 never repeats and its denominators grow at every
+        # step: the size bound ends it long before the step budget
+        f = make_plmap([(0, 0), (F(1, 2), 1), (1, F(1, 3))])
+        den = f._keys[0]
+        entry = post_critical_orbits(f)[1]
+        assert entry.point == F(1, 2) and not entry.closed
+        assert len(entry.orbit) < 100 < dynamics.DEFAULT_ORBIT_BUDGET
+        assert all((v * den).denominator.bit_length() <= dynamics._size_bound(den) for v in entry.orbit)
+        assert (f(entry.orbit[-1]) * den).denominator.bit_length() > dynamics._size_bound(den)
+        assert entry.orbit == naive_orbits(f, len(entry.orbit) - 1)[1][1]
+
+    def test_no_points_are_built(self, minc):
+        # a map composed from keys keeps them: the orbit pass, the partition
+        # and primitivity read no Fraction breakpoint values
+        f = iterate(minc, 5)
+        facts = map_facts(f)
+        assert facts.leo is True and len(facts.markov) == 1366
+        # nor does evaluation at a breakpoint
+        den, _, yk = f._keys
+        assert f(f.xs[7]) == F(yk[7], den)
+        assert "points" not in vars(f) and "ys" not in vars(f)
 
 
 class TestPostCriticallyFinite:
