@@ -305,10 +305,12 @@ def is_primitive(f: PLMap, partition: Sequence[Fraction]) -> bool:
 
 def _square_runs(lo: list[int], hi: list[int]) -> tuple[list[int], list[int]]:
     """Runs of A^2k from the runs lo[u]..hi[u] of A^k: row u is the hull of
-    rows lo[u]..hi[u], two range queries on sparse tables of the extrema."""
+    rows lo[u]..hi[u], two range queries on sparse tables of the extrema,
+    built up to the level that the longest run reads."""
+    top = max(b - a + 1 for a, b in zip(lo, hi)).bit_length() - 1
     mins, maxs = [lo], [hi]  # level j: extrema over 2^j consecutive rows
     span = 1
-    while 2 * span <= len(lo):
+    while len(mins) <= top:
         m, x = mins[-1], maxs[-1]
         mins.append([min(m[i], m[i + span]) for i in range(len(m) - span)])
         maxs.append([max(x[i], x[i + span]) for i in range(len(x) - span)])

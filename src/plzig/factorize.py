@@ -14,11 +14,11 @@ certificate only as the pipeline's own output on the certificate's inputs.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Optional
 
 from .plmap import (
     ONE,
@@ -26,6 +26,7 @@ from .plmap import (
     BudgetExceededError,
     PLMap,
     _as_rational,
+    _normalized,
     dumps_map,
     iterate,
     level_crossings,
@@ -95,23 +96,16 @@ class FactorPair:
     [0, beta] and 1 - (1 - beta)F on [beta, 1]; t is F on [0, beta] and
     (1 - u)/(1 - beta) on [beta, 1].  For y <= beta, s(y) = y and t(y) =
     F(y); for y > beta, t(s(y)) = (1 - beta)F(y)/(1 - beta) = F(y).
+    F has no flat piece and its values lie in [0, 1], so F(beta) is 0 or 1
+    only at a breakpoint b/den of F's keys ``(den, xk, yk)``.  s and t are
+    normalized slices of those keys: s has (x·den, b·(den - y)) (case 1) or
+    (x·den, den² - (den - b)·y) (case 2) over den², and t has F's own.
     """
 
     s: PLMap
     t: PLMap
     case: str
     beta: Fraction
-
-
-def _around(f: PLMap, beta: Fraction) -> tuple[Sequence[tuple], Sequence[tuple]]:
-    """The breakpoints of f left of beta and those right of it, from one
-    bisection of the x keys at beta's key, or at its floor when beta is
-    off the key grid."""
-    den, xk, _ = f._keys
-    key = beta.numerator * den
-    j = bisect_right(xk, key // beta.denominator)
-    i = j - 1 if xk[j - 1] * beta.denominator == key else j
-    return f.points[:i], f.points[j:]
 
 
 def split_case1(f: PLMap, beta) -> FactorPair:
@@ -122,15 +116,15 @@ def split_case1(f: PLMap, beta) -> FactorPair:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     if f(beta) != ZERO:
         raise ValueError(f"case 1 split needs f(beta) = 0, but f({beta}) = {f(beta)}")
-    if not any(w < beta for w in level_crossings(f, ONE)):
+    den, xk, yk = f._keys
+    i = bisect_left(xk, beta.numerator * den // beta.denominator)
+    if den not in yk[:i]:
         raise ValueError(f"case 1 split needs a point below {beta} mapping to 1")
-    below, above = _around(f, beta)
-    s_pts = [(x, beta * (1 - y)) for x, y in below]
-    s_pts.append((beta, beta))
-    if beta < ONE:
-        s_pts.append((ONE, ONE))
-    t_pts = [(ZERO, ONE), (beta, ZERO), *above]
-    return FactorPair(make_plmap(s_pts), make_plmap(t_pts), CASE1, beta)
+    b, dd = xk[i], den * den
+    tail = [dd] if beta < ONE else []
+    s = _normalized(dd, [x * den for x in xk[:i + 1]] + tail, [b * (den - y) for y in yk[:i + 1]] + tail)
+    t = _normalized(den, (0, *xk[i:]), (den, *yk[i:]))
+    return FactorPair(s, t, CASE1, beta)
 
 
 def split_case2(f: PLMap, beta) -> FactorPair:
@@ -141,14 +135,15 @@ def split_case2(f: PLMap, beta) -> FactorPair:
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
     if f(beta) != ONE:
         raise ValueError(f"case 2 split needs f(beta) = 1, but f({beta}) = {f(beta)}")
-    if not any(w > beta for w in level_crossings(f, ZERO)):
+    den, xk, yk = f._keys
+    i = bisect_left(xk, beta.numerator * den // beta.denominator)
+    if 0 not in yk[i + 1:]:
         raise ValueError(f"case 2 split needs a point above {beta} mapping to 0")
-    below, above = _around(f, beta)
-    s_pts = [(ZERO, ZERO)] if beta > ZERO else []
-    s_pts.append((beta, beta))
-    s_pts += [(x, 1 - (1 - beta) * y) for x, y in above]
-    t_pts = [*below, (beta, ONE), (ONE, ZERO)]
-    return FactorPair(make_plmap(s_pts), make_plmap(t_pts), CASE2, beta)
+    dd, c = den * den, den - xk[i]
+    head = [0] if beta > ZERO else []
+    s = _normalized(dd, head + [x * den for x in xk[i:]], head + [dd - c * y for y in yk[i:]])
+    t = _normalized(den, (*xk[:i + 1], den), (*yk[:i + 1], 0))
+    return FactorPair(s, t, CASE2, beta)
 
 
 def find_beta(f: PLMap, window: tuple, case: str) -> tuple[Fraction, Fraction]:
@@ -168,12 +163,13 @@ def find_beta(f: PLMap, window: tuple, case: str) -> tuple[Fraction, Fraction]:
     low = case == CASE1
     inside = lambda x: lo <= x < hi if low else lo < x <= hi
     ones = [x for x in level_crossings(f, ONE) if inside(x)]
-    zeros = [z for z in level_crossings(f, ZERO) if inside(z) and any(w < z for w in ones)]
+    # the crossings are sorted, so a 1 comes before z exactly when the first does
+    zeros = [z for z in level_crossings(f, ZERO) if inside(z) and ones and ones[0] < z]
     if not zeros:
         span = f"[{lo}, {hi})" if low else f"({lo}, {hi}]"
         raise ValueError(f"window {span} holds no 1-then-0 fold of the block map")
-    zero = min(zeros) if low else max(zeros)
-    one = max(w for w in ones if w < zero)
+    zero = zeros[0] if low else zeros[-1]
+    one = ones[bisect_left(ones, zero) - 1]
     return (one, zero) if low else (zero, one)
 
 

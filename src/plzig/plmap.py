@@ -16,7 +16,7 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from itertools import chain, islice
+from itertools import islice
 from operator import attrgetter, lt, mul, ne
 from typing import Iterable, NamedTuple, Sequence
 
@@ -97,21 +97,18 @@ class PLMap:
     A map is its integer keys (:attr:`_keys`): ``(den, xk, yk)``, the least
     common denominator of all breakpoint coordinates and the coordinates
     times it, as int tuples, with x strictly increasing from 0 to 1, all y
-    in [0, 1] and no zero-slope segment.  ``PLMap(points)`` builds a map
-    from a breakpoint list of int or ``Fraction`` coordinates and derives
-    its keys; :func:`compose` builds its result from keys alone.  Both
-    validate the keys.  ``xs``, ``ys`` and ``points`` are made on first
-    read, once per map; for a map built from keys they are ``Fraction``s
-    and equal values of ``ys`` are one object.  Equality and hashing
-    compare the keys, which are canonical for a breakpoint list.
+    in [0, 1], no zero-slope segment and a slope change at every interior
+    breakpoint.  Every map is built by :meth:`_of_keys`, which validates
+    the keys: :func:`make_plmap` and the fold splits of
+    :mod:`plzig.factorize` through the one normalizer, and
+    :func:`compose` directly, because its keys are already normalized.  So
+    a function has one representation, and two maps are equal, and hash
+    alike, exactly when they are the same function.  ``xs``, ``ys`` and
+    ``points`` are ``Fraction``s made from the keys on first read, once per
+    map, and equal values of ``ys`` are one object.  Instances are
+    immutable and safe to share between threads.
 
-    Three consecutive points may be collinear; :func:`make_plmap` merges
-    such points, and :func:`compose` never emits them, so the maps both
-    build are normalized (every interior breakpoint is a genuine slope
-    change).  Instances are immutable and safe to share between threads.
-
-    Validation, the collinearity test (:attr:`_straight`, which
-    :func:`make_plmap` drops), evaluation, composition, the lap table, the
+    Validation, normalization, evaluation, composition, the lap table, the
     witness search, the solutions of f = 0 and f = 1 (:attr:`_extremes`),
     the covering test :func:`plzig.dynamics.uniformly_onto`,
     :func:`is_onto`, the critical orbits
@@ -124,44 +121,14 @@ class PLMap:
 
     _keys: tuple[int, tuple[int, ...], tuple[int, ...]]
 
-    def __init__(self, points: Sequence[tuple]) -> None:
-        points = tuple(points)
-        coords = tuple(chain.from_iterable(points))
-        for kind in dict.fromkeys(map(type, coords)):
-            if not issubclass(kind, (int, Fraction)):
-                raise TypeError(f"expected a rational value, got {kind.__name__}")
-        den, keys = _int_keys(coords)
-        self.__dict__.update(points=points, _keys=(den, keys[0::2], keys[1::2]))
-        self._check()
-
     @classmethod
     def _of_keys(cls, den: int, xk: Sequence[int], yk: Sequence[int]) -> PLMap:
-        """The normalized map with keys ``(den, xk, yk)``, given at their
-        least common denominator."""
+        """The map with keys ``(den, xk, yk)``, which must be normalized and
+        at their least common denominator."""
+        _check_keys(den, xk, yk)
         f = object.__new__(cls)
-        f.__dict__.update(_keys=(den, tuple(xk), tuple(yk)), _straight=frozenset())
-        f._check()
+        f.__dict__["_keys"] = (den, tuple(xk), tuple(yk))
         return f
-
-    def _check(self) -> None:
-        """The map invariants, on the keys."""
-        den, xk, yk = self._keys
-        at = lambda k: Fraction(k, den)
-        if len(xk) < 2:
-            raise ValueError("a piecewise-linear map needs at least two breakpoints")
-        if xk[0] != 0:
-            raise ValueError(f"first breakpoint must have x=0, got x={at(xk[0])}")
-        if xk[-1] != den:
-            raise ValueError(f"last breakpoint must have x=1, got x={at(xk[-1])}")
-        if not (all(map(lt, xk, islice(xk, 1, None))) and all(map(ne, yk, islice(yk, 1, None)))):
-            for i in range(len(xk) - 1):
-                if xk[i + 1] <= xk[i]:
-                    raise ValueError(f"breakpoint x-coordinates must increase: {at(xk[i])} then {at(xk[i + 1])}")
-                if yk[i + 1] == yk[i]:
-                    raise ValueError(f"constant segment at level {at(yk[i])}: maps must be piecewise strictly monotone")
-        if min(yk) < 0 or max(yk) > den:
-            i = next(i for i, y in enumerate(yk) if not 0 <= y <= den)
-            raise ValueError(f"value {at(yk[i])} at x={at(xk[i])} lies outside [0, 1]")
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -183,27 +150,13 @@ class PLMap:
 
     @cached_property
     def xs(self) -> tuple[Fraction, ...]:
-        if "points" in self.__dict__:
-            return tuple(p[0] for p in self.points)
         den, xk, _ = self._keys
         return tuple(Fraction(k, den) for k in xk)
 
     @cached_property
     def ys(self) -> tuple[Fraction, ...]:
-        if "points" in self.__dict__:
-            return tuple(p[1] for p in self.points)
         den, _, yk = self._keys
         return tuple(map({k: Fraction(k, den) for k in set(yk)}.__getitem__, yk))
-
-    @cached_property
-    def _straight(self) -> frozenset[int]:
-        """Indices of the interior breakpoints where the slope does not
-        change; empty on a normalized map."""
-        _, xk, yk = self._keys
-        return frozenset(
-            i for i in range(1, len(xk) - 1)
-            if (yk[i] - yk[i - 1]) * (xk[i + 1] - xk[i]) == (yk[i + 1] - yk[i]) * (xk[i] - xk[i - 1])
-        )
 
     @cached_property
     def _ends(self) -> tuple[int, ...]:
@@ -245,17 +198,47 @@ class PLMap:
 
 
 def make_plmap(points: Iterable[tuple]) -> PLMap:
-    """Build a normalized map from a breakpoint list.
+    """The map through a breakpoint list of int, ``Fraction`` or rational
+    literal coordinates.  The list is checked against the map invariants as
+    given, so one that backtracks along a line is refused, and then
+    normalized."""
+    den, keys = _int_keys([_as_rational(v) for x, y in points for v in (x, y)])
+    _check_keys(den, keys[0::2], keys[1::2])
+    return _normalized(den, keys[0::2], keys[1::2])
 
-    The input must satisfy the map invariants.  Its interior points where
-    the slope does not change are then dropped (with a debug log note): each
-    maximal run of them lies on one line with the two points around it.
-    """
-    f = PLMap(tuple((_as_rational(x), _as_rational(y)) for x, y in points))
-    if f._straight:
-        log.debug("merged %d collinear interior breakpoint(s)", len(f._straight))
-        f = PLMap(tuple(p for i, p in enumerate(f.points) if i not in f._straight))
-    return f
+
+def _normalized(den: int, xk: Sequence[int], yk: Sequence[int]) -> PLMap:
+    """The map through the breakpoints with keys ``(den, xk, yk)``, which
+    satisfy the map invariants: the interior points where the slope does not
+    change are dropped (with a debug log note), since each maximal run of
+    them lies on one line with the two points around it, and the keys are
+    divided by their gcd with ``den``."""
+    keep = [0, *(i for i in range(1, len(xk) - 1) if (yk[i] - yk[i - 1]) * (xk[i + 1] - xk[i])
+                 != (yk[i + 1] - yk[i]) * (xk[i] - xk[i - 1])), len(xk) - 1]
+    if len(keep) < len(xk):
+        log.debug("merged %d collinear interior breakpoint(s)", len(xk) - len(keep))
+    g = gcd(den, *(xk[i] for i in keep), *(yk[i] for i in keep))
+    return PLMap._of_keys(den // g, [xk[i] // g for i in keep], [yk[i] // g for i in keep])
+
+
+def _check_keys(den: int, xk: Sequence[int], yk: Sequence[int]) -> None:
+    """The map invariants, except normalization, on a breakpoint list's keys."""
+    at = lambda k: Fraction(k, den)
+    if len(xk) < 2:
+        raise ValueError("a piecewise-linear map needs at least two breakpoints")
+    if xk[0] != 0:
+        raise ValueError(f"first breakpoint must have x=0, got x={at(xk[0])}")
+    if xk[-1] != den:
+        raise ValueError(f"last breakpoint must have x=1, got x={at(xk[-1])}")
+    if not (all(map(lt, xk, islice(xk, 1, None))) and all(map(ne, yk, islice(yk, 1, None)))):
+        for i in range(len(xk) - 1):
+            if xk[i + 1] <= xk[i]:
+                raise ValueError(f"breakpoint x-coordinates must increase: {at(xk[i])} then {at(xk[i + 1])}")
+            if yk[i + 1] == yk[i]:
+                raise ValueError(f"constant segment at level {at(yk[i])}: maps must be piecewise strictly monotone")
+    if min(yk) < 0 or max(yk) > den:
+        i = next(i for i, y in enumerate(yk) if not 0 <= y <= den)
+        raise ValueError(f"value {at(yk[i])} at x={at(xk[i])} lies outside [0, 1]")
 
 
 def _int_keys(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
@@ -339,8 +322,10 @@ def compose(outer: PLMap, inner: PLMap, budget: int | None = None) -> PLMap:
     operations on numbers as long as that lcm, and no ``Fraction``.  A map
     whose breakpoints have many unrelated denominators has a huge common
     denominator, and then every one of these operations is slow.  The
-    result is normalized: a candidate is kept exactly when the composite's
-    slope changes there.
+    result is normalized: each preimage is kept, since outer is normalized
+    and inner is linear with nonzero slope around it, and inner's
+    breakpoints are kept exactly where the composite's slope changes.  Its
+    keys are least, so it is built by :meth:`PLMap._of_keys` directly.
 
     The budget bounds the distinct candidate breakpoints before merging:
     inner's breakpoints plus the strictly interior preimages.  It is
@@ -376,7 +361,6 @@ def _compose_segments(
     if count > limit:
         raise BudgetExceededError(f"composition needs more than {limit} breakpoints")
 
-    straight = outer._straight
     # the composite's x and y coordinates in order, as runs of numerators
     # over one denominator each
     xruns: list[tuple[list[int], int]] = []
@@ -413,12 +397,7 @@ def _compose_segments(
         if k and u * before[1] != before[0] * v:
             keep(k)
         if a < b:
-            js = range(a, b) if rise > 0 else range(b - 1, a - 1, -1)
-            if straight:
-                js = [j for j in js if j not in straight]
-                xs, ys = [oxk[j] for j in js], [oyk[j] for j in js]
-            else:
-                xs, ys = (oxk[a:b], oyk[a:b]) if rise > 0 else (oxk[a:b][::-1], oyk[a:b][::-1])
+            xs, ys = (oxk[a:b], oyk[a:b]) if rise > 0 else (oxk[a:b][::-1], oyk[a:b][::-1])
             # the preimage of the outer key w is (x0·rise + (w - y0)·run) / (den·rise),
             # taken with rise and run divided by their gcd to keep the numbers short
             h = gcd(run, rise) if rise > 0 else -gcd(run, rise)

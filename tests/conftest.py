@@ -11,6 +11,7 @@ from plzig.plmap import (
     DEFAULT_BREAKPOINT_BUDGET,
     BudgetExceededError,
     PLMap,
+    iterate,
     laps,
     level_crossings,
     loads_map,
@@ -79,6 +80,21 @@ def exact_fixed_points(f: PLMap) -> list[Fraction]:
             if x0 <= x <= x1:
                 out.add(x)
     return sorted(out)
+
+
+def periodic_cycles(f: PLMap, max_period: int) -> list[tuple[Fraction, ...]]:
+    """The cycles of f of period at most ``max_period``, each as its forward
+    orbit from its least point, sorted."""
+    cycles = set()
+    for p in range(1, max_period + 1):
+        for x in exact_fixed_points(iterate(f, p)):
+            forward = [x]
+            for _ in range(p - 1):
+                forward.append(f(forward[-1]))
+            if len(set(forward)) == p:
+                i = forward.index(min(forward))
+                cycles.add(tuple(forward[i:] + forward[:i]))
+    return sorted(cycles)
 
 
 def naive_lap_witness(f: PLMap, ck: Fraction, ck1: Fraction, candidates=None):
@@ -290,21 +306,31 @@ def naive_normalize(points) -> list[tuple[Fraction, Fraction]]:
     return merged
 
 
+def naive_map(points) -> PLMap:
+    """The map through :func:`naive_normalize` of ``points``.  make_plmap
+    must keep every point, so an oracle built with it never relies on the
+    library's normalization."""
+    merged = naive_normalize(points)
+    f = make_plmap(merged)
+    assert len(f._keys[1]) == len(merged), "make_plmap dropped a point naive_normalize kept"
+    return f
+
+
 def naive_compose(outer: PLMap, inner: PLMap, budget=None) -> PLMap:
     """Reference composition by the candidate-set algorithm.
 
     Independent of the production segment walk: solves inner(x) = v over
     all of inner for each outer breakpoint v, refuses when the distinct
     candidates exceed the budget, evaluates outer(inner(x)) at every
-    candidate with :func:`naive_eval` and normalizes with
-    :func:`naive_normalize`.
+    candidate with :func:`naive_eval` and builds the map with
+    :func:`naive_map`.
     """
     limit = DEFAULT_BREAKPOINT_BUDGET if budget is None else budget
     candidates = compose_candidates(outer, inner)
     if len(candidates) > limit:
         raise BudgetExceededError(f"composition needs more than {limit} breakpoints")
     points = [(x, naive_eval(outer, naive_eval(inner, x))) for x in sorted(candidates)]
-    return PLMap(tuple(naive_normalize(points)))
+    return naive_map(points)
 
 
 def candidate_count(outer: PLMap, inner: PLMap) -> int:
@@ -407,7 +433,7 @@ def naive_power(f: PLMap, k: int):
     :func:`naive_composable`."""
     if (f, k) not in _powers:
         if k == 1:
-            power = PLMap(tuple(naive_normalize(f.points)))
+            power = naive_map(f.points)
         else:
             inner = naive_power(f, k - 1)
             fits = inner is not None and naive_composable(f, inner)

@@ -10,7 +10,6 @@ import pytest
 
 from plzig.plmap import (
     DEFAULT_BREAKPOINT_BUDGET,
-    PLMap,
     compose,
     dumps_map,
     image_interval,
@@ -49,8 +48,9 @@ from conftest import (
     check_factor_pair,
     check_factor_pair_pointwise,
     check_rebonded_verdict,
-    exact_fixed_points,
     naive_compose,
+    naive_solutions,
+    periodic_cycles,
     random_map,
 )
 
@@ -117,10 +117,17 @@ class TestSplitCase1:
         with pytest.raises(ValueError):
             split_case1(f, F(1, 2))
 
+    def test_fold_at_the_right_end(self, tent):
+        # beta = 1: s is 1 - f on all of [0, 1], with no identity part
+        pair = split_case1(tent, 1)
+        assert pair.s.points == ((0, 1), (F(1, 2), 0), (1, 1))
+        assert pair.t.points == ((0, 1), (1, 0))
+        check_factor_pair(tent, 1, pair.s, pair.t)
+
     def test_map_with_a_collinear_point_splits(self):
-        # (1/6, 1/2) lies on the first segment: f is valid but not in normal
-        # form, and its pair still composes to f
-        f = PLMap(tuple(
+        # (1/6, 1/2) lies on the first segment, and make_plmap drops it; the
+        # pair still composes to f
+        f = make_plmap(tuple(
             (F(x), F(y)) for x, y in ((0, 0), ("1/6", "1/2"), ("1/3", 1), ("2/3", 0), (1, 1))
         ))
         pair = split_case1(f, F(2, 3))
@@ -159,11 +166,19 @@ class TestSplitCase2:
 
     def test_map_with_a_collinear_point_splits(self):
         # the mirror image of case 1's map: (5/6, 1/2) lies on the last segment
-        f = PLMap(tuple(
+        f = make_plmap(tuple(
             (F(x), F(y)) for x, y in ((0, 0), ("1/3", 1), ("2/3", 0), ("5/6", "1/2"), (1, 1))
         ))
         pair = split_case2(f, F(1, 3))
         check_factor_pair(make_plmap(f.points), 1, pair.s, pair.t)
+
+    def test_fold_at_the_left_end(self):
+        # beta = 0: s is 1 - f on all of [0, 1], with no identity part
+        f = make_plmap([(0, 1), (F(1, 2), 0), (1, 1)])
+        pair = split_case2(f, 0)
+        assert pair.s.points == ((0, 0), (F(1, 2), 1), (1, 0))
+        assert pair.t.points == ((0, 1), (1, 0))
+        check_factor_pair(f, 1, pair.s, pair.t)
 
 
 class TestFoldCurveAnchors:
@@ -199,6 +214,27 @@ class TestFindBeta:
         # the map is monotone on [0, 1/3]; no full fold lives there
         with pytest.raises(ValueError):
             find_beta(minc, (F(0), F(1, 4)), CASE1)
+
+    def test_matches_a_scan_of_the_crossings(self, minc, f2):
+        # every window between twelfths, on minc^1..3 and random maps:
+        # the fold is the one the definition picks from all crossings
+        rng = random.Random(43)
+        maps = [minc, f2, iterate(minc, 3)] + [random_map(rng, max_breakpoints=10, denominator=8) for _ in range(30)]
+        grid = [F(k, 12) for k in range(13)]
+        for f in maps:
+            ones, zeros = naive_solutions(f, 1), naive_solutions(f, 0)
+            for lo, hi in ((lo, hi) for lo in grid for hi in grid if lo < hi):
+                for case in (CASE1, CASE2):
+                    inside = (lambda x: lo <= x < hi) if case == CASE1 else (lambda x: lo < x <= hi)
+                    folds = [(max(w for w in ones if inside(w) and w < z), z)
+                             for z in zeros if inside(z) and any(inside(w) and w < z for w in ones)]
+                    if not folds:
+                        with pytest.raises(ValueError):
+                            find_beta(f, (lo, hi), case)
+                    elif case == CASE1:
+                        assert find_beta(f, (lo, hi), case) == folds[0], (f, lo, hi)
+                    else:
+                        assert find_beta(f, (lo, hi), case) == folds[-1][::-1], (f, lo, hi)
 
 
 class TestStageChoice:
@@ -460,19 +496,11 @@ class TestCertifyGeneral:
         # certificate verifies; at 7 of them the rebonded map has more
         # candidate breakpoints than the default budget allows, so composing
         # it in full was refused
-        cycles = set()
-        for p in (1, 2, 3):
-            for x in exact_fixed_points(iterate(minc, p)):
-                forward = [x]
-                for _ in range(p - 1):
-                    forward.append(minc(forward[-1]))
-                if len(set(forward)) == p:
-                    i = forward.index(min(forward))
-                    cycles.add(tuple(forward[i:] + forward[:i]))
+        cycles = periodic_cycles(minc, 3)
         assert len(cycles) == 31
         too_big = set()
         minc_repeats = []
-        for forward in sorted(cycles):
+        for forward in cycles:
             orbit = BackwardOrbit.of([], forward[:1] + forward[:0:-1])
             cert = certify_general(minc, orbit, stages=6)
             assert cert.passed, forward
@@ -1262,7 +1290,7 @@ class TestVerifierNeverRaises:
             "query point 3/2 outside [0, 1]",
         ),
         (
-            lambda: PLMap(((F(0), F(0)),)),
+            lambda: make_plmap(((F(0), F(0)),)),
             ValueError,
             "a piecewise-linear map needs at least two breakpoints",
         ),

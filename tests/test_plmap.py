@@ -21,6 +21,8 @@ from plzig.plmap import (
     _laps_at,
 )
 import plzig.dynamics as dynamics
+from plzig.dynamics import BackwardOrbit
+from plzig.factorize import CASE1, CASE2, certify_general, split_case1, split_case2
 import plzig.plmap as plmap
 import plzig.zigzag as zigzag
 
@@ -31,6 +33,7 @@ from conftest import (
     naive_normalize,
     naive_solutions,
     naive_uniformly_onto,
+    periodic_cycles,
     random_map,
     random_markov_map,
     scan_laps_at,
@@ -39,8 +42,8 @@ from conftest import (
 
 def _random_pair(rng):
     """Two random maps; coarse grids make inner values hit outer breakpoints,
-    and now and then outer carries a collinear interior point (legal for a
-    directly built PLMap) so merging also happens between inner breakpoints."""
+    and now and then outer is rebuilt from its points with a collinear
+    interior point added, which make_plmap drops again."""
     den = rng.choice([4, 8, 64])
     outer = random_map(rng, max_breakpoints=10, denominator=den)
     inner = random_map(rng, max_breakpoints=10, denominator=den)
@@ -48,7 +51,7 @@ def _random_pair(rng):
         i = rng.randrange(len(outer.points) - 1)
         (x0, y0), (x1, y1) = outer.points[i], outer.points[i + 1]
         mid = ((x0 + x1) / 2, (y0 + y1) / 2)
-        outer = PLMap(outer.points[: i + 1] + (mid,) + outer.points[i + 1 :])
+        outer = make_plmap(outer.points[: i + 1] + (mid,) + outer.points[i + 1 :])
     return outer, inner
 
 
@@ -73,6 +76,27 @@ def _mixed_points(rng, runs: int = 0) -> list:
         ts = sorted({F(rng.randint(1, q - 1), q) for q in (rng.randint(2, 30) for _ in range(rng.randint(1, 3)))})
         pts[i + 1:i + 1] = [(x0 + t * (x1 - x0), y0 + t * (y1 - y0)) for t in ts]
     return pts
+
+
+def _least_keys(points) -> tuple:
+    """The keys of the map through ``points``, from :func:`naive_normalize`
+    and :func:`plzig.plmap._int_keys`."""
+    den, keys = plmap._int_keys([F(c) for p in naive_normalize(points) for c in p])
+    return den, keys[0::2], keys[1::2]
+
+
+def _fold_points(block: PLMap, pair) -> tuple[list, list]:
+    """The breakpoint lists of s and t of a fold split of ``block``, by the
+    formulas of :class:`plzig.factorize.FactorPair` on its ``Fraction``
+    points."""
+    beta = pair.beta
+    below = [p for p in block.points if p[0] < beta]
+    above = [p for p in block.points if p[0] > beta]
+    if pair.case == CASE1:
+        s = [(x, beta * (1 - y)) for x, y in below] + [(beta, beta)] + [(F(1), F(1))] * (beta < 1)
+        return s, [(F(0), F(1)), (beta, F(0)), *above]
+    s = [(F(0), F(0))] * (beta > 0) + [(beta, beta)] + [(x, 1 - (1 - beta) * y) for x, y in above]
+    return s, [*below, (beta, F(1)), (F(1), F(0))]
 
 
 def _unrelated_family() -> list:
@@ -187,14 +211,14 @@ class TestConstruction:
     )
     def test_validation_messages(self, points, message):
         with pytest.raises(ValueError) as exc:
-            PLMap(points)
+            make_plmap(points)
         assert str(exc.value) == message
 
     def test_rejects_float_coordinates(self):
         # a float breakpoint would make evaluation return floats
         for points in [((0, 0), (0.5, 1.0), (1, 0)), ((0, 0), (F(1, 2), 1), (1.0, 0))]:
             with pytest.raises(TypeError, match="^expected a rational value, got float$"):
-                PLMap(points)
+                make_plmap(points)
 
 
 class TestEvaluate:
@@ -219,7 +243,7 @@ class TestEvaluate:
         maps = [iterate(minc, 3)]
         for _ in range(150):
             pts = _mixed_points(rng, runs=rng.choice([0, 0, 1, 2]))
-            maps += [PLMap(tuple(pts)), make_plmap(pts)]
+            maps.append(make_plmap(pts))
         for f in maps:
             queries = [F(0), F(1)]
             for x in f.xs:
@@ -321,7 +345,7 @@ class TestCompose:
 
 
 class TestKeyBornMaps:
-    """compose builds its result from integer keys; the map's points are
+    """Every map is built from its normalized integer keys; its points are
     made from them on first read."""
 
     def test_keys_are_the_least_common_denominator_keys(self, minc):
@@ -336,6 +360,23 @@ class TestKeyBornMaps:
             den, xk, yk = g._keys
             keys = tuple(k for pair in zip(xk, yk) for k in pair)
             assert (den, keys) == plmap._int_keys([c for p in g.points for c in p]), (outer, inner)
+        # make_plmap normalizes its input, and a merge can lower the denominator
+        lists = [[(0, 0), (F(1, 6), F(1, 2)), (F(1, 3), 1), (1, 0)]]
+        lists += [_mixed_points(rng, runs=rng.randint(1, 3)) for _ in range(200)]
+        for points in lists:
+            assert make_plmap(points)._keys == _least_keys(points), points
+        assert make_plmap(lists[0])._keys == (3, (0, 1, 3), (0, 3, 0))
+        # the fold splits build s and t from slices of the block map's keys
+        f2 = powers[1]
+        blocks = [(f2, split_case1(f2, F(7, 18))), (f2, split_case2(f2, F(11, 18)))]
+        for forward in periodic_cycles(minc, 2):
+            cert = certify_general(minc, BackwardOrbit.of([], forward[:1] + forward[:0:-1]), stages=2)
+            blocks.append((iterate(minc, cert.stabilization.step), cert.stages[0].pair))
+        assert {pair.case for _, pair in blocks} == {CASE1, CASE2}
+        for block, pair in blocks:
+            s_points, t_points = _fold_points(block, pair)
+            assert pair.s._keys == _least_keys(s_points), (pair.case, pair.beta)
+            assert pair.t._keys == _least_keys(t_points), (pair.case, pair.beta)
 
     def test_equality_and_hash_follow_the_breakpoints(self, minc):
         rng = random.Random(18)
@@ -344,10 +385,11 @@ class TestKeyBornMaps:
             twin = make_plmap(g.points)
             assert g == twin and hash(g) == hash(twin)
             assert twin.points == g.points and twin.points is not g.points
-        # an unnormalized map is another breakpoint list
+        # a collinear list builds the same map as its normalized twin
         twin = make_plmap([(0, 0), (F(1, 2), 1), (1, 0)])
-        unnormalized = PLMap(((0, 0), (F(1, 4), F(1, 2)), (F(1, 2), 1), (1, 0)))
-        assert unnormalized != twin and make_plmap(unnormalized.points) == twin
+        collinear = make_plmap(((0, 0), (F(1, 4), F(1, 2)), (F(1, 2), 1), (1, 0)))
+        assert collinear == twin and hash(collinear) == hash(twin)
+        assert make_plmap(collinear.points) == twin
 
     def test_points_are_made_once_from_the_keys(self, minc):
         g = compose(minc, iterate(minc, 2))
@@ -523,14 +565,15 @@ class TestLevelCrossings:
 def _level_key_maps(minc: PLMap) -> list[PLMap]:
     """Maps for the 0/1-level readers: random maps on one grid, Markov maps,
     minc^1..4, maps whose breakpoints have unrelated denominators (some with
-    collinear points, built directly) and maps that miss 0, 1 or both."""
+    collinear points, which make_plmap merges) and maps that miss 0, 1 or
+    both."""
     rng = random.Random(19)
     maps = [random_map(rng, max_breakpoints=rng.randint(2, 12), denominator=rng.choice([4, 8, 60, 64, 250]))
             for _ in range(120)]
     maps += [random_markov_map(rng, rng.randint(2, 6)) for _ in range(80)]
     maps += [iterate(minc, k) for k in (1, 2, 3, 4)]
     maps += [make_plmap(_mixed_points(rng)) for _ in range(40)]
-    maps += [PLMap(tuple(_mixed_points(rng, runs=rng.randint(1, 3)))) for _ in range(40)]
+    maps += [make_plmap(_mixed_points(rng, runs=rng.randint(1, 3))) for _ in range(40)]
     # squeeze the values of random maps into [0, 2/3], [1/3, 1] and [1/5, 4/5]
     for lo, width in ((F(0), F(2, 3)), (F(1, 3), F(2, 3)), (F(1, 5), F(3, 5))):
         for _ in range(10):
