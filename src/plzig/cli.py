@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .plmap import (
     BudgetExceededError,
@@ -262,7 +263,11 @@ def _add_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--map", help="map file (lines of 'x y' rationals)")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``plzig`` argument parser, built once per process: argparse keeps
+    no state between ``parse_args`` calls, and each call returns a new
+    namespace."""
     top = argparse.ArgumentParser(prog="plzig", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

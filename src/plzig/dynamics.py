@@ -86,10 +86,12 @@ class BranchResult:
 
 
 def _lap_branch(f: PLMap, k: int) -> tuple[Interval, Interval]:
-    """Lap k of f and its image, read from the breakpoints at its ends."""
+    """Lap k of f and its image, read from the keys of the breakpoints at
+    its ends."""
+    den, xk, yk = f._keys
     p, q = f._ends[k], f._ends[k + 1]
-    u, v = f.ys[p], f.ys[q]
-    return (f.xs[p], f.xs[q]), ((u, v) if u <= v else (v, u))
+    u, v = sorted((yk[p], yk[q]))
+    return (Fraction(xk[p], den), Fraction(xk[q], den)), (Fraction(u, den), Fraction(v, den))
 
 
 def branch(f: PLMap, y) -> BranchResult:

@@ -14,7 +14,7 @@ certificate only as the pipeline's own output on the certificate's inputs.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -29,7 +29,6 @@ from .plmap import (
     _normalized,
     dumps_map,
     iterate,
-    level_crossings,
     loads_map,
     make_plmap,
     parse_rational,
@@ -156,21 +155,37 @@ def find_beta(f: PLMap, window: tuple, case: str) -> tuple[Fraction, Fraction]:
     with gamma the greatest level-0 crossing preceded by a level-1 crossing
     and beta the greatest such level-1 crossing.  Raises when the window
     holds no full fold (a covering-condition violation).
+
+    f has no flat piece and its values lie in [0, 1], so the crossings are
+    the breakpoints whose value key is 0 or the common denominator.  The
+    window's breakpoints are found by bisecting the x keys, as
+    :meth:`PLMap.__call__` does, and only the two returned values become
+    ``Fraction``s.
     """
     lo, hi = (_as_rational(window[0]), _as_rational(window[1]))
     if case not in (CASE1, CASE2):
         raise ValueError(f"unknown case {case!r}")
     low = case == CASE1
-    inside = lambda x: lo <= x < hi if low else lo < x <= hi
-    ones = [x for x in level_crossings(f, ONE) if inside(x)]
-    # the crossings are sorted, so a 1 comes before z exactly when the first does
-    zeros = [z for z in level_crossings(f, ZERO) if inside(z) and ones and ones[0] < z]
+    den, xk, yk = f._keys
+    # cut(v) is the first breakpoint index inside a window that starts at
+    # v: at or past v in case 1, past v in case 2.  An int key is below
+    # n/d exactly when it is below its ceiling, and at most n/d exactly
+    # when it is at most its floor
+    if low:
+        cut = lambda v: bisect_left(xk, -(-v.numerator * den // v.denominator))
+    else:
+        cut = lambda v: bisect_right(xk, v.numerator * den // v.denominator)
+    inside = range(cut(lo), cut(hi))
+    ones = [i for i in inside if yk[i] == den]
+    # indices are in x order, so a 1 comes before z exactly when the first does
+    zeros = [i for i in inside if yk[i] == 0 and ones and ones[0] < i]
     if not zeros:
         span = f"[{lo}, {hi})" if low else f"({lo}, {hi}]"
         raise ValueError(f"window {span} holds no 1-then-0 fold of the block map")
     zero = zeros[0] if low else zeros[-1]
     one = ones[bisect_left(ones, zero) - 1]
-    return (one, zero) if low else (zero, one)
+    pair = (Fraction(xk[one], den), Fraction(xk[zero], den))
+    return pair if low else pair[::-1]
 
 
 def minc_map() -> PLMap:

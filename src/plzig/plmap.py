@@ -109,12 +109,17 @@ class PLMap:
     immutable and safe to share between threads.
 
     Validation, normalization, evaluation, composition, the lap table, the
-    witness search, the solutions of f = 0 and f = 1 (:attr:`_extremes`),
-    the covering test :func:`plzig.dynamics.uniformly_onto`,
-    :func:`is_onto`, the critical orbits
-    (:func:`plzig.dynamics.post_critical_orbits`) and the primitivity test
-    :func:`plzig.dynamics.is_primitive` all read the keys, and each has no
-    second implementation on the ``Fraction`` coordinates.
+    lap lookup (:func:`_laps_at`, on the lap-left x keys), the branch
+    :func:`plzig.dynamics.branch`, the witness search, the solutions of
+    f = 0 and f = 1 (:attr:`_extremes`), the fold search
+    :func:`plzig.factorize.find_beta`, the window of
+    :func:`plzig.zigzag.composite_verdict`, the covering test
+    :func:`plzig.dynamics.uniformly_onto`, :func:`is_onto`, the critical
+    orbits (:func:`plzig.dynamics.post_critical_orbits`), the primitivity
+    test :func:`plzig.dynamics.is_primitive` and the map-file writer
+    :func:`dumps_map` all read the keys, and each has no second
+    implementation on the ``Fraction`` coordinates.  So certifying reads
+    the block map, s and t without making their ``Fraction`` points.
     :func:`level_crossings` at a level other than 0 or 1 solves on the
     ``Fraction`` coordinates.
     """
@@ -173,12 +178,14 @@ class PLMap:
         """The solutions of f(x) = 0 and of f(x) = 1.  No segment is flat
         and every value lies in [0, 1], so these are the breakpoints whose
         value key is 0 or the common denominator."""
-        den, _, yk = self._keys
-        return {v: tuple(x for x, y in zip(self.xs, yk) if y == k) for v, k in ((ZERO, 0), (ONE, den))}
+        den, xk, yk = self._keys
+        return {v: tuple(Fraction(x, den) for x, y in zip(xk, yk) if y == k) for v, k in ((ZERO, 0), (ONE, den))}
 
     @cached_property
-    def _lap_lefts(self) -> tuple[Fraction, ...]:
-        return tuple(self.xs[p] for p in self._ends[:-1])
+    def _lap_lefts(self) -> tuple[int, ...]:
+        """The x keys of the laps' left ends."""
+        xk = self._keys[1]
+        return tuple(xk[p] for p in self._ends[:-1])
 
     def __call__(self, x) -> Fraction:
         """Exact evaluation by linear interpolation on the containing
@@ -201,18 +208,20 @@ def make_plmap(points: Iterable[tuple]) -> PLMap:
     """The map through a breakpoint list of int, ``Fraction`` or rational
     literal coordinates.  The list is checked against the map invariants as
     given, so one that backtracks along a line is refused, and then
-    normalized."""
+    normalized (both by :func:`_normalized`)."""
     den, keys = _int_keys([_as_rational(v) for x, y in points for v in (x, y)])
-    _check_keys(den, keys[0::2], keys[1::2])
     return _normalized(den, keys[0::2], keys[1::2])
 
 
 def _normalized(den: int, xk: Sequence[int], yk: Sequence[int]) -> PLMap:
-    """The map through the breakpoints with keys ``(den, xk, yk)``, which
-    satisfy the map invariants: the interior points where the slope does not
-    change are dropped (with a debug log note), since each maximal run of
-    them lies on one line with the two points around it, and the keys are
-    divided by their gcd with ``den``."""
+    """The map through the breakpoints with keys ``(den, xk, yk)``.  The
+    keys are checked against the map invariants as given, so a list that
+    backtracks along a line or repeats an x key (a zero-length segment) is
+    refused.  Then the interior points where the slope does not change are
+    dropped (with a debug log note), since each maximal run of them lies on
+    one line with the two points around it, and the keys are divided by
+    their gcd with ``den``."""
+    _check_keys(den, xk, yk)
     keep = [0, *(i for i in range(1, len(xk) - 1) if (yk[i] - yk[i - 1]) * (xk[i + 1] - xk[i])
                  != (yk[i + 1] - yk[i]) * (xk[i] - xk[i - 1])), len(xk) - 1]
     if len(keep) < len(xk):
@@ -288,22 +297,25 @@ def laps(f: PLMap) -> list[Lap]:
 def _laps_at(f: PLMap, y: Fraction) -> list[int]:
     """Indices, in increasing order, of the laps of f whose closed interval
     holds y: two at a critical point, one elsewhere in [0, 1], none outside.
-    One bisection of the lap boundaries."""
+    One bisection of the lap-left x keys."""
     if not (ZERO <= y <= ONE):
         return []
-    return _laps_holding(f._lap_lefts, y)
+    return _laps_holding(f._lap_lefts, y.numerator * f._keys[0], y.denominator)
 
 
-def _laps_holding(lefts: Sequence[Fraction], y: Fraction) -> list[int]:
-    """Indices of the laps, given by their left ends, whose closed interval
-    holds y, for y inside the span of the laps."""
-    k = bisect_right(lefts, y) - 1
-    return [k - 1, k] if k > 0 and lefts[k] == y else [k]
+def _laps_holding(lefts: Sequence[int], n: int, d: int) -> list[int]:
+    """Indices of the laps, given by the int keys of their left ends, whose
+    closed interval holds the point with key n/d (d > 0), for a point inside
+    the span of the laps.  An int key is at most n/d exactly when it is at
+    most its floor."""
+    k = bisect_right(lefts, n // d) - 1
+    return [k - 1, k] if k > 0 and lefts[k] * d == n else [k]
 
 
 def critical_set(f: PLMap) -> list[Fraction]:
     """Turning points: the interior points where monotonicity flips."""
-    return list(f._lap_lefts[1:])
+    xs = f.xs
+    return [xs[p] for p in f._ends[1:-1]]
 
 
 def compose(outer: PLMap, inner: PLMap, budget: int | None = None) -> PLMap:
@@ -524,8 +536,17 @@ def loads_map(text: str) -> PLMap:
 
 
 def dumps_map(f: PLMap) -> str:
-    lines = [f"{x} {y}" for x, y in f.points]
-    return "\n".join(lines) + "\n"
+    """The map-file text of f: one breakpoint per line, each coordinate
+    written from its key as ``str(Fraction)`` writes it ("0", "1", "p/q"),
+    with one int gcd, once per x key and once per distinct value key."""
+    den, xk, yk = f._keys
+
+    def text(k: int) -> str:
+        g = gcd(k, den)
+        return str(k // g) if g == den else f"{k // g}/{den // g}"
+
+    ytext = {k: text(k) for k in set(yk)}
+    return "".join(f"{text(x)} {ytext[y]}\n" for x, y in zip(xk, yk))
 
 
 def load_map(path) -> PLMap:

@@ -13,6 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from math import lcm
 from operator import gt, le, lt
 from typing import Callable, Optional, Sequence
 
@@ -23,6 +24,7 @@ from .plmap import (
     PLMap,
     _as_rational,
     _compose_segments,
+    _key_image,
     _lap_ends,
     _laps_at,
     _laps_holding,
@@ -221,31 +223,44 @@ def composite_verdict(outer: PLMap, inner: PLMap, y) -> ZigzagVerdict:
     composed, under the default breakpoint budget.  The verdict is
     decided in g's own coordinates; the window's first or last lap is a
     boundary lap only when the window reaches 0 or 1.
+
+    Everything runs on integer keys: the stops are outer's x keys where its
+    value key is 0 or its denominator, and the walk bisects inner's x keys
+    and compares its value keys, both scaled to the lcm of the two
+    denominators.  Only the verdict's laps and witnesses become
+    ``Fraction``s.
     """
     y = _as_rational(y)
     if not (ZERO <= y <= ONE):
         raise ValueError(f"query point {y} outside [0, 1]")
-    # the values of inner at which g is 0 or 1
-    stops = sorted(level_crossings(outer, ZERO) + level_crossings(outer, ONE))
+    oden, oxk, oyk = outer._keys
+    iden, ixk, iyk = inner._keys
+    common = lcm(oden, iden)
+    ko, ki = common // oden, common // iden
+    # the values of inner at which g is 0 or 1, as keys over common
+    stops = [x * ko for x, v in zip(oxk, oyk) if v == 0 or v == oden]
 
-    def reaches(near: Fraction, far: Fraction) -> bool:
-        """Some stop lies past ``near`` (excluded) up to ``far`` (included)."""
-        if near < far:
-            k = bisect_right(stops, near)
+    def reaches(n: int, d: int, far: int) -> bool:
+        """Some stop lies past the key n/d (excluded, d > 0) up to the key
+        far (included).  An int stop is above n/d exactly when it is above
+        its floor, and below it exactly when it is below its ceiling."""
+        if n < far * d:
+            k = bisect_right(stops, n // d)
             return k < len(stops) and stops[k] <= far
-        k = bisect_left(stops, near) - 1
+        k = bisect_left(stops, -(-n // d)) - 1
         return k >= 0 and stops[k] >= far
 
-    xs, ys = inner.xs, inner.ys
-    last = len(xs) - 1
-    hi = min(bisect_right(xs, y), last)  # first breakpoint right of y
-    near = at = inner(y)
-    while hi < last and not reaches(near, ys[hi]):
-        near, hi = ys[hi], hi + 1
-    lo = max(bisect_left(xs, y) - 1, 0)  # last breakpoint left of y
-    near = at
-    while lo > 0 and not reaches(near, ys[lo]):
-        near, lo = ys[lo], lo - 1
+    yn, yd = y.numerator * iden, y.denominator
+    last = len(ixk) - 1
+    m, e = _key_image(inner._keys, yn, yd)  # inner(y) is m/e over iden
+    hi = min(bisect_right(ixk, yn // yd), last)  # first breakpoint right of y
+    near = (m * ki, e)
+    while hi < last and not reaches(*near, iyk[hi] * ki):
+        near, hi = (iyk[hi] * ki, 1), hi + 1
+    lo = max(bisect_left(ixk, -(-yn // yd)) - 1, 0)  # last breakpoint left of y
+    near = (m * ki, e)
+    while lo > 0 and not reaches(*near, iyk[lo] * ki):
+        near, lo = (iyk[lo] * ki, 1), lo - 1
 
     den, xk, yk = _compose_segments(outer, inner, lo, hi)
     # the window runs between the nearest breakpoints other than y where
@@ -256,10 +271,9 @@ def composite_verdict(outer: PLMap, inner: PLMap, y) -> ZigzagVerdict:
     k = bisect_left(cuts, bisect_left(xk, -(-yn // yd)))
     a, b = cuts[k - 1] if k else 0, cuts[k] + 1 if k < len(cuts) else len(xk)
     wxk, keys = xk[a:b], yk[a:b]
-    wxs = _KeyXs(den, wxk)
     ends = _lap_ends(keys)
-    holding = _laps_holding([wxs[p] for p in ends[:-1]], y)
-    return _verdict(wxs, keys, ends, holding, wxk[0] == 0, wxk[-1] == den)
+    holding = _laps_holding([wxk[p] for p in ends[:-1]], yn, yd)
+    return _verdict(_KeyXs(den, wxk), keys, ends, holding, wxk[0] == 0, wxk[-1] == den)
 
 
 class _KeyXs:

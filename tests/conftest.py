@@ -256,6 +256,13 @@ def naive_eval(f: PLMap, x) -> Fraction:
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
+def naive_dumps(f: PLMap) -> str:
+    """Reference map-file text: ``str`` of each ``Fraction`` coordinate of
+    ``f.points``.  Independent of the integer keys that ``dumps_map``
+    writes from."""
+    return "".join(f"{x} {y}\n" for x, y in f.points)
+
+
 def naive_solutions(f: PLMap, v) -> list[Fraction]:
     """Reference solutions of f(x) = v, sorted: a ``Fraction`` scan of
     ``f.points`` that solves every segment whose closed value range holds v.

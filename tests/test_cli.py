@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from plzig.cli import main, render_svg
+from plzig.cli import build_parser, main, render_svg
 from plzig.plmap import dumps_map, load_map, loads_map, make_plmap
 from plzig.factorize import minc_map, verify_certificate
 
@@ -27,6 +27,29 @@ def polyline_vertices(svg: str, size=600, pad=20.0):
         sx, sy = tok.split(",")
         pts.append(((float(sx) - pad) / span, (size - pad - float(sy)) / span))
     return pts
+
+
+class TestParser:
+    def test_one_parser_per_process_answers_as_fresh_ones(self, capsys):
+        # marks are appended to a list and the stage count has a default,
+        # so state left on a shared parser would show in the second call
+        commands = [
+            ("plot", "--builtin", "minc", "--mark", "1/2,1/2"),
+            ("plot", "--builtin", "minc", "--mark", "1/3,2/3"),
+            ("certify", "--pipeline", "general", "--builtin", "minc", "--orbit", "const:1/2", "--stages", "3"),
+            ("certify", "--pipeline", "general", "--builtin", "minc", "--orbit", "const:1/2"),
+        ]
+        shared = [run(capsys, *argv) for argv in commands * 2]
+        assert build_parser() is build_parser()
+        fresh = []
+        for argv in commands:
+            args = build_parser.__wrapped__().parse_args(argv)
+            code = args.func(args)
+            out = capsys.readouterr()
+            fresh.append((code, out.out, out.err))
+        assert shared == fresh * 2
+        assert [out.count("<circle") for _, out, _ in fresh[:2]] == [1, 1]
+        assert [len(json.loads(out)["stages"]) for _, out, _ in fresh[2:]] == [3, 6]
 
 
 class TestPlot:

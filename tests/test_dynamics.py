@@ -380,10 +380,11 @@ class TestUniformCovering:
         with pytest.raises(BudgetExceededError) as info:
             certify_general(f, BackwardOrbit.constant(F(0)), stages=2, budget=40_000)
         assert str(info.value) == "composition needs more than 40000 breakpoints"
-        # every power was only composed and covering-tested, both on its
-        # integer keys, so none of them made its Fraction points, f^1 included
+        # every power was only composed, covering-tested and asked for its
+        # branch, all on its integer keys, so none of them made its Fraction
+        # points, f^1 included; f's own xs are read by its critical orbits
         assert [k for k, (g, _, _) in enumerate(calls, 1) if "points" in g.__dict__] == []
-        assert all("xs" not in g.__dict__ and "ys" not in g.__dict__ for g, _, _ in calls[2:])
+        assert all("xs" not in g.__dict__ and "ys" not in g.__dict__ for g, _, _ in calls[1:])
         powers = IterateCache(f)
         assert [(g, eps) for g, eps, _ in calls] == [(powers.power(k), F(1, 4)) for k in range(1, 15)]
         assert len(calls[-1][0].points) == 24_577

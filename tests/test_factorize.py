@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import random
 import re
@@ -500,10 +501,12 @@ class TestCertifyGeneral:
         assert len(cycles) == 31
         too_big = set()
         minc_repeats = []
+        texts = []
         for forward in cycles:
             orbit = BackwardOrbit.of([], forward[:1] + forward[:0:-1])
             cert = certify_general(minc, orbit, stages=6)
             assert cert.passed, forward
+            texts.append(certificate_to_json(cert))
             assert verify_certificate(certificate_to_dict(cert)) == (True, "ok"), forward
             # the Minc pipeline's step 2 is prime to period 3, so its state
             # recurs only after three stages
@@ -516,6 +519,10 @@ class TestCertifyGeneral:
                 too_big.add(frozenset(forward))
         assert len(too_big) == 7
         assert minc_repeats.count((3, 5)) == 20
+        # digest of the 31 texts, in this order, as the certify path wrote
+        # them while it still read the block map through Fraction points
+        digest = "0ec48bf34be414adf0a364bbec550e0cfc1d03043fd33a253eb0b8dc21b4cd95"
+        assert hashlib.sha256("".join(texts).encode()).hexdigest() == digest
         assert {frozenset({F(8, 19), F(9, 19)}), frozenset({F(4, 11), F(5, 11), F(9, 11)})} <= too_big
 
     def test_identity_rejected(self, identity):
@@ -571,6 +578,34 @@ class TestCertifyGeneral:
         calls.clear()
         assert verify_certificate(certificate_to_dict(cert)) == (True, "ok")
         assert len(calls) == 1
+
+    def test_block_map_and_pairs_stay_in_keys(self, monkeypatch, minc):
+        # the branch, the fold search, the splits, the windowed verdicts and
+        # the map texts all read the block map, s and t through their
+        # integer keys, so none of them makes its Fraction points
+        import plzig.factorize
+
+        stabilize = plzig.factorize.branch_stabilization
+        blocks = []
+
+        def recording(*args, **kwargs):
+            stab, block = stabilize(*args, **kwargs)
+            blocks.append(block)
+            return stab, block
+
+        monkeypatch.setattr(plzig.factorize, "branch_stabilization", recording)
+        orbits = [
+            BackwardOrbit.constant(F(1, 2)),
+            BackwardOrbit.of([], (F(4, 19), F(12, 19))),
+            BackwardOrbit.of([], (F(8, 19), F(9, 19))),
+        ]
+        for orbit in orbits:
+            cert = certify_general(minc, orbit, stages=6)
+            assert cert.passed
+            certificate_to_json(cert)
+            maps = [blocks[-1], *(f for st in cert.stages for f in (st.pair.s, st.pair.t))]
+            assert blocks[-1] is not minc
+            assert [sorted({"points", "xs", "ys"} & set(f.__dict__)) for f in maps] == [[]] * len(maps)
 
     def test_orbit_is_validated_once_per_verify(self, monkeypatch, passing_certificates):
         # the verifier leaves the orbit check to the pipeline it re-runs

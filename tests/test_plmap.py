@@ -29,6 +29,7 @@ import plzig.zigzag as zigzag
 from conftest import (
     compose_candidates,
     naive_compose,
+    naive_dumps,
     naive_eval,
     naive_normalize,
     naive_solutions,
@@ -173,6 +174,21 @@ class TestConstruction:
             make_plmap([(0, 0), (F(1, 2), F(1, 2)), (F(1, 4), F(1, 4)), (1, 1)])
         with pytest.raises(ValueError, match=f"^{message}$"):
             loads_map("0 0\n1/2 1/2\n1/4 1/4\n1 1\n")
+
+    @pytest.mark.parametrize(
+        "den, xk, yk, repeated",
+        [(1, [0, 1, 1], [0, 1, 1], "1"), (2, [0, 1, 1, 2], [0, 1, 1, 2], "1/2")],
+        ids=["last", "interior"],
+    )
+    def test_repeated_x_key_refused_by_the_normalizer(self, den, xk, yk, repeated):
+        # a zero-length segment on a line passes the collinear test, so the
+        # one normalizer that make_plmap and the fold splits share checks
+        # the keys as given before it drops anything
+        message = f"breakpoint x-coordinates must increase: {repeated} then {repeated}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            plmap._normalized(den, xk, yk)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_plmap([(F(x, den), F(y, den)) for x, y in zip(xk, yk)])
 
     def test_normalization_matches_stack_oracle(self):
         rng = random.Random(5)
@@ -631,7 +647,8 @@ class TestLapLookup:
             for f in maps
             for y in f.xs + tuple((a + b) / 2 for a, b in zip(f.xs, f.xs[1:]))
         ]
-        for f, y in queries + [(minc, F(-1, 2)), (minc, F(3, 2))]:
+        outside = [(f, F(3, 2)) for f in maps] + [(minc, F(-1, 2))]
+        for f, y in queries + outside:
             assert _laps_at(f, y) == scan_laps_at(f, y), (f, y)
 
         # lemma_witness runs on every query but minc^4's, of which it takes
@@ -667,6 +684,20 @@ class TestOntoAndImages:
 class TestMapFiles:
     def test_round_trip(self, minc):
         assert loads_map(dumps_map(minc)) == minc
+
+    def test_text_is_str_of_each_coordinate(self, minc):
+        # dumps_map writes from the keys; the oracle writes str(Fraction)
+        # of the points
+        rng = random.Random(29)
+        maps = [iterate(minc, k) for k in range(1, 6)] + _unrelated_family()
+        for _ in range(300):
+            outer, inner = _random_pair(rng)
+            maps += [outer, inner, compose(outer, inner)]
+        f2 = maps[1]
+        for pair in (split_case1(f2, F(7, 18)), split_case2(f2, F(11, 18))):
+            maps += [pair.s, pair.t]
+        for f in maps:
+            assert dumps_map(f) == naive_dumps(f), f
 
     def test_comments_and_blanks(self):
         text = "# tent map\n\n0 0\n1/2 1\n1 0\n"
