@@ -17,14 +17,7 @@ from .plmap import (
     make_plmap,
     parse_rational,
 )
-from .zigzag import (
-    ZigzagVerdict,
-    composition_property_check,
-    is_in_zigzag,
-    lemma_witness,
-    remark_no_zigzag,
-    zigzag_set,
-)
+from .zigzag import ZigzagVerdict, is_in_zigzag, zigzag_set
 from .dynamics import (
     BackwardOrbit,
     BranchResult,

@@ -1,8 +1,8 @@
 """Exact piecewise-linear self-maps of [0, 1] with rational breakpoints.
 
 Scalars are arbitrary-precision rationals and every operation (evaluation,
-composition, iteration, level solving) works directly on breakpoint lists,
-held as integer keys over their least common denominator.
+composition, iteration, the solutions at 0 and 1) works directly on
+breakpoint lists, held as integer keys over their least common denominator.
 There is no floating-point path anywhere in this module, so map equality is
 decidable and composition identities can be checked exactly.
 """
@@ -36,7 +36,6 @@ __all__ = [
     "laps",
     "level_crossings",
     "is_onto",
-    "image_interval",
     "loads_map",
     "dumps_map",
     "load_map",
@@ -110,8 +109,9 @@ class PLMap:
 
     Validation, normalization, evaluation, composition, the lap table, the
     lap lookup (:func:`_laps_at`, on the lap-left x keys), the branch
-    :func:`plzig.dynamics.branch`, the witness search, the solutions of
-    f = 0 and f = 1 (:attr:`_extremes`), the fold search
+    :func:`plzig.dynamics.branch`, the witness search and the zigzag
+    verdict and locus of :mod:`plzig.zigzag`, the solutions of f = 0 and
+    f = 1 (:func:`level_crossings`), the fold search
     :func:`plzig.factorize.find_beta`, the window of
     :func:`plzig.zigzag.composite_verdict`, the covering test
     :func:`plzig.dynamics.uniformly_onto`, :func:`is_onto`, the critical
@@ -120,8 +120,6 @@ class PLMap:
     :func:`dumps_map` all read the keys, and each has no second
     implementation on the ``Fraction`` coordinates.  So certifying reads
     the block map, s and t without making their ``Fraction`` points.
-    :func:`level_crossings` at a level other than 0 or 1 solves on the
-    ``Fraction`` coordinates.
     """
 
     _keys: tuple[int, tuple[int, ...], tuple[int, ...]]
@@ -172,14 +170,6 @@ class PLMap:
     def _laps(self) -> tuple[Lap, ...]:
         xs, ends = self.xs, self._ends
         return tuple(Lap(xs[p], xs[q]) for p, q in zip(ends, ends[1:]))
-
-    @cached_property
-    def _extremes(self) -> dict[Fraction, tuple[Fraction, ...]]:
-        """The solutions of f(x) = 0 and of f(x) = 1.  No segment is flat
-        and every value lies in [0, 1], so these are the breakpoints whose
-        value key is 0 or the common denominator."""
-        den, xk, yk = self._keys
-        return {v: tuple(Fraction(x, den) for x, y in zip(xk, yk) if y == k) for v, k in ((ZERO, 0), (ONE, den))}
 
     @cached_property
     def _lap_lefts(self) -> tuple[int, ...]:
@@ -475,23 +465,16 @@ def iterate(f: PLMap, n: int) -> PLMap:
 
 
 def level_crossings(f: PLMap, c) -> list[Fraction]:
-    """All solutions of f(x) = c, sorted.
-
-    Constant segments cannot occur (the map invariants exclude zero slopes),
-    so every solution is an isolated point.  The solutions at the levels 0
-    and 1 are kept on the map.
-    """
+    """All solutions of f(x) = c for c = 0 or c = 1, sorted.  No segment is
+    flat and every value lies in [0, 1], so these are the breakpoints whose
+    value key is 0 or the common denominator.  Any other level is refused
+    with :class:`ValueError`."""
     c = _as_rational(c)
-    if c == ZERO or c == ONE:
-        return list(f._extremes[c])
-    out: list[Fraction] = []
-    for (x0, y0), (x1, y1) in zip(f.points, f.points[1:]):
-        lo, hi = (y0, y1) if y0 < y1 else (y1, y0)
-        if lo <= c <= hi:
-            x = x0 + (c - y0) * (x1 - x0) / (y1 - y0)
-            if not out or out[-1] != x:
-                out.append(x)
-    return out
+    if c != ZERO and c != ONE:
+        raise ValueError(f"level_crossings solves only at the levels 0 and 1, got {c}")
+    den, xk, yk = f._keys
+    level = den if c else 0
+    return [Fraction(x, den) for x, y in zip(xk, yk) if y == level]
 
 
 def is_onto(f: PLMap) -> bool:
@@ -499,20 +482,6 @@ def is_onto(f: PLMap) -> bool:
     the greatest is the common denominator."""
     den, _, yk = f._keys
     return min(yk) == 0 and max(yk) == den
-
-
-def image_interval(f: PLMap, lo, hi) -> tuple[Fraction, Fraction]:
-    """Exact image f([lo, hi]) as a closed interval (min, max)."""
-    lo = _as_rational(lo)
-    hi = _as_rational(hi)
-    if not (ZERO <= lo <= hi <= ONE):
-        raise ValueError(f"[{lo}, {hi}] is not a subinterval of [0, 1]")
-    vals = [f(lo), f(hi)]
-    i = bisect_right(f.xs, lo)
-    while i < len(f.xs) and f.xs[i] < hi:
-        vals.append(f.ys[i])
-        i += 1
-    return min(vals), max(vals)
 
 
 # ---------------------------------------------------------------------------

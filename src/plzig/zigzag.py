@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from math import lcm
 from operator import gt, le, lt
 from typing import Callable, Optional, Sequence
@@ -20,7 +20,6 @@ from typing import Callable, Optional, Sequence
 from .plmap import (
     ONE,
     ZERO,
-    Lap,
     PLMap,
     _as_rational,
     _compose_segments,
@@ -28,9 +27,6 @@ from .plmap import (
     _lap_ends,
     _laps_at,
     _laps_holding,
-    compose,
-    laps,
-    level_crossings,
 )
 
 __all__ = [
@@ -38,13 +34,10 @@ __all__ = [
     "is_in_zigzag",
     "composite_verdict",
     "zigzag_set",
-    "remark_no_zigzag",
-    "lemma_witness",
-    "composition_property_check",
-    "witness_is_valid",
 ]
 
 Interval = tuple[Fraction, Fraction]
+Pair = tuple[int, int]  # breakpoint indices
 
 
 @dataclass(frozen=True)
@@ -116,14 +109,16 @@ class _Chains:
         self.next_high = _nearest(keys, False, gt)
         self.prev_high = _nearest(keys, True, gt)
 
-    def witness(self, xs: Sequence[Fraction], p: int, q: int) -> Optional[Interval]:
-        """Witness for the lap [xs[p], xs[q]], falling in this orientation.
+    def witness(self, p: int, q: int) -> Optional[Pair]:
+        """Witness for the lap from breakpoint p to breakpoint q, falling in
+        this orientation, as the breakpoint indices of its ends.
 
-        A pair (a, b) = (xs[i], xs[j]) with i < p and j > q works when f(a)
-        is strictly below every later value up to b and f(b) strictly above
-        every earlier value from a on.  Restricting candidates to breakpoints
-        is lossless: an interior a can always be slid to its segment's left
-        end without breaking either attainment condition.
+        A pair of breakpoints (a, j) with a < p and j > q works when f is
+        strictly lower at a than at every later breakpoint up to j and
+        strictly higher at j than at every earlier one from a on.
+        Restricting candidates to breakpoints is lossless: an interior a can
+        always be slid to its segment's left end without breaking either
+        attainment condition.
 
         The a's come from the ``prev_low`` chain, nearest first.  For each,
         m is the rightmost argmax of [a, p], found by walking ``prev_high``
@@ -137,10 +132,10 @@ class _Chains:
         two-pointer sweep over both record lists finds.  a and m only move
         left, so a query costs O(length of the two chains it walks).
         """
-        n = len(xs)
         prev_low, next_low, next_high, prev_high = (
             self.prev_low, self.next_low, self.next_high, self.prev_high,
         )
+        n = len(next_high)
         a = prev_low[q]
         m = p
         while a >= 0:
@@ -150,25 +145,23 @@ class _Chains:
             if j == n:
                 return None
             if j < next_low[a]:
-                return (xs[a], xs[j])
+                return (a, j)
             a = prev_low[a]
         return None
 
 
 class _WitnessIndex:
     """Witness search for any number of laps of one map, each named by the
-    breakpoint indices of its ends.
+    breakpoint indices of its ends, on the integer keys of the breakpoint
+    values (see :attr:`PLMap._keys`): the search only compares values, and
+    it answers with breakpoint indices.
 
-    Takes the breakpoints ``xs`` and the integer keys of their values (see
-    :attr:`PLMap._keys`); the search only compares values, so it runs on
-    the keys.  It builds the pointers of each orientation on first use: the
-    keys for falling laps, the negated keys for rising ones.  Everything is
-    O(n) to build, after which each lap is one walk along the pointer
-    chains.
+    It builds the pointers of each orientation on first use: the keys for
+    falling laps, the negated keys for rising ones.  Everything is O(n) to
+    build, after which each lap is one walk along the pointer chains.
     """
 
-    def __init__(self, xs: Sequence[Fraction], keys: Sequence[int]) -> None:
-        self.xs = xs
+    def __init__(self, keys: Sequence[int]) -> None:
         self.keys = keys
 
     @cached_property
@@ -179,22 +172,22 @@ class _WitnessIndex:
     def _rising(self) -> _Chains:
         return _Chains([-k for k in self.keys])
 
-    def witness(self, p: int, q: int) -> Optional[Interval]:
-        """Witness for the interior lap [xs[p], xs[q]]."""
+    def witness(self, p: int, q: int) -> Optional[Pair]:
+        """Witness for the interior lap from breakpoint p to breakpoint q."""
         chains = self._falling if self.keys[p] > self.keys[q] else self._rising
-        return chains.witness(self.xs, p, q)
+        return chains.witness(p, q)
 
 
-def _witness_table(f: PLMap) -> tuple[list[Lap], list[Optional[Interval]]]:
-    """Witness (or None) for every lap; boundary laps never have one."""
-    index = _WitnessIndex(f.xs, f._keys[2])
+def _witness_table(f: PLMap) -> list[Optional[Pair]]:
+    """The witness of every lap of f, as breakpoint indices, or None;
+    boundary laps never have one."""
+    index = _WitnessIndex(f._keys[2])
     ends = f._ends
     last = len(ends) - 2
-    table = [
+    return [
         None if k == 0 or k == last else index.witness(p, q)
         for k, (p, q) in enumerate(zip(ends, ends[1:]))
     ]
-    return laps(f), table
 
 
 def is_in_zigzag(f: PLMap, y) -> ZigzagVerdict:
@@ -202,7 +195,7 @@ def is_in_zigzag(f: PLMap, y) -> ZigzagVerdict:
     y = _as_rational(y)
     if not (ZERO <= y <= ONE):
         raise ValueError(f"query point {y} outside [0, 1]")
-    return _verdict(f.xs, f._keys[2], f._ends, _laps_at(f, y), True, True)
+    return _verdict(*f._keys, f._ends, _laps_at(f, y), True, True)
 
 
 def composite_verdict(outer: PLMap, inner: PLMap, y) -> ZigzagVerdict:
@@ -265,7 +258,7 @@ def composite_verdict(outer: PLMap, inner: PLMap, y) -> ZigzagVerdict:
     den, xk, yk = _compose_segments(outer, inner, lo, hi)
     # the window runs between the nearest breakpoints other than y where
     # g is 0 or 1; its value keys compare as g's values do, at any common
-    # denominator, and its x values are made only where they are read
+    # denominator, and _verdict makes x values only for what it reports
     yn, yd = y.numerator * den, y.denominator
     cuts = [i for i, v in enumerate(yk) if (v == 0 or v == den) and xk[i] * yd != yn]
     k = bisect_left(cuts, bisect_left(xk, -(-yn // yd)))
@@ -273,41 +266,29 @@ def composite_verdict(outer: PLMap, inner: PLMap, y) -> ZigzagVerdict:
     wxk, keys = xk[a:b], yk[a:b]
     ends = _lap_ends(keys)
     holding = _laps_holding([wxk[p] for p in ends[:-1]], yn, yd)
-    return _verdict(_KeyXs(den, wxk), keys, ends, holding, wxk[0] == 0, wxk[-1] == den)
-
-
-class _KeyXs:
-    """The x values of a run of breakpoints from their keys over ``den``,
-    each made when read."""
-
-    __slots__ = ("den", "keys")
-
-    def __init__(self, den: int, keys: Sequence[int]) -> None:
-        self.den, self.keys = den, keys
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return Fraction(self.keys[i], self.den)
+    return _verdict(den, wxk, keys, ends, holding, wxk[0] == 0, wxk[-1] == den)
 
 
 def _verdict(
-    xs: Sequence[Fraction],
+    den: int,
+    xk: Sequence[int],
     keys: Sequence[int],
     ends: Sequence[int],
     holding: list[int],
     first_is_boundary: bool,
     last_is_boundary: bool,
 ) -> ZigzagVerdict:
-    """The verdict at a point from the breakpoints of the map around it,
-    the integer keys of their values, the lap table of those breakpoints
-    (the indices of the lap ends, as :func:`plmap._lap_ends` gives them)
-    and the numbers of the laps holding the point.  The flags say whether the first and last of those laps are
-    the map's own boundary laps, which never have a witness."""
+    """The verdict at a point from the breakpoints of the map around it:
+    their x keys over ``den`` and the integer keys of their values, the
+    lap table of those breakpoints (the indices of the lap ends, as
+    :func:`plmap._lap_ends` gives them) and the numbers of the laps holding
+    the point.  The flags say whether the first and last of those laps are
+    the map's own boundary laps, which never have a witness.  Only the laps
+    and witnesses it reports become ``Fraction``s."""
     last = len(ends) - 2
     boundary = lambda k: (k == 0 and first_is_boundary) or (k == last and last_is_boundary)
-    lap = lambda k: (xs[ends[k]], xs[ends[k + 1]])
+    pair = lambda i, j: (Fraction(xk[i], den), Fraction(xk[j], den))
+    lap = lambda k: pair(ends[k], ends[k + 1])
     applicable = tuple(lap(k) for k in holding if not boundary(k))
     edge = next((k for k in holding if boundary(k)), None)
     if edge is not None:
@@ -317,12 +298,12 @@ def _verdict(
             witnesses=(None,) * len(applicable),
             failing_lap=lap(edge),
         )
-    index = _WitnessIndex(xs, keys)
+    index = _WitnessIndex(keys)
     witnesses: list[Optional[Interval]] = []
     failing: Optional[Interval] = None
     for k in holding:
         w = index.witness(ends[k], ends[k + 1])
-        witnesses.append(w)
+        witnesses.append(None if w is None else pair(*w))
         if w is None and failing is None:
             failing = lap(k)
     return ZigzagVerdict(
@@ -339,122 +320,18 @@ def zigzag_set(f: PLMap) -> tuple[Interval, ...]:
     The verdict is constant on open lap interiors and false at any endpoint
     shared with a witness-less lap (the outermost laps never have a
     witness), so the locus is the union over maximal runs of witnessed laps
-    of the open interval they span.
+    of the open interval they span.  Only the ends of the runs become
+    ``Fraction``s.
     """
-    lap_list, table = _witness_table(f)
+    den, xk, _ = f._keys
+    ends = f._ends
     out: list[Interval] = []
-    start: Optional[Fraction] = None
-    for lap, w in zip(lap_list, table):
+    start: Optional[int] = None
+    for k, w in enumerate(_witness_table(f)):
         if w is not None:
             if start is None:
-                start = lap.left
-        else:
-            if start is not None:
-                out.append((start, lap.left))
-                start = None
+                start = xk[ends[k]]
+        elif start is not None:
+            out.append((Fraction(start, den), Fraction(xk[ends[k]], den)))
+            start = None
     return tuple(out)
-
-
-def remark_no_zigzag(f: PLMap, k: int) -> bool:
-    """Boundary-value shortcut: a lap endpoint mapping to 0 or 1 rules the
-    whole lap out of any zigzag.
-
-    ``k`` indexes an interior lap of f (1 <= k <= lap count - 2).  A true
-    return guarantees ``is_in_zigzag`` is false everywhere on that lap.
-    """
-    ends = f._ends
-    if not (1 <= k <= len(ends) - 3):
-        raise ValueError(f"lap index {k} does not name an interior lap")
-    return f.ys[ends[k]] in (ZERO, ONE) or f.ys[ends[k + 1]] in (ZERO, ONE)
-
-
-def _level_clear(crossings: list[Fraction], a: Fraction, b: Fraction) -> bool:
-    """True when no point of the sorted ``crossings`` lies strictly inside
-    (a, b)."""
-    k = bisect_right(crossings, a)
-    return k == len(crossings) or crossings[k] >= b
-
-
-def lemma_witness(f: PLMap, y) -> Optional[tuple[Fraction, Fraction, int]]:
-    """A not-in-zigzag certificate of the one-sided kind, if the search finds one.
-
-    Returns (a, b, case) with y in [a, b], f avoiding both boundary values
-    on (a, b), and either case 1: f(a) in {0, 1} with f one-to-one on
-    [y, b], or case 2: f(b) in {0, 1} with f one-to-one on [a, y].  Any
-    returned triple implies ``is_in_zigzag(f, y)`` is false; absence of a
-    triple decides nothing.  Candidates are breakpoints plus the monotone
-    limits around y, scanned nearest-first for a deterministic result.
-    """
-    y = _as_rational(y)
-    if not (ZERO <= y <= ONE):
-        raise ValueError(f"query point {y} outside [0, 1]")
-    # (x, f(x)) at every solution of f(x) = 0 or f(x) = 1
-    anchors = sorted((x, v) for v in (ZERO, ONE) for x in f._extremes[v])
-    # f is one-to-one on [y, rlim] and on [llim, y]: the laps holding y end there
-    holding = _laps_at(f, y)
-    rlim, llim = f._laps[holding[-1]].right, f._laps[holding[0]].left
-    crossings = cache(lambda value: level_crossings(f, value))
-
-    b_cands = sorted({x for x in f.xs if y < x < rlim} | {y, rlim}, reverse=True)
-    for a, fa in reversed([(x, v) for x, v in anchors if x <= y]):
-        for b in b_cands:
-            if a >= b:
-                continue
-            if _level_clear(crossings(fa), a, b) and _level_clear(crossings(f(b)), a, b):
-                return (a, b, 1)
-
-    a_cands = sorted({x for x in f.xs if llim < x < y} | {y, llim})
-    for b, fb in ((x, v) for x, v in anchors if x >= y):
-        for a in a_cands:
-            if a >= b:
-                continue
-            if _level_clear(crossings(f(a)), a, b) and _level_clear(crossings(fb), a, b):
-                return (a, b, 2)
-    return None
-
-
-def witness_is_valid(
-    f: PLMap,
-    lap_left: Fraction,
-    lap_right: Fraction,
-    a: Fraction,
-    b: Fraction,
-) -> bool:
-    """Re-check a stored zigzag witness by direct evaluation.
-
-    Independent of the search machinery: gathers every breakpoint value
-    strictly inside (a, b) and tests the attainment conditions for the lap's
-    orientation.
-    """
-    if not (a < lap_left < lap_right < b):
-        return False
-    inner = [v for x, v in f.points if a < x < b]
-    fa, fb = f(a), f(b)
-    if f(lap_left) > f(lap_right):
-        lo, hi = fa, fb
-    else:
-        lo, hi = fb, fa
-    return lo < hi and all(lo < v < hi for v in inner)
-
-
-def composition_property_check(f: PLMap, g: PLMap, samples) -> list[Fraction]:
-    """Check zigzag behaviour under composition on a sample set.
-
-    For every sample y inside a zigzag of g∘f, either y must be inside a
-    zigzag of f or f(y) inside a zigzag of g.  Returns the offending
-    samples; a nonempty result indicates an implementation bug rather than
-    a property of the maps.
-    """
-    gf = compose(g, f)
-    _, table = _witness_table(gf)
-    violations: list[Fraction] = []
-    for raw in samples:
-        y = _as_rational(raw)
-        if any(table[k] is None for k in _laps_at(gf, y)):
-            continue
-        if is_in_zigzag(f, y).in_zigzag:
-            continue
-        if is_in_zigzag(g, f(y)).in_zigzag:
-            continue
-        violations.append(y)
-    return violations

@@ -2,6 +2,7 @@ import json
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 import pytest
@@ -13,12 +14,11 @@ from plzig.plmap import (
     PLMap,
     iterate,
     laps,
-    level_crossings,
     loads_map,
     make_plmap,
     parse_rational,
 )
-from plzig.zigzag import is_in_zigzag, witness_is_valid
+from plzig.zigzag import is_in_zigzag
 from plzig.factorize import minc_map
 
 
@@ -239,7 +239,7 @@ def compose_candidates(outer: PLMap, inner: PLMap) -> set[Fraction]:
     and every solution of inner(x) = v for an outer breakpoint v."""
     out = set(inner.xs)
     for v in outer.xs:
-        out.update(level_crossings(inner, v))
+        out.update(naive_solutions(inner, v))
     return out
 
 
@@ -266,8 +266,8 @@ def naive_dumps(f: PLMap) -> str:
 def naive_solutions(f: PLMap, v) -> list[Fraction]:
     """Reference solutions of f(x) = v, sorted: a ``Fraction`` scan of
     ``f.points`` that solves every segment whose closed value range holds v.
-    Independent of the integer keys and of the breakpoint shortcut that
-    ``level_crossings`` takes at the levels 0 and 1."""
+    Independent of the integer keys that ``level_crossings`` reads at the
+    levels 0 and 1."""
     v = Fraction(v)
     return sorted({
         x0 + (v - y0) * (x1 - x0) / (y1 - y0)
@@ -349,6 +349,116 @@ def candidate_count(outer: PLMap, inner: PLMap) -> int:
     for y0, y1 in zip(inner.ys, inner.ys[1:]):
         count += bisect_left(oxs, max(y0, y1)) - bisect_right(oxs, min(y0, y1))
     return count
+
+
+# The paper's lemma-level checks.  No command or certificate runs them; each
+# is an oracle for the zigzag verdict, built on the oracles above.
+
+def image_interval(f: PLMap, lo, hi) -> tuple[Fraction, Fraction]:
+    """Exact image f([lo, hi]) as a closed interval (min, max): the values
+    at both ends, by :func:`naive_eval`, and at every breakpoint between."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if not (0 <= lo <= hi <= 1):
+        raise ValueError(f"[{lo}, {hi}] is not a subinterval of [0, 1]")
+    vals = [naive_eval(f, lo), naive_eval(f, hi), *(v for x, v in f.points if lo < x < hi)]
+    return min(vals), max(vals)
+
+
+def witness_is_valid(f: PLMap, lap_left: Fraction, lap_right: Fraction, a: Fraction, b: Fraction) -> bool:
+    """Re-check a zigzag witness (a, b) of the lap [lap_left, lap_right] by
+    direct evaluation: gathers every breakpoint value strictly inside
+    (a, b) and tests the attainment conditions for the lap's orientation."""
+    if not (a < lap_left < lap_right < b):
+        return False
+    inner = [v for x, v in f.points if a < x < b]
+    fa, fb = naive_eval(f, a), naive_eval(f, b)
+    if naive_eval(f, lap_left) > naive_eval(f, lap_right):
+        lo, hi = fa, fb
+    else:
+        lo, hi = fb, fa
+    return lo < hi and all(lo < v < hi for v in inner)
+
+
+def remark_no_zigzag(f: PLMap, k: int) -> bool:
+    """Boundary-value shortcut: a lap endpoint mapping to 0 or 1 rules the
+    whole lap out of any zigzag.
+
+    ``k`` indexes an interior lap of f (1 <= k <= lap count - 2).  A true
+    return guarantees ``is_in_zigzag`` is false everywhere on that lap.
+    """
+    lap_list = laps(f)
+    if not (1 <= k <= len(lap_list) - 2):
+        raise ValueError(f"lap index {k} does not name an interior lap")
+    return any(naive_eval(f, x) in (0, 1) for x in lap_list[k])
+
+
+def _level_clear(crossings: list[Fraction], a: Fraction, b: Fraction) -> bool:
+    """True when no point of the sorted ``crossings`` lies strictly inside
+    (a, b)."""
+    k = bisect_right(crossings, a)
+    return k == len(crossings) or crossings[k] >= b
+
+
+def lemma_witness(f: PLMap, y):
+    """A not-in-zigzag certificate of the one-sided kind, if the search finds one.
+
+    Returns (a, b, case) with y in [a, b], f avoiding both boundary values
+    on (a, b), and either case 1: f(a) in {0, 1} with f one-to-one on
+    [y, b], or case 2: f(b) in {0, 1} with f one-to-one on [a, y].  Any
+    returned triple implies ``is_in_zigzag(f, y)`` is false; absence of a
+    triple decides nothing.  Candidates are breakpoints plus the monotone
+    limits around y, scanned nearest-first for a deterministic result.
+    Levels are solved by :func:`naive_solutions`, values read by
+    :func:`naive_eval` and the laps holding y found by :func:`scan_laps_at`.
+    """
+    y = Fraction(y)
+    if not (0 <= y <= 1):
+        raise ValueError(f"query point {y} outside [0, 1]")
+    crossings = cache(lambda value: naive_solutions(f, value))
+    # (x, f(x)) at every solution of f(x) = 0 or f(x) = 1
+    anchors = sorted((x, v) for v in (Fraction(0), Fraction(1)) for x in crossings(v))
+    # f is one-to-one on [y, rlim] and on [llim, y]: the laps holding y end there
+    lap_list, holding = laps(f), scan_laps_at(f, y)
+    rlim, llim = lap_list[holding[-1]].right, lap_list[holding[0]].left
+
+    b_cands = sorted({x for x in f.xs if y < x < rlim} | {y, rlim}, reverse=True)
+    for a, fa in reversed([(x, v) for x, v in anchors if x <= y]):
+        for b in b_cands:
+            if a >= b:
+                continue
+            if _level_clear(crossings(fa), a, b) and _level_clear(crossings(naive_eval(f, b)), a, b):
+                return (a, b, 1)
+
+    a_cands = sorted({x for x in f.xs if llim < x < y} | {y, llim})
+    for b, fb in ((x, v) for x, v in anchors if x >= y):
+        for a in a_cands:
+            if a >= b:
+                continue
+            if _level_clear(crossings(naive_eval(f, a)), a, b) and _level_clear(crossings(fb), a, b):
+                return (a, b, 2)
+    return None
+
+
+def composition_property_check(f: PLMap, g: PLMap, samples) -> list[Fraction]:
+    """Check zigzag behaviour under composition on a sample set.
+
+    For every sample y inside a zigzag of g∘f (built by
+    :func:`naive_compose`), either y must be inside a zigzag of f or f(y)
+    inside a zigzag of g.  Returns the offending samples; a nonempty result
+    indicates an implementation bug rather than a property of the maps.
+    """
+    gf = naive_compose(g, f)
+    violations: list[Fraction] = []
+    for raw in samples:
+        y = Fraction(raw)
+        if not is_in_zigzag(gf, y).in_zigzag:
+            continue
+        if is_in_zigzag(f, y).in_zigzag:
+            continue
+        if is_in_zigzag(g, naive_eval(f, y)).in_zigzag:
+            continue
+        violations.append(y)
+    return violations
 
 
 # Stage checks compose a rebonded map g = s_prev ∘ t by naive_compose only up

@@ -12,21 +12,12 @@ from fractions import Fraction as F
 
 from plzig.plmap import (
     compose,
-    image_interval,
     iterate,
     laps,
-    level_crossings,
     make_plmap,
     _int_keys,
 )
-from plzig.zigzag import (
-    _WitnessIndex,
-    composition_property_check,
-    is_in_zigzag,
-    lemma_witness,
-    remark_no_zigzag,
-    zigzag_set,
-)
+from plzig.zigzag import _WitnessIndex, is_in_zigzag, zigzag_set
 from plzig.dynamics import (
     BackwardOrbit,
     branch,
@@ -45,7 +36,14 @@ from plzig.factorize import (
     split_case2,
 )
 
-from conftest import random_map
+from conftest import (
+    composition_property_check,
+    image_interval,
+    lemma_witness,
+    naive_solutions,
+    random_map,
+    remark_no_zigzag,
+)
 from reference_curves import G_CURVE_POINTS
 
 MINC = minc_map()
@@ -169,7 +167,7 @@ def test_acceptance_08_branch_nesting_suite():
     for _ in range(100):
         chain = [F(rng.randint(0, 64), 64)]
         for _ in range(6):
-            chain.append(rng.choice(level_crossings(MINC, chain[-1])))
+            chain.append(rng.choice(naive_solutions(MINC, chain[-1])))
         for i in range(6):
             for j in range(1, 6 - i):
                 outer = branch(iterates[j], chain[i + j]).B
@@ -184,7 +182,7 @@ def _grid_witness_exists(f, lap) -> bool:
     """Brute-force witness existence over the 1/1024 grid of candidates."""
     xs = tuple(sorted(set(f.xs) | {F(i, 1024) for i in range(1025)}))
     _, keys = _int_keys([f(x) for x in xs])
-    return _WitnessIndex(xs, keys).witness(xs.index(lap.left), xs.index(lap.right)) is not None
+    return _WitnessIndex(keys).witness(xs.index(lap.left), xs.index(lap.right)) is not None
 
 
 def test_acceptance_09_grid_oracle_equivalence():
@@ -195,7 +193,7 @@ def test_acceptance_09_grid_oracle_equivalence():
         f = random_map(rng, max_breakpoints=6, min_breakpoints=4)
         for lap in laps(f)[1:-1]:
             p, q = f.xs.index(lap.left), f.xs.index(lap.right)
-            found = _WitnessIndex(f.xs, f._keys[2]).witness(p, q)
+            found = _WitnessIndex(f._keys[2]).witness(p, q)
             assert (found is not None) == _grid_witness_exists(f, lap)
             laps_checked += 1
     elapsed = time.monotonic() - start

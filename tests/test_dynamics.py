@@ -10,7 +10,9 @@ from plzig.factorize import certificate_to_dict, certify_general, verify_certifi
 from plzig.plmap import BudgetExceededError, IterateCache, compose, iterate, laps, make_plmap
 from conftest import (
     dense_is_primitive,
+    image_interval,
     naive_eval,
+    naive_solutions,
     naive_uniformly_onto,
     random_markov_map,
     transition_matrix,
@@ -530,8 +532,6 @@ class TestBranchStructure:
     def test_markov_rows_are_exact_images(self, minc):
         pts = markov_partition(minc)
         M = transition_matrix(minc, pts)
-        from plzig.plmap import image_interval
-
         for u in range(len(pts) - 1):
             flagged = [v for v in range(len(pts) - 1) if M[u][v]]
             lo, hi = image_interval(minc, pts[u], pts[u + 1])
@@ -558,13 +558,11 @@ class TestBranchStructure:
 class TestBranchNesting:
     def test_nesting_along_backward_orbits(self, minc):
         rng = random.Random(31)
-        from plzig.plmap import level_crossings
-
         iterates = {j: iterate(minc, j) for j in range(1, 7)}
         for _ in range(20):
             chain = [F(rng.randint(0, 64), 64)]
             for _ in range(6):
-                chain.append(rng.choice(level_crossings(minc, chain[-1])))
+                chain.append(rng.choice(naive_solutions(minc, chain[-1])))
             for i in range(6):
                 for j in range(1, 6 - i):
                     outer = branch(iterates[j], chain[i + j]).B

@@ -13,14 +13,13 @@ from plzig.plmap import (
     DEFAULT_BREAKPOINT_BUDGET,
     compose,
     dumps_map,
-    image_interval,
     is_onto,
     iterate,
     laps,
     level_crossings,
     make_plmap,
 )
-from plzig.zigzag import composite_verdict, is_in_zigzag, lemma_witness
+from plzig.zigzag import composite_verdict, is_in_zigzag
 from plzig.dynamics import BackwardOrbit, OrbitValidationError, branch
 from plzig.factorize import (
     CASE1,
@@ -49,6 +48,8 @@ from conftest import (
     check_factor_pair,
     check_factor_pair_pointwise,
     check_rebonded_verdict,
+    image_interval,
+    lemma_witness,
     naive_compose,
     naive_solutions,
     periodic_cycles,

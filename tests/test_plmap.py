@@ -10,7 +10,6 @@ from plzig.plmap import (
     compose,
     critical_set,
     dumps_map,
-    image_interval,
     is_onto,
     iterate,
     laps,
@@ -28,6 +27,8 @@ import plzig.zigzag as zigzag
 
 from conftest import (
     compose_candidates,
+    image_interval,
+    lemma_witness,
     naive_compose,
     naive_dumps,
     naive_eval,
@@ -550,18 +551,22 @@ class TestLevelCrossings:
         assert level_crossings(minc, 1) == [F(1, 3), F(1)]
 
     def test_half_level(self, minc):
-        # every one of the five laps spans the level 1/2, so five crossings
-        xs = level_crossings(minc, F(1, 2))
+        # every one of the five laps spans the level 1/2, so five crossings;
+        # the library solves only at 0 and 1, the oracle at any level
+        xs = naive_solutions(minc, F(1, 2))
         assert xs == [F(1, 6), F(5, 12), F(1, 2), F(7, 12), F(5, 6)]
         for x in xs:
             assert minc(x) == F(1, 2)
+        for c in (F(1, 2), "1/3", 2, -1):
+            with pytest.raises(ValueError, match="solves only at the levels 0 and 1"):
+                level_crossings(minc, c)
 
     def test_every_crossing_evaluates_back(self):
         rng = random.Random(14)
         for _ in range(30):
             f = random_map(rng)
             c = F(rng.randint(0, 64), 64)
-            for x in level_crossings(f, c):
+            for x in naive_solutions(f, c):
                 assert f(x) == c
 
     def test_boundary_levels_are_the_solutions(self):
@@ -635,9 +640,10 @@ class TestLevelsOnKeys:
 
 
 class TestLapLookup:
-    """``is_in_zigzag``, ``branch`` and ``lemma_witness`` find the laps
-    holding a point by one bisection; with the linear scan in its place they
-    must answer the same."""
+    """``is_in_zigzag`` and ``branch`` find the laps holding a point by one
+    bisection; with the linear scan in its place they must answer the same.
+    ``lemma_witness``, a conftest oracle that always scans, runs on both
+    sides too."""
 
     def test_bisection_matches_linear_scan(self, minc, monkeypatch):
         rng = random.Random(28)
@@ -660,7 +666,7 @@ class TestLapLookup:
         def answers():
             return (
                 [(zigzag.is_in_zigzag(f, y), dynamics.branch(f, y)) for f, y in queries],
-                [zigzag.lemma_witness(f, y) for f, y in witness_queries],
+                [lemma_witness(f, y) for f, y in witness_queries],
             )
 
         bisected = answers()

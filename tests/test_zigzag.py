@@ -4,19 +4,19 @@ from fractions import Fraction as F
 import pytest
 
 from plzig.plmap import compose, critical_set, iterate, laps, make_plmap
-from plzig.zigzag import (
-    _WitnessIndex,
-    _witness_table,
-    composition_property_check,
-    is_in_zigzag,
-    lemma_witness,
-    remark_no_zigzag,
-    witness_is_valid,
-    zigzag_set,
-)
-from plzig.factorize import MINC_BETA_LOW, MINC_BETA_HIGH, split_case1, split_case2
+from plzig.zigzag import _WitnessIndex, _witness_table, is_in_zigzag, zigzag_set
+from plzig.factorize import MINC_BETA_LOW, MINC_BETA_HIGH, minc_map, split_case1, split_case2
 
-from conftest import naive_lap_witness, random_map, two_pointer_lap_witness
+from conftest import (
+    composition_property_check,
+    lemma_witness,
+    naive_lap_witness,
+    naive_solutions,
+    random_map,
+    remark_no_zigzag,
+    two_pointer_lap_witness,
+    witness_is_valid,
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +45,11 @@ def minc_g(minc):
 
 def in_zz(f, y):
     return is_in_zigzag(f, y).in_zigzag
+
+
+def at_xs(f, w):
+    """A witness given as breakpoint indices of f, as their x coordinates."""
+    return None if w is None else (f.xs[w[0]], f.xs[w[1]])
 
 
 class TestIsInZigzag:
@@ -104,7 +109,7 @@ class TestIsInZigzag:
             f = random_map(rng)
             for lap in laps(f)[1:-1]:
                 p, q = f.xs.index(lap.left), f.xs.index(lap.right)
-                got = _WitnessIndex(f.xs, f._keys[2]).witness(p, q)
+                got = at_xs(f, _WitnessIndex(f._keys[2]).witness(p, q))
                 ref = naive_lap_witness(f, lap.left, lap.right)
                 assert (got is None) == (ref is None)
                 if got is not None:
@@ -126,21 +131,21 @@ class TestWitnessIdentity:
         ]
         maps += [iterate(minc, k) for k in range(1, 5)]
         for f in maps:
-            lap_list, table = _witness_table(f)
+            lap_list, table = laps(f), _witness_table(f)
             assert table[0] is None and table[-1] is None
             for lap, w in zip(lap_list[1:-1], table[1:-1]):
                 ref = two_pointer_lap_witness(f, lap)
-                assert w == ref, (f.points, lap)
+                assert at_xs(f, w) == ref, (f.points, lap)
                 p, q = f.xs.index(lap.left), f.xs.index(lap.right)
-                assert _WitnessIndex(f.xs, f._keys[2]).witness(p, q) == ref, (f.points, lap)
+                assert at_xs(f, _WitnessIndex(f._keys[2]).witness(p, q)) == ref, (f.points, lap)
 
     def test_minc4_table_revalidates(self, minc):
         f = iterate(minc, 4)
-        lap_list, table = _witness_table(f)
+        lap_list, table = laps(f), _witness_table(f)
         found = 0
         for lap, w in zip(lap_list, table):
             if w is not None:
-                assert witness_is_valid(f, lap.left, lap.right, *w)
+                assert witness_is_valid(f, lap.left, lap.right, *at_xs(f, w))
                 found += 1
         assert found > 0
 
@@ -164,6 +169,17 @@ class TestZigzagSet:
                 y = (lap.left + lap.right) / 2
                 inside = any(a < y < b for a, b in zz)
                 assert in_zz(f, y) == inside
+
+
+class TestKeysOnly:
+    def test_verdict_and_locus_make_no_fraction_points(self):
+        # the verdict and the locus read the map's integer keys and make
+        # Fractions only for the laps, witnesses and run ends they report
+        for query in (lambda g: is_in_zigzag(g, F(1, 2)), zigzag_set):
+            g = iterate(minc_map(), 4)
+            got = query(g)
+            assert not {"points", "xs", "ys"} & g.__dict__.keys()
+            assert got == query(make_plmap(g.points))
 
 
 class TestRemark:
@@ -226,10 +242,8 @@ class TestLemmaWitness:
         a, b, case = got
         assert a <= F(1, 2) <= b
         # re-check all three conditions by direct evaluation
-        from plzig.plmap import level_crossings
-
         for level in (minc_g(a), minc_g(b)):
-            assert all(not (a < c < b) for c in level_crossings(minc_g, level))
+            assert all(not (a < c < b) for c in naive_solutions(minc_g, level))
         if case == 1:
             assert minc_g(a) in (F(0), F(1))
         else:
