@@ -59,9 +59,11 @@ BUILTINS = {
 
 
 def _load_source(args) -> PLMap:
-    if getattr(args, "builtin", None):
+    if args.builtin and args.map:
+        raise ValueError("--builtin and --map exclude each other; provide one")
+    if args.builtin:
         return BUILTINS[args.builtin]()
-    if getattr(args, "map", None):
+    if args.map:
         return load_map(args.map)
     raise ValueError("provide --builtin or --map")
 

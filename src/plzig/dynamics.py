@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
 from operator import lt
 from typing import Optional, Sequence
 
@@ -23,6 +22,7 @@ from .plmap import (
     IterateCache,
     PLMap,
     _as_rational,
+    _int_keys,
     _key_image,
     _laps_at,
     is_onto,
@@ -194,34 +194,19 @@ def post_critical_orbits(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> tuple[
     return tuple(entries)
 
 
-def _key_of(den: int, v: Fraction) -> Key:
-    """The key of the value v over the common denominator den."""
-    p, q = v.numerator, v.denominator
-    g = gcd(den, q)
-    return p * (den // g), q // g
-
-
-def _scaled(keys: Sequence[Key]) -> tuple[int, list[int]]:
-    """``(L, ints)``: the least common multiple L of the keys' denominators
-    and each key n/d times L, as ints that compare as the values do."""
-    L = lcm(*{d for _, d in keys})
-    if L == 1:
-        return L, [n for n, _ in keys]
-    return L, [n * (L // d) for n, d in keys]
-
-
-def _orbit_closure(f: PLMap, orbits: Sequence[OrbitEntry]) -> Optional[tuple[Fraction, ...]]:
+def _orbit_closure(orbits: Sequence[OrbitEntry]) -> Optional[tuple[Fraction, ...]]:
     """The sorted union of the orbits of the endpoints and the turning
     points, or None when some orbit stayed open.  Each closed orbit holds the
     image of each of its points, so the union is forward invariant.  The
-    values are sorted on their keys, each object once:
-    :func:`post_critical_orbits` makes one object per distinct value."""
+    values are sorted on their keys from :func:`plzig.plmap._int_keys`, each
+    object once: :func:`post_critical_orbits` makes one object per distinct
+    value."""
     if not all(e.closed for e in orbits):
         return None
     values = {id(v): v for e in orbits for v in e.orbit}.values()
-    _, scaled = _scaled([_key_of(f._keys[0], v) for v in values])
-    by_key = dict(zip(scaled, values))
-    return tuple(by_key[s] for s in sorted(by_key))
+    _, keys = _int_keys(values)
+    by_key = dict(zip(keys, values))
+    return tuple(by_key[k] for k in sorted(by_key))
 
 
 @dataclass(frozen=True)
@@ -243,14 +228,14 @@ def map_facts(f: PLMap, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> MapFacts:
     """Critical orbits, Markov partition and leo verdict of f from a single
     :func:`post_critical_orbits` call."""
     orbits = post_critical_orbits(f, orbit_budget)
-    markov = _orbit_closure(f, orbits)
+    markov = _orbit_closure(orbits)
     return MapFacts(orbits, markov, _leo(f, markov))
 
 
 def markov_partition(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> list[Fraction]:
     """Smallest forward-invariant finite set containing the critical set and
     the endpoints: the orbit closure of those points, sorted."""
-    pts = _orbit_closure(f, post_critical_orbits(f, budget))
+    pts = _orbit_closure(post_critical_orbits(f, budget))
     if pts is None:
         raise BudgetExceededError(
             "critical orbits did not close within the budget; "
@@ -272,23 +257,26 @@ def is_primitive(f: PLMap, partition: Sequence[Fraction]) -> bool:
     persists once reached; it is checked at powers of two until one reaches
     the Wielandt bound n^2 - 2n + 2.
 
-    The points and their images are read as keys over f's common
-    denominator, scaled to one lcm, so the cells are found in a dict of ints.
+    The partition is keyed by :func:`plzig.plmap._int_keys` over its own
+    least common denominator L, so the cells are found in a dict of ints,
+    and f's keys are reached by cross-multiplying with f's common
+    denominator den: the critical point with x key k is the partition key
+    k·L/den when that is an int, and the point p/L has the x key p·den/L.
     """
     den, xk, _ = f._keys
-    keys = [_key_of(den, _as_rational(p)) for p in partition]
-    L, pts = _scaled(keys)
+    L, pts = _int_keys([_as_rational(p) for p in partition])
     increasing = all(map(lt, pts, islice(pts, 1, None)))
-    if not pts or not increasing or pts[0] != 0 or pts[-1] != den * L:
+    if not pts or not increasing or pts[0] != 0 or pts[-1] != L:
         raise ValueError("partition must be a sorted point set spanning [0, 1]")
     index = {p: i for i, p in enumerate(pts)}
-    if any(xk[i] * L not in index for i in f._ends[1:-1]):
+    if any(xk[i] * L % den or xk[i] * L // den not in index for i in f._ends[1:-1]):
         raise ValueError("partition must contain every critical point")
     n = len(pts) - 1
     images = []  # the partition index of each point's image, or None
-    for key in keys:
-        m, d = _key_image(f._keys, *key)
-        images.append(index.get(m * (L // d)) if L % d == 0 else None)
+    for p in pts:
+        m, d = _key_image(f._keys, p * den, L)  # the image m/(d·den), read over L
+        q, r = divmod(m * L, d * den)
+        images.append(None if r else index.get(q))
     lo, hi = [], []  # row u of A^k is the run of cells lo[u]..hi[u]
     for a, b in zip(images, images[1:]):
         if a is None or b is None:
@@ -346,7 +334,7 @@ def is_leo(f: PLMap, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> Optional[bool]
     """
     markov = None
     if is_onto(f) and len(f._ends) > 2:
-        markov = _orbit_closure(f, post_critical_orbits(f, orbit_budget))
+        markov = _orbit_closure(post_critical_orbits(f, orbit_budget))
     return _leo(f, markov)
 
 

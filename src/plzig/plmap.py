@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import logging
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from itertools import islice
-from operator import attrgetter, lt, mul, ne
-from typing import Iterable, NamedTuple, Sequence
+from operator import lt, ne
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 __all__ = [
     "ZERO",
@@ -52,10 +53,6 @@ ONE = Fraction(1)
 DEFAULT_BREAKPOINT_BUDGET = 10**6
 
 
-_numerator = attrgetter("numerator")
-_denominator = attrgetter("denominator")
-
-
 class BudgetExceededError(RuntimeError):
     """An operation would exceed its breakpoint or step budget."""
 
@@ -67,10 +64,20 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
 def parse_rational(text: str) -> Fraction:
     """Parse a canonical rational literal, ``p/q`` or an integer, either with
     an optional ``-``.  Fraction's own grammar also reads exponents, so a
-    short text such as ``1e-10000000`` would take seconds to build."""
-    if not _RATIONAL.fullmatch(text.strip()):
+    short text such as ``1e-10000000`` would take seconds to build.  A
+    numerator or denominator past the interpreter's limit on int-string
+    digits is refused with its digit count."""
+    literal = text.strip()
+    if not _RATIONAL.fullmatch(literal):
         raise ValueError(f"malformed rational literal {text!r}")
-    return Fraction(text.strip())
+    try:
+        return Fraction(literal)
+    except ValueError:
+        digits = max(map(len, literal.lstrip("-").split("/")))
+        raise ValueError(
+            f"rational literal too long: a numerator or denominator of {digits} digits, "
+            f"past the limit of {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _as_rational(value) -> Fraction:
@@ -240,13 +247,12 @@ def _check_keys(den: int, xk: Sequence[int], yk: Sequence[int]) -> None:
         raise ValueError(f"value {at(yk[i])} at x={at(xk[i])} lies outside [0, 1]")
 
 
-def _int_keys(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+def _int_keys(values: Collection[Fraction]) -> tuple[int, tuple[int, ...]]:
     """``(den, keys)``: the least common denominator of ``values`` and each
-    value times it, as ints.  The keys compare exactly as the values do."""
-    dens = set(map(_denominator, values))
-    den = lcm(*dens)
-    scale = {d: den // d for d in dens}.__getitem__
-    return den, tuple(map(mul, map(_numerator, values), map(scale, map(_denominator, values))))
+    value times it, as ints.  The keys compare exactly as the values do.
+    The one conversion to keys, for maps, Markov partitions and primitivity."""
+    den = lcm(*{v.denominator for v in values})
+    return den, tuple([v.numerator * (den // v.denominator) for v in values])
 
 
 def _interpolate(xk: Sequence[int], yk: Sequence[int], i: int, n: int, d: int, den: int) -> tuple[int, int]:

@@ -351,6 +351,41 @@ class TestMapAlgebraCommands:
         code, _, err = run(capsys, "analyze")
         assert code == 2 and "provide --builtin or --map" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("plot",),
+            ("analyze",),
+            ("iterate", "-n", "1"),
+            ("certify", "--pipeline", "general", "--orbit", "const:1/2"),
+        ],
+        ids=["plot", "analyze", "iterate", "certify-general"],
+    )
+    @pytest.mark.parametrize("map_file", ["tent", "missing"])
+    def test_builtin_and_map_exclude_each_other(self, capsys, tmp_path, argv, map_file):
+        # the map file is neither read nor ignored: a tent map file would
+        # otherwise be certified as minc, and a missing one pass unnoticed
+        path = tmp_path / f"{map_file}.map"
+        if map_file == "tent":
+            path.write_text("0 0\n1/2 1\n1 0\n")
+        out_path = tmp_path / "out"
+        code, out, err = run(
+            capsys, *argv, "--builtin", "minc", "--map", str(path), "--out", str(out_path)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --builtin and --map exclude each other; provide one\n"
+        assert not out_path.exists()
+
+    def test_literal_past_the_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "long.map"
+        path.write_text("0 0\n1/" + "9" * 4400 + " 1\n1 0\n")
+        code, out, err = run(capsys, "analyze", "--map", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: rational literal too long: a numerator or denominator of 4400 digits, "
+            "past the limit of 4300 digits\n"
+        )
+
     def test_minc_pipeline_rejects_other_maps(self, capsys):
         code, _, err = run(
             capsys, "certify", "--pipeline", "minc", "--builtin", "tent",

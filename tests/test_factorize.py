@@ -1026,6 +1026,20 @@ TAMPERS = [
         lambda d: d["maps"].__setitem__(d["map"], "0 0\n1e-1000000 1\n1 0\n"),
         "malformed rational literal '1e-1000000'",
     ),
+    # a literal past the interpreter's 4,300-digit int-string limit is
+    # refused with its digit count, not with the interpreter's advice
+    (
+        "long-orbit",
+        ("minc", "general"),
+        lambda d: d["orbit"].update(period=["1/" + "9" * 4400]),
+        "malformed certificate: ValueError: rational literal too long: a numerator or denominator of 4400 digits",
+    ),
+    (
+        "long-map",
+        ("general",),
+        lambda d: d["maps"].__setitem__(d["map"], "0 0\n1/" + "3" * 4400 + " 1\n1 0\n"),
+        "malformed certificate: ValueError: rational literal too long: a numerator or denominator of 4400 digits",
+    ),
     (
         "no-version",
         ("minc", "general"),
