@@ -9,7 +9,6 @@ decidable and composition identities can be checked exactly.
 
 from __future__ import annotations
 
-import logging
 import re
 import sys
 from bisect import bisect_left, bisect_right
@@ -41,8 +40,6 @@ __all__ = [
     "dumps_map",
     "load_map",
 ]
-
-log = logging.getLogger(__name__)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -215,14 +212,11 @@ def _normalized(den: int, xk: Sequence[int], yk: Sequence[int]) -> PLMap:
     keys are checked against the map invariants as given, so a list that
     backtracks along a line or repeats an x key (a zero-length segment) is
     refused.  Then the interior points where the slope does not change are
-    dropped (with a debug log note), since each maximal run of them lies on
-    one line with the two points around it, and the keys are divided by
-    their gcd with ``den``."""
+    dropped, since each maximal run of them lies on one line with the two
+    points around it, and the keys are divided by their gcd with ``den``."""
     _check_keys(den, xk, yk)
     keep = [0, *(i for i in range(1, len(xk) - 1) if (yk[i] - yk[i - 1]) * (xk[i + 1] - xk[i])
                  != (yk[i + 1] - yk[i]) * (xk[i] - xk[i - 1])), len(xk) - 1]
-    if len(keep) < len(xk):
-        log.debug("merged %d collinear interior breakpoint(s)", len(xk) - len(keep))
     g = gcd(den, *(xk[i] for i in keep), *(yk[i] for i in keep))
     return PLMap._of_keys(den // g, [xk[i] // g for i in keep], [yk[i] // g for i in keep])
 
@@ -504,7 +498,10 @@ def loads_map(text: str) -> PLMap:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'x y', got {raw!r}")
-        points.append((parse_rational(parts[0]), parse_rational(parts[1])))
+        try:
+            points.append((parse_rational(parts[0]), parse_rational(parts[1])))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if not points:
         raise ValueError("map file contains no breakpoints")
     return make_plmap(points)

@@ -135,13 +135,22 @@ class TestAnalyze:
         spans = [(F(a), F(b)) for a, b in report["zigzag_set"]]
         assert any(a < F(1, 2) < b for a, b in spans)
 
-    def test_iterated_report_is_byte_identical(self, capsys):
-        # the report on minc^5 evaluates the map at every point of its
-        # 1,366-point Markov partition; digest of the report before maps
-        # were evaluated on integer keys
-        code, out, _ = run(capsys, "analyze", "--builtin", "minc", "--iterate", "5")
-        assert code == 0 and len(out.encode()) == 285_435
-        digest = "408dbf1f20ed7ca310d08c3d06109331f130ea6aba380e574a11bf8e680f68ed"
+    @pytest.mark.parametrize(
+        "k, size, digest",
+        [
+            (5, 285_435, "408dbf1f20ed7ca310d08c3d06109331f130ea6aba380e574a11bf8e680f68ed"),
+            (6, 1_171_121, "e36f6b5838972cf7c297e6c1a9a55a45b0464b31dc0fe7a7e7b2811a4dd0e0b7"),
+        ],
+        ids=["minc5", "minc6"],
+    )
+    def test_iterated_report_is_byte_identical(self, capsys, k, size, digest):
+        # the report on minc^k evaluates the map at every point of its
+        # Markov partition (1,366 points for k = 5, 5,462 for k = 6); the
+        # minc^5 digest was recorded before maps were evaluated on integer
+        # keys, the minc^6 one before primitivity read the next square's
+        # positivity from prefix counts
+        code, out, _ = run(capsys, "analyze", "--builtin", "minc", "--iterate", str(k))
+        assert code == 0 and len(out.encode()) == size
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_uniform_covering_option(self, capsys):
@@ -382,7 +391,7 @@ class TestMapAlgebraCommands:
         code, out, err = run(capsys, "analyze", "--map", str(path))
         assert (code, out) == (2, "")
         assert err == (
-            "error: rational literal too long: a numerator or denominator of 4400 digits, "
+            "error: line 2: rational literal too long: a numerator or denominator of 4400 digits, "
             "past the limit of 4300 digits\n"
         )
 

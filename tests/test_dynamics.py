@@ -288,22 +288,46 @@ class TestPrimitivity:
         # irreducible with a loop: primitive although M itself has zeros
         assert self.decide([(0, 1), (F(1, 2), 0), (1, F(1, 2))], [[1, 1], [1, 0]])
 
-    def test_runs_agree_with_dense_oracle(self, minc):
+    def test_runs_agree_with_dense_oracle(self, minc, monkeypatch):
+        squarings = []
+        square = dynamics._square_runs
+        monkeypatch.setattr(
+            dynamics, "_square_runs", lambda lo, hi: squarings.append((lo, hi)) or square(lo, hi)
+        )
         cases = [(iterate(minc, k), None) for k in range(1, 6)]
         rng = random.Random(41)
         for _ in range(240):
             cells = rng.randint(2, 6)
             grid = [F(i, cells) for i in range(cells + 1)]
             cases.append((random_markov_map(rng, cells), grid))
-        verdicts = []
+        verdicts, outcomes = [], set()
         for f, grid in cases:
             for partition in (markov_partition(f), grid):
                 if partition is not None:
-                    want = dense_is_primitive(transition_matrix(f, partition))
+                    matrix = transition_matrix(f, partition)
+                    want = dense_is_primitive(matrix)
+                    squarings.clear()
                     assert is_primitive(f, partition) == want, (f, partition)
                     verdicts.append(want)
+                    outcomes.add((want, all(map(all, matrix)), len(squarings)))
         assert verdicts[:5] == [True] * 5  # the iterates of minc
         assert verdicts.count(False) >= 100
+        # the prefix counts end the test on a matrix that is not positive,
+        # before any squaring and after some, and squaring runs whenever
+        # the next square is not positive
+        assert {(True, False, 0), (True, False, 1), (True, False, 2)} <= outcomes
+        assert {(False, False, 1), (False, False, 3)} <= outcomes
+
+    def test_minc_partitions_need_no_squaring(self, minc, monkeypatch):
+        # A^2 is positive on the Markov partition of every minc^k, and the
+        # prefix counts read that without building it
+        def refuse(lo, hi):
+            raise AssertionError(f"squared the runs of {len(lo)} cells")
+
+        monkeypatch.setattr(dynamics, "_square_runs", refuse)
+        for k in range(1, 7):
+            f = iterate(minc, k)
+            assert is_primitive(f, markov_partition(f)) is True, k
 
 
 class TestLeo:

@@ -1038,7 +1038,7 @@ TAMPERS = [
         "long-map",
         ("general",),
         lambda d: d["maps"].__setitem__(d["map"], "0 0\n1/" + "3" * 4400 + " 1\n1 0\n"),
-        "malformed certificate: ValueError: rational literal too long: a numerator or denominator of 4400 digits",
+        "malformed certificate: ValueError: line 2: rational literal too long: a numerator or denominator of 4400 digits",
     ),
     (
         "no-version",

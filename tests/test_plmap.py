@@ -148,7 +148,8 @@ class TestRational:
         message = str(info.value)
         assert message.startswith("rational literal too long: a numerator or denominator of 4400 digits")
         assert "set_int_max_str_digits" not in message and len(message) < 100
-        with pytest.raises(ValueError, match="too long: a numerator or denominator of 4400 digits"):
+        line_2 = "^line 2: rational literal too long: a numerator or denominator of 4400 digits"
+        with pytest.raises(ValueError, match=line_2):
             loads_map(f"0 0\n1/2 {text.lstrip('-')}\n1 0\n")
 
 
@@ -721,3 +722,8 @@ class TestMapFiles:
             loads_map("0 0 0\n1 1\n")
         with pytest.raises(ValueError):
             loads_map("# only comments\n")
+        # a literal refusal names its line, counted with comments and blanks
+        with pytest.raises(ValueError, match="^line 2: malformed rational literal 'foo'$"):
+            loads_map("0 0\nfoo 1\n1 1\n")
+        with pytest.raises(ValueError, match=r"^line 3: malformed rational literal '1\.0'$"):
+            loads_map("# tent\n0 0\n1/2 1.0\n1 0\n")
