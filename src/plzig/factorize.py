@@ -84,8 +84,10 @@ class FactorPair:
     """Onto maps s, t whose composite t∘s is exactly the factored block map F.
 
     The identity holds by construction, so nothing here checks it again;
-    the pair does not keep F.  The tests check it from each certificate's
-    text, by composition and evaluation that share no code with this module.
+    the pair does not keep F.  A certificate stores only ``case`` and
+    ``beta``: the tests rebuild s and t from them and f^step by the formulas
+    below, and check the fold and t∘s = f^step by composition and
+    evaluation that share no code with this module.
 
     Case 1 (:func:`split_case1`, F(beta) = 0): s = beta(1 - F) on [0, beta]
     and the identity on [beta, 1]; t = 1 - u/beta on [0, beta] and F on
@@ -222,7 +224,8 @@ class StageRecord:
     inbound rebonded map g = s_prev ∘ t (None at the first stage).  g is
     never built: the verdict is decided on a window of it around the
     coordinate (:func:`composite_verdict`), and its laps and witnesses are
-    in g's coordinates."""
+    in g's coordinates.  The pair keeps s and t for the stage loop; a
+    certificate stores only its case and beta, which fix both."""
 
     index: int
     n: int
@@ -376,20 +379,21 @@ def certify_general(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: schema version 3, compact JSON with sorted keys.  Every
-# rational is a p/q string, and each distinct map is stored once, in the
-# ``maps`` table, as its map-file text (:func:`dumps_map`); ``map`` and each
-# stage's s and t refer to that table by index.  A stage stores no rebonded
-# map: g = s_prev∘t follows from the pairs, and its zigzag verdict keeps
-# laps and witnesses in g's coordinates.  Version 2, which stored g, is
-# refused.  One certificate has one encoding, so the verifier compares
-# encodings instead of parsing them.
+# Serialization: schema version 4, compact JSON with sorted keys.  Every
+# rational is a p/q string, and ``map`` is the base map's map-file text
+# (:func:`dumps_map`), the only map text stored.  A stage stores its factor
+# pair as ``case`` and ``beta``, which fix s and t given f^step
+# (:class:`FactorPair`), and no rebonded map: g = s_prev∘t follows from the
+# pairs, and its zigzag verdict keeps laps and witnesses in g's coordinates.
+# Version 2, which stored g, and version 3, which stored the texts of s and
+# t in a ``maps`` table, are refused.  One certificate has one encoding, so
+# the verifier compares encodings instead of parsing them.
 # ---------------------------------------------------------------------------
 
-VERSION = 3
+VERSION = 4
 
 # the keys of a stage, in the order in which the verifier reports a first difference
-_STAGE_KEYS = ("n_i", "case", "beta", "s", "t", "coordinate", "zigzag_verdict")
+_STAGE_KEYS = ("n_i", "case", "beta", "coordinate", "zigzag_verdict")
 
 
 def _canonical(data) -> str:
@@ -397,15 +401,6 @@ def _canonical(data) -> str:
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
-    maps: dict[str, int] = {}
-    texts: dict[int, str] = {}  # by id: the stage loop shares one object per map
-
-    def ref(f: PLMap) -> int:
-        text = texts.get(id(f))
-        if text is None:
-            text = texts[id(f)] = dumps_map(f)
-        return maps.setdefault(text, len(maps))
-
     s = cert.stabilization
     stab = None if s is None else {
         "a": str(s.a),
@@ -414,27 +409,25 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "side": s.side,
         "n-sequence": {"head": [s.n0], "step": s.step},
     }
-    base = ref(cert.base_map)
     # keys in the order in which the verifier reports a first difference
     return {
         "stabilization": stab,
         "stages": [
             dict(zip(_STAGE_KEYS, (
-                st.n, st.pair.case, str(st.pair.beta), ref(st.pair.s), ref(st.pair.t),
-                str(st.coordinate), st.verdict.to_dict() if st.verdict is not None else None,
+                st.n, st.pair.case, str(st.pair.beta), str(st.coordinate),
+                st.verdict.to_dict() if st.verdict is not None else None,
             )))
             for st in cert.stages
         ],
         "result": cert.result,
         "failing_stage": cert.failing_stage,
         "repeat_index": cert.repeat_index,
-        "map": base,
+        "map": dumps_map(cert.base_map),
         "orbit": {
             "prefix": [str(v) for v in cert.orbit.prefix],
             "period": [str(v) for v in cert.orbit.period_block],
         },
         "version": VERSION,
-        "maps": list(maps),
     }
 
 
@@ -479,7 +472,7 @@ def _rederive(data: dict) -> tuple[Optional[Certificate], str]:
     try:
         if data.get("version") != VERSION:
             return None, f"version: stored {data.get('version')!r}, this verifier reads {VERSION}"
-        f = loads_map(data["maps"][data["map"]])
+        f = loads_map(data["map"])
         orbit = BackwardOrbit(
             *(tuple(map(parse_rational, data["orbit"][k])) for k in ("prefix", "period"))
         )
@@ -518,28 +511,15 @@ def _rederive(data: dict) -> tuple[Optional[Certificate], str]:
             return derived, "ok"
     except (TypeError, ValueError, RecursionError) as exc:
         return None, f"malformed certificate: {type(exc).__name__}: {exc}"
-    stored, want = _resolved(data), _resolved(want)
-    found = _first_difference("stabilization", stored["stabilization"], want["stabilization"])
-    for i, (st, rd) in enumerate(zip(stored["stages"], want["stages"]), start=1):
+    found = _first_difference("stabilization", data["stabilization"], want["stabilization"])
+    for i, (st, rd) in enumerate(zip(data["stages"], want["stages"]), start=1):
         found = found or _first_difference(f"stage {i}", st, rd)
-    verdict = [stored.get("result"), stored.get("failing_stage")]
+    verdict = [data.get("result"), data.get("failing_stage")]
     if not found and _canonical(verdict) != _canonical([derived.result, derived.failing_stage]):
         stage, why = derived.failing_stage, derived.failure_reason
         got = "pass" if derived.passed else f"fail at stage {stage}: {why}"
         found = f"result: stored {verdict[0]!r} with failing_stage {verdict[1]}, re-derived {got}"
-    return None, found or _first_difference("", stored, want) or "the encoding differs"
-
-
-def _resolved(data: dict) -> dict:
-    """The certificate dict with each map index replaced by its map text."""
-    maps = data["maps"] if isinstance(data.get("maps"), list) else []
-    text = lambda i: maps[i] if type(i) is int and 0 <= i < len(maps) else f"no maps entry {i!r}"
-    stages = [
-        {k: text(v) if k in ("s", "t") else v for k, v in st.items()}
-        if isinstance(st, dict) else st
-        for st in data["stages"]
-    ]
-    return {**data, "map": text(data["map"]), "stages": stages}
+    return None, found or _first_difference("", data, want) or "the encoding differs"
 
 
 def _first_difference(path: str, stored, derived) -> Optional[str]:

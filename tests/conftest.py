@@ -540,7 +540,8 @@ MINC_PIPELINE = (0, 2)
 
 _powers: dict = {}  # (f, k) -> f^k by naive_compose, or None past the cap
 _parsed: dict = {}  # map text -> PLMap
-_checked_pairs: set = set()  # (f, step, (s, t)) as map texts, of pairs already checked
+# (map text, step, case, beta) -> s, of pairs already rebuilt and checked
+_checked_pairs: dict = {}
 _checked_texts: set = set()  # certificate texts already checked
 
 
@@ -587,6 +588,36 @@ def check_factor_pair_pointwise(block: PLMap, s: PLMap, t: PLMap) -> None:
         )
 
 
+def fold_pair(block: PLMap, case: str, beta: Fraction) -> tuple[PLMap, PLMap]:
+    """The factor pair (s, t) of ``block`` = F that a certificate stores as
+    (case, beta), rebuilt in ``Fraction`` points by the formulas of
+    ``plzig.factorize.FactorPair``, after checking that F folds there:
+
+    - case 1: 0 < beta <= 1, F(beta) = 0 and some breakpoint below beta maps
+      to 1; s = beta(1 - F) on [0, beta] and the identity on [beta, 1], t =
+      1 - u/beta on [0, beta] and F on [beta, 1];
+    - case 2, the mirror: 0 <= beta < 1, F(beta) = 1 and some breakpoint
+      above beta maps to 0; s is the identity on [0, beta] and 1 - (1 -
+      beta)F on [beta, 1], t is F on [0, beta] and (1 - u)/(1 - beta) on
+      [beta, 1].
+
+    Raises AssertionError when the case is unknown or F does not fold at beta."""
+    below = [(x, y) for x, y in block.points if x < beta]
+    above = [(x, y) for x, y in block.points if x > beta]
+    if case == "case1":
+        assert 0 < beta <= 1 and naive_eval(block, beta) == 0, f"F(beta) is not 0 at beta = {beta}"
+        assert any(y == 1 for _, y in below), f"no breakpoint below beta = {beta} maps to 1"
+        s = [(x, beta * (1 - y)) for x, y in below] + [(beta, beta)] + ([(1, 1)] if beta < 1 else [])
+        t = [(0, 1), (beta, 0)] + above
+    else:
+        assert case == "case2", f"unknown case {case!r}"
+        assert 0 <= beta < 1 and naive_eval(block, beta) == 1, f"F(beta) is not 1 at beta = {beta}"
+        assert any(y == 0 for _, y in above), f"no breakpoint above beta = {beta} maps to 0"
+        s = ([(0, 0)] if beta > 0 else []) + [(beta, beta)] + [(x, 1 - (1 - beta) * y) for x, y in above]
+        t = below + [(beta, 1), (1, 0)]
+    return naive_map(s), naive_map(t)
+
+
 def check_certificate_text(text: str) -> None:
     """Check a certificate's claims from its JSON text alone.
 
@@ -594,22 +625,21 @@ def check_certificate_text(text: str) -> None:
       the prefix, the seam and the wrap-around of the period block.
     - Stage i sits at n_i = n0 + i·step, with (n0, step) from the
       stabilization's n-sequence or MINC_PIPELINE.
-    - Every stage's pair has t∘s = f^step (:func:`check_factor_pair`, once
-      per distinct pair in a test run), and its coordinate is s(x_(n_i));
-      before the failing stage, s fixes x_(n_i).
-    - The repeat index is the first stage whose state (both pairs and both
-      orbit values) recurs from an earlier stage.
+    - Every stage's (case, beta) is a fold of f^step, and the pair
+      :func:`fold_pair` rebuilds from it has t∘s = f^step
+      (:func:`check_factor_pair`; both once per distinct pair in a test
+      run).  Its coordinate is s(x_(n_i)); before the failing stage, s
+      fixes x_(n_i).
+    - The repeat index is the first stage whose state (both pairs, as
+      (case, beta), and both orbit values) recurs from an earlier stage.
 
     Raises AssertionError naming the first claim that fails.  Leo, pcf, the
     stabilized branch and the zigzag verdicts are not checked here.
     """
     data = json.loads(text)
-    texts = data["maps"]
-    for m in texts:
-        if m not in _parsed:
-            _parsed[m] = loads_map(m)
-    maps = [_parsed[m] for m in texts]
-    f = maps[data["map"]]
+    if data["map"] not in _parsed:
+        _parsed[data["map"]] = loads_map(data["map"])
+    f = _parsed[data["map"]]
     prefix, period = ([parse_rational(v) for v in data["orbit"][k]] for k in ("prefix", "period"))
 
     def x(n):
@@ -630,12 +660,19 @@ def check_certificate_text(text: str) -> None:
     for i, st in enumerate(data["stages"], start=1):
         n = n0 + i * step
         assert st["n_i"] == n, f"stage {i} n_i: {st['n_i']}, not {n}"
-        pair = (texts[st["s"]], texts[st["t"]])
-        if (texts[data["map"]], step, pair) not in _checked_pairs:
-            check_factor_pair(f, step, maps[st["s"]], maps[st["t"]])
-            _checked_pairs.add((texts[data["map"]], step, pair))
+        pair = (st["case"], parse_rational(st["beta"]))
+        key = (data["map"], step, *pair)
+        if key not in _checked_pairs:
+            block = naive_power(f, step)
+            assert block is not None, f"f^{step} has more than NAIVE_CANDIDATE_CAP candidate breakpoints"
+            try:
+                s, t = fold_pair(block, *pair)
+            except AssertionError as exc:
+                raise AssertionError(f"stage {i}: {exc}") from None
+            check_factor_pair(f, step, s, t)
+            _checked_pairs[key] = s
         c = parse_rational(st["coordinate"])
-        assert c == naive_eval(maps[st["s"]], x(n)), f"stage {i} coordinate: {c} is not s(x_{n})"
+        assert c == naive_eval(_checked_pairs[key], x(n)), f"stage {i} coordinate: {c} is not s(x_{n})"
         assert failing is not None and i >= failing or c == x(n), f"stage {i}: s moves x_{n}"
         if prev is not None and repeat is None:
             if seen.setdefault((prev, pair, x(n - step), x(n)), i) != i:

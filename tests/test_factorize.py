@@ -17,6 +17,7 @@ from plzig.plmap import (
     iterate,
     laps,
     level_crossings,
+    loads_map,
     make_plmap,
 )
 from plzig.zigzag import composite_verdict, is_in_zigzag
@@ -291,9 +292,9 @@ class TestBuildGSequence:
         # a stage whose pair splits another block map does not verify
         data = certificate_to_dict(certify_minc(BackwardOrbit.constant(F(1, 2)), stages=4))
         other = split_case1(iterate(minc, 4), F(55, 162))
-        data["stages"][1].update(s=_ref(data, other.s), t=_ref(data, other.t))
+        data["stages"][1].update(beta=str(other.beta))
         ok, msg = verify_certificate(data)
-        assert not ok and "stage 2" in msg
+        assert (ok, msg) == (False, "stage 2 beta: stored '55/162', re-derived '7/18'")
 
 
 def _foldable_map(rng):
@@ -520,9 +521,11 @@ class TestCertifyGeneral:
                 too_big.add(frozenset(forward))
         assert len(too_big) == 7
         assert minc_repeats.count((3, 5)) == 20
-        # digest of the 31 texts, in this order, as the certify path wrote
-        # them while it still read the block map through Fraction points
-        digest = "0ec48bf34be414adf0a364bbec550e0cfc1d03043fd33a253eb0b8dc21b4cd95"
+        # digest of the 31 texts, in this order; their schema version 3
+        # encodings, written while the certify path still read the block map
+        # through Fraction points, give these texts when each stage's s and t
+        # and the maps table are dropped and map is inlined
+        digest = "261538d2840b0b0cb6a7fe1513e34945c99c492e00e9b0ec6c357b7c22b632c5"
         assert hashlib.sha256("".join(texts).encode()).hexdigest() == digest
         assert {frozenset({F(8, 19), F(9, 19)}), frozenset({F(4, 11), F(5, 11), F(9, 11)})} <= too_big
 
@@ -544,7 +547,7 @@ class TestCertifyGeneral:
             certify_general(f, BackwardOrbit.constant(0), stages=3)
         assert str(info.value) == refusal
         data = copy.deepcopy(passing_certificates["general"])
-        data["maps"][data["map"]] = dumps_map(f)
+        data["map"] = dumps_map(f)
         data["orbit"] = {"prefix": [], "period": ["0"]}
         assert verify_certificate(data) == (False, f"map: {refusal}")
 
@@ -671,17 +674,29 @@ class TestCertificateSerialization:
         ]
 
     @pytest.mark.parametrize("kind", ["minc", "general"])
-    def test_encoding_is_canonical(self, passing_certificates, kind):
-        # compact single-line JSON with sorted keys; each distinct map is
-        # stored once and referenced by index
+    def test_encoding_is_canonical(self, passing_certificates, kind, tent):
+        # compact single-line JSON with sorted keys; the base map is the one
+        # map text, and a stage stores its pair as (case, beta)
         data = passing_certificates[kind]
         text = certificate_to_json(certificate_from_json(json.dumps(data, indent=2)))
         assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-        assert "\n" not in text[:-1] and data["version"] == 3
-        assert all("g" not in st for st in data["stages"])
-        refs = {data["map"]} | {st[k] for st in data["stages"] for k in "st"}
-        assert refs == set(range(len(data["maps"])))
-        assert len(set(data["maps"])) == len(data["maps"])
+        assert "\n" not in text[:-1] and data["version"] == 4
+        assert sorted(data) == [
+            "failing_stage", "map", "orbit", "repeat_index", "result", "stabilization", "stages",
+            "version",
+        ]
+        assert loads_map(data["map"]) == (minc_map() if kind == "minc" else tent)
+        assert all(
+            sorted(st) == ["beta", "case", "coordinate", "n_i", "zigzag_verdict"]
+            for st in data["stages"]
+        )
+
+    def test_version_3_is_refused(self):
+        data = json.loads(VERSION_3_TEXT)
+        reason = "version: stored 3, this verifier reads 4"
+        assert verify_certificate(data) == (False, reason)
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            certificate_from_json(VERSION_3_TEXT)
 
     def test_verifier_decodes_only_the_base_map(self, monkeypatch, passing_certificates):
         import plzig.factorize
@@ -694,10 +709,10 @@ class TestCertificateSerialization:
         for data in passing_certificates.values():
             decoded.clear()
             assert verify_certificate(data) == (True, "ok")
-            assert decoded == [data["maps"][data["map"]]]
+            assert decoded == [data["map"]]
             decoded.clear()
             certificate_from_dict(data)
-            assert decoded == [data["maps"][data["map"]]]
+            assert decoded == [data["map"]]
 
     def test_verify_minc(self, minc):
         cert = certify_minc(BackwardOrbit.constant(F(1, 2)), stages=4)
@@ -719,7 +734,7 @@ class TestCertificateSerialization:
     def test_verify_catches_wrong_map(self, minc):
         cert = certify_minc(BackwardOrbit.constant(F(1, 2)), stages=4)
         data = certificate_to_dict(cert)
-        data["maps"][data["map"]] = "0 0\n1/2 1\n1 0\n"
+        data["map"] = "0 0\n1/2 1\n1 0\n"
         ok, _ = verify_certificate(data)
         assert not ok
 
@@ -746,14 +761,6 @@ class TestCertificateSerialization:
         assert not ok and msg == "stage 1 case: stored 'case1', re-derived 'case2'"
 
 
-def _ref(data, f):
-    """Index of map f in the certificate's maps table, appending it when new."""
-    maps = data["maps"]
-    if dumps_map(f) not in maps:
-        maps.append(dumps_map(f))
-    return maps.index(dumps_map(f))
-
-
 def _refold(data, period, pair):
     """Point ``data`` at the orbit with this period block and give every
     stage ``pair``, recomputing coordinates and the verdicts under
@@ -763,7 +770,7 @@ def _refold(data, period, pair):
     g = compose(pair.s, pair.t)
     for st in data["stages"]:
         c = pair.s(orbit.value_at(st["n_i"]))
-        st.update(case=pair.case, beta=str(pair.beta), s=_ref(data, pair.s), t=_ref(data, pair.t))
+        st.update(case=pair.case, beta=str(pair.beta))
         st["coordinate"] = str(c)
         if st["zigzag_verdict"] is not None:
             st.update(zigzag_verdict=is_in_zigzag(g, c).to_dict())
@@ -775,27 +782,19 @@ def _reuse_case(data, block, beta):
     would hand it."""
     first = split_case1(block, F(data["stages"][0]["beta"]))
     other = split_case1(block, beta)
-    stage = data["stages"][1]
-    stage.update(beta=str(beta), s=_ref(data, other.s), t=_ref(data, other.t))
+    data["stages"][1].update(beta=str(beta))
     g = compose(first.s, other.t)
     for st in data["stages"][1:]:
         st.update(zigzag_verdict=is_in_zigzag(g, F(st["coordinate"])).to_dict())
 
 
-def _add_midpoint(data, index):
-    """Insert the midpoint of the first segment into map ``index`` of the
-    maps table: the same function, no longer in normal form."""
-    lines = data["maps"][index].splitlines()
-    (x0, y0), (x1, y1) = ([F(v) for v in line.split()] for line in lines[:2])
-    lines.insert(1, f"{(x0 + x1) / 2} {(y0 + y1) / 2}")
-    data["maps"][index] = "\n".join(lines) + "\n"
-
-
-def _duplicate_map(data):
-    """Stage 2's s refers to a second copy of its map text."""
-    stage = data["stages"][1]
-    data["maps"].append(data["maps"][stage["s"]])
-    stage["s"] = len(data["maps"]) - 1
+def _add_midpoint(data, segment=0):
+    """Insert the midpoint of a segment into the base map's text: the same
+    function, no longer in normal form."""
+    lines = data["map"].splitlines()
+    (x0, y0), (x1, y1) = ([F(v) for v in line.split()] for line in lines[segment:segment + 2])
+    lines.insert(segment + 1, f"{(x0 + x1) / 2} {(y0 + y1) / 2}")
+    data["map"] = "\n".join(lines) + "\n"
 
 
 def _rewrite_beta(data, old, new):
@@ -816,6 +815,28 @@ def _spread_minc_indices(data, factor):
     for i, st in enumerate(data["stages"], start=1):
         st["n_i"] = factor * i
 
+
+# `plzig certify --pipeline minc --orbit const:1/2 --stages 4` in schema
+# version 3, which named the texts of each stage's s and t in a maps table
+VERSION_3_TEXT = (
+    r'{"failing_stage":null,"map":0,'
+    r'"maps":["0 0\n1/3 1\n4/9 1/3\n5/9 2/3\n2/3 0\n1 1\n",'
+    r'"0 7/18\n1/9 0\n4/27 7/27\n5/27 7/54\n2/9 7/18\n1/3 0\n7/18 7/18\n1 1\n",'
+    r'"0 1\n7/18 0\n11/27 2/3\n23/54 1/3\n4/9 1\n13/27 1/3\n14/27 2/3\n5/9 0\n31/54 2/3\n16/27 1/3\n11/18 1\n2/3 0\n7/9 1\n22/27 1/3\n23/27 2/3\n8/9 0\n1 1\n"],'
+    r'"orbit":{"period":["1/2"],"prefix":[]},"repeat_index":3,"result":"pass",'
+    r'"stabilization":null,"stages":[{"beta":"7/18","case":"case1","coordinate":"1/2",'
+    r'"n_i":2,"s":1,"t":2,"zigzag_verdict":null},{"beta":"7/18","case":"case1",'
+    r'"coordinate":"1/2","n_i":4,"s":1,"t":2,'
+    r'"zigzag_verdict":{"applicable_laps":[["13/27","14/27"]],"failing_lap":["13/27",'
+    r'"14/27"],"in_zigzag":false,"witnesses":[null]}},{"beta":"7/18","case":"case1",'
+    r'"coordinate":"1/2","n_i":6,"s":1,"t":2,'
+    r'"zigzag_verdict":{"applicable_laps":[["13/27","14/27"]],"failing_lap":["13/27",'
+    r'"14/27"],"in_zigzag":false,"witnesses":[null]}},{"beta":"7/18","case":"case1",'
+    r'"coordinate":"1/2","n_i":8,"s":1,"t":2,'
+    r'"zigzag_verdict":{"applicable_laps":[["13/27","14/27"]],"failing_lap":["13/27",'
+    r'"14/27"],"in_zigzag":false,"witnesses":[null]}}],"version":3}'
+    '\n'
+)
 
 # onto and post-critically finite, but [1/3, 1] is invariant: not leo
 NOT_LEO = make_plmap([(0, 0), (F(1, 3), 1), (F(2, 3), F(1, 3)), (1, F(2, 3))])
@@ -876,15 +897,9 @@ TAMPERS = [
         "stages: 2 entries stored, 3 re-derived",
     ),
     (
-        "collinear-t",
-        ("minc", "general"),
-        lambda d: _add_midpoint(d, d["stages"][1]["t"]),
-        "stage 1 t: not in normal form: stored from line 2 '",
-    ),
-    (
         "collinear-map",
         ("minc", "general"),
-        lambda d: _add_midpoint(d, d["map"]),
+        _add_midpoint,
         "map: not in normal form: stored from line 2 '",
     ),
     (
@@ -927,7 +942,7 @@ TAMPERS = [
         "not-leo",
         ("general",),
         lambda d: (
-            d["maps"].__setitem__(d["map"], dumps_map(NOT_LEO)),
+            d.update(map=dumps_map(NOT_LEO)),
             d.update(orbit={"prefix": [], "period": ["5/9"]}),
         ),
         "map: map is not locally eventually onto",
@@ -999,19 +1014,14 @@ TAMPERS = [
         lambda d: d["orbit"].update(period=["2/4"]),
         "orbit period 0: stored '2/4', re-derived '1/2'",
     ),
-    (
-        "dangling-index",
-        ("minc", "general"),
-        lambda d: d["stages"][1].update(t=len(d["maps"])),
-        "stage 2 t: stored 'no maps entry 3', re-derived '0 ",
-    ),
+    # a map text that nothing refers to, such as a maps table left over
+    # from version 3
     (
         "unreferenced-map",
         ("minc", "general"),
-        lambda d: d["maps"].append("0 0\n1 1\n"),
-        "maps: 4 entries stored, 3 re-derived",
+        lambda d: d.update(maps=["0 0\n1 1\n"]),
+        "certificate: unknown key 'maps'",
     ),
-    ("duplicate-map", ("minc", "general"), _duplicate_map, "maps: 4 entries stored, 3 re-derived"),
     # Literals that Fraction reads but str(Fraction) never writes; the orbit
     # value stands for 10^(-10^7), which takes seconds to build
     (
@@ -1023,7 +1033,7 @@ TAMPERS = [
     (
         "exponent-map",
         ("general",),
-        lambda d: d["maps"].__setitem__(d["map"], "0 0\n1e-1000000 1\n1 0\n"),
+        lambda d: d.update(map="0 0\n1e-1000000 1\n1 0\n"),
         "malformed rational literal '1e-1000000'",
     ),
     # a literal past the interpreter's 4,300-digit int-string limit is
@@ -1037,32 +1047,45 @@ TAMPERS = [
     (
         "long-map",
         ("general",),
-        lambda d: d["maps"].__setitem__(d["map"], "0 0\n1/" + "3" * 4400 + " 1\n1 0\n"),
+        lambda d: d.update(map="0 0\n1/" + "3" * 4400 + " 1\n1 0\n"),
         "malformed certificate: ValueError: line 2: rational literal too long: a numerator or denominator of 4400 digits",
     ),
     (
         "no-version",
         ("minc", "general"),
         lambda d: d.pop("version"),
-        "version: stored None, this verifier reads 3",
+        "version: stored None, this verifier reads 4",
     ),
     (
         "version-1",
         ("minc", "general"),
         lambda d: d.update(version=1),
-        "version: stored 1, this verifier reads 3",
+        "version: stored 1, this verifier reads 4",
     ),
     (
         "version-2",
         ("minc", "general"),
         lambda d: d.update(version=2),
-        "version: stored 2, this verifier reads 3",
+        "version: stored 2, this verifier reads 4",
     ),
+    (
+        "version-3",
+        ("minc", "general"),
+        lambda d: d.update(version=3),
+        "version: stored 3, this verifier reads 4",
+    ),
+    # map texts that versions 2 and 3 stored in a stage
     (
         "stored-g",
         ("minc", "general"),
-        lambda d: d["stages"][1].update(g=d["stages"][1]["t"]),
+        lambda d: d["stages"][1].update(g=d["map"]),
         "stage 2: unknown key 'g'",
+    ),
+    (
+        "stored-s",
+        ("minc", "general"),
+        lambda d: d["stages"][0].update(s=d["map"]),
+        "stage 1: unknown key 's'",
     ),
 ]
 TAMPER_CASES = [
@@ -1114,17 +1137,15 @@ class TestTamperSuite:
         assert elapsed < 0.5, f"rejection took {elapsed:.3f} s"
 
     def test_reason_shows_the_first_differing_line(self, passing_certificates):
-        # every stage shares one t with 17 breakpoints; halve the value on line 14
+        # the Minc map has 6 breakpoints; a midpoint of its fourth segment
+        # becomes line 5 of the text, ahead of the breakpoint 2/3 0
         data = copy.deepcopy(passing_certificates["minc"])
-        lines = data["maps"][data["stages"][1]["t"]].splitlines()
-        assert len(lines) == 17
-        x, y = lines[13].split()
-        edited = f"{x} {F(y) / 2}"
-        assert edited != lines[13]
-        data["maps"][data["stages"][1]["t"]] = "\n".join(lines[:13] + [edited] + lines[14:]) + "\n"
+        lines = data["map"].splitlines()
+        assert len(lines) == 6 and lines[4] == "2/3 0"
+        _add_midpoint(data, 3)
         ok, msg = verify_certificate(data)
-        assert not ok and msg.startswith("stage 1 t: stored from line 14 '"), msg
-        assert edited in msg and lines[13] in msg.split("re-derived")[1], msg
+        assert not ok and msg.startswith("map: not in normal form: stored from line 5 '11/18 1/3"), msg
+        assert lines[4] in msg.split("normal form")[2], msg
 
     def test_budget_overrun_is_a_rejection(self, monkeypatch, passing_certificates):
         import plzig.plmap
@@ -1191,11 +1212,19 @@ TEXT_EDITS = [
         lambda d: d["stages"][0].update(coordinate="0"),
         "stage 1 coordinate",
     ),
+    # both pipelines fold their block maps at 0 (case 1), and neither block
+    # map is 0 at 1/3
     (
-        "identity-s",
+        "beta-off-fold",
         ("minc", "general"),
-        lambda d: d["stages"][1].update(s=_ref(d, make_plmap([(0, 0), (1, 1)]))),
-        "t∘s is not f^step",
+        lambda d: d["stages"][1].update(beta="1/3"),
+        "stage 2: F(beta) is not 0 at beta = 1/3",
+    ),
+    (
+        "unknown-case",
+        ("minc", "general"),
+        lambda d: d["stages"][0].update(case="case3"),
+        "stage 1: unknown case 'case3'",
     ),
     (
         "case2-at-const-1",
@@ -1258,7 +1287,9 @@ class TestCertificateTextChecker:
                     assert where not in PRODUCER_MODULES, (fn.__name__, name, where)
                     if where == "conftest":
                         todo.append(obj)
-        assert {"check_factor_pair", "naive_compose", "naive_eval"} <= {fn.__name__ for fn in seen}
+        assert {"check_factor_pair", "fold_pair", "naive_compose", "naive_eval"} <= {
+            fn.__name__ for fn in seen
+        }
 
 
 # values an edit puts in; the long denominator has 4,300 digits, the most
@@ -1315,7 +1346,7 @@ class TestVerifierNeverRaises:
         # number with a 4,301-digit denominator, which Python 3.11 refuses to
         # print; the orbit check names the entry and the size instead
         data = copy.deepcopy(passing_certificates["general"])
-        data["maps"][data["map"]] = "0 0\n4/5 1\n1 0\n"
+        data["map"] = "0 0\n4/5 1\n1 0\n"
         data["orbit"]["period"] = ["1/" + "9" * 4300]
         ok, msg = verify_certificate(data)
         assert ok is False and msg.startswith("orbit: orbit entry 1 maps to a rational of "), msg
