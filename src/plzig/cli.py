@@ -21,6 +21,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from .plmap import (
     BudgetExceededError,
@@ -189,6 +190,68 @@ def analysis_report(
     return report
 
 
+def _json_text(value, pad: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes
+    it at a depth whose lines start with ``pad``, for str-keyed dicts,
+    lists, str, int, bool and None.  A list of strings is one join."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        body = sep.join(f"{_quote(k)}: {_json_text(value[k], inner)}" for k in sorted(value))
+        return f"{{\n{inner}{body}\n{pad}}}"
+    try:
+        body = sep.join(map(_quote, value))
+    except TypeError:  # the quoter refuses an item that is not a str
+        body = sep.join(_json_text(v, inner) for v in value)
+    return f"[\n{inner}{body}\n{pad}]"
+
+
+def _report_text(report: dict) -> str:
+    """An :func:`analysis_report` dict as text: byte for byte what
+    ``json.dumps(report, indent=2, sort_keys=True)`` writes, without the
+    stdlib's pure-Python encoder, which an indent turns on.  Strings go
+    through the C quoter that ``json.dumps`` uses under its default
+    ``ensure_ascii``, and each list of strings is one join.  Each
+    post-critical orbit row is one format string with its keys in sorted
+    order, so it relies on the rows that :func:`analysis_report` builds:
+    at least the rows of 0 and 1, each with a non-empty orbit of strings,
+    a bool ``closed``, an int or None ``period`` and ``preperiod``, and
+    ``orbit_truncated`` only when true.  Every other value goes through
+    :func:`_json_text`."""
+    rows = []
+    for row in report["post_critical_orbits"]:
+        truncated = '      "orbit_truncated": true,\n' if "orbit_truncated" in row else ""
+        period, preperiod = row["period"], row["preperiod"]
+        orbit = ",\n        ".join(map(_quote, row["orbit"]))
+        rows.append(
+            f'{{\n      "closed": {"true" if row["closed"] else "false"},\n'
+            f'      "orbit": [\n        {orbit}\n      ],\n'
+            f'{truncated}      "period": {"null" if period is None else period},\n'
+            f'      "point": {_quote(row["point"])},\n'
+            f'      "preperiod": {"null" if preperiod is None else preperiod}\n    }}'
+        )
+    items = []
+    for key in sorted(report):
+        if key == "post_critical_orbits":
+            text = "[\n    " + ",\n    ".join(rows) + "\n  ]"
+        else:
+            text = _json_text(report[key], "  ")
+        items.append(f"{_quote(key)}: {text}")
+    return "{\n  " + ",\n  ".join(items) + "\n}"
+
+
 def cmd_analyze(args) -> int:
     if args.orbit_budget < 0:
         raise ValueError(f"--orbit-budget must be at least 0, got {args.orbit_budget}")
@@ -197,7 +260,7 @@ def cmd_analyze(args) -> int:
         f = iterate(f, args.iterate)
     eps = parse_rational(args.eps) if args.eps else None
     report = analysis_report(f, eps, orbit_budget=args.orbit_budget)
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(_report_text(report) + "\n", args.out)
     return 0
 
 

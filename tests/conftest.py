@@ -3,7 +3,7 @@ import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, inf
 
 import pytest
 
@@ -97,19 +97,29 @@ def periodic_cycles(f: PLMap, max_period: int) -> list[tuple[Fraction, ...]]:
     return sorted(cycles)
 
 
-def naive_lap_witness(f: PLMap, ck: Fraction, ck1: Fraction, candidates=None):
-    """All-pairs reference search, straight from the definition.
+def naive_lap_witness(f: PLMap, ck: Fraction, ck1: Fraction):
+    """All-pairs reference search, straight from the definition: the first
+    pair of breakpoints a < ck, b > ck1, in (a, b) order, that
+    :func:`witness_is_valid` accepts.
 
-    Independent of the production two-pointer scan: tries every candidate
-    pair and validates it by direct evaluation.
+    Independent of the production two-pointer scan: it tries every pair,
+    evaluating the lap ends and each breakpoint once.  For each a it walks b
+    upward, keeping the least and greatest value at the breakpoints strictly
+    inside (a, b), and the pair it returns is checked again by
+    :func:`witness_is_valid`.
     """
-    xs = candidates if candidates is not None else f.xs
-    left = [x for x in xs if x < ck]
-    right = [x for x in xs if x > ck1]
-    for a in left:
-        for b in right:
-            if witness_is_valid(f, ck, ck1, a, b):
-                return (a, b)
+    decreasing = naive_eval(f, ck) > naive_eval(f, ck1)
+    xs = f.xs
+    ys = [naive_eval(f, x) for x in xs]
+    for i in range(bisect_left(xs, ck)):
+        low, high = inf, -inf
+        for j in range(i + 1, len(xs)):
+            if xs[j] > ck1:
+                lo, hi = (ys[i], ys[j]) if decreasing else (ys[j], ys[i])
+                if lo < hi and lo < low and high < hi:
+                    assert witness_is_valid(f, ck, ck1, xs[i], xs[j]), (f, ck, ck1)
+                    return (xs[i], xs[j])
+            low, high = min(low, ys[j]), max(high, ys[j])
     return None
 
 

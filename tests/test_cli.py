@@ -1,14 +1,16 @@
 import hashlib
 import json
+import random
 import re
 from fractions import Fraction as F
 
 import pytest
 
-from plzig.cli import build_parser, main, render_svg
-from plzig.plmap import dumps_map, load_map, loads_map, make_plmap
+from plzig.cli import _json_text, _report_text, analysis_report, build_parser, main, render_svg
+from plzig.plmap import dumps_map, iterate, load_map, loads_map, make_plmap
 from plzig.factorize import minc_map, verify_certificate
 
+from conftest import random_map, random_markov_map
 from reference_curves import MINC_SQUARED_VERTICES
 
 
@@ -181,6 +183,74 @@ class TestAnalyze:
         rows = report["post_critical_orbits"]
         assert any(row.get("orbit_truncated") for row in rows)
         assert all(len(row["orbit"]) <= 16 for row in rows)
+
+
+def dumps_report(report: dict) -> str:
+    """The oracle for the analyze writer: the stdlib's encoder."""
+    return json.dumps(report, indent=2, sort_keys=True)
+
+
+class TestReportWriter:
+    """``plzig analyze`` writes ``json.dumps(report, indent=2,
+    sort_keys=True)`` and a newline, byte for byte, through its own writer;
+    each case is a report shape the writer has a branch for."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_minc_iterates(self, capsys, minc, k):
+        code, out, _ = run(capsys, "analyze", "--builtin", "minc", "--iterate", str(k))
+        assert code == 0
+        assert out == dumps_report(analysis_report(iterate(minc, k))) + "\n"
+
+    def test_uniform_covering(self, capsys, minc):
+        # "N" sorts before "eps"
+        code, out, _ = run(capsys, "analyze", "--builtin", "minc", "--eps", "1/6")
+        assert code == 0
+        assert out == dumps_report(analysis_report(minc, F(1, 6))) + "\n"
+        assert '"uniform_covering": {\n    "N": 3,\n    "eps": "1/6"\n  },' in out
+
+    @pytest.mark.parametrize(
+        "points, budget, shape",
+        [
+            ([(0, 0), (1, 1)], 10_000, {"zigzag_set": [], "leo": False}),
+            ([(0, 0), (F(1, 2), 1), (1, 0)], 0, {"leo": None, "post_critically_finite": None}),
+            ([(0, 0), (F(1, 2), 1), (1, 0)], 1, {"leo": None, "post_critically_finite": None}),
+            ([(0, F(1, 7)), (1, F(6, 7))], 64, {"markov_partition": None}),
+            ([(0, 0), (F(1, 2), 1), (1, F(1, 3))], 10_000, {"post_critically_finite": None}),
+        ],
+        ids=["identity", "tent-budget-0", "tent-budget-1", "contraction", "non-pcf"],
+    )
+    def test_report_shapes(self, capsys, tmp_path, points, budget, shape):
+        f = make_plmap(points)
+        path = tmp_path / "shape.map"
+        path.write_text(dumps_map(f))
+        code, out, _ = run(capsys, "analyze", "--map", str(path), "--orbit-budget", str(budget))
+        assert code == 0
+        report = analysis_report(f, orbit_budget=budget)
+        assert out == dumps_report(report) + "\n"
+        assert {key: report[key] for key in shape} == shape
+        if budget < 10_000:
+            # open rows: no period or preperiod, and past 16 values a truncated orbit
+            assert any(row["period"] is None for row in report["post_critical_orbits"])
+        if budget == 64:
+            assert any(row.get("orbit_truncated") for row in report["post_critical_orbits"])
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {}, [], 0, -12, None, False, "\u00e9\n\"",
+            [["x", "y"], [], [1, None]], {"b": [True], "a": {"c": {}}},
+        ],
+    )
+    def test_other_values(self, value):
+        assert _json_text(value, "") == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_random_maps(self):
+        rng = random.Random(28)
+        for i in range(200):
+            f = random_map(rng) if i % 2 else random_markov_map(rng, rng.randint(2, 5))
+            for budget in (0, 1, 64, 10_000):
+                report = analysis_report(f, orbit_budget=budget)
+                assert _report_text(report) == dumps_report(report), (f, budget)
 
 
 class TestCertifyCommand:

@@ -111,6 +111,16 @@ class TestIsInZigzag:
                 p, q = f.xs.index(lap.left), f.xs.index(lap.right)
                 got = at_xs(f, _WitnessIndex(f._keys[2]).witness(p, q))
                 ref = naive_lap_witness(f, lap.left, lap.right)
+                definition = next(
+                    (
+                        (a, b)
+                        for a in f.xs if a < lap.left
+                        for b in f.xs if b > lap.right
+                        if witness_is_valid(f, lap.left, lap.right, a, b)
+                    ),
+                    None,
+                )
+                assert ref == definition
                 assert (got is None) == (ref is None)
                 if got is not None:
                     assert witness_is_valid(f, lap.left, lap.right, *got)
