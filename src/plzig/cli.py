@@ -161,12 +161,17 @@ def analysis_report(
     f: PLMap, eps: Fraction | None = None, orbit_budget: int = DEFAULT_ORBIT_BUDGET
 ) -> dict:
     facts = map_facts(f, orbit_budget)
+    # post_critical_orbits makes one object per distinct value, and the
+    # critical set and the Markov partition are made of those objects, so
+    # each value is written once and then looked up by its identity
+    values = {id(v): v for e in facts.orbits for v in e.orbit}
+    text = {k: str(v) for k, v in values.items()}
     orbit_rows = []
     for e in facts.orbits:
         shown = e.orbit if e.closed else e.orbit[:16]
         row = {
-            "point": str(e.point),
-            "orbit": [str(v) for v in shown],
+            "point": text[id(e.point)],
+            "orbit": [text[id(v)] for v in shown],
             "preperiod": e.preperiod,
             "period": e.period,
             "closed": e.closed,
@@ -178,11 +183,11 @@ def analysis_report(
         "breakpoints": len(f._keys[1]),
         "laps": len(f._ends) - 1,
         "onto": is_onto(f),
-        "critical_set": [str(c) for c in critical_set(f)],
+        "critical_set": [text[id(c)] for c in critical_set(f)],
         "zigzag_set": [[str(a), str(b)] for a, b in zigzag_set(f)],
         "post_critical_orbits": orbit_rows,
         "post_critically_finite": facts.post_critically_finite,
-        "markov_partition": [str(p) for p in facts.markov] if facts.markov is not None else None,
+        "markov_partition": [text[id(p)] for p in facts.markov] if facts.markov is not None else None,
         "leo": facts.leo,
     }
     if eps is not None:

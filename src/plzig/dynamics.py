@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
-from operator import lt
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import eq, lt, sub
 from typing import Optional, Sequence
 
 from .plmap import (
@@ -387,21 +387,22 @@ def uniformly_onto(f: PLMap, eps) -> bool:
 
     The solutions are the breakpoints whose value key is 0 or den, the
     map's common denominator, and the gaps are measured on their x keys: a
-    key gap g is wider than eps = n/d exactly when g * d > n * den.  It
-    caches nothing on f: it runs once on each block power the
-    stabilization builds, where a cached table of solutions would only
-    hold memory.
+    key gap g is wider than eps = n/d exactly when g * d > n * den, that
+    is, when g > (n * den) // d.  Each level is one scan in C: ``compress``
+    picks its solutions' x keys, and ``any`` over ``map(sub, ...)`` looks
+    for a wider gap and stops at the first, so the test makes no
+    Python-level step per breakpoint.  It caches nothing on f: it runs once
+    on each block power the stabilization builds, where a cached table of
+    solutions would only hold memory.
     """
     eps = _as_rational(eps)
     if eps <= 0:
         raise ValueError("scale must be positive")
     den, xk, yk = f._keys
-    d, limit = eps.denominator, eps.numerator * den
+    widest = eps.numerator * den // eps.denominator  # the widest key gap allowed
     for level in (0, den):
-        pts = [x for x, y in zip(xk, yk) if y == level]
-        if not pts:
-            return False
-        if any((b - a) * d > limit for a, b in zip([0, *pts], [*pts, den])):
+        pts = list(compress(xk, map(eq, yk, repeat(level))))
+        if not pts or any(map(lt, repeat(widest), map(sub, chain(pts, (den,)), chain((0,), pts)))):
             return False
     return True
 

@@ -26,7 +26,7 @@ from .plmap import (
     BudgetExceededError,
     PLMap,
     _as_rational,
-    _normalized,
+    _joined,
     dumps_map,
     iterate,
     loads_map,
@@ -123,8 +123,8 @@ def split_case1(f: PLMap, beta) -> FactorPair:
         raise ValueError(f"case 1 split needs a point below {beta} mapping to 1")
     b, dd = xk[i], den * den
     tail = [dd] if beta < ONE else []
-    s = _normalized(dd, [x * den for x in xk[:i + 1]] + tail, [b * (den - y) for y in yk[:i + 1]] + tail)
-    t = _normalized(den, (0, *xk[i:]), (den, *yk[i:]))
+    s = _joined(dd, [x * den for x in xk[:i + 1]] + tail, [b * (den - y) for y in yk[:i + 1]] + tail, i)
+    t = _joined(den, [0, *xk[i:]], [den, *yk[i:]], 1)
     return FactorPair(s, t, CASE1, beta)
 
 
@@ -142,8 +142,8 @@ def split_case2(f: PLMap, beta) -> FactorPair:
         raise ValueError(f"case 2 split needs a point above {beta} mapping to 0")
     dd, c = den * den, den - xk[i]
     head = [0] if beta > ZERO else []
-    s = _normalized(dd, head + [x * den for x in xk[i:]], head + [dd - c * y for y in yk[i:]])
-    t = _normalized(den, (*xk[:i + 1], den), (*yk[:i + 1], 0))
+    s = _joined(dd, head + [x * den for x in xk[i:]], head + [dd - c * y for y in yk[i:]], len(head))
+    t = _joined(den, [*xk[:i + 1], den], [*yk[:i + 1], 0], i)
     return FactorPair(s, t, CASE2, beta)
 
 

@@ -16,8 +16,8 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from itertools import islice
-from operator import lt, ne
+from itertools import compress, islice, repeat
+from operator import lt, mod, ne
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -102,8 +102,9 @@ class PLMap:
     times it, as int tuples, with x strictly increasing from 0 to 1, all y
     in [0, 1], no zero-slope segment and a slope change at every interior
     breakpoint.  Every map is built by :meth:`_of_keys`, which validates
-    the keys: :func:`make_plmap` and the fold splits of
-    :mod:`plzig.factorize` through the one normalizer, and
+    the keys: :func:`make_plmap` through the one normalizer, the fold
+    splits of :mod:`plzig.factorize` through :func:`_joined`, which tests
+    only the point where their two normalized pieces meet, and
     :func:`compose` directly, because its keys are already normalized.  So
     a function has one representation, and two maps are equal, and hash
     alike, exactly when they are the same function.  ``xs``, ``ys`` and
@@ -221,6 +222,24 @@ def _normalized(den: int, xk: Sequence[int], yk: Sequence[int]) -> PLMap:
     return PLMap._of_keys(den // g, [xk[i] // g for i in keep], [yk[i] // g for i in keep])
 
 
+def _joined(den: int, xk: list[int], yk: list[int], seam: int) -> PLMap:
+    """The map through the breakpoints with keys ``(den, xk, yk)`` made of
+    normalized pieces that meet at index ``seam``, as :func:`_normalized`
+    gives it.  Every other interior point keeps the two neighbours it had
+    in its piece, so its slope changes there; only the seam point can be
+    collinear, and dropping it leaves the slope test of its neighbours as
+    it was.  So one slope test and the keys' gcd with ``den`` replace the
+    rescan, and :meth:`PLMap._of_keys` validates the result."""
+    if 0 < seam < len(xk) - 1 and (yk[seam] - yk[seam - 1]) * (xk[seam + 1] - xk[seam]) == (
+        yk[seam + 1] - yk[seam]
+    ) * (xk[seam] - xk[seam - 1]):
+        del xk[seam], yk[seam]
+    g = gcd(den, *xk, *yk)
+    if g != 1:
+        xk, yk = [x // g for x in xk], [y // g for y in yk]
+    return PLMap._of_keys(den // g, xk, yk)
+
+
 def _check_keys(den: int, xk: Sequence[int], yk: Sequence[int]) -> None:
     """The map invariants, except normalization, on a breakpoint list's keys."""
     at = lambda k: Fraction(k, den)
@@ -318,16 +337,20 @@ def compose(outer: PLMap, inner: PLMap, budget: int | None = None) -> PLMap:
     outer breakpoints strictly inside each segment's y-range by bisection on
     outer's x keys and emits their preimages in x order.  The walk runs on
     both maps' integer keys (see :attr:`PLMap._keys`), rescaled to the lcm
-    of the two common denominators, and emits the result's keys: an
-    affine image of a slice of outer's x keys and that slice of its y keys
-    per inner segment, so O(|inner|·log|outer| + |output|) integer
-    operations on numbers as long as that lcm, and no ``Fraction``.  A map
-    whose breakpoints have many unrelated denominators has a huge common
-    denominator, and then every one of these operations is slow.  The
-    result is normalized: each preimage is kept, since outer is normalized
-    and inner is linear with nonzero slope around it, and inner's
-    breakpoints are kept exactly where the composite's slope changes.  Its
-    keys are least, so it is built by :meth:`PLMap._of_keys` directly.
+    of the two common denominators, and describes the result's keys as
+    runs: per inner segment, an affine image of a slice of outer's x keys
+    and that slice of its y keys.  :func:`_least_keys` finds their least
+    common denominator from the runs without building them and then writes
+    each key in one pass, mostly as one product and one sum.  So a power
+    f^(k+1) = f^k∘f costs one Python-level step per output key, and
+    O(|inner|·log|outer| + |output|) integer operations on numbers as long
+    as that lcm, and no ``Fraction``.  A map whose breakpoints have many
+    unrelated denominators has a huge common denominator, and then every
+    one of these operations is slow.  The result is normalized: each
+    preimage is kept, since outer is normalized and inner is linear with
+    nonzero slope around it, and inner's breakpoints are kept exactly
+    where the composite's slope changes.  Its keys are least, so it is
+    built by :meth:`PLMap._of_keys` directly, which still validates them.
 
     The budget bounds the distinct candidate breakpoints before merging:
     inner's breakpoints plus the strictly interior preimages.  It is
@@ -363,20 +386,20 @@ def _compose_segments(
     if count > limit:
         raise BudgetExceededError(f"composition needs more than {limit} breakpoints")
 
-    # the composite's x and y coordinates in order, as runs of numerators
-    # over one denominator each
-    xruns: list[tuple[list[int], int]] = []
-    yruns: list[tuple[list[int], int]] = []
+    # the composite's x and y coordinates in order, as runs (a, b, ws, d) of
+    # the values (a + b·w)/d for w in ws
+    xruns: list[tuple[int, int, Sequence[int], int]] = []
+    yruns: list[tuple[int, int, Sequence[int], int]] = []
 
     def keep(k: int) -> None:
         """Emit inner's k-th breakpoint of the range and outer's value there."""
-        xruns.append(([ixk[k]], den))
+        xruns.append((0, 1, ixk[k:k + 1], den))
         j = left[k]
         if right[k] > j:
-            yruns.append(([oyk[j]], den))
+            yruns.append((0, 1, oyk[j:j + 1], den))
         else:
             n, d = _interpolate(oxk, oyk, j - 1, iyk[k], 1, den)
-            yruns.append(([n], d))
+            yruns.append((0, 1, (n,), d))
 
     def slope(rise: int, run: int, s: int) -> tuple[int, int]:
         """The composite's slope as (rise, run) where inner rises ``rise``
@@ -403,36 +426,86 @@ def _compose_segments(
             # the preimage of the outer key w is (x0·rise + (w - y0)·run) / (den·rise),
             # taken with rise and run divided by their gcd to keep the numbers short
             h = gcd(run, rise) if rise > 0 else -gcd(run, rise)
-            c0, c1 = (x0 * rise - y0 * run) // h, run // h
-            xruns.append(([c0 + c1 * w for w in xs], den * rise // h))
-            yruns.append((ys, den))
+            xruns.append(((x0 * rise - y0 * run) // h, run // h, xs, den * rise // h))
+            yruns.append((0, 1, ys, den))
         before = slope(rise, run, end)
     keep(last)
     return _least_keys(xruns, yruns)
 
 
-def _least_keys(*columns: list[tuple[Sequence[int], int]]) -> tuple:
-    """``(den, keys, ...)`` for columns of rationals, each given as runs of
-    numerators over one positive denominator: the least common denominator
-    of every value, and each column's values times it, as ints, as
-    :func:`_int_keys` gives them.  The runs over one denominator d are
-    reduced first, to d // gcd(d, their numerators), and the lcm is taken
-    over those: reducing each run before the lcm keeps the numbers short
-    when the runs' denominators are unrelated."""
-    common: dict[int, int] = {}
+def _least_keys(*columns: list[tuple[int, int, Sequence[int], int]]) -> tuple:
+    """``(den, keys, ...)`` for columns of rationals, each given as runs
+    ``(a, b, ws, d)`` of the values (a + b·w)/d for w in ws, with d > 0:
+    the least common denominator of every value, and each column's values
+    times it, as ints, as :func:`_int_keys` gives them.
+
+    Each run is reduced before it enters the lcm, which keeps the numbers
+    short when the runs' denominators are unrelated.  With den the lcm of
+    the runs so far, only t = d // gcd(d, den) is new, and the run raises
+    den by t // gcd(t, its numerators) (:func:`_common_factor`, which does
+    not build them); once d divides den, later runs over d skip the gcd.
+    Then each key is made in one pass.  When d divides the final den, a
+    value's key is its numerator times m = den // d: one product and one
+    sum a·m + b·m·w per key, one product w·m for a run of plain numerators
+    (a = 0, b = 1), and ws itself when m is 1 too.  Otherwise q = d //
+    gcd(d, den) divides every numerator of the run, and its keys take the
+    two steps (a + b·w) // q · (den // gcd(d, den)).
+    """
+    den, covered = 1, set()  # the d that divide den, which only grows
     for column in columns:
-        for nums, d in column:
-            common[d] = gcd(common.get(d, d), *nums)
-    den = lcm(*(d // g for d, g in common.items()))
-    scale = {d: (g, den // (d // g)) for d, g in common.items()}
+        for a, b, ws, d in column:
+            if d not in covered:
+                t = d // gcd(d, den)
+                if t == 1:
+                    covered.add(d)
+                else:
+                    den *= t // _common_factor(t, a, b, ws)
+    scale = {}
+    for d in {d for column in columns for *_, d in column}:
+        e = gcd(d, den)
+        scale[d] = d // e, den // e
     out = []
     for column in columns:
         keys: list[int] = []
-        for nums, d in column:
-            g, c = scale[d]
-            keys.extend(nums if g == c == 1 else [n // g * c for n in nums])
+        for a, b, ws, d in column:
+            q, m = scale[d]
+            if a or b != 1:
+                if q != 1:
+                    keys.extend([(a + b * w) // q * m for w in ws])
+                else:
+                    a, b = a * m, b * m
+                    keys.extend([a + b * w for w in ws])
+            elif q != 1:
+                keys.extend([w // q * m for w in ws])
+            elif m != 1:
+                keys.extend([w * m for w in ws])
+            else:
+                keys.extend(ws)
         out.append(keys)
     return (den, *out)
+
+
+def _common_factor(t: int, a: int, b: int, ws: Sequence[int]) -> int:
+    """gcd(t, a + b·w for w in ws), without building the values.
+
+    With w0 = ws[0], g = gcd(t, a + b·w0) and u = gcd(g, b), it is
+    gcd(g, b·(w - w0) for w in ws) = u·gcd(g/u, w - w0 for w in ws), since
+    each prime divides one of g/u and b/u at most.  That last gcd q starts
+    at g/u and only falls: one C scan finds the next w with w mod q != w0
+    mod q, q becomes gcd(q, w - w0), and the scan goes on from there, so
+    the run is read at most once and no more once q is 1."""
+    w0 = ws[0]
+    g = gcd(t, a + b * w0)
+    u = gcd(g, b)
+    q, i = g // u, 1
+    while q != 1:
+        r = w0 % q
+        i = next(compress(range(i, len(ws)), map(ne, map(mod, islice(ws, i, None), repeat(q)), repeat(r))), 0)
+        if not i:
+            break
+        q = gcd(q, ws[i] - w0)
+        i += 1
+    return u * q
 
 
 def _rescaled(keys: Sequence[int], factor: int) -> Sequence[int]:

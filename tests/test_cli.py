@@ -155,6 +155,17 @@ class TestAnalyze:
         assert code == 0 and len(out.encode()) == size
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_each_value_is_written_once(self, monkeypatch, minc):
+        # the orbits, the critical set and the Markov partition share one
+        # object per distinct value; only the zigzag ends are written apart
+        written = []
+        to_text = F.__str__
+        monkeypatch.setattr(F, "__str__", lambda v: written.append(v) or to_text(v))
+        report = analysis_report(iterate(minc, 5))
+        distinct = {v for row in report["post_critical_orbits"] for v in row["orbit"]}
+        assert len(distinct) == len(report["markov_partition"]) == 1_366
+        assert len(written) == len(distinct) + 2 * len(report["zigzag_set"])
+
     def test_uniform_covering_option(self, capsys):
         code, out, _ = run(capsys, "analyze", "--builtin", "minc", "--eps", "1/6")
         assert code == 0

@@ -339,7 +339,7 @@ class TestCompose:
             compose(minc, inner, budget=count - 1)
 
 
-    def test_matches_oracle_across_denominators(self, minc):
+    def test_matches_oracle_across_denominators(self, minc, monkeypatch):
         # minc's powers have denominators 3^k; the other maps' are unrelated
         family = _unrelated_family()
         for k in (1, 2, 3):
@@ -347,6 +347,24 @@ class TestCompose:
             for f in family:
                 assert compose(power, f) == naive_compose(power, f), (k, f)
                 assert compose(f, power) == naive_compose(f, power), (k, f)
+        # minc^3 after the line from 1 down to 1/3: the composite's least
+        # common denominator is 216, so the 63-key runs of minc^3's keys
+        # over 324 and 648 take the two-step rescale, as the recorded runs
+        # show
+        outer, inner = iterate(minc, 3), make_plmap([(0, 1), (1, F(1, 3))])
+        runs = []
+        least_keys = plmap._least_keys
+
+        def recording(*columns):
+            keys = least_keys(*columns)
+            runs.extend((len(ws), d, keys[0]) for column in columns for _, _, ws, d in column)
+            return keys
+
+        monkeypatch.setattr(plmap, "_least_keys", recording)
+        assert compose(outer, inner) == naive_compose(outer, inner)
+        assert {den for _, _, den in runs} == {216}
+        assert {(n, d) for n, d, den in runs if n > 1 and den % d} == {(63, 648), (63, 324)}
+        assert compose(inner, outer) == naive_compose(inner, outer)
 
     def test_range_matches_restricted_oracle(self, minc):
         """_compose_segments over inner's segments lo to hi - 1 gives the
@@ -402,6 +420,13 @@ class TestKeyBornMaps:
         # the fold splits build s and t from slices of the block map's keys
         f2 = powers[1]
         blocks = [(f2, split_case1(f2, F(7, 18))), (f2, split_case2(f2, F(11, 18)))]
+        # s is the identity here: its seam point at beta is collinear, and
+        # dropping it lowers the denominator
+        for block, split in ((make_plmap([(0, 1), (F(1, 2), 0), (1, 1)]), split_case1),
+                             (make_plmap([(0, 0), (F(1, 2), 1), (1, 0)]), split_case2)):
+            pair = split(block, F(1, 2))
+            assert pair.s._keys == (1, (0, 1), (0, 1))
+            blocks.append((block, pair))
         for forward in periodic_cycles(minc, 2):
             cert = certify_general(minc, BackwardOrbit.of([], forward[:1] + forward[:0:-1]), stages=2)
             blocks.append((iterate(minc, cert.stabilization.step), cert.stages[0].pair))
@@ -444,11 +469,18 @@ class TestKeyBornMaps:
                 del f._keys
 
     def test_power_is_the_previous_power_then_the_map(self, minc):
+        # map 19 of the bench's Markov family, whose chain its stabilization
+        # builds until the budget refuses f^15; each power also gets the
+        # covering test at every gap of its solutions
         f19 = make_plmap([(0, 0), (F(1, 3), F(1, 3)), (F(2, 3), 1), (1, 0)])
         for f, top in ((minc, 4), (f19, 8)):
             cache = plmap.IterateCache(f)
             for k in range(1, top):
                 assert cache.power(k + 1) == naive_compose(cache.power(k), f), (f, k)
+            for k in range(1, top + 1):
+                g = cache.power(k)
+                for eps in _scales(g) | {F(1, 4)}:
+                    assert dynamics.uniformly_onto(g, eps) == naive_uniformly_onto(g, eps), (f, k, eps)
 
 
 class TestIterate:
