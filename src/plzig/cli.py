@@ -295,9 +295,17 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    def parse_int(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's limit on int-string digits
+            digits = len(text.lstrip("-"))
+            raise ValueError(f"{args.certificate}: a JSON integer of {digits} digits, "
+                             f"past the limit of {sys.get_int_max_str_digits()} digits") from None
+
     with open(args.certificate, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=parse_int)
         except RecursionError:
             raise ValueError(f"{args.certificate}: JSON nested too deeply") from None
     ok, reason = verify_certificate(data)

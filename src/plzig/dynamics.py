@@ -499,15 +499,12 @@ def validate_orbit(f: PLMap, orbit: BackwardOrbit) -> None:
 
 
 def parse_orbit(text: str) -> BackwardOrbit:
-    """Parse ``prefix: q_0 q_1 ... ; period: r_0 r_1 ...`` (comments with #)."""
-    body = " ".join(
-        line for line in text.splitlines() if not line.strip().startswith("#")
-    )
+    """Parse ``prefix: q_0 q_1 ... ; period: r_0 r_1 ...``.  Whole lines
+    that start with ``#`` are skipped; a ``#`` after a value is refused."""
+    body = " ".join(line for line in text.splitlines() if not line.strip().startswith("#"))
     if ";" not in body:
         raise ValueError("orbit text must contain ';' between prefix and period parts")
-    left, right = body.split(";", 1)
-    left = left.strip()
-    right = right.strip()
+    left, right = (part.strip() for part in body.split(";", 1))
     if not left.startswith("prefix:") or not right.startswith("period:"):
         raise ValueError("orbit text must look like 'prefix: ... ; period: ...'")
     prefix = [parse_rational(tok) for tok in left[len("prefix:"):].split()]

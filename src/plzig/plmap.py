@@ -101,39 +101,34 @@ class PLMap:
     common denominator of all breakpoint coordinates and the coordinates
     times it, as int tuples, with x strictly increasing from 0 to 1, all y
     in [0, 1], no zero-slope segment and a slope change at every interior
-    breakpoint.  Every map is built by :meth:`_of_keys`, which validates
-    the keys: :func:`make_plmap` through the one normalizer, the fold
-    splits of :mod:`plzig.factorize` through :func:`_joined`, which tests
-    only the point where their two normalized pieces meet, and
-    :func:`compose` directly, because its keys are already normalized.  So
-    a function has one representation, and two maps are equal, and hash
-    alike, exactly when they are the same function.  ``xs``, ``ys`` and
-    ``points`` are ``Fraction``s made from the keys on first read, once per
-    map, and equal values of ``ys`` are one object.  Instances are
-    immutable and safe to share between threads.
+    breakpoint.  Keys are checked once, where they enter, by
+    :func:`_normalized`; every map is built by :meth:`_of_keys`, which
+    checks nothing.  So a function has one representation, and two maps
+    are equal, and hash alike, exactly when they are the same function.
+    ``xs``, ``ys`` and ``points`` are ``Fraction``s made from the keys on
+    first read, once per map, and equal values of ``ys`` are one object.
+    Instances are immutable and safe to share between threads.
 
-    Validation, normalization, evaluation, composition, the lap table, the
-    lap lookup (:func:`_laps_at`, on the lap-left x keys), the branch
-    :func:`plzig.dynamics.branch`, the witness search and the zigzag
-    verdict and locus of :mod:`plzig.zigzag`, the solutions of f = 0 and
-    f = 1 (:func:`level_crossings`), the fold search
-    :func:`plzig.factorize.find_beta`, the window of
-    :func:`plzig.zigzag.composite_verdict`, the covering test
-    :func:`plzig.dynamics.uniformly_onto`, :func:`is_onto`, the critical
-    orbits (:func:`plzig.dynamics.post_critical_orbits`), the primitivity
-    test :func:`plzig.dynamics.is_primitive` and the map-file writer
-    :func:`dumps_map` all read the keys, and each has no second
-    implementation on the ``Fraction`` coordinates.  So certifying reads
-    the block map, s and t without making their ``Fraction`` points.
+    Normalization, evaluation, composition, the lap table and lap lookup,
+    the solutions at 0 and 1, :func:`is_onto`, :func:`dumps_map` and, in
+    the other modules, the zigzag verdicts and locus, the fold search, the
+    covering test, the critical orbits and primitivity read the keys, and
+    none has a second implementation on the ``Fraction`` coordinates.  So
+    certifying reads the block map, s and t without making their points.
     """
 
     _keys: tuple[int, tuple[int, ...], tuple[int, ...]]
 
     @classmethod
     def _of_keys(cls, den: int, xk: Sequence[int], yk: Sequence[int]) -> PLMap:
-        """The map with keys ``(den, xk, yk)``, which must be normalized and
-        at their least common denominator."""
-        _check_keys(den, xk, yk)
+        """The map with keys ``(den, xk, yk)``, unchecked.  The caller holds
+        the invariants: x strictly increasing from 0 to den, y in [0, den],
+        no flat segment, a slope change at every interior breakpoint, and no
+        factor common to den and every key.  :func:`_normalized` has just
+        checked its keys; :func:`_joined` takes slices of a checked map at a
+        fold that ``split_case1``/``split_case2`` checked; :func:`compose`
+        builds from two checked maps, as :func:`plzig.zigzag.composite_verdict`
+        trusts the window keys of :func:`_compose_segments`."""
         f = object.__new__(cls)
         f.__dict__["_keys"] = (den, tuple(xk), tuple(yk))
         return f
@@ -209,12 +204,12 @@ def make_plmap(points: Iterable[tuple]) -> PLMap:
 
 
 def _normalized(den: int, xk: Sequence[int], yk: Sequence[int]) -> PLMap:
-    """The map through the breakpoints with keys ``(den, xk, yk)``.  The
-    keys are checked against the map invariants as given, so a list that
-    backtracks along a line or repeats an x key (a zero-length segment) is
-    refused.  Then the interior points where the slope does not change are
-    dropped, since each maximal run of them lies on one line with the two
-    points around it, and the keys are divided by their gcd with ``den``."""
+    """The map through the breakpoints with keys ``(den, xk, yk)``, which it
+    checks against the map invariants as given, the one check of keys: a
+    list that backtracks along a line or repeats an x key is refused.  Then
+    the interior points where the slope does not change are dropped, since
+    each maximal run of them lies on one line with the two points around
+    it, and the keys are divided by their gcd with ``den``."""
     _check_keys(den, xk, yk)
     keep = [0, *(i for i in range(1, len(xk) - 1) if (yk[i] - yk[i - 1]) * (xk[i + 1] - xk[i])
                  != (yk[i + 1] - yk[i]) * (xk[i] - xk[i - 1])), len(xk) - 1]
@@ -229,7 +224,7 @@ def _joined(den: int, xk: list[int], yk: list[int], seam: int) -> PLMap:
     in its piece, so its slope changes there; only the seam point can be
     collinear, and dropping it leaves the slope test of its neighbours as
     it was.  So one slope test and the keys' gcd with ``den`` replace the
-    rescan, and :meth:`PLMap._of_keys` validates the result."""
+    rescan, and the pieces' checked invariants carry over unchecked."""
     if 0 < seam < len(xk) - 1 and (yk[seam] - yk[seam - 1]) * (xk[seam + 1] - xk[seam]) == (
         yk[seam + 1] - yk[seam]
     ) * (xk[seam] - xk[seam - 1]):
@@ -349,8 +344,8 @@ def compose(outer: PLMap, inner: PLMap, budget: int | None = None) -> PLMap:
     one of these operations is slow.  The result is normalized: each
     preimage is kept, since outer is normalized and inner is linear with
     nonzero slope around it, and inner's breakpoints are kept exactly
-    where the composite's slope changes.  Its keys are least, so it is
-    built by :meth:`PLMap._of_keys` directly, which still validates them.
+    where the composite's slope changes.  Its keys are least, and valid
+    since both maps' are, so :meth:`PLMap._of_keys` builds it unchecked.
 
     The budget bounds the distinct candidate breakpoints before merging:
     inner's breakpoints plus the strictly interior preimages.  It is

@@ -394,6 +394,16 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    def test_integer_past_the_digit_limit_exits_two(self, capsys, tmp_path, sign):
+        # the stdlib's own refusal advises raising the interpreter's limit
+        path = tmp_path / "long.json"
+        path.write_text('{"version": 4, "x": ' + sign + "1" + "0" * 5000 + "}")
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: a JSON integer of 5001 digits, past the limit of 4300 digits\n"
+        assert "set_int_max_str_digits" not in err
+
 
 class TestMapAlgebraCommands:
     def test_compose_command(self, capsys, tmp_path):

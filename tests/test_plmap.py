@@ -199,8 +199,8 @@ class TestConstruction:
     )
     def test_repeated_x_key_refused_by_the_normalizer(self, den, xk, yk, repeated):
         # a zero-length segment on a line passes the collinear test, so the
-        # one normalizer that make_plmap and the fold splits share checks
-        # the keys as given before it drops anything
+        # one normalizer, behind make_plmap and loads_map, checks the keys
+        # as given before it drops anything
         message = f"breakpoint x-coordinates must increase: {repeated} then {repeated}"
         with pytest.raises(ValueError, match=f"^{message}$"):
             plmap._normalized(den, xk, yk)
@@ -400,6 +400,14 @@ class TestKeyBornMaps:
     made from them on first read."""
 
     def test_keys_are_the_least_common_denominator_keys(self, minc):
+        # the builders check no keys, so each map they build must pass the
+        # check of keys from outside and have least keys
+        def check_built(g, context):
+            plmap._check_keys(*g._keys)
+            den, xk, yk = g._keys
+            keys = tuple(k for pair in zip(xk, yk) for k in pair)
+            assert (den, keys) == plmap._int_keys([c for p in g.points for c in p]), context
+
         rng = random.Random(17)
         pairs = [_random_pair(rng) for _ in range(300)]
         powers = [iterate(minc, k) for k in (1, 2, 3, 4)]
@@ -407,10 +415,14 @@ class TestKeyBornMaps:
         pairs += [(p, f) for p in powers[:3] for f in _unrelated_family()]
         pairs += [(f, p) for p in powers[:3] for f in _unrelated_family()]
         for outer, inner in pairs:
-            g = compose(outer, inner)
-            den, xk, yk = g._keys
-            keys = tuple(k for pair in zip(xk, yk) for k in pair)
-            assert (den, keys) == plmap._int_keys([c for p in g.points for c in p]), (outer, inner)
+            check_built(compose(outer, inner), (outer, inner))
+        # the power chains of the bench family's map 19, up to the last power
+        # its stabilization builds, and of minc
+        f19 = make_plmap([(0, 0), (F(1, 3), F(1, 3)), (F(2, 3), 1), (1, 0)])
+        for f, top in ((f19, 14), (minc, 7)):
+            cache = plmap.IterateCache(f)
+            for k in range(1, top + 1):
+                check_built(cache.power(k), (f, k))
         # make_plmap normalizes its input, and a merge can lower the denominator
         lists = [[(0, 0), (F(1, 6), F(1, 2)), (F(1, 3), 1), (1, 0)]]
         lists += [_mixed_points(rng, runs=rng.randint(1, 3)) for _ in range(200)]
@@ -432,9 +444,32 @@ class TestKeyBornMaps:
             blocks.append((iterate(minc, cert.stabilization.step), cert.stages[0].pair))
         assert {pair.case for _, pair in blocks} == {CASE1, CASE2}
         for block, pair in blocks:
+            plmap._check_keys(*pair.s._keys)
+            plmap._check_keys(*pair.t._keys)
             s_points, t_points = _fold_points(block, pair)
             assert pair.s._keys == _least_keys(s_points), (pair.case, pair.beta)
             assert pair.t._keys == _least_keys(t_points), (pair.case, pair.beta)
+
+    def test_keys_are_checked_once_where_they_enter(self, minc, monkeypatch):
+        # make_plmap and loads_map check their keys once, in the normalizer;
+        # the builders, whose keys are valid by construction, check none
+        calls = []
+        check = plmap._check_keys
+        monkeypatch.setattr(plmap, "_check_keys", lambda *keys: calls.append(keys) or check(*keys))
+
+        def checks(build) -> int:
+            calls.clear()
+            build()
+            return len(calls)
+
+        f2 = iterate(minc, 2)
+        assert checks(lambda: make_plmap([(0, 0), (F(1, 4), F(1, 2)), (F(1, 2), 1), (1, 0)])) == 1
+        assert checks(lambda: loads_map("# tent\n0 0\n1/4 1/2\n1/2 1\n1 0\n")) == 1
+        assert checks(lambda: compose(minc, f2)) == 0
+        assert checks(lambda: iterate(minc, 6)) == 0
+        assert checks(lambda: split_case1(f2, F(7, 18))) == 0
+        assert checks(lambda: split_case2(f2, F(11, 18))) == 0
+        assert checks(lambda: zigzag.composite_verdict(f2, minc, F(1, 2))) == 0
 
     def test_equality_and_hash_follow_the_breakpoints(self, minc):
         rng = random.Random(18)
