@@ -40,7 +40,7 @@ from .factorize import (
     Certificate,
     CertifyError,
     FactorPair,
-    certificate_from_json,
+    certificate_from_dict,
     certificate_to_json,
     certify_general,
     certify_minc,

@@ -24,7 +24,7 @@ from .plmap import (
     _as_rational,
     _int_keys,
     _key_image,
-    _laps_at,
+    _laps_around,
     is_onto,
     parse_rational,
 )
@@ -85,11 +85,10 @@ class BranchResult:
     tie_rule_applied: bool
 
 
-def _lap_branch(f: PLMap, k: int) -> tuple[Interval, Interval]:
-    """Lap k of f and its image, read from the keys of the breakpoints at
-    its ends."""
+def _lap_branch(f: PLMap, p: int, q: int) -> tuple[Interval, Interval]:
+    """The lap of f from breakpoint p to breakpoint q and its image, read
+    from the keys of the breakpoints at its ends."""
     den, xk, yk = f._keys
-    p, q = f._ends[k], f._ends[k + 1]
     u, v = sorted((yk[p], yk[q]))
     return (Fraction(xk[p], den), Fraction(xk[q], den)), (Fraction(u, den), Fraction(v, den))
 
@@ -98,7 +97,8 @@ def branch(f: PLMap, y) -> BranchResult:
     y = _as_rational(y)
     if not (ZERO <= y <= ONE):
         raise ValueError(f"point {y} outside [0, 1]")
-    containing = [_lap_branch(f, k) for k in _laps_at(f, y)]
+    den, xk, yk = f._keys
+    containing = [_lap_branch(f, p, q) for p, q in _laps_around(xk, yk, y.numerator * den, y.denominator)]
     if len(containing) == 1:
         J, B = containing[0]
         return BranchResult(J, B, at_critical=False, tie_rule_applied=False)

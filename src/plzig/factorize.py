@@ -61,7 +61,6 @@ __all__ = [
     "certificate_to_dict",
     "certificate_from_dict",
     "certificate_to_json",
-    "certificate_from_json",
     "verify_certificate",
 ]
 
@@ -433,10 +432,6 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 def certificate_to_json(cert: Certificate) -> str:
     return _canonical(certificate_to_dict(cert)) + "\n"
-
-
-def certificate_from_json(text: str) -> Certificate:
-    return certificate_from_dict(json.loads(text))
 
 
 def certificate_from_dict(data: dict) -> Certificate:

@@ -109,12 +109,15 @@ class PLMap:
     first read, once per map, and equal values of ``ys`` are one object.
     Instances are immutable and safe to share between threads.
 
-    Normalization, evaluation, composition, the lap table and lap lookup,
-    the solutions at 0 and 1, :func:`is_onto`, :func:`dumps_map` and, in
-    the other modules, the zigzag verdicts and locus, the fold search, the
-    covering test, the critical orbits and primitivity read the keys, and
-    none has a second implementation on the ``Fraction`` coordinates.  So
-    certifying reads the block map, s and t without making their points.
+    Normalization, evaluation, composition, the lap table, the lookup of
+    the laps around a point (:func:`_laps_around`, a walk on the keys that
+    builds no table), the solutions at 0 and 1, :func:`is_onto`,
+    :func:`dumps_map` and, in the other modules, the zigzag verdicts and
+    locus, the fold search, the covering test, the critical orbits and
+    primitivity read the keys, and none has a second implementation on the
+    ``Fraction`` coordinates.  So certifying reads the block map, s and t
+    without making their points, and the branch of a power builds no lap
+    table.
     """
 
     _keys: tuple[int, tuple[int, ...], tuple[int, ...]]
@@ -170,12 +173,6 @@ class PLMap:
     def _laps(self) -> tuple[Lap, ...]:
         xs, ends = self.xs, self._ends
         return tuple(Lap(xs[p], xs[q]) for p, q in zip(ends, ends[1:]))
-
-    @cached_property
-    def _lap_lefts(self) -> tuple[int, ...]:
-        """The x keys of the laps' left ends."""
-        xk = self._keys[1]
-        return tuple(xk[p] for p in self._ends[:-1])
 
     def __call__(self, x) -> Fraction:
         """Exact evaluation by linear interpolation on the containing
@@ -298,22 +295,29 @@ def laps(f: PLMap) -> list[Lap]:
     return list(f._laps)
 
 
-def _laps_at(f: PLMap, y: Fraction) -> list[int]:
-    """Indices, in increasing order, of the laps of f whose closed interval
-    holds y: two at a critical point, one elsewhere in [0, 1], none outside.
-    One bisection of the lap-left x keys."""
-    if not (ZERO <= y <= ONE):
-        return []
-    return _laps_holding(f._lap_lefts, y.numerator * f._keys[0], y.denominator)
+def _laps_around(xk: Sequence[int], yk: Sequence[int], n: int, d: int) -> list[tuple[int, int]]:
+    """The laps of the piecewise-linear function with breakpoint keys
+    ``xk``, ``yk`` and no flat segment whose closed interval holds the
+    point with x key n/d (d > 0, inside [xk[0], xk[-1]]), as the breakpoint
+    indices (p, q) of their ends, in increasing order: two at a turning
+    point, one elsewhere.  The lap ends are those of :func:`_lap_ends`.
+    One bisection finds the segment that holds the point (an int key is at
+    most n/d exactly when it is at most its floor), and a walk on each side
+    to the nearest turning point or end finds the lap, so the cost is
+    O(log n + the lap's segments) and no lap table is built."""
+    last = len(xk) - 1
 
+    def end(j: int, step: int) -> int:
+        while 0 < j < last and (yk[j - 1] < yk[j]) != (yk[j + 1] < yk[j]):
+            j += step
+        return j
 
-def _laps_holding(lefts: Sequence[int], n: int, d: int) -> list[int]:
-    """Indices of the laps, given by the int keys of their left ends, whose
-    closed interval holds the point with key n/d (d > 0), for a point inside
-    the span of the laps.  An int key is at most n/d exactly when it is at
-    most its floor."""
-    k = bisect_right(lefts, n // d) - 1
-    return [k - 1, k] if k > 0 and lefts[k] * d == n else [k]
+    i = bisect_right(xk, n // d) - 1
+    p, q = end(i, -1), end(i if xk[i] * d == n else i + 1, 1)
+    if p < q:
+        return [(p, q)]
+    # the point is the turning point or end p
+    return [(end(p - 1, -1), p)] * (p > 0) + [(p, end(p + 1, 1))] * (p < last)
 
 
 def critical_set(f: PLMap) -> list[Fraction]:

@@ -24,9 +24,7 @@ from .plmap import (
     _as_rational,
     _compose_segments,
     _key_image,
-    _lap_ends,
-    _laps_at,
-    _laps_holding,
+    _laps_around,
 )
 
 __all__ = [
@@ -195,7 +193,8 @@ def is_in_zigzag(f: PLMap, y) -> ZigzagVerdict:
     y = _as_rational(y)
     if not (ZERO <= y <= ONE):
         raise ValueError(f"query point {y} outside [0, 1]")
-    return _verdict(*f._keys, f._ends, _laps_at(f, y), True, True)
+    den, xk, yk = f._keys
+    return _verdict(den, xk, yk, _laps_around(xk, yk, y.numerator * den, y.denominator), True, True)
 
 
 def composite_verdict(outer: PLMap, inner: PLMap, y) -> ZigzagVerdict:
@@ -214,8 +213,10 @@ def composite_verdict(outer: PLMap, inner: PLMap, y) -> ZigzagVerdict:
     So the window is found on inner alone, walking its segments outward
     from y with one bisection each, and only the segments it spans are
     composed, under the default breakpoint budget.  The verdict is
-    decided in g's own coordinates; the window's first or last lap is a
-    boundary lap only when the window reaches 0 or 1.
+    decided in g's own coordinates, on the laps that :func:`_laps_around`
+    finds around y in the window's keys, with no lap table; the window's
+    first or last lap is a boundary lap only when the window reaches 0
+    or 1.
 
     Everything runs on integer keys: the stops are outer's x keys where its
     value key is 0 or its denominator, and the walk bisects inner's x keys
@@ -264,48 +265,44 @@ def composite_verdict(outer: PLMap, inner: PLMap, y) -> ZigzagVerdict:
     k = bisect_left(cuts, bisect_left(xk, -(-yn // yd)))
     a, b = cuts[k - 1] if k else 0, cuts[k] + 1 if k < len(cuts) else len(xk)
     wxk, keys = xk[a:b], yk[a:b]
-    ends = _lap_ends(keys)
-    holding = _laps_holding([wxk[p] for p in ends[:-1]], yn, yd)
-    return _verdict(den, wxk, keys, ends, holding, wxk[0] == 0, wxk[-1] == den)
+    return _verdict(den, wxk, keys, _laps_around(wxk, keys, yn, yd), wxk[0] == 0, wxk[-1] == den)
 
 
 def _verdict(
     den: int,
     xk: Sequence[int],
     keys: Sequence[int],
-    ends: Sequence[int],
-    holding: list[int],
+    holding: list[Pair],
     first_is_boundary: bool,
     last_is_boundary: bool,
 ) -> ZigzagVerdict:
     """The verdict at a point from the breakpoints of the map around it:
-    their x keys over ``den`` and the integer keys of their values, the
-    lap table of those breakpoints (the indices of the lap ends, as
-    :func:`plmap._lap_ends` gives them) and the numbers of the laps holding
-    the point.  The flags say whether the first and last of those laps are
-    the map's own boundary laps, which never have a witness.  Only the laps
-    and witnesses it reports become ``Fraction``s."""
-    last = len(ends) - 2
-    boundary = lambda k: (k == 0 and first_is_boundary) or (k == last and last_is_boundary)
+    their x keys over ``den`` and the integer keys of their values, and the
+    laps holding the point, as the breakpoint indices of their ends, as
+    :func:`plmap._laps_around` gives them.  The flags say whether the first
+    and last of those breakpoints are the map's own ends, so that a lap
+    from the first or to the last is a boundary lap, which never has a
+    witness.  Only the laps and witnesses it reports become ``Fraction``s."""
+    last = len(xk) - 1
+    boundary = lambda p, q: (p == 0 and first_is_boundary) or (q == last and last_is_boundary)
     pair = lambda i, j: (Fraction(xk[i], den), Fraction(xk[j], den))
-    lap = lambda k: pair(ends[k], ends[k + 1])
-    applicable = tuple(lap(k) for k in holding if not boundary(k))
-    edge = next((k for k in holding if boundary(k)), None)
+    applicable = tuple(pair(*lap) for lap in holding if not boundary(*lap))
+    edge = next((lap for lap in holding if boundary(*lap)), None)
     if edge is not None:
         return ZigzagVerdict(
             in_zigzag=False,
             applicable_laps=applicable,
             witnesses=(None,) * len(applicable),
-            failing_lap=lap(edge),
+            failing_lap=pair(*edge),
         )
     index = _WitnessIndex(keys)
     witnesses: list[Optional[Interval]] = []
     failing: Optional[Interval] = None
-    for k in holding:
-        w = index.witness(ends[k], ends[k + 1])
+    for p, q in holding:
+        w = index.witness(p, q)
         witnesses.append(None if w is None else pair(*w))
         if w is None and failing is None:
-            failing = lap(k)
+            failing = pair(p, q)
     return ZigzagVerdict(
         in_zigzag=failing is None and bool(witnesses),
         applicable_laps=applicable,

@@ -14,7 +14,7 @@ EXPORTS = {
         "BackwardOrbit", "BranchResult", "BudgetExceededError", "CASE1", "CASE2", "Certificate",
         "CertifyError", "FactorPair", "Lap", "MapFacts", "OrbitValidationError", "PLMap",
         "StabilizationData", "ZigzagVerdict", "branch", "branch_stabilization",
-        "certificate_from_json", "certificate_to_json", "certify_general", "certify_minc",
+        "certificate_from_dict", "certificate_to_json", "certify_general", "certify_minc",
         "compose", "critical_set", "find_beta", "is_in_zigzag", "is_leo", "is_onto", "iterate",
         "laps", "leo_uniform_N", "level_crossings", "load_map", "make_plmap", "map_facts",
         "markov_partition", "minc_map", "minc_stage_choice", "parse_rational",
@@ -37,7 +37,7 @@ EXPORTS = {
         "CASE1", "CASE2", "CertifyError", "FactorPair", "StageRecord", "Certificate", "minc_map",
         "MINC_BETA_LOW", "MINC_BETA_HIGH", "split_case1", "split_case2", "find_beta",
         "minc_stage_choice", "certify_minc", "certify_general", "certificate_to_dict",
-        "certificate_from_dict", "certificate_to_json", "certificate_from_json",
+        "certificate_from_dict", "certificate_to_json",
         "verify_certificate",
     ],
 }

@@ -29,7 +29,6 @@ from plzig.factorize import (
     MINC_BETA_HIGH,
     MINC_BETA_LOW,
     certificate_from_dict,
-    certificate_from_json,
     certificate_to_dict,
     certificate_to_json,
     certify_general,
@@ -529,6 +528,30 @@ class TestCertifyGeneral:
         assert hashlib.sha256("".join(texts).encode()).hexdigest() == digest
         assert {frozenset({F(8, 19), F(9, 19)}), frozenset({F(4, 11), F(5, 11), F(9, 11)})} <= too_big
 
+    def test_all_minc_cycles_of_exact_period_4(self, minc, monkeypatch):
+        # the largest powers the lap lookup meets: every cycle of exact
+        # period 4 certifies at 6 stages from its least point, with block
+        # map minc^4 or minc^8 (87,382 breakpoints).  The stage loop runs
+        # unrecorded, so the tests' checker, which rebuilds each block map
+        # by reference composition, does not run on these texts
+        import plzig.factorize
+
+        monkeypatch.setattr(plzig.factorize, "_assemble", _assemble)
+        cycles = [c for c in periodic_cycles(minc, 4) if len(c) == 4]
+        assert len(cycles) == 60
+        steps, texts = [], []
+        for forward in cycles:
+            orbit = BackwardOrbit.of([], forward[:1] + forward[:0:-1])
+            cert = certify_general(minc, orbit, stages=6)
+            assert cert.passed, forward
+            steps.append(cert.stabilization.step)
+            texts.append(certificate_to_json(cert))
+        assert (steps.count(4), steps.count(8)) == (34, 26)
+        # digest of the 60 texts, in this order, recorded while the branch
+        # still built each power's whole lap table
+        digest = "94361e5b93705623c1790b661a2681238420c2e793fc81e75965ee4881bde4ff"
+        assert hashlib.sha256("".join(texts).encode()).hexdigest() == digest
+
     def test_identity_rejected(self, identity):
         with pytest.raises(CertifyError):
             certify_general(identity, BackwardOrbit.constant(F(1, 4)), stages=3)
@@ -610,6 +633,8 @@ class TestCertifyGeneral:
             maps = [blocks[-1], *(f for st in cert.stages for f in (st.pair.s, st.pair.t))]
             assert blocks[-1] is not minc
             assert [sorted({"points", "xs", "ys"} & set(f.__dict__)) for f in maps] == [[]] * len(maps)
+            # nor its lap table: the branch walks the keys around the point
+            assert "_ends" not in blocks[-1].__dict__
 
     def test_orbit_is_validated_once_per_verify(self, monkeypatch, passing_certificates):
         # the verifier leaves the orbit check to the pipeline it re-runs
@@ -665,7 +690,7 @@ class TestCertificateSerialization:
         sequences = []
         for cert in certs:
             text = certificate_to_json(cert)
-            decoded = certificate_from_json(text)
+            decoded = certificate_from_dict(json.loads(text))
             assert decoded.stabilization == cert.stabilization
             assert certificate_to_json(decoded) == text
             sequences.append((json.loads(text)["stabilization"] or {}).get("n-sequence"))
@@ -678,7 +703,7 @@ class TestCertificateSerialization:
         # compact single-line JSON with sorted keys; the base map is the one
         # map text, and a stage stores its pair as (case, beta)
         data = passing_certificates[kind]
-        text = certificate_to_json(certificate_from_json(json.dumps(data, indent=2)))
+        text = certificate_to_json(certificate_from_dict(json.loads(json.dumps(data, indent=2))))
         assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
         assert "\n" not in text[:-1] and data["version"] == 4
         assert sorted(data) == [
@@ -696,7 +721,7 @@ class TestCertificateSerialization:
         reason = "version: stored 3, this verifier reads 4"
         assert verify_certificate(data) == (False, reason)
         with pytest.raises(ValueError, match=re.escape(reason)):
-            certificate_from_json(VERSION_3_TEXT)
+            certificate_from_dict(json.loads(VERSION_3_TEXT))
 
     def test_verifier_decodes_only_the_base_map(self, monkeypatch, passing_certificates):
         import plzig.factorize

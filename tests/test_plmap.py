@@ -17,7 +17,7 @@ from plzig.plmap import (
     loads_map,
     make_plmap,
     parse_rational,
-    _laps_at,
+    _laps_around,
 )
 import plzig.dynamics as dynamics
 from plzig.dynamics import BackwardOrbit
@@ -723,8 +723,9 @@ class TestLevelsOnKeys:
 
 
 class TestLapLookup:
-    """``is_in_zigzag`` and ``branch`` find the laps holding a point by one
-    bisection; with the linear scan in its place they must answer the same."""
+    """``is_in_zigzag`` and ``branch`` find the laps around a point by one
+    bisection and a walk to the nearest turning points; with the linear
+    scan in its place they must answer the same."""
 
     def test_bisection_matches_linear_scan(self, minc, monkeypatch):
         rng = random.Random(28)
@@ -734,16 +735,33 @@ class TestLapLookup:
             for f in maps
             for y in f.xs + tuple((a + b) / 2 for a, b in zip(f.xs, f.xs[1:]))
         ]
-        outside = [(f, F(3, 2)) for f in maps] + [(minc, F(-1, 2))]
-        for f, y in queries + outside:
-            assert _laps_at(f, y) == scan_laps_at(f, y), (f, y)
+
+        def scanned(f, y):
+            ends = f._ends
+            return [(ends[k], ends[k + 1]) for k in scan_laps_at(f, y)]
+
+        for f, y in queries:
+            den, xk, yk = f._keys
+            assert _laps_around(xk, yk, y.numerator * den, y.denominator) == scanned(f, y), (f, y)
+        for f, y in [(f, F(3, 2)) for f in maps] + [(minc, F(-1, 2))]:
+            with pytest.raises(ValueError, match="outside"):
+                zigzag.is_in_zigzag(f, y)
+            with pytest.raises(ValueError, match="outside"):
+                dynamics.branch(f, y)
+
+        # both callers pass the keys of one of the maps
+        by_keys = {f._keys[1:]: f for f in maps}
+
+        def scan_around(xk, yk, n, d):
+            f = by_keys[xk, yk]
+            return scanned(f, F(n, d * f._keys[0]))
 
         def answers():
             return [(zigzag.is_in_zigzag(f, y), dynamics.branch(f, y)) for f, y in queries]
 
         bisected = answers()
-        monkeypatch.setattr(zigzag, "_laps_at", scan_laps_at)
-        monkeypatch.setattr(dynamics, "_laps_at", scan_laps_at)
+        monkeypatch.setattr(zigzag, "_laps_around", scan_around)
+        monkeypatch.setattr(dynamics, "_laps_around", scan_around)
         assert answers() == bisected
 
 
