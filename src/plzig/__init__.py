@@ -8,7 +8,6 @@ from .plmap import (
     Lap,
     PLMap,
     compose,
-    critical_set,
     is_onto,
     iterate,
     laps,

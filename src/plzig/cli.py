@@ -27,7 +27,6 @@ from .plmap import (
     BudgetExceededError,
     PLMap,
     compose,
-    critical_set,
     dumps_map,
     is_onto,
     iterate,
@@ -162,8 +161,9 @@ def analysis_report(
 ) -> dict:
     facts = map_facts(f, orbit_budget)
     # post_critical_orbits makes one object per distinct value, and the
-    # critical set and the Markov partition are made of those objects, so
-    # each value is written once and then looked up by its identity
+    # critical set (the turning points' orbit entries) and the Markov
+    # partition are made of those objects, so each value is written once
+    # and then looked up by its identity
     values = {id(v): v for e in facts.orbits for v in e.orbit}
     text = {k: str(v) for k, v in values.items()}
     orbit_rows = []
@@ -183,7 +183,7 @@ def analysis_report(
         "breakpoints": len(f._keys[1]),
         "laps": len(f._ends) - 1,
         "onto": is_onto(f),
-        "critical_set": [text[id(c)] for c in critical_set(f)],
+        "critical_set": [text[id(e.point)] for e in facts.orbits[1:-1]],
         "zigzag_set": [[str(a), str(b)] for a, b in zigzag_set(f)],
         "post_critical_orbits": orbit_rows,
         "post_critically_finite": facts.post_critically_finite,

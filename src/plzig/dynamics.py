@@ -47,7 +47,6 @@ __all__ = [
     "branch_stabilization",
     "validate_orbit",
     "parse_orbit",
-    "format_orbit",
     "load_orbit",
 ]
 
@@ -164,9 +163,10 @@ def post_critical_orbits(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> tuple[
 
     The orbits run on f's integer keys.  Orbits merge quickly, so each
     distinct value is evaluated once, through one table of successors, and
-    becomes one ``Fraction`` object for the entries: a breakpoint's own x,
-    or a new one.  An orbit is also reported open when a value's key
-    denominator grows longer than :func:`_size_bound` bits."""
+    becomes one ``Fraction`` object for the entries, made from its key; f's
+    ``Fraction`` breakpoints are not read.  An orbit is also reported open
+    when a value's key denominator grows longer than :func:`_size_bound`
+    bits."""
     keys = f._keys
     den, xk, _ = keys
     limit = _size_bound(den)
@@ -178,14 +178,10 @@ def post_critical_orbits(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> tuple[
             nxt = table[key] = _key_image(keys, *key)
         return nxt
 
-    ends, xs = f._ends, f.xs
-    orbits = [_orbit_of((xk[i], 1), budget, successor, limit) for i in ends]
-    made = {(xk[i], 1): xs[i] for i in ends}
-    for seq, _ in orbits:
-        for key in seq:
-            if key not in made:
-                made[key] = Fraction(key[0], key[1] * den)
-    value = made.__getitem__
+    orbits = [_orbit_of((xk[i], 1), budget, successor, limit) for i in f._ends]
+    # over the distinct keys: on minc^5 its 3,412 entries hold 1,366 values
+    distinct = dict.fromkeys(chain.from_iterable(seq for seq, _ in orbits))
+    value = {key: Fraction(key[0], key[1] * den) for key in distinct}.__getitem__
     entries = []
     for seq, k in orbits:
         orbit = tuple(map(value, seq))
@@ -194,26 +190,12 @@ def post_critical_orbits(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> tuple[
     return tuple(entries)
 
 
-def _orbit_closure(orbits: Sequence[OrbitEntry]) -> Optional[tuple[Fraction, ...]]:
-    """The sorted union of the orbits of the endpoints and the turning
-    points, or None when some orbit stayed open.  Each closed orbit holds the
-    image of each of its points, so the union is forward invariant.  The
-    values are sorted on their keys from :func:`plzig.plmap._int_keys`, each
-    object once: :func:`post_critical_orbits` makes one object per distinct
-    value."""
-    if not all(e.closed for e in orbits):
-        return None
-    values = {id(v): v for e in orbits for v in e.orbit}.values()
-    _, keys = _int_keys(values)
-    by_key = dict(zip(keys, values))
-    return tuple(by_key[k] for k in sorted(by_key))
-
-
 @dataclass(frozen=True)
 class MapFacts:
     """The hypotheses of the embedding theorem for one map, all read from
-    one pass over the critical orbits: ``markov`` is the Markov partition (None when
-    some orbit stays open) and ``leo`` the verdict of :func:`is_leo`."""
+    one :func:`map_facts` pass: ``orbits`` are the critical orbits (of 0,
+    each turning point and 1), ``markov`` is the Markov partition (None
+    when some orbit stays open) and ``leo`` the leo verdict."""
 
     orbits: tuple[OrbitEntry, ...]
     markov: Optional[tuple[Fraction, ...]]
@@ -225,17 +207,34 @@ class MapFacts:
 
 
 def map_facts(f: PLMap, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> MapFacts:
-    """Critical orbits, Markov partition and leo verdict of f from a single
-    :func:`post_critical_orbits` call."""
+    """The one pass over the hypotheses: the critical orbits of f from a
+    single :func:`post_critical_orbits` call, their Markov partition and
+    the leo verdict read from them.  :func:`is_leo`,
+    :func:`markov_partition`, the stabilization and ``plzig analyze`` all
+    take their answers from here.
+
+    The Markov partition is the sorted union of the orbits of the
+    endpoints and the turning points, or None when some orbit stayed open.
+    Each closed orbit holds the image of each of its points, so the union
+    is forward invariant.  Its values are sorted on their keys from
+    :func:`plzig.plmap._int_keys`, each object once:
+    :func:`post_critical_orbits` makes one object per distinct value."""
     orbits = post_critical_orbits(f, orbit_budget)
-    markov = _orbit_closure(orbits)
+    markov = None
+    if all(e.closed for e in orbits):
+        values = {id(v): v for e in orbits for v in e.orbit}.values()
+        _, keys = _int_keys(values)
+        by_key = dict(zip(keys, values))
+        markov = tuple(by_key[k] for k in sorted(by_key))
     return MapFacts(orbits, markov, _leo(f, markov))
 
 
 def markov_partition(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> list[Fraction]:
     """Smallest forward-invariant finite set containing the critical set and
-    the endpoints: the orbit closure of those points, sorted."""
-    pts = _orbit_closure(post_critical_orbits(f, budget))
+    the endpoints: the orbit closure of those points, sorted, as
+    :func:`map_facts` reads it; raises BudgetExceededError when some
+    critical orbit stays open."""
+    pts = map_facts(f, budget).markov
     if pts is None:
         raise BudgetExceededError(
             "critical orbits did not close within the budget; "
@@ -337,21 +336,20 @@ def _growth(f: PLMap) -> Fraction:
 def is_leo(f: PLMap, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> Optional[bool]:
     """Locally eventually onto: every subinterval eventually covers [0, 1].
 
-    When the map is verifiably post-critically finite this is decided
-    through primitivity of the cell-covering matrix of its Markov partition.
-    Otherwise a semi-decision runs: when every interval provably grows
-    under iteration, covering is checked for one scale via exact preimage
-    spacing; the result is None when neither route concludes.
+    The ``leo`` field of :func:`map_facts`.  A map that is not onto, or is
+    monotone, is not leo.  When the map is verifiably post-critically
+    finite this is decided through primitivity of the cell-covering matrix
+    of its Markov partition.  Otherwise a semi-decision runs: when every
+    interval provably grows under iteration, covering is checked for one
+    scale via exact preimage spacing; the result is None when neither
+    route concludes.
     """
-    markov = None
-    if is_onto(f) and len(f._ends) > 2:
-        markov = _orbit_closure(post_critical_orbits(f, orbit_budget))
-    return _leo(f, markov)
+    return map_facts(f, orbit_budget).leo
 
 
 def _leo(f: PLMap, markov: Optional[Sequence[Fraction]]) -> Optional[bool]:
-    """:func:`is_leo` once the Markov partition is known, or known to be
-    unavailable (None)."""
+    """:func:`map_facts`'s leo verdict from the Markov partition it found,
+    or from the semi-decision when there is none (None)."""
     if not is_onto(f):
         return False
     if len(f._ends) == 2:
@@ -510,12 +508,6 @@ def parse_orbit(text: str) -> BackwardOrbit:
     prefix = [parse_rational(tok) for tok in left[len("prefix:"):].split()]
     block = [parse_rational(tok) for tok in right[len("period:"):].split()]
     return BackwardOrbit.of(prefix, block)
-
-
-def format_orbit(orbit: BackwardOrbit) -> str:
-    pre = " ".join(str(v) for v in orbit.prefix)
-    blk = " ".join(str(v) for v in orbit.period_block)
-    return f"prefix: {pre} ; period: {blk}".replace("prefix:  ;", "prefix: ;")
 
 
 def load_orbit(path) -> BackwardOrbit:

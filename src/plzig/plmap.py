@@ -32,7 +32,6 @@ __all__ = [
     "compose",
     "IterateCache",
     "iterate",
-    "critical_set",
     "laps",
     "level_crossings",
     "is_onto",
@@ -318,12 +317,6 @@ def _laps_around(xk: Sequence[int], yk: Sequence[int], n: int, d: int) -> list[t
         return [(p, q)]
     # the point is the turning point or end p
     return [(end(p - 1, -1), p)] * (p > 0) + [(p, end(p + 1, 1))] * (p < last)
-
-
-def critical_set(f: PLMap) -> list[Fraction]:
-    """Turning points: the interior points where monotonicity flips."""
-    xs = f.xs
-    return [xs[p] for p in f._ends[1:-1]]
 
 
 def compose(outer: PLMap, inner: PLMap, budget: int | None = None) -> PLMap:

@@ -181,6 +181,14 @@ def two_pointer_lap_witness(f: PLMap, lap):
     return two_pointer_witness(f.xs, ys, p, q)
 
 
+def critical_set(f: PLMap) -> list[Fraction]:
+    """Turning points: the interior breakpoints where monotonicity flips,
+    read by a scan of ``f.points``, which has no flat segment.  Independent
+    of the lap table that the library reads them from."""
+    pts = f.points
+    return [x for (_, y0), (x, y), (_, y1) in zip(pts, pts[1:], pts[2:]) if (y0 < y) == (y1 < y)]
+
+
 def scan_laps_at(f: PLMap, y: Fraction) -> list[int]:
     """Reference lap lookup by a linear scan: the indices of every lap whose
     closed interval holds y, in order."""
@@ -244,6 +252,31 @@ def dense_is_primitive(matrix: list[list[int]]) -> bool:
     return all(r == full for r in power)
 
 
+NAIVE_ORBIT_STEPS = 1000
+
+
+def naive_is_leo(f: PLMap) -> bool:
+    """Reference leo verdict: False unless f is onto with at least two
+    laps; otherwise primitivity of the dense cell-covering matrix on the
+    orbit closure of *every* breakpoint, walked with :func:`naive_eval`.
+    f is linear on each cell of that partition, so the matrix is primitive
+    exactly when f is leo.  Raises AssertionError when an orbit does not
+    close within ``NAIVE_ORBIT_STEPS`` steps."""
+    ys = [y for _, y in f.points]
+    if min(ys) != 0 or max(ys) != 1 or not critical_set(f):
+        return False
+    closure = set()
+    for x in f.xs:
+        for _ in range(NAIVE_ORBIT_STEPS):
+            if x in closure:
+                break
+            closure.add(x)
+            x = naive_eval(f, x)
+        else:
+            raise AssertionError(f"the orbit of a breakpoint of {f} stays open")
+    return dense_is_primitive(transition_matrix(f, sorted(closure)))
+
+
 def compose_candidates(outer: PLMap, inner: PLMap) -> set[Fraction]:
     """Every candidate breakpoint of ``outer ∘ inner``: inner's breakpoints
     and every solution of inner(x) = v for an outer breakpoint v."""
@@ -271,6 +304,14 @@ def naive_dumps(f: PLMap) -> str:
     ``f.points``.  Independent of the integer keys that ``dumps_map``
     writes from."""
     return "".join(f"{x} {y}\n" for x, y in f.points)
+
+
+def format_orbit(orbit) -> str:
+    """A :class:`plzig.dynamics.BackwardOrbit` as the text that
+    ``parse_orbit`` reads."""
+    pre = " ".join(str(v) for v in orbit.prefix)
+    blk = " ".join(str(v) for v in orbit.period_block)
+    return f"prefix: {pre} ; period: {blk}".replace("prefix:  ;", "prefix: ;")
 
 
 def naive_solutions(f: PLMap, v) -> list[Fraction]:
@@ -712,3 +753,4 @@ def _check_certified_stages(monkeypatch):
         if text not in _checked_texts:
             check_certificate_text(text)
             _checked_texts.add(text)
+

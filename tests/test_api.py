@@ -15,7 +15,7 @@ EXPORTS = {
         "CertifyError", "FactorPair", "Lap", "MapFacts", "OrbitValidationError", "PLMap",
         "StabilizationData", "ZigzagVerdict", "branch", "branch_stabilization",
         "certificate_from_dict", "certificate_to_json", "certify_general", "certify_minc",
-        "compose", "critical_set", "find_beta", "is_in_zigzag", "is_leo", "is_onto", "iterate",
+        "compose", "find_beta", "is_in_zigzag", "is_leo", "is_onto", "iterate",
         "laps", "leo_uniform_N", "level_crossings", "load_map", "make_plmap", "map_facts",
         "markov_partition", "minc_map", "minc_stage_choice", "parse_rational",
         "post_critical_orbits", "split_case1", "split_case2", "uniformly_onto",
@@ -23,7 +23,7 @@ EXPORTS = {
     ],
     "plzig.plmap": [
         "ZERO", "ONE", "DEFAULT_BREAKPOINT_BUDGET", "BudgetExceededError", "Lap", "PLMap",
-        "parse_rational", "make_plmap", "compose", "IterateCache", "iterate", "critical_set",
+        "parse_rational", "make_plmap", "compose", "IterateCache", "iterate",
         "laps", "level_crossings", "is_onto", "loads_map", "dumps_map", "load_map",
     ],
     "plzig.zigzag": ["ZigzagVerdict", "is_in_zigzag", "composite_verdict", "zigzag_set"],
@@ -31,7 +31,7 @@ EXPORTS = {
         "BranchResult", "OrbitEntry", "MapFacts", "BackwardOrbit", "OrbitValidationError",
         "StabilizationData", "branch", "post_critical_orbits", "map_facts", "markov_partition",
         "is_primitive", "is_leo", "uniformly_onto", "leo_uniform_N", "branch_stabilization",
-        "validate_orbit", "parse_orbit", "format_orbit", "load_orbit",
+        "validate_orbit", "parse_orbit", "load_orbit",
     ],
     "plzig.factorize": [
         "CASE1", "CASE2", "CertifyError", "FactorPair", "StageRecord", "Certificate", "minc_map",
@@ -44,7 +44,7 @@ EXPORTS = {
 
 MOVED = [
     "lemma_witness", "_level_clear", "remark_no_zigzag", "composition_property_check",
-    "witness_is_valid", "image_interval",
+    "witness_is_valid", "image_interval", "critical_set", "format_orbit",
 ]
 
 
@@ -66,7 +66,7 @@ def test_exports_are_pinned_and_resolve(modname):
         getattr(module, name)
 
 
-@pytest.mark.parametrize("modname", ["plzig", "plzig.zigzag", "plzig.plmap"])
+@pytest.mark.parametrize("modname", ["plzig", "plzig.zigzag", "plzig.plmap", "plzig.dynamics"])
 def test_lemma_checks_are_not_in_the_library(modname):
     module = importlib.import_module(modname)
     for name in MOVED:

@@ -10,7 +10,7 @@ from plzig.cli import _json_text, _report_text, analysis_report, build_parser, m
 from plzig.plmap import dumps_map, iterate, load_map, loads_map, make_plmap
 from plzig.factorize import minc_map, verify_certificate
 
-from conftest import random_map, random_markov_map
+from conftest import critical_set, random_map, random_markov_map
 from reference_curves import MINC_SQUARED_VERTICES
 
 
@@ -154,6 +154,32 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "--builtin", "minc", "--iterate", str(k))
         assert code == 0 and len(out.encode()) == size
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_report_with_breakpoints_that_are_not_turning_points(self, capsys, tmp_path):
+        # f^5 for f = (0,0), (1/4,3/4), (1/2,1), (1,0): f is leo whether its
+        # Markov partition comes from its turning points or from all of its
+        # breakpoints, so the digest holds under either partition
+        path = tmp_path / "nt.map"
+        path.write_text("0 0\n1/4 3/4\n1/2 1\n1 0\n")
+        code, out, _ = run(capsys, "analyze", "--map", str(path), "--iterate", "5")
+        assert code == 0 and len(out.encode()) == 6_208
+        report = json.loads(out)
+        assert (report["breakpoints"], len(report["critical_set"]), report["leo"]) == (57, 31, True)
+        digest = "8def05ef12e688d8d044632b7806e5bf60d5fda41b74f5dd17a8eb558fdd6706"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_critical_set_is_the_turning_points(self):
+        # the report reads the turning points off its orbit pass; a scan of
+        # the breakpoints must find the same ones, also where some
+        # breakpoints are not turning points
+        rng = random.Random(63)
+        skipped = 0
+        for _ in range(200):
+            f = random_map(rng)
+            report = analysis_report(f)
+            assert report["critical_set"] == [str(c) for c in critical_set(f)]
+            skipped += len(f.points) - 2 - len(report["critical_set"])
+        assert skipped >= 50
 
     def test_each_value_is_written_once(self, monkeypatch, minc):
         # the orbits, the critical set and the Markov partition share one

@@ -8,7 +8,6 @@ from plzig.plmap import (
     BudgetExceededError,
     PLMap,
     compose,
-    critical_set,
     dumps_map,
     is_onto,
     iterate,
@@ -27,6 +26,7 @@ import plzig.zigzag as zigzag
 
 from conftest import (
     compose_candidates,
+    critical_set,
     image_interval,
     naive_compose,
     naive_dumps,
@@ -594,6 +594,8 @@ class TestCriticalSetAndLaps:
         assert len(f2.points) == 22
         assert len(critical_set(f2)) == 20
         assert len(laps(f2)) == 21
+        # the lap table's inner ends are the turning points
+        assert [lap.left for lap in laps(f2)[1:]] == critical_set(f2)
 
     def test_minc_laps(self, minc):
         lp = laps(minc)

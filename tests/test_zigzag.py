@@ -3,12 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from plzig.plmap import compose, critical_set, iterate, laps, make_plmap
+from plzig.plmap import compose, iterate, laps, make_plmap
 from plzig.zigzag import _WitnessIndex, _witness_table, is_in_zigzag, zigzag_set
 from plzig.factorize import MINC_BETA_LOW, MINC_BETA_HIGH, minc_map, split_case1, split_case2
 
 from conftest import (
     composition_property_check,
+    critical_set,
     lemma_witness,
     naive_lap_witness,
     naive_solutions,
