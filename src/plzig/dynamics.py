@@ -327,8 +327,11 @@ def _square_runs(lo: list[int], hi: list[int]) -> tuple[list[int], list[int]]:
 def _growth(f: PLMap) -> Fraction:
     """Worst-case one-step growth factor of an interval: the least slope
     magnitude, or u*v/(u+v) for the slope magnitudes u, v on either side of
-    a turning point (an interval straddling it) when that is smaller."""
-    slopes = [abs((y1 - y0) / (x1 - x0)) for (x0, y0), (x1, y1) in zip(f.points, f.points[1:])]
+    a turning point (an interval straddling it) when that is smaller.  A
+    slope is its keys' rise over their run, since the common denominator
+    cancels."""
+    _, xk, yk = f._keys
+    slopes = [Fraction(abs(y1 - y0), x1 - x0) for x0, x1, y0, y1 in zip(xk, xk[1:], yk, yk[1:])]
     folds = [slopes[i - 1] * slopes[i] / (slopes[i - 1] + slopes[i]) for i in f._ends[1:-1]]
     return min(slopes + folds)
 
@@ -360,10 +363,11 @@ def _leo(f: PLMap, markov: Optional[Sequence[Fraction]]) -> Optional[bool]:
 
     if _growth(f) <= 1:
         return None
-    ends, ys = f._ends, f.ys
+    den, _, yk = f._keys
+    ends = f._ends
     if len(ends) < 4:  # no interior lap
         return True
-    scale = min(abs(ys[q] - ys[p]) for p, q in zip(ends[1:-2], ends[2:-1]))
+    scale = Fraction(min(abs(yk[q] - yk[p]) for p, q in zip(ends[1:-2], ends[2:-1])), den)
     try:
         leo_uniform_N(f, scale, LEO_FALLBACK_DEPTH)
     except BudgetExceededError:

@@ -108,11 +108,12 @@ class PLMap:
     first read, once per map, and equal values of ``ys`` are one object.
     Instances are immutable and safe to share between threads.
 
-    Normalization, evaluation, composition, the lap table, the lookup of
-    the laps around a point (:func:`_laps_around`, a walk on the keys that
-    builds no table), the solutions at 0 and 1, :func:`is_onto`,
-    :func:`dumps_map` and, in the other modules, the zigzag verdicts and
-    locus, the fold search, the covering test, the critical orbits and
+    Normalization, evaluation, composition, the lap table and the
+    :func:`laps` made from it, the lookup of the laps around a point
+    (:func:`_laps_around`, a walk on the keys that builds no table), the
+    solutions at 0 and 1, :func:`is_onto`, :func:`dumps_map` and, in the
+    other modules, the zigzag verdicts and locus, the fold search, the
+    covering test, the critical orbits, the leo semi-decision and
     primitivity read the keys, and none has a second implementation on the
     ``Fraction`` coordinates.  So certifying reads the block map, s and t
     without making their points, and the branch of a power builds no lap
@@ -167,11 +168,6 @@ class PLMap:
     def _ends(self) -> tuple[int, ...]:
         """The lap table: breakpoint indices of the lap ends."""
         return _lap_ends(self._keys[2])
-
-    @cached_property
-    def _laps(self) -> tuple[Lap, ...]:
-        xs, ends = self.xs, self._ends
-        return tuple(Lap(xs[p], xs[q]) for p, q in zip(ends, ends[1:]))
 
     def __call__(self, x) -> Fraction:
         """Exact evaluation by linear interpolation on the containing
@@ -290,8 +286,12 @@ def _lap_ends(ys: Sequence[int]) -> tuple[int, ...]:
 
 
 def laps(f: PLMap) -> list[Lap]:
-    """Maximal monotone intervals, alternating direction, covering [0, 1]."""
-    return list(f._laps)
+    """Maximal monotone intervals, alternating direction, covering [0, 1]:
+    the lap table's ends made ``Fraction``s from their keys, without
+    building ``xs``."""
+    den, xk, _ = f._keys
+    ends = [Fraction(xk[i], den) for i in f._ends]
+    return list(map(Lap, ends, ends[1:]))
 
 
 def _laps_around(xk: Sequence[int], yk: Sequence[int], n: int, d: int) -> list[tuple[int, int]]:

@@ -12,9 +12,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
-from operator import gt, le, lt
+from operator import ge, gt, le, lt
 from typing import Callable, Optional, Sequence
 
 from .plmap import (
@@ -65,12 +64,13 @@ class ZigzagVerdict:
         }
 
 
-def _nearest(keys: list[int], forward: bool, hit: Callable[[int, int], bool]) -> list[int]:
+def _nearest(keys: Sequence[int], forward: bool, hit: Callable[[int, int], bool]) -> list[int]:
     """For each i, the nearest index j on one side of i (before it when
     ``forward``, after it otherwise) with ``hit(keys[j], keys[i])``; -1 or
     ``len(keys)`` when there is none.  One monotone-stack pass: an index
     popped by i can never answer a later query that i does not answer from
-    nearer, since ``hit`` is one of the four order relations."""
+    nearer, since ``hit`` is one of the four order relations.
+    :class:`_WitnessIndex` builds each list it reads once per map."""
     n = len(keys)
     out = [-1 if forward else n] * n
     stack: list[int] = []
@@ -84,56 +84,71 @@ def _nearest(keys: list[int], forward: bool, hit: Callable[[int, int], bool]) ->
     return out
 
 
-class _Chains:
-    """Nearest-smaller and nearest-larger pointers over one orientation of
-    the keys, in which the queried laps fall.
+class _WitnessIndex:
+    """Witness search for any number of laps of one map, each named by the
+    breakpoint indices of its ends, on the integer keys of the breakpoint
+    values (see :attr:`PLMap._keys`): the search only compares values, and
+    it answers with breakpoint indices.
 
-    * ``prev_low[i]``: previous index with key < key[i].  Followed from a
-      lap's right end q it visits exactly the usable a's, the breakpoints
-      left of the lap whose value is below every later value up to q,
-      nearest first.
-    * ``next_low[i]``: next index with key <= key[i], where a trough
-      condition started at i first fails.
-    * ``next_high[i]``: next index with key > key[i].
-    * ``prev_high[i]``: previous index with key > key[i]; its chain from p
-      passes through the rightmost argmax of every window [a, p].
+    A lap walks four nearest-value lists (:func:`_nearest`) over the keys,
+    each built in O(n) on first use and kept for every later lap.  Its two
+    backward lists are the other direction's two, swapped, so both
+    directions together build six, and never a negated copy of the keys.
     """
 
-    __slots__ = ("prev_low", "next_low", "next_high", "prev_high")
+    def __init__(self, keys: Sequence[int]) -> None:
+        self.keys = keys
+        self._lists: dict = {}  # (forward, hit) -> its _nearest list
+        self._walks: dict = {}  # falling -> the four lists its laps walk
 
-    def __init__(self, keys: list[int]) -> None:
-        self.prev_low = _nearest(keys, True, lt)
-        self.next_low = _nearest(keys, False, le)
-        self.next_high = _nearest(keys, False, gt)
-        self.prev_high = _nearest(keys, True, gt)
+    def _walk(self, falling: bool) -> list[list[int]]:
+        """``prev_low``, ``prev_high``, ``next_high`` and ``next_low`` of
+        the falling laps, or of the rising ones, built on first use."""
+        below, above, dip = (lt, gt, le) if falling else (gt, lt, ge)
+        walk = self._walks[falling] = []
+        for key in ((True, below), (True, above), (False, above), (False, dip)):
+            if key not in self._lists:
+                self._lists[key] = _nearest(self.keys, *key)
+            walk.append(self._lists[key])
+        return walk
 
     def witness(self, p: int, q: int) -> Optional[Pair]:
-        """Witness for the lap from breakpoint p to breakpoint q, falling in
-        this orientation, as the breakpoint indices of its ends.
+        """Witness for the interior lap from breakpoint p to breakpoint q,
+        as the breakpoint indices of its ends.
 
-        A pair of breakpoints (a, j) with a < p and j > q works when f is
-        strictly lower at a than at every later breakpoint up to j and
-        strictly higher at j than at every earlier one from a on.
-        Restricting candidates to breakpoints is lossless: an interior a can
-        always be slid to its segment's left end without breaking either
-        attainment condition.
+        Say the lap falls.  A rising lap is the falling search on the
+        negated keys, on which ``lt`` reads as ``gt``, ``le`` as ``ge`` and
+        ``gt`` as ``lt``, so :meth:`_walk` picks its lists with the three
+        relations read in the lap's direction.  A pair of breakpoints
+        (a, j) with a < p and j > q works when f is strictly lower at a
+        than at every later breakpoint up to j and strictly higher at j
+        than at every earlier one from a on.  Restricting candidates to
+        breakpoints is lossless: an interior a can always be slid to its
+        segment's left end without breaking either attainment condition.
 
-        The a's come from the ``prev_low`` chain, nearest first.  For each,
-        m is the rightmost argmax of [a, p], found by walking ``prev_high``
-        left from p; the lap falls from p, so f(m) is the highest value up
-        to the lap's end and j = ``next_high[m]`` is the first index past
-        the lap that clears it: the nearest usable b for this a.  The pair
-        fails only if f dips to f(a) or below before j, that is when
-        ``next_low[a] <= j``.  No j means no b clears the peak of this a or
-        of any farther one, whose peaks are no lower.  The first a that
-        succeeds gives the pair nearest the lap, the same pair the
-        two-pointer sweep over both record lists finds.  a and m only move
-        left, so a query costs O(length of the two chains it walks).
+        * ``prev_low[i]``: previous index with key < key[i].  Followed from
+          q it visits exactly the usable a's, the breakpoints left of the
+          lap whose value is below every later value up to q, nearest first.
+        * ``prev_high[i]``: previous index with key > key[i]; its chain from
+          p passes through the rightmost argmax m of every window [a, p].
+        * ``next_high[i]``: next index with key > key[i].  The lap falls
+          from p, so f(m) is the highest value up to the lap's end and
+          j = ``next_high[m]`` is the first index past the lap that clears
+          it: the nearest usable b for this a.
+        * ``next_low[i]``: next index with key <= key[i].  The pair fails
+          only if f dips to f(a) or below before j, that is when
+          ``next_low[a] <= j``.
+
+        No j means no b clears the peak of this a or of any farther one,
+        whose peaks are no lower.  The first a that succeeds gives the pair
+        nearest the lap, the same pair the two-pointer sweep over both
+        record lists finds.  a and m only move left, so a query costs
+        O(length of the two chains it walks).
         """
-        prev_low, next_low, next_high, prev_high = (
-            self.prev_low, self.next_low, self.next_high, self.prev_high,
-        )
-        n = len(next_high)
+        keys = self.keys
+        falling = keys[p] > keys[q]
+        prev_low, prev_high, next_high, next_low = self._walks.get(falling) or self._walk(falling)
+        n = len(keys)
         a = prev_low[q]
         m = p
         while a >= 0:
@@ -146,34 +161,6 @@ class _Chains:
                 return (a, j)
             a = prev_low[a]
         return None
-
-
-class _WitnessIndex:
-    """Witness search for any number of laps of one map, each named by the
-    breakpoint indices of its ends, on the integer keys of the breakpoint
-    values (see :attr:`PLMap._keys`): the search only compares values, and
-    it answers with breakpoint indices.
-
-    It builds the pointers of each orientation on first use: the keys for
-    falling laps, the negated keys for rising ones.  Everything is O(n) to
-    build, after which each lap is one walk along the pointer chains.
-    """
-
-    def __init__(self, keys: Sequence[int]) -> None:
-        self.keys = keys
-
-    @cached_property
-    def _falling(self) -> _Chains:
-        return _Chains(self.keys)
-
-    @cached_property
-    def _rising(self) -> _Chains:
-        return _Chains([-k for k in self.keys])
-
-    def witness(self, p: int, q: int) -> Optional[Pair]:
-        """Witness for the interior lap from breakpoint p to breakpoint q."""
-        chains = self._falling if self.keys[p] > self.keys[q] else self._rising
-        return chains.witness(p, q)
 
 
 def _witness_table(f: PLMap) -> list[Optional[Pair]]:

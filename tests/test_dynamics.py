@@ -6,7 +6,7 @@ import pytest
 
 import plzig.dynamics as dynamics
 from plzig.cli import analysis_report
-from plzig.factorize import certificate_to_dict, certify_general, verify_certificate
+from plzig.factorize import certificate_to_dict, certify_general, minc_map, verify_certificate
 from plzig.plmap import BudgetExceededError, IterateCache, compose, iterate, laps, make_plmap
 from conftest import (
     critical_set,
@@ -619,6 +619,16 @@ class TestBranchStructure:
         f = make_plmap([(0, 0), (F(6, 25), F(9, 10)), (F(1, 4), 1), (F(13, 50), F(9, 10)), (1, 0)])
         assert len(laps(f)) == 2 and dynamics._growth(f) == F(45, 37)
         assert is_leo(f, orbit_budget=0) is True
+
+    def test_semidecision_reads_keys(self):
+        # the growth bound and the covering scale come from the integer
+        # keys, so the semi-decision makes no Fraction breakpoints
+        minc = minc_map()
+        assert is_leo(minc, orbit_budget=0) is True
+        wandering = make_plmap([(0, 0), (F(1, 2), 1), (1, F(1, 3))])
+        assert is_leo(wandering) is None and dynamics._growth(wandering) == F(4, 5)
+        for f in (minc, wandering):
+            assert not {"points", "xs", "ys"} & f.__dict__.keys()
 
     def test_growth_fallback_undecided_past_its_depth(self, monkeypatch, minc):
         monkeypatch.setattr(dynamics, "LEO_FALLBACK_DEPTH", 1)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import plzig.zigzag as zigzag
 from plzig.plmap import compose, iterate, laps, make_plmap
 from plzig.zigzag import _WitnessIndex, _witness_table, is_in_zigzag, zigzag_set
 from plzig.factorize import MINC_BETA_LOW, MINC_BETA_HIGH, minc_map, split_case1, split_case2
@@ -159,6 +160,40 @@ class TestWitnessIdentity:
                 assert witness_is_valid(f, lap.left, lap.right, *at_xs(f, w))
                 found += 1
         assert found > 0
+
+
+class TestNearestLists:
+    """A rising lap's two backward lists are a falling lap's two, swapped,
+    so one map builds six nearest-value lists for both directions, and a
+    lap of one direction four."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        nearest = zigzag._nearest
+
+        def counting(keys, forward, hit):
+            calls.append((forward, hit))
+            return nearest(keys, forward, hit)
+
+        monkeypatch.setattr(zigzag, "_nearest", counting)
+        return calls
+
+    def test_locus_builds_six(self, minc, calls):
+        zigzag_set(iterate(minc, 4))
+        assert len(calls) == len(set(calls)) == 6
+
+    def test_turning_point_builds_six(self, minc, calls):
+        f = iterate(minc, 4)
+        y = laps(f)[2].left  # the turn between two interior laps, one of each direction
+        assert len(is_in_zigzag(f, y).applicable_laps) == 2
+        assert len(calls) == 6
+
+    def test_one_lap_builds_four(self, minc, calls):
+        f = iterate(minc, 4)
+        lap = laps(f)[2]
+        assert len(is_in_zigzag(f, (lap.left + lap.right) / 2).applicable_laps) == 1
+        assert len(calls) == 4
 
 
 class TestZigzagSet:
