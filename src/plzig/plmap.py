@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import FrozenInstanceError
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -93,6 +93,7 @@ class Lap(NamedTuple):
     right: Fraction
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class PLMap:
     """A piecewise-linear map of [0, 1] to itself.
 
@@ -102,11 +103,15 @@ class PLMap:
     in [0, 1], no zero-slope segment and a slope change at every interior
     breakpoint.  Keys are checked once, where they enter, by
     :func:`_normalized`; every map is built by :meth:`_of_keys`, which
-    checks nothing.  So a function has one representation, and two maps
-    are equal, and hash alike, exactly when they are the same function.
+    checks nothing.  So a function has one representation.  The class is a
+    frozen dataclass over its one field ``_keys`` with no ``__init__``:
+    ``PLMap(...)`` raises ``TypeError``, assigning or deleting an attribute
+    raises ``FrozenInstanceError``, and two maps are equal, and hash alike,
+    exactly when their keys are, that is when they are the same function.
     ``xs``, ``ys`` and ``points`` are ``Fraction``s made from the keys on
-    first read, once per map, and equal values of ``ys`` are one object.
-    Instances are immutable and safe to share between threads.
+    first read, once per map, and equal values of ``ys`` are one object;
+    ``cached_property`` writes them to the instance ``__dict__``, past the
+    frozen ``__setattr__``.
 
     Normalization, evaluation, composition, the lap table and the
     :func:`laps` made from it, the lookup of the laps around a point
@@ -124,7 +129,9 @@ class PLMap:
 
     @classmethod
     def _of_keys(cls, den: int, xk: Sequence[int], yk: Sequence[int]) -> PLMap:
-        """The map with keys ``(den, xk, yk)``, unchecked.  The caller holds
+        """The map with keys ``(den, xk, yk)``, unchecked, and the only
+        constructor: the dataclass has no ``__init__``, so the field is
+        written to the instance ``__dict__``.  The caller holds
         the invariants: x strictly increasing from 0 to den, y in [0, den],
         no flat segment, a slope change at every interior breakpoint, and no
         factor common to den and every key.  :func:`_normalized` has just
@@ -135,20 +142,6 @@ class PLMap:
         f = object.__new__(cls)
         f.__dict__["_keys"] = (den, tuple(xk), tuple(yk))
         return f
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, PLMap):
-            return NotImplemented
-        return self._keys == other._keys
-
-    def __hash__(self) -> int:
-        return hash(self._keys)
 
     @cached_property
     def points(self) -> tuple[tuple[Fraction, Fraction], ...]:

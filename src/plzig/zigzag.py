@@ -181,7 +181,7 @@ def is_in_zigzag(f: PLMap, y) -> ZigzagVerdict:
     if not (ZERO <= y <= ONE):
         raise ValueError(f"query point {y} outside [0, 1]")
     den, xk, yk = f._keys
-    return _verdict(den, xk, yk, _laps_around(xk, yk, y.numerator * den, y.denominator), True, True)
+    return _verdict(den, xk, yk, y.numerator * den, y.denominator)
 
 
 def composite_verdict(outer: PLMap, inner: PLMap, y) -> ZigzagVerdict:
@@ -200,10 +200,10 @@ def composite_verdict(outer: PLMap, inner: PLMap, y) -> ZigzagVerdict:
     So the window is found on inner alone, walking its segments outward
     from y with one bisection each, and only the segments it spans are
     composed, under the default breakpoint budget.  The verdict is
-    decided in g's own coordinates, on the laps that :func:`_laps_around`
-    finds around y in the window's keys, with no lap table; the window's
-    first or last lap is a boundary lap only when the window reaches 0
-    or 1.
+    decided in g's own coordinates by the same :func:`_verdict` as
+    :func:`is_in_zigzag`, on the window's keys: it finds the laps around y
+    there with no lap table, and the window's first or last lap is a
+    boundary lap only when it reaches x = 0 or x = 1.
 
     Everything runs on integer keys: the stops are outer's x keys where its
     value key is 0 or its denominator, and the walk bisects inner's x keys
@@ -251,27 +251,20 @@ def composite_verdict(outer: PLMap, inner: PLMap, y) -> ZigzagVerdict:
     cuts = [i for i, v in enumerate(yk) if (v == 0 or v == den) and xk[i] * yd != yn]
     k = bisect_left(cuts, bisect_left(xk, -(-yn // yd)))
     a, b = cuts[k - 1] if k else 0, cuts[k] + 1 if k < len(cuts) else len(xk)
-    wxk, keys = xk[a:b], yk[a:b]
-    return _verdict(den, wxk, keys, _laps_around(wxk, keys, yn, yd), wxk[0] == 0, wxk[-1] == den)
+    return _verdict(den, xk[a:b], yk[a:b], yn, yd)
 
 
-def _verdict(
-    den: int,
-    xk: Sequence[int],
-    keys: Sequence[int],
-    holding: list[Pair],
-    first_is_boundary: bool,
-    last_is_boundary: bool,
-) -> ZigzagVerdict:
-    """The verdict at a point from the breakpoints of the map around it:
-    their x keys over ``den`` and the integer keys of their values, and the
-    laps holding the point, as the breakpoint indices of their ends, as
-    :func:`plmap._laps_around` gives them.  The flags say whether the first
-    and last of those breakpoints are the map's own ends, so that a lap
-    from the first or to the last is a boundary lap, which never has a
-    witness.  Only the laps and witnesses it reports become ``Fraction``s."""
-    last = len(xk) - 1
-    boundary = lambda p, q: (p == 0 and first_is_boundary) or (q == last and last_is_boundary)
+def _verdict(den: int, xk: Sequence[int], keys: Sequence[int], n: int, d: int) -> ZigzagVerdict:
+    """The verdict at the point with x key n/d from the breakpoints of the
+    map around it: their x keys over ``den`` and the integer keys of their
+    values.  The laps holding the point are the ones :func:`_laps_around`
+    finds in those keys, as the breakpoint indices of their ends.  A lap is
+    a boundary lap, which never has a witness, exactly when it reaches
+    x = 0 or x = 1: on a whole map, when it starts at the first breakpoint
+    or ends at the last; on a window, only when the window reaches 0 or 1
+    there.  Only the laps and witnesses it reports become ``Fraction``s."""
+    holding = _laps_around(xk, keys, n, d)
+    boundary = lambda p, q: xk[p] == 0 or xk[q] == den
     pair = lambda i, j: (Fraction(xk[i], den), Fraction(xk[j], den))
     applicable = tuple(pair(*lap) for lap in holding if not boundary(*lap))
     edge = next((lap for lap in holding if boundary(*lap)), None)

@@ -9,6 +9,7 @@ from types import ModuleType
 
 import pytest
 
+import plzig.factorize
 from plzig.plmap import (
     DEFAULT_BREAKPOINT_BUDGET,
     compose,
@@ -44,6 +45,7 @@ from plzig.factorize import (
 
 from conftest import (
     candidate_count,
+    check_certificate_stages,
     check_certificate_text,
     check_factor_pair,
     check_factor_pair_pointwise,
@@ -54,6 +56,7 @@ from conftest import (
     naive_solutions,
     periodic_cycles,
     random_map,
+    witness_is_valid,
 )
 
 
@@ -447,6 +450,54 @@ class TestCertifyMinc:
     def test_minimum_two_stages(self):
         with pytest.raises(ValueError):
             certify_minc(BackwardOrbit.constant(F(1, 2)), stages=1)
+
+
+def minc_block_certificate(case: str, beta, x, stages: int = 4):
+    """The stage loop on minc^2 with one fold pair at every stage (the Minc
+    pipeline's n0 = 0 and step 2), at the constant orbit x.  It looks up
+    ``plzig.factorize._assemble`` when called, so the stage loop in force,
+    recorded or planted with a fault, is the one that runs."""
+    block = iterate(minc_map(), 2)
+    pair = (split_case1 if case == CASE1 else split_case2)(block, F(beta))
+    orbit = BackwardOrbit.constant(F(x))
+    return plzig.factorize._assemble(minc_map(), orbit, None, 0, 2, lambda i: pair, stages)
+
+
+class TestStagesThatFail:
+    """One certificate for each way a stage fails, both true records of the
+    stage loop on another fold of minc^2 than the pipeline's, so the
+    verifier rejects them and the tests' checkers accept them."""
+
+    def test_coordinate_in_a_zigzag(self):
+        cert = minc_block_certificate(CASE1, "2/9", "1/2")
+        assert (cert.result, cert.failing_stage, cert.repeat_index) == ("fail", 2, 3)
+        assert cert.failure_reason == "coordinate 1/2 lies in a zigzag of g"
+        assert [st.coordinate for st in cert.stages] == [F(1, 2)] * 4
+        lap, witness = (F(13, 27), F(14, 27)), (F(4, 9), F(44, 81))
+        for st in cert.stages[1:]:
+            assert st.verdict.in_zigzag and st.verdict.failing_lap is None
+            assert (st.verdict.applicable_laps, st.verdict.witnesses) == ((lap,), (witness,))
+        g = naive_compose(cert.stages[0].pair.s, cert.stages[1].pair.t)
+        assert witness_is_valid(g, *lap, *witness)
+        text = certificate_to_json(cert)
+        check_certificate_text(text)
+        check_certificate_stages(cert)
+        assert verify_certificate(json.loads(text)) == (
+            False, "stage 1 beta: stored '2/9', re-derived '7/18'",
+        )
+
+    def test_s_moves_the_tracked_point(self):
+        cert = minc_block_certificate(CASE2, "11/18", 1)
+        assert (cert.result, cert.failing_stage, cert.repeat_index) == ("fail", 1, 3)
+        assert cert.failure_reason == "s moves x_2 = 1 to 11/18"
+        assert [st.coordinate for st in cert.stages] == [F(11, 18)] * 4
+        assert not any(st.verdict.in_zigzag for st in cert.stages[1:])
+        text = certificate_to_json(cert)
+        check_certificate_text(text)
+        check_certificate_stages(cert)
+        assert verify_certificate(json.loads(text)) == (
+            False, "stage 1 case: stored 'case2', re-derived 'case1'",
+        )
 
 
 class TestCertifyGeneral:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction as F
@@ -475,8 +476,8 @@ class TestKeyBornMaps:
         rng = random.Random(18)
         maps = [compose(*_random_pair(rng)) for _ in range(50)] + [iterate(minc, k) for k in (2, 3)]
         for g in maps:
-            twin = make_plmap(g.points)
-            assert g == twin and hash(g) == hash(twin)
+            twin, parsed = make_plmap(g.points), loads_map(dumps_map(g))
+            assert g == twin == parsed and hash(g) == hash(twin) == hash(parsed)
             assert twin.points == g.points and twin.points is not g.points
         # a collinear list builds the same map as its normalized twin
         twin = make_plmap([(0, 0), (F(1, 2), 1), (1, 0)])
@@ -496,12 +497,23 @@ class TestKeyBornMaps:
     def test_maps_are_frozen(self, minc):
         g = iterate(minc, 2)
         for f in (minc, g):
-            with pytest.raises(AttributeError):
+            with pytest.raises(dataclasses.FrozenInstanceError):
                 f.points = ()
-            with pytest.raises(AttributeError):
+            with pytest.raises(dataclasses.FrozenInstanceError):
                 f.anything = 1
-            with pytest.raises(AttributeError):
+            with pytest.raises(dataclasses.FrozenInstanceError):
                 del f._keys
+
+    def test_maps_have_no_public_constructor(self, minc):
+        with pytest.raises(TypeError):
+            PLMap(minc._keys)
+        with pytest.raises(TypeError):
+            PLMap(_keys=minc._keys)
+
+    def test_equality_with_other_types_is_not_implemented(self, minc):
+        assert minc.__eq__(object()) is NotImplemented
+        assert minc != 3 and not minc == minc._keys
+        assert minc == make_plmap(minc.points)
 
     def test_power_is_the_previous_power_then_the_map(self, minc):
         # map 19 of the bench's Markov family, whose chain its stabilization
