@@ -457,16 +457,16 @@ def minc_block_certificate(case: str, beta, x, stages: int = 4):
     pipeline's n0 = 0 and step 2), at the constant orbit x.  It looks up
     ``plzig.factorize._assemble`` when called, so the stage loop in force,
     recorded or planted with a fault, is the one that runs."""
-    block = iterate(minc_map(), 2)
-    pair = (split_case1 if case == CASE1 else split_case2)(block, F(beta))
+    pair = (split_case1 if case == CASE1 else split_case2)(MINC_BLOCK, F(beta))
     orbit = BackwardOrbit.constant(F(x))
     return plzig.factorize._assemble(minc_map(), orbit, None, 0, 2, lambda i: pair, stages)
 
 
 class TestStagesThatFail:
     """One certificate for each way a stage fails, both true records of the
-    stage loop on another fold of minc^2 than the pipeline's, so the
-    verifier rejects them and the tests' checkers accept them."""
+    stage loop on another fold of minc^2 than the pipeline's, which the
+    tests' checkers accept; ``test_other_folds_are_not_the_pipeline_output``
+    pins the verifier's reasons for rejecting them."""
 
     def test_coordinate_in_a_zigzag(self):
         cert = minc_block_certificate(CASE1, "2/9", "1/2")
@@ -479,12 +479,8 @@ class TestStagesThatFail:
             assert (st.verdict.applicable_laps, st.verdict.witnesses) == ((lap,), (witness,))
         g = naive_compose(cert.stages[0].pair.s, cert.stages[1].pair.t)
         assert witness_is_valid(g, *lap, *witness)
-        text = certificate_to_json(cert)
-        check_certificate_text(text)
+        check_certificate_text(certificate_to_json(cert))
         check_certificate_stages(cert)
-        assert verify_certificate(json.loads(text)) == (
-            False, "stage 1 beta: stored '2/9', re-derived '7/18'",
-        )
 
     def test_s_moves_the_tracked_point(self):
         cert = minc_block_certificate(CASE2, "11/18", 1)
@@ -492,12 +488,8 @@ class TestStagesThatFail:
         assert cert.failure_reason == "s moves x_2 = 1 to 11/18"
         assert [st.coordinate for st in cert.stages] == [F(11, 18)] * 4
         assert not any(st.verdict.in_zigzag for st in cert.stages[1:])
-        text = certificate_to_json(cert)
-        check_certificate_text(text)
+        check_certificate_text(certificate_to_json(cert))
         check_certificate_stages(cert)
-        assert verify_certificate(json.loads(text)) == (
-            False, "stage 1 case: stored 'case2', re-derived 'case1'",
-        )
 
 
 class TestCertifyGeneral:
