@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import eq, lt, sub
+from operator import eq, lt, mul, sub
 from typing import Optional, Sequence
 
 from .plmap import (
@@ -137,56 +137,68 @@ def _size_bound(den: int) -> int:
     return 2 * den.bit_length() + ORBIT_SIZE_SLACK
 
 
-def _orbit_of(start: Key, budget: int, successor, limit: int) -> tuple[list[Key], Optional[int]]:
-    """The keys of the forward orbit of ``start`` up to its first repeat,
-    and the index where the repeated value first appeared; None for an
-    orbit still open after ``budget`` steps or at a key denominator longer
-    than ``limit`` bits, whose keys stop before that value."""
-    seen = {start: 0}
-    seq = [start]
-    for _ in range(budget):
-        nxt = successor(seq[-1])
-        k = seen.get(nxt)
-        if k is not None:
-            return seq, k
-        if nxt[1].bit_length() > limit:
-            break
-        seen[nxt] = len(seq)
-        seq.append(nxt)
-    return seq, None
-
-
 def post_critical_orbits(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> tuple[OrbitEntry, ...]:
     """Forward orbit of 0, of every turning point and of 1, in that order,
     with the detected minimal preperiod/period, or an open flag past the
     budget.
 
-    The orbits run on f's integer keys.  Orbits merge quickly, so each
-    distinct value is evaluated once, through one table of successors, and
-    becomes one ``Fraction`` object for the entries, made from its key; f's
-    ``Fraction`` breakpoints are not read.  An orbit is also reported open
-    when a value's key denominator grows longer than :func:`_size_bound`
-    bits."""
+    The orbits run on f's integer keys, and they merge: on minc^5 the
+    1,366 orbits hold 3,412 entries but 1,366 distinct values.  So each
+    value on a closed orbit is recorded with that orbit and its index in
+    it, and a walk stops at the first recorded value: the orbit is the
+    walked head, then the recorded suffix from that value, rotated when it
+    lies on the cycle, with the repeat index shifted by the head's length.
+    Each such value is stepped once and becomes one ``Fraction``, made from
+    its key and shared by every orbit through it.  The successor table
+    starts with every breakpoint's image, read off the keys; only other
+    values go through :func:`plzig.plmap._key_image`, once each.  An orbit
+    longer than ``budget`` is open and keeps its first ``budget + 1``
+    values, as a walk of ``budget`` steps would; so is one whose next
+    value's key denominator is longer than :func:`_size_bound` bits, cut
+    before that value.  Open orbits are not recorded."""
     keys = f._keys
-    den, xk, _ = keys
+    den, xk, yk = keys
     limit = _size_bound(den)
-    table: dict[Key, Key] = {}
-
-    def successor(key: Key) -> Key:
-        nxt = table.get(key)
-        if nxt is None:
-            nxt = table[key] = _key_image(keys, *key)
-        return nxt
-
-    orbits = [_orbit_of((xk[i], 1), budget, successor, limit) for i in f._ends]
-    # over the distinct keys: on minc^5 its 3,412 entries hold 1,366 values
-    distinct = dict.fromkeys(chain.from_iterable(seq for seq, _ in orbits))
-    value = {key: Fraction(key[0], key[1] * den) for key in distinct}.__getitem__
+    table: dict[Key, Key] = dict(zip(zip(xk, repeat(1)), zip(yk, repeat(1))))
+    # each value on a closed orbit -> (that orbit, the value's index, its repeat index)
+    record: dict[Key, tuple[tuple[Fraction, ...], int, int]] = {}
     entries = []
-    for seq, k in orbits:
-        orbit = tuple(map(value, seq))
+    for start in zip(map(xk.__getitem__, f._ends), repeat(1)):
+        head, orbit, k = (), (), None  # the walked keys, their values
+        rec = record.get(start)
+        if rec is None:
+            head, nxt = [start], table[start]
+            rec = record.get(nxt)
+            if rec is None:
+                seen = {start: 0}
+                while len(head) <= budget:
+                    k = seen.get(nxt)
+                    if k is not None or nxt[1].bit_length() > limit:
+                        break
+                    seen[nxt] = len(head)
+                    head.append(nxt)
+                    nxt = table.get(nxt)
+                    if nxt is None:
+                        nxt = table[head[-1]] = _key_image(keys, *head[-1])
+                    rec = record.get(nxt)
+                    if rec is not None:
+                        break
+                orbit = tuple([Fraction(n, d * den) for n, d in head])
+            else:
+                orbit = (Fraction(start[0], den),)
+        if rec is not None:  # the recorded suffix from the value, rotated on the cycle
+            tail, i, j = rec
+            if i <= j:
+                orbit, k = orbit + tail[i:], j - i + len(orbit)
+            else:
+                orbit, k = orbit + tail[i:] + tail[j:i], len(orbit)
+        if k is not None and len(orbit) > budget:
+            orbit, k = orbit[:budget + 1], None
+        if k is not None:
+            for i, key in enumerate(head):
+                record[key] = (orbit, i, k)
         closed = k is not None
-        entries.append(OrbitEntry(orbit[0], orbit, k, len(seq) - k if closed else None, closed))
+        entries.append(OrbitEntry(orbit[0], orbit, k, len(orbit) - k if closed else None, closed))
     return tuple(entries)
 
 
@@ -217,8 +229,10 @@ def map_facts(f: PLMap, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> MapFacts:
     endpoints and the turning points, or None when some orbit stayed open.
     Each closed orbit holds the image of each of its points, so the union
     is forward invariant.  Its values are sorted on their keys from
-    :func:`plzig.plmap._int_keys`, each object once:
-    :func:`post_critical_orbits` makes one object per distinct value."""
+    :func:`plzig.plmap._int_keys`, each object once: when every orbit
+    closed, :func:`post_critical_orbits` made one object per distinct
+    value.  On minc^5 the pass evaluates f nowhere: every orbit value and
+    partition point is a breakpoint, whose image is read off the keys."""
     orbits = post_critical_orbits(f, orbit_budget)
     markov = None
     if all(e.closed for e in orbits):
@@ -265,8 +279,11 @@ def is_primitive(f: PLMap, partition: Sequence[Fraction]) -> bool:
     and f's keys are reached by cross-multiplying with f's common
     denominator den: the critical point with x key k is the partition key
     k·L/den when that is an int, and the point p/L has the x key p·den/L.
+    When den divides L, the image of each partition point that is a
+    breakpoint of f is read from a dict of f's keys times L/den, built in
+    C; only the other points are evaluated.
     """
-    den, xk, _ = f._keys
+    den, xk, yk = f._keys
     L, pts = _int_keys([_as_rational(p) for p in partition])
     increasing = all(map(lt, pts, islice(pts, 1, None)))
     if not pts or not increasing or pts[0] != 0 or pts[-1] != L:
@@ -275,11 +292,17 @@ def is_primitive(f: PLMap, partition: Sequence[Fraction]) -> bool:
     if any(xk[i] * L % den or xk[i] * L // den not in index for i in f._ends[1:-1]):
         raise ValueError("partition must contain every critical point")
     n = len(pts) - 1
+    r, rem = divmod(L, den)
+    # the image key of each breakpoint of f, both over L, when the grid of f lies on L's
+    at = {} if rem else dict(zip(map(mul, xk, repeat(r)), map(mul, yk, repeat(r))))
     images = []  # the partition index of each point's image, or None
     for p in pts:
-        m, d = _key_image(f._keys, p * den, L)  # the image m/(d·den), read over L
-        q, r = divmod(m * L, d * den)
-        images.append(None if r else index.get(q))
+        q = at.get(p)
+        if q is None:
+            m, d = _key_image(f._keys, p * den, L)  # the image m/(d·den), read over L
+            q, rem = divmod(m * L, d * den)
+            q = None if rem else q
+        images.append(index.get(q))
     lo, hi = [], []  # row u of A^k is the run of cells lo[u]..hi[u]
     for a, b in zip(images, images[1:]):
         if a is None or b is None:

@@ -104,10 +104,12 @@ class PLMap:
     breakpoint.  Keys are checked once, where they enter, by
     :func:`_normalized`; every map is built by :meth:`_of_keys`, which
     checks nothing.  So a function has one representation.  The class is a
-    frozen dataclass over its one field ``_keys`` with no ``__init__``:
-    ``PLMap(...)`` raises ``TypeError``, assigning or deleting an attribute
-    raises ``FrozenInstanceError``, and two maps are equal, and hash alike,
-    exactly when their keys are, that is when they are the same function.
+    frozen dataclass over its one field ``_keys``.  Its ``__init__``
+    refuses every call, so ``PLMap(...)`` and ``PLMap()`` raise
+    ``TypeError`` and no map lacks its keys; assigning or deleting an
+    attribute raises ``FrozenInstanceError``; and two maps are equal, and
+    hash alike, exactly when their keys are, that is when they are the same
+    function.
     ``xs``, ``ys`` and ``points`` are ``Fraction``s made from the keys on
     first read, once per map, and equal values of ``ys`` are one object;
     ``cached_property`` writes them to the instance ``__dict__``, past the
@@ -130,11 +132,12 @@ class PLMap:
     @classmethod
     def _of_keys(cls, den: int, xk: Sequence[int], yk: Sequence[int]) -> PLMap:
         """The map with keys ``(den, xk, yk)``, unchecked, and the only
-        constructor: the dataclass has no ``__init__``, so the field is
-        written to the instance ``__dict__``.  The caller holds
-        the invariants: x strictly increasing from 0 to den, y in [0, den],
-        no flat segment, a slope change at every interior breakpoint, and no
-        factor common to den and every key.  :func:`_normalized` has just
+        constructor: it makes the instance with ``object.__new__``, past
+        the refusing ``__init__``, and writes the field to the instance
+        ``__dict__``.  The caller holds the invariants: x strictly
+        increasing from 0 to den, y in [0, den], no flat segment, a slope
+        change at every interior breakpoint, and no factor common to den
+        and every key.  :func:`_normalized` has just
         checked its keys; :func:`_joined` takes slices of a checked map at a
         fold that ``split_case1``/``split_case2`` checked; :func:`compose`
         builds from two checked maps, as :func:`plzig.zigzag.composite_verdict`
@@ -142,6 +145,9 @@ class PLMap:
         f = object.__new__(cls)
         f.__dict__["_keys"] = (den, tuple(xk), tuple(yk))
         return f
+
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("PLMap has no public constructor; use make_plmap or loads_map")
 
     @cached_property
     def points(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -273,9 +279,11 @@ def _lap_ends(ys: Sequence[int]) -> tuple[int, ...]:
     """Breakpoint indices of the lap ends of the piecewise-linear function
     with breakpoint value keys ``ys`` and no flat segment: index 0, each
     turning point (a value above or below both neighbours) and the last
-    index.  Lap k runs from the k-th of these to the next."""
-    turns = [i for i in range(1, len(ys) - 1) if (ys[i - 1] < ys[i]) == (ys[i + 1] < ys[i])]
-    return (0, *turns, len(ys) - 1)
+    index.  Lap k runs from the k-th of these to the next.  A turning point
+    is where the segments on its two sides differ in direction, which one
+    scan in C finds."""
+    rises = list(map(lt, ys, islice(ys, 1, None)))  # segment i rises
+    return (0, *compress(range(1, len(ys) - 1), map(ne, rises, islice(rises, 1, None))), len(ys) - 1)
 
 
 def laps(f: PLMap) -> list[Lap]:

@@ -189,6 +189,14 @@ def critical_set(f: PLMap) -> list[Fraction]:
     return [x for (_, y0), (x, y), (_, y1) in zip(pts, pts[1:], pts[2:]) if (y0 < y) == (y1 < y)]
 
 
+def naive_lap_ends(ys) -> tuple[int, ...]:
+    """Reference lap table from breakpoint value keys: index 0, each index
+    whose value lies above or below both neighbours, and the last index,
+    found by comparing each value with its neighbours."""
+    turns = [i for i in range(1, len(ys) - 1) if (ys[i - 1] < ys[i]) == (ys[i + 1] < ys[i])]
+    return (0, *turns, len(ys) - 1)
+
+
 def scan_laps_at(f: PLMap, y: Fraction) -> list[int]:
     """Reference lap lookup by a linear scan: the indices of every lap whose
     closed interval holds y, in order."""

@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -17,6 +18,8 @@ from conftest import (
     naive_is_leo,
     naive_solutions,
     naive_uniformly_onto,
+    periodic_cycles,
+    random_map,
     random_markov_map,
     transition_matrix,
 )
@@ -191,6 +194,42 @@ class TestKeyOrbitPass:
         assert all((v * den).denominator.bit_length() <= dynamics._size_bound(den) for v in entry.orbit)
         assert (f(entry.orbit[-1]) * den).denominator.bit_length() > dynamics._size_bound(den)
         assert entry.orbit == naive_orbits(f, len(entry.orbit) - 1)[1][1]
+        assert len(entry.orbit) == 58  # where the step-by-step walk stopped
+
+    def test_budget_edge_matches_the_walk(self):
+        # at every budget an orbit closes within it or is open with its
+        # first budget + 1 values, unless the size bound stopped it sooner:
+        # then it is a prefix of the walk, cut before the first value past
+        # the bound.  Merged orbits are read from the record of closed ones.
+        rng = random.Random(35)
+        maps = [make_plmap(OFF_GRID), make_plmap([(0, F(1, 7)), (1, F(6, 7))])]
+        maps += [random_map(rng, rng.choice([3, 5, 8]), rng.choice([4, 6, 12, 64])) for _ in range(350)]
+        maps += [random_markov_map(rng, rng.randint(2, 6)) for _ in range(650)]
+        seen = set()
+        for f in maps:
+            den = f._keys[0]
+            for budget in [*range(9), 50]:
+                for e, row in zip(post_critical_orbits(f, budget), naive_orbits(f, budget)):
+                    assert e.closed == (e.preperiod is not None), (f, budget)
+                    if e.closed or len(e.orbit) == budget + 1:
+                        assert (e.point, e.orbit, e.preperiod, e.period) == row, (f, budget)
+                    else:
+                        assert e.orbit == row[1][:len(e.orbit)], (f, budget)
+                        nxt = naive_eval(f, e.orbit[-1]) * den
+                        assert nxt.denominator.bit_length() > dynamics._size_bound(den), (f, budget)
+                    seen.add((e.closed, len(e.orbit) == budget + 1))
+        assert seen == {(True, False), (False, True), (False, False)}
+
+    def test_breakpoint_images_are_read_off_the_keys(self, minc, monkeypatch):
+        # every critical orbit value and Markov point of minc^5 is a
+        # breakpoint, so neither the orbits nor primitivity evaluate f
+        calls = []
+        image = dynamics._key_image
+        monkeypatch.setattr(dynamics, "_key_image", lambda *args: calls.append(args) or image(*args))
+        facts = map_facts(iterate(minc, 5))
+        assert facts.leo is True and len(facts.markov) == 1366
+        assert calls == []
+        assert map_facts(make_plmap(OFF_GRID)).leo is True and calls
 
     def test_no_points_are_built(self, minc):
         # a map composed from keys keeps them: the orbit pass, the partition
@@ -320,6 +359,28 @@ class TestPrimitivity:
         # the next square is not positive
         assert {(True, False, 0), (True, False, 1), (True, False, 2)} <= outcomes
         assert {(False, False, 1), (False, False, 3)} <= outcomes
+
+    def test_points_off_the_breakpoint_grid(self, minc, tent):
+        # partitions whose common denominator is not a multiple of f's, and
+        # Markov partitions with periodic cycles added, whose points are
+        # not breakpoints of f: their images are evaluated, the others read
+        # off the keys
+        rng = random.Random(43)
+        maps = [iterate(minc, k) for k in range(1, 3)]
+        maps += [tent, make_plmap([(0, 0), (F(1, 4), F(3, 4)), (F(1, 2), 1), (1, 0)])]
+        maps += [random_markov_map(rng, rng.randint(2, 6)) for _ in range(60)]
+        kinds, verdicts = set(), set()
+        for f in maps:
+            markov = markov_partition(f)
+            cycles = {v for cycle in periodic_cycles(f, 2) for v in cycle}
+            for partition in (markov, sorted(set(markov) | cycles)):
+                on_grid = lcm(*(p.denominator for p in partition)) % f._keys[0] == 0
+                kinds.add((on_grid, all(p in f.xs for p in partition)))
+                verdict = is_primitive(f, partition)
+                assert verdict == dense_is_primitive(naive_matrix(f, partition)), (f, partition)
+                verdicts.add(verdict)
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+        assert verdicts == {True, False}
 
     def test_minc_partitions_need_no_squaring(self, minc, monkeypatch):
         # A^2 is positive on the Markov partition of every minc^k, and the

@@ -32,6 +32,7 @@ from conftest import (
     naive_compose,
     naive_dumps,
     naive_eval,
+    naive_lap_ends,
     naive_normalize,
     naive_solutions,
     naive_uniformly_onto,
@@ -509,6 +510,9 @@ class TestKeyBornMaps:
             PLMap(minc._keys)
         with pytest.raises(TypeError):
             PLMap(_keys=minc._keys)
+        # a map without its keys has no repr, value or equality
+        with pytest.raises(TypeError):
+            PLMap()
 
     def test_equality_with_other_types_is_not_implemented(self, minc):
         assert minc.__eq__(object()) is NotImplemented
@@ -777,6 +781,14 @@ class TestLapLookup:
         monkeypatch.setattr(zigzag, "_laps_around", scan_around)
         monkeypatch.setattr(dynamics, "_laps_around", scan_around)
         assert answers() == bisected
+
+
+    def test_lap_ends_match_the_neighbour_scan(self, minc):
+        rng = random.Random(35)
+        maps = [iterate(minc, k) for k in range(1, 7)]
+        maps += [random_map(rng, max_breakpoints=rng.choice([2, 4, 12])) for _ in range(500)]
+        for f in maps:
+            assert f._ends == naive_lap_ends(f._keys[2]), f
 
 
 class TestOntoAndImages:
