@@ -160,7 +160,7 @@ def analysis_report(
     f: PLMap, eps: Fraction | None = None, orbit_budget: int = DEFAULT_ORBIT_BUDGET
 ) -> dict:
     facts = map_facts(f, orbit_budget)
-    # post_critical_orbits makes one object per distinct value, and the
+    # the orbit walk makes one object per distinct value, and the
     # critical set (the turning points' orbit entries) and the Markov
     # partition are made of those objects, so each value is written once
     # and then looked up by its identity

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import eq, lt, mul, sub
-from typing import Optional, Sequence
+from math import lcm
+from operator import eq, itemgetter, lt, mul, sub
+from typing import NamedTuple, Optional, Sequence
 
 from .plmap import (
     ONE,
@@ -114,8 +115,7 @@ def branch(f: PLMap, y) -> BranchResult:
 # Post-critical orbits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrbitEntry:
+class OrbitEntry(NamedTuple):
     point: Fraction
     orbit: tuple[Fraction, ...]
     preperiod: Optional[int]
@@ -137,6 +137,10 @@ def _size_bound(den: int) -> int:
     return 2 * den.bit_length() + ORBIT_SIZE_SLACK
 
 
+# A value on a closed orbit, by key: (that orbit, the value's index, its repeat index)
+Record = dict[Key, tuple[tuple[Fraction, ...], int, int]]
+
+
 def post_critical_orbits(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> tuple[OrbitEntry, ...]:
     """Forward orbit of 0, of every turning point and of 1, in that order,
     with the detected minimal preperiod/period, or an open flag past the
@@ -156,12 +160,18 @@ def post_critical_orbits(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> tuple[
     values, as a walk of ``budget`` steps would; so is one whose next
     value's key denominator is longer than :func:`_size_bound` bits, cut
     before that value.  Open orbits are not recorded."""
+    return _orbit_table(f, budget)[0]
+
+
+def _orbit_table(f: PLMap, budget: int) -> tuple[tuple[OrbitEntry, ...], Record, dict[Key, Key]]:
+    """The walk of :func:`post_critical_orbits`: its entries, the record of
+    the values on closed orbits and the successor table, which holds the
+    image key of every recorded value."""
     keys = f._keys
     den, xk, yk = keys
     limit = _size_bound(den)
     table: dict[Key, Key] = dict(zip(zip(xk, repeat(1)), zip(yk, repeat(1))))
-    # each value on a closed orbit -> (that orbit, the value's index, its repeat index)
-    record: dict[Key, tuple[tuple[Fraction, ...], int, int]] = {}
+    record: Record = {}
     entries = []
     for start in zip(map(xk.__getitem__, f._ends), repeat(1)):
         head, orbit, k = (), (), None  # the walked keys, their values
@@ -199,7 +209,7 @@ def post_critical_orbits(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> tuple[
                 record[key] = (orbit, i, k)
         closed = k is not None
         entries.append(OrbitEntry(orbit[0], orbit, k, len(orbit) - k if closed else None, closed))
-    return tuple(entries)
+    return tuple(entries), record, table
 
 
 @dataclass(frozen=True)
@@ -220,27 +230,29 @@ class MapFacts:
 
 def map_facts(f: PLMap, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> MapFacts:
     """The one pass over the hypotheses: the critical orbits of f from a
-    single :func:`post_critical_orbits` call, their Markov partition and
-    the leo verdict read from them.  :func:`is_leo`,
-    :func:`markov_partition`, the stabilization and ``plzig analyze`` all
-    take their answers from here.
+    single walk, their Markov partition and the leo verdict read from it.
+    :func:`is_leo`, :func:`markov_partition`, the stabilization and
+    ``plzig analyze`` all take their answers from here.
 
     The Markov partition is the sorted union of the orbits of the
     endpoints and the turning points, or None when some orbit stayed open.
     Each closed orbit holds the image of each of its points, so the union
-    is forward invariant.  Its values are sorted on their keys from
-    :func:`plzig.plmap._int_keys`, each object once: when every orbit
-    closed, :func:`post_critical_orbits` made one object per distinct
-    value.  On minc^5 the pass evaluates f nowhere: every orbit value and
-    partition point is a breakpoint, whose image is read off the keys."""
-    orbits = post_critical_orbits(f, orbit_budget)
-    markov = None
+    is forward invariant.  When every orbit closed, the walk's record holds
+    exactly the partition's keys, and each with the one object the walk
+    made for its value; a key (n, d) means n/(d·den), so the keys sort on
+    n·(L // d) for the least common multiple L of the d's, which is 1 on
+    the key grid.  The successor table holds each point's image key, so
+    primitivity reads each cell's image index from it and f is evaluated
+    nowhere again."""
+    orbits, record, table = _orbit_table(f, orbit_budget)
+    markov = images = None
     if all(e.closed for e in orbits):
-        values = {id(v): v for e in orbits for v in e.orbit}.values()
-        _, keys = _int_keys(values)
-        by_key = dict(zip(keys, values))
-        markov = tuple(by_key[k] for k in sorted(by_key))
-    return MapFacts(orbits, markov, _leo(f, markov))
+        L = lcm(*{d for _, d in record})
+        keys = sorted(record, key=itemgetter(0) if L == 1 else lambda k: k[0] * (L // k[1]))
+        markov = tuple([orbit[i] for orbit, i, _ in map(record.__getitem__, keys)])
+        index = {k: i for i, k in enumerate(keys)}
+        images = list(map(index.get, map(table.__getitem__, keys)))
+    return MapFacts(orbits, markov, _leo(f, images))
 
 
 def markov_partition(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> list[Fraction]:
@@ -262,17 +274,9 @@ def is_primitive(f: PLMap, partition: Sequence[Fraction]) -> bool:
     iterate of f maps every cell onto [0, 1].
 
     The partition must contain all critical points (so f is monotone on each
-    cell) and be forward invariant (so each image is a union of cells).  Row u
-    of every power A^k is then one run of cells, the cells of f^k(cell u), and
-    row u of A^2k is the hull of the rows of A^k over that run: a range
-    minimum of the run starts and a range maximum of the run ends, read from
-    sparse tables.  No row is empty (f has no constant piece), so positivity
-    persists once reached; it is checked at powers of two until one reaches
-    the Wielandt bound n^2 - 2n + 2.  Before each squaring an O(n) test reads
-    whether A^2k is positive at once: row u of A^2k is full exactly when rows
-    lo[u]..hi[u] of A^k hold one that starts at cell 0 and one that ends at
-    cell n - 1, which two prefix counts over the rows answer for every u.
-    The Markov partitions of minc^k need no squaring.
+    cell) and be forward invariant (so each image is a union of cells).  The
+    decision is :func:`_primitive` on the partition index of each point's
+    image; :func:`map_facts` reads those indexes off its orbit walk instead.
 
     The partition is keyed by :func:`plzig.plmap._int_keys` over its own
     least common denominator L, so the cells are found in a dict of ints,
@@ -291,7 +295,6 @@ def is_primitive(f: PLMap, partition: Sequence[Fraction]) -> bool:
     index = {p: i for i, p in enumerate(pts)}
     if any(xk[i] * L % den or xk[i] * L // den not in index for i in f._ends[1:-1]):
         raise ValueError("partition must contain every critical point")
-    n = len(pts) - 1
     r, rem = divmod(L, den)
     # the image key of each breakpoint of f, both over L, when the grid of f lies on L's
     at = {} if rem else dict(zip(map(mul, xk, repeat(r)), map(mul, yk, repeat(r))))
@@ -303,6 +306,26 @@ def is_primitive(f: PLMap, partition: Sequence[Fraction]) -> bool:
             q, rem = divmod(m * L, d * den)
             q = None if rem else q
         images.append(index.get(q))
+    return _primitive(images)
+
+
+def _primitive(images: Sequence[Optional[int]]) -> bool:
+    """Primitivity of the cell-covering matrix of a partition whose point u
+    maps to point ``images[u]`` (None when the image is not a partition
+    point), for a map that is monotone on each cell.
+
+    Row u of every power A^k is then one run of cells, the cells of
+    f^k(cell u), and row u of A^2k is the hull of the rows of A^k over
+    that run: a range minimum of the run starts and a range maximum of the
+    run ends, read from sparse tables.  No row is empty (f has no constant
+    piece), so positivity persists once reached; it is checked at powers
+    of two until one reaches the Wielandt bound n^2 - 2n + 2.  Before each
+    squaring an O(n) test reads whether A^2k is positive at once: row u of
+    A^2k is full exactly when rows lo[u]..hi[u] of A^k hold one that
+    starts at cell 0 and one that ends at cell n - 1, which two prefix
+    counts over the rows answer for every u.  The Markov partitions of
+    minc^k need no squaring."""
+    n = len(images) - 1
     lo, hi = [], []  # row u of A^k is the run of cells lo[u]..hi[u]
     for a, b in zip(images, images[1:]):
         if a is None or b is None:
@@ -328,7 +351,7 @@ def _square_runs(lo: list[int], hi: list[int]) -> tuple[list[int], list[int]]:
     """Runs of A^2k from the runs lo[u]..hi[u] of A^k: row u is the hull of
     rows lo[u]..hi[u], two range queries on sparse tables of the extrema,
     built up to the level that the longest run reads, O(n log n).
-    :func:`is_primitive` calls it only after its O(n) prefix-count test
+    :func:`_primitive` calls it only after its O(n) prefix-count test
     finds that A^2k is not positive."""
     top = max(b - a + 1 for a, b in zip(lo, hi)).bit_length() - 1
     mins, maxs = [lo], [hi]  # level j: extrema over 2^j consecutive rows
@@ -373,16 +396,17 @@ def is_leo(f: PLMap, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> Optional[bool]
     return map_facts(f, orbit_budget).leo
 
 
-def _leo(f: PLMap, markov: Optional[Sequence[Fraction]]) -> Optional[bool]:
-    """:func:`map_facts`'s leo verdict from the Markov partition it found,
-    or from the semi-decision when there is none (None)."""
+def _leo(f: PLMap, images: Optional[Sequence[int]]) -> Optional[bool]:
+    """:func:`map_facts`'s leo verdict from the image index of each point
+    of the Markov partition it found, or from the semi-decision when there
+    is none (None)."""
     if not is_onto(f):
         return False
     if len(f._ends) == 2:
         # a monotone onto map is a bijection; proper subintervals never cover
         return False
-    if markov is not None:
-        return is_primitive(f, markov)
+    if images is not None:
+        return _primitive(images)
 
     if _growth(f) <= 1:
         return None

@@ -249,7 +249,8 @@ def _check_keys(den: int, xk: Sequence[int], yk: Sequence[int]) -> None:
 def _int_keys(values: Collection[Fraction]) -> tuple[int, tuple[int, ...]]:
     """``(den, keys)``: the least common denominator of ``values`` and each
     value times it, as ints.  The keys compare exactly as the values do.
-    The one conversion to keys, for maps, Markov partitions and primitivity."""
+    The one conversion to keys, for maps and for the partitions that
+    :func:`plzig.dynamics.is_primitive` is given."""
     den = lcm(*{v.denominator for v in values})
     return den, tuple([v.numerator * (den // v.denominator) for v in values])
 

@@ -168,6 +168,20 @@ class TestAnalyze:
         digest = "8def05ef12e688d8d044632b7806e5bf60d5fda41b74f5dd17a8eb558fdd6706"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_report_with_orbits_off_the_key_grid(self, capsys, tmp_path):
+        # f = (0,1/3), (1/6,1), (1/3,0), (1,1/2) has common denominator 6,
+        # and 8 of its 14 Markov points lie off that grid (1/8, 1/32, ...),
+        # so the partition's keys sort over a multiple of their denominators
+        path = tmp_path / "offgrid.map"
+        path.write_text("0 1/3\n1/6 1\n1/3 0\n1 1/2\n")
+        code, out, _ = run(capsys, "analyze", "--map", str(path))
+        assert code == 0 and len(out.encode()) == 1_282
+        report = json.loads(out)
+        assert len(report["markov_partition"]) == 14 and report["leo"] is True
+        assert sum((F(p) * 6).denominator > 1 for p in report["markov_partition"]) == 8
+        digest = "0212e283bbf7b38bd9437343eec9a5d048736b28c03d39b9e52e14a37e236a3f"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_critical_set_is_the_turning_points(self):
         # the report reads the turning points off its orbit pass; a scan of
         # the breakpoints must find the same ones, also where some

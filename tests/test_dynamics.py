@@ -8,7 +8,7 @@ import pytest
 import plzig.dynamics as dynamics
 from plzig.cli import analysis_report
 from plzig.factorize import certificate_to_dict, certify_general, minc_map, verify_certificate
-from plzig.plmap import BudgetExceededError, IterateCache, compose, iterate, laps, make_plmap
+from plzig.plmap import BudgetExceededError, IterateCache, compose, is_onto, iterate, laps, make_plmap
 from conftest import (
     critical_set,
     dense_is_primitive,
@@ -25,6 +25,7 @@ from conftest import (
 )
 from plzig.dynamics import (
     BackwardOrbit,
+    OrbitEntry,
     OrbitValidationError,
     branch,
     branch_stabilization,
@@ -100,6 +101,25 @@ class TestPostCriticalOrbits:
         assert not all(e.closed for e in orbits)
 
 
+class TestOrbitEntry:
+    """An orbit entry is an immutable value with five fields."""
+
+    def test_fields_cannot_be_assigned(self, minc):
+        entry = post_critical_orbits(minc)[0]
+        for field in OrbitEntry._fields:
+            with pytest.raises(AttributeError):
+                setattr(entry, field, None)
+
+    def test_field_names_and_order(self):
+        assert OrbitEntry._fields == ("point", "orbit", "preperiod", "period", "closed")
+
+    def test_two_walks_give_equal_entries(self, minc):
+        f = iterate(minc, 3)
+        first, second = post_critical_orbits(f), post_critical_orbits(f)
+        assert first == second and first is not second
+        assert all(a == b and a is not b for a, b in zip(first, second))
+
+
 def naive_orbits(f, budget):
     """Reference critical orbits: a ``Fraction`` walk with :func:`naive_eval`
     from 0, from each turning point read off ``f.points`` and from 1, as
@@ -152,6 +172,9 @@ class TestKeyOrbitPass:
         assert markov_partition(f) == partition
         verdict = is_primitive(f, partition)
         assert verdict == dense_is_primitive(naive_matrix(f, partition))
+        if is_onto(f) and len(laps(f)) >= 2:
+            # map_facts decides primitivity from its own walk's table
+            assert map_facts(f).leo == verdict
         return verdict
 
     def test_iterates_of_minc(self, minc):
@@ -222,14 +245,17 @@ class TestKeyOrbitPass:
 
     def test_breakpoint_images_are_read_off_the_keys(self, minc, monkeypatch):
         # every critical orbit value and Markov point of minc^5 is a
-        # breakpoint, so neither the orbits nor primitivity evaluate f
-        calls = []
-        image = dynamics._key_image
+        # breakpoint, so neither the orbits nor primitivity evaluate f; the
+        # partition and the images are read off the walk's own keys, which
+        # are never converted again
+        calls, keyings = [], []
+        image, int_keys = dynamics._key_image, dynamics._int_keys
         monkeypatch.setattr(dynamics, "_key_image", lambda *args: calls.append(args) or image(*args))
+        monkeypatch.setattr(dynamics, "_int_keys", lambda *args: keyings.append(args) or int_keys(*args))
         facts = map_facts(iterate(minc, 5))
         assert facts.leo is True and len(facts.markov) == 1366
-        assert calls == []
-        assert map_facts(make_plmap(OFF_GRID)).leo is True and calls
+        assert calls == [] and keyings == []
+        assert map_facts(make_plmap(OFF_GRID)).leo is True and calls and keyings == []
 
     def test_no_points_are_built(self, minc):
         # a map composed from keys keeps them: the orbit pass, the partition
@@ -718,17 +744,18 @@ class TestOneOrbitTable:
     @pytest.fixture
     def tables(self, monkeypatch):
         """Maps whose orbit table was built, counted at every plzig module
-        binding of ``post_critical_orbits``."""
+        binding of ``_orbit_table``, the walk that ``post_critical_orbits``
+        and ``map_facts`` both call."""
         built = []
-        original = dynamics.post_critical_orbits
+        original = dynamics._orbit_table
 
         def counting(f, *args, **kwargs):
             built.append(f)
             return original(f, *args, **kwargs)
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("plzig") and vars(module).get("post_critical_orbits") is original:
-                monkeypatch.setattr(module, "post_critical_orbits", counting)
+            if name.startswith("plzig") and vars(module).get("_orbit_table") is original:
+                monkeypatch.setattr(module, "_orbit_table", counting)
         return built
 
     def test_analysis_report(self, minc, tables):

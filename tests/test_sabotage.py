@@ -5,7 +5,7 @@ where one allows it, and otherwise as a mutant, the function rebuilt from
 its own source with one snippet replaced.  Either is bound where its
 caller looks it up: the stabilization's mutants replace
 ``factorize.branch_stabilization``, which ``certify_general`` reads, and
-``dynamics.uniformly_onto``, ``dynamics.is_primitive`` and
+``dynamics.uniformly_onto``, ``dynamics._primitive`` and
 ``dynamics.branch`` are read by the stabilization and the leo verdict in
 ``dynamics``.  A fault counts as caught when
 :class:`test_zigzag.TestWitnessIdentity`'s comparison with
@@ -102,7 +102,7 @@ FAULTS = {
     ),
     "find_beta returns the other fold": other_fold,
     "is_primitive always returns True": lambda monkeypatch: monkeypatch.setattr(
-        dynamics, "is_primitive", lambda f, partition: True
+        dynamics, "_primitive", lambda images: True
     ),
     "the pcf check is skipped": module_mutant(
         factorize, "branch_stabilization", dynamics.branch_stabilization,
