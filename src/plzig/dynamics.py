@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, islice, repeat
 from math import lcm
-from operator import eq, itemgetter, lt, mul, sub
+from operator import eq, lt, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .plmap import (
@@ -248,7 +248,7 @@ def map_facts(f: PLMap, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> MapFacts:
     markov = images = None
     if all(e.closed for e in orbits):
         L = lcm(*{d for _, d in record})
-        keys = sorted(record, key=itemgetter(0) if L == 1 else lambda k: k[0] * (L // k[1]))
+        keys = sorted(record, key=lambda k: k[0] * (L // k[1]))
         markov = tuple([orbit[i] for orbit, i, _ in map(record.__getitem__, keys)])
         index = {k: i for i, k in enumerate(keys)}
         images = list(map(index.get, map(table.__getitem__, keys)))
@@ -283,11 +283,8 @@ def is_primitive(f: PLMap, partition: Sequence[Fraction]) -> bool:
     and f's keys are reached by cross-multiplying with f's common
     denominator den: the critical point with x key k is the partition key
     k·L/den when that is an int, and the point p/L has the x key p·den/L.
-    When den divides L, the image of each partition point that is a
-    breakpoint of f is read from a dict of f's keys times L/den, built in
-    C; only the other points are evaluated.
     """
-    den, xk, yk = f._keys
+    den, xk, _ = f._keys
     L, pts = _int_keys([_as_rational(p) for p in partition])
     increasing = all(map(lt, pts, islice(pts, 1, None)))
     if not pts or not increasing or pts[0] != 0 or pts[-1] != L:
@@ -295,17 +292,11 @@ def is_primitive(f: PLMap, partition: Sequence[Fraction]) -> bool:
     index = {p: i for i, p in enumerate(pts)}
     if any(xk[i] * L % den or xk[i] * L // den not in index for i in f._ends[1:-1]):
         raise ValueError("partition must contain every critical point")
-    r, rem = divmod(L, den)
-    # the image key of each breakpoint of f, both over L, when the grid of f lies on L's
-    at = {} if rem else dict(zip(map(mul, xk, repeat(r)), map(mul, yk, repeat(r))))
     images = []  # the partition index of each point's image, or None
     for p in pts:
-        q = at.get(p)
-        if q is None:
-            m, d = _key_image(f._keys, p * den, L)  # the image m/(d·den), read over L
-            q, rem = divmod(m * L, d * den)
-            q = None if rem else q
-        images.append(index.get(q))
+        m, d = _key_image(f._keys, p * den, L)  # the image m/(d·den), read over L
+        q, rem = divmod(m * L, d * den)
+        images.append(None if rem else index.get(q))
     return _primitive(images)
 
 
