@@ -26,6 +26,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .plmap import (
     BudgetExceededError,
     PLMap,
+    _key_text,
     compose,
     dumps_map,
     is_onto,
@@ -34,7 +35,7 @@ from .plmap import (
     make_plmap,
     parse_rational,
 )
-from .zigzag import zigzag_set
+from .zigzag import _zigzag_runs
 from .dynamics import (
     DEFAULT_ORBIT_BUDGET,
     BackwardOrbit,
@@ -160,34 +161,36 @@ def analysis_report(
     f: PLMap, eps: Fraction | None = None, orbit_budget: int = DEFAULT_ORBIT_BUDGET
 ) -> dict:
     facts = map_facts(f, orbit_budget)
-    # the orbit walk makes one object per distinct value, and the
-    # critical set (the turning points' orbit entries) and the Markov
-    # partition are made of those objects, so each value is written once
-    # and then looked up by its identity
-    values = {id(v): v for e in facts.orbits for v in e.orbit}
-    text = {k: str(v) for k, v in values.items()}
+    den = f._keys[0]
+    # the report reads the walk's keys, not the facts' OrbitEntry view:
+    # each distinct shown value is written once from its key, and the
+    # critical set (the turning points' orbit starts) and the Markov
+    # partition, when there is one, are among the shown values
+    shown = [orbit if k is not None else orbit[:16] for orbit, k in facts._walks]
+    text = {key: _key_text(key[0], key[1] * den) for key in {key for orbit in shown for key in orbit}}
     orbit_rows = []
-    for e in facts.orbits:
-        shown = e.orbit if e.closed else e.orbit[:16]
+    for (orbit, k), keys in zip(facts._walks, shown):
+        closed = k is not None
         row = {
-            "point": text[id(e.point)],
-            "orbit": [text[id(v)] for v in shown],
-            "preperiod": e.preperiod,
-            "period": e.period,
-            "closed": e.closed,
+            "point": text[orbit[0]],
+            "orbit": list(map(text.__getitem__, keys)),
+            "preperiod": k,
+            "period": len(orbit) - k if closed else None,
+            "closed": closed,
         }
-        if len(shown) < len(e.orbit):
+        if len(keys) < len(orbit):
             row["orbit_truncated"] = True
         orbit_rows.append(row)
+    partition = facts._partition
     report = {
         "breakpoints": len(f._keys[1]),
         "laps": len(f._ends) - 1,
         "onto": is_onto(f),
-        "critical_set": [text[id(e.point)] for e in facts.orbits[1:-1]],
-        "zigzag_set": [[str(a), str(b)] for a, b in zigzag_set(f)],
+        "critical_set": [text[orbit[0]] for orbit, _ in facts._walks[1:-1]],
+        "zigzag_set": [[_key_text(a, den), _key_text(b, den)] for a, b in _zigzag_runs(f)],
         "post_critical_orbits": orbit_rows,
         "post_critically_finite": facts.post_critically_finite,
-        "markov_partition": [text[id(p)] for p in facts.markov] if facts.markov is not None else None,
+        "markov_partition": list(map(text.__getitem__, partition)) if partition is not None else None,
         "leo": facts.leo,
     }
     if eps is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 from math import lcm
 from operator import eq, lt, sub
@@ -137,14 +138,26 @@ def _size_bound(den: int) -> int:
     return 2 * den.bit_length() + ORBIT_SIZE_SLACK
 
 
-# A value on a closed orbit, by key: (that orbit, the value's index, its repeat index)
-Record = dict[Key, tuple[tuple[Fraction, ...], int, int]]
+# A value on a closed orbit, by key: (that orbit's keys, the value's index, its repeat index)
+Record = dict[Key, tuple[tuple[Key, ...], int, int]]
+
+# A critical orbit as the walk leaves it: its keys and its repeat index, None when open
+Walk = tuple[tuple[Key, ...], Optional[int]]
 
 
 def post_critical_orbits(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> tuple[OrbitEntry, ...]:
     """Forward orbit of 0, of every turning point and of 1, in that order,
     with the detected minimal preperiod/period, or an open flag past the
-    budget.
+    budget: the walk of :func:`_orbit_table` made entries by
+    :func:`_orbit_entries`."""
+    return _orbit_entries(f._keys[0], _orbit_table(f, budget)[0])[0]
+
+
+def _orbit_table(f: PLMap, budget: int) -> tuple[tuple[Walk, ...], Record, dict[Key, Key]]:
+    """The critical orbits of f as keys: for each start, its orbit as a
+    tuple of keys and its repeat index (None when open), then the record of
+    the values on closed orbits and the successor table, which holds the
+    image key of every recorded value.
 
     The orbits run on f's integer keys, and they merge: on minc^5 the
     1,366 orbits hold 3,412 entries but 1,366 distinct values.  So each
@@ -152,29 +165,21 @@ def post_critical_orbits(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> tuple[
     it, and a walk stops at the first recorded value: the orbit is the
     walked head, then the recorded suffix from that value, rotated when it
     lies on the cycle, with the repeat index shifted by the head's length.
-    Each such value is stepped once and becomes one ``Fraction``, made from
-    its key and shared by every orbit through it.  The successor table
-    starts with every breakpoint's image, read off the keys; only other
-    values go through :func:`plzig.plmap._key_image`, once each.  An orbit
-    longer than ``budget`` is open and keeps its first ``budget + 1``
-    values, as a walk of ``budget`` steps would; so is one whose next
-    value's key denominator is longer than :func:`_size_bound` bits, cut
-    before that value.  Open orbits are not recorded."""
-    return _orbit_table(f, budget)[0]
-
-
-def _orbit_table(f: PLMap, budget: int) -> tuple[tuple[OrbitEntry, ...], Record, dict[Key, Key]]:
-    """The walk of :func:`post_critical_orbits`: its entries, the record of
-    the values on closed orbits and the successor table, which holds the
-    image key of every recorded value."""
+    Each value is stepped once.  The successor table starts with every
+    breakpoint's image, read off the keys; only other values go through
+    :func:`plzig.plmap._key_image`, once each.  An orbit longer than
+    ``budget`` is open and keeps its first ``budget + 1`` values, as a walk
+    of ``budget`` steps would; so is one whose next value's key denominator
+    is longer than :func:`_size_bound` bits, cut before that value.  Open
+    orbits are not recorded.  No ``Fraction`` is made here."""
     keys = f._keys
     den, xk, yk = keys
     limit = _size_bound(den)
     table: dict[Key, Key] = dict(zip(zip(xk, repeat(1)), zip(yk, repeat(1))))
     record: Record = {}
-    entries = []
+    walks: list[Walk] = []
     for start in zip(map(xk.__getitem__, f._ends), repeat(1)):
-        head, orbit, k = (), (), None  # the walked keys, their values
+        head, k = [], None  # the walked keys
         rec = record.get(start)
         if rec is None:
             head, nxt = [start], table[start]
@@ -193,9 +198,7 @@ def _orbit_table(f: PLMap, budget: int) -> tuple[tuple[OrbitEntry, ...], Record,
                     rec = record.get(nxt)
                     if rec is not None:
                         break
-                orbit = tuple([Fraction(n, d * den) for n, d in head])
-            else:
-                orbit = (Fraction(start[0], den),)
+        orbit = tuple(head)
         if rec is not None:  # the recorded suffix from the value, rotated on the cycle
             tail, i, j = rec
             if i <= j:
@@ -207,9 +210,22 @@ def _orbit_table(f: PLMap, budget: int) -> tuple[tuple[OrbitEntry, ...], Record,
         if k is not None:
             for i, key in enumerate(head):
                 record[key] = (orbit, i, k)
+        walks.append((orbit, k))
+    return tuple(walks), record, table
+
+
+def _orbit_entries(den: int, walks: Sequence[Walk]) -> tuple[tuple[OrbitEntry, ...], dict[Key, Fraction]]:
+    """The walks of :func:`_orbit_table` on a map with common denominator
+    ``den`` as :class:`OrbitEntry` values, with the ``Fraction`` made for
+    each distinct key: one per key, n/(d·den), shared by every entry that
+    holds it."""
+    values = {key: Fraction(key[0], key[1] * den) for key in {key for orbit, _ in walks for key in orbit}}
+    entries = []
+    for keys, k in walks:
+        orbit = tuple(map(values.__getitem__, keys))
         closed = k is not None
         entries.append(OrbitEntry(orbit[0], orbit, k, len(orbit) - k if closed else None, closed))
-    return tuple(entries), record, table
+    return tuple(entries), values
 
 
 @dataclass(frozen=True)
@@ -217,15 +233,38 @@ class MapFacts:
     """The hypotheses of the embedding theorem for one map, all read from
     one :func:`map_facts` pass: ``orbits`` are the critical orbits (of 0,
     each turning point and 1), ``markov`` is the Markov partition (None
-    when some orbit stays open) and ``leo`` the leo verdict."""
+    when some orbit stays open) and ``leo`` the leo verdict.
 
-    orbits: tuple[OrbitEntry, ...]
-    markov: Optional[tuple[Fraction, ...]]
+    The record keeps the walk as keys: the map's common denominator, the
+    walks of :func:`_orbit_table` and the partition's keys in order (None
+    when some orbit stays open).  ``orbits`` and ``markov`` are made from
+    them by :func:`_orbit_entries` on the first read of either, and then
+    kept; each ``Fraction`` is one object shared by both.  ``leo`` and
+    ``post_critically_finite`` make none, so the stabilization builds no
+    entry."""
+
+    _den: int
+    _walks: tuple[Walk, ...]
+    _partition: Optional[tuple[Key, ...]]
     leo: Optional[bool]
 
     @property
     def post_critically_finite(self) -> Optional[bool]:
-        return True if self.markov is not None else None
+        return True if self._partition is not None else None
+
+    @cached_property
+    def _view(self) -> tuple[tuple[OrbitEntry, ...], dict[Key, Fraction]]:
+        return _orbit_entries(self._den, self._walks)
+
+    @cached_property
+    def orbits(self) -> tuple[OrbitEntry, ...]:
+        return self._view[0]
+
+    @cached_property
+    def markov(self) -> Optional[tuple[Fraction, ...]]:
+        if self._partition is None:
+            return None
+        return tuple(map(self._view[1].__getitem__, self._partition))
 
 
 def map_facts(f: PLMap, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> MapFacts:
@@ -238,21 +277,19 @@ def map_facts(f: PLMap, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> MapFacts:
     endpoints and the turning points, or None when some orbit stayed open.
     Each closed orbit holds the image of each of its points, so the union
     is forward invariant.  When every orbit closed, the walk's record holds
-    exactly the partition's keys, and each with the one object the walk
-    made for its value; a key (n, d) means n/(d·den), so the keys sort on
-    n·(L // d) for the least common multiple L of the d's, which is 1 on
-    the key grid.  The successor table holds each point's image key, so
-    primitivity reads each cell's image index from it and f is evaluated
-    nowhere again."""
-    orbits, record, table = _orbit_table(f, orbit_budget)
-    markov = images = None
-    if all(e.closed for e in orbits):
+    exactly the partition's keys; a key (n, d) means n/(d·den), so the
+    keys sort on n·(L // d) for the least common multiple L of the d's,
+    which is 1 on the key grid.  The successor table holds each point's
+    image key, so primitivity reads each cell's image index from it and f
+    is evaluated nowhere again."""
+    walks, record, table = _orbit_table(f, orbit_budget)
+    partition = images = None
+    if all(k is not None for _, k in walks):
         L = lcm(*{d for _, d in record})
-        keys = sorted(record, key=lambda k: k[0] * (L // k[1]))
-        markov = tuple([orbit[i] for orbit, i, _ in map(record.__getitem__, keys)])
-        index = {k: i for i, k in enumerate(keys)}
-        images = list(map(index.get, map(table.__getitem__, keys)))
-    return MapFacts(orbits, markov, _leo(f, images))
+        partition = tuple(sorted(record, key=lambda k: k[0] * (L // k[1])))
+        index = {k: i for i, k in enumerate(partition)}
+        images = list(map(index.get, map(table.__getitem__, partition)))
+    return MapFacts(f._keys[0], walks, partition, _leo(f, images))
 
 
 def markov_partition(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> list[Fraction]:

@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, log10
 from itertools import compress, islice, repeat
 from operator import lt, mod, ne
 from typing import Collection, Iterable, NamedTuple, Sequence
@@ -574,18 +574,32 @@ def loads_map(text: str) -> PLMap:
     return make_plmap(points)
 
 
+def _key_text(n: int, m: int) -> str:
+    """n/m, for m > 0, written as ``str(Fraction(n, m))`` writes it ("0",
+    "1", "p/q") with one int gcd and no ``Fraction``.  A numerator or
+    denominator past the interpreter's limit on int-string digits is
+    refused with a :class:`ValueError` that gives its digit count."""
+    g = gcd(n, m)
+    n, m = n // g, m // g
+    try:
+        return str(n) if m == 1 else f"{n}/{m}"
+    except ValueError:
+        big = max(abs(n), m)
+        digits = int((big.bit_length() - 1) * log10(2)) + 1  # the digits of the power of 2 below
+        digits += big >= 10**digits
+        raise ValueError(
+            f"output number too long: a numerator or denominator of {digits} digits, "
+            f"past the limit of {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def dumps_map(f: PLMap) -> str:
     """The map-file text of f: one breakpoint per line, each coordinate
-    written from its key as ``str(Fraction)`` writes it ("0", "1", "p/q"),
-    with one int gcd, once per x key and once per distinct value key."""
+    written from its key by :func:`_key_text`, once per x key and once per
+    distinct value key."""
     den, xk, yk = f._keys
-
-    def text(k: int) -> str:
-        g = gcd(k, den)
-        return str(k // g) if g == den else f"{k // g}/{den // g}"
-
-    ytext = {k: text(k) for k in set(yk)}
-    return "".join(f"{text(x)} {ytext[y]}\n" for x, y in zip(xk, yk))
+    ytext = {k: _key_text(k, den) for k in set(yk)}
+    return "".join(f"{_key_text(x, den)} {ytext[y]}\n" for x, y in zip(xk, yk))
 
 
 def load_map(path) -> PLMap:

@@ -292,23 +292,29 @@ def _verdict(den: int, xk: Sequence[int], keys: Sequence[int], n: int, d: int) -
 
 
 def zigzag_set(f: PLMap) -> tuple[Interval, ...]:
-    """The exact zigzag locus as a union of disjoint open intervals.
+    """The exact zigzag locus as a union of disjoint open intervals, the
+    runs of :func:`_zigzag_runs`.  Only the ends of the runs become
+    ``Fraction``s."""
+    den = f._keys[0]
+    return tuple([(Fraction(a, den), Fraction(b, den)) for a, b in _zigzag_runs(f)])
+
+
+def _zigzag_runs(f: PLMap) -> list[tuple[int, int]]:
+    """The x keys of the ends of the zigzag locus's intervals, in order.
 
     The verdict is constant on open lap interiors and false at any endpoint
     shared with a witness-less lap (the outermost laps never have a
     witness), so the locus is the union over maximal runs of witnessed laps
-    of the open interval they span.  Only the ends of the runs become
-    ``Fraction``s.
-    """
-    den, xk, _ = f._keys
+    of the open interval they span."""
+    xk = f._keys[1]
     ends = f._ends
-    out: list[Interval] = []
+    out: list[tuple[int, int]] = []
     start: Optional[int] = None
     for k, w in enumerate(_witness_table(f)):
         if w is not None:
             if start is None:
                 start = xk[ends[k]]
         elif start is not None:
-            out.append((Fraction(start, den), Fraction(xk[ends[k]], den)))
+            out.append((start, xk[ends[k]]))
             start = None
-    return tuple(out)
+    return out

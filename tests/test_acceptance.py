@@ -14,10 +14,9 @@ from plzig.plmap import (
     compose,
     iterate,
     laps,
-    make_plmap,
     _int_keys,
 )
-from plzig.zigzag import _WitnessIndex, is_in_zigzag, zigzag_set
+from plzig.zigzag import _WitnessIndex, is_in_zigzag
 from plzig.dynamics import (
     BackwardOrbit,
     branch,

@@ -6,8 +6,10 @@ from fractions import Fraction as F
 
 import pytest
 
+import plzig.cli as cli
 from plzig.cli import _json_text, _report_text, analysis_report, build_parser, main, render_svg
 from plzig.plmap import dumps_map, iterate, load_map, loads_map, make_plmap
+from plzig.dynamics import MapFacts, map_facts
 from plzig.factorize import minc_map, verify_certificate
 
 from conftest import critical_set, random_map, random_markov_map
@@ -196,15 +198,25 @@ class TestAnalyze:
         assert skipped >= 50
 
     def test_each_value_is_written_once(self, monkeypatch, minc):
-        # the orbits, the critical set and the Markov partition share one
-        # object per distinct value; only the zigzag ends are written apart
-        written = []
-        to_text = F.__str__
-        monkeypatch.setattr(F, "__str__", lambda v: written.append(v) or to_text(v))
+        # the orbits, the critical set and the Markov partition are written
+        # from the walk's keys, once per distinct value; only the zigzag
+        # ends are written apart.  The report reads neither the orbit
+        # entries nor the partition's Fractions of the map's facts.
+        written, reads = [], []
+        to_text = cli._key_text
+        monkeypatch.setattr(cli, "_key_text", lambda n, m: written.append((n, m)) or to_text(n, m))
+        for name in ("orbits", "markov"):
+            view = vars(MapFacts)[name]
+            monkeypatch.setattr(
+                MapFacts, name, property(lambda facts, name=name, view=view: reads.append(name) or view.__get__(facts))
+            )
         report = analysis_report(iterate(minc, 5))
         distinct = {v for row in report["post_critical_orbits"] for v in row["orbit"]}
         assert len(distinct) == len(report["markov_partition"]) == 1_366
         assert len(written) == len(distinct) + 2 * len(report["zigzag_set"])
+        assert reads == []
+        # the patch does see a read
+        assert len(map_facts(minc).orbits) == 6 and reads == ["orbits"]
 
     def test_uniform_covering_option(self, capsys):
         code, out, _ = run(capsys, "analyze", "--builtin", "minc", "--eps", "1/6")
@@ -525,6 +537,23 @@ class TestMapAlgebraCommands:
             "error: line 2: rational literal too long: a numerator or denominator of 4400 digits, "
             "past the limit of 4300 digits\n"
         )
+
+    @pytest.mark.parametrize("argv", [("analyze",), ("iterate", "-n", "2")], ids=["analyze", "iterate"])
+    def test_output_number_past_the_digit_limit(self, capsys, tmp_path, argv):
+        # every literal of this map is under the limit, but the open orbit
+        # of 1/2 and the coordinates of f^2 reach a denominator of 7,999
+        # digits: the refusal gives its size, and no file is written
+        p = 10**3999 + 7
+        path = tmp_path / "big.map"
+        path.write_text(f"0 0\n1/2 1\n{p - 1}/{p} 1/2\n1 1/3\n")
+        out_path = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "--map", str(path), "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: output number too long: a numerator or denominator of 7999 digits, "
+            "past the limit of 4300 digits\n"
+        )
+        assert not out_path.exists()
 
     def test_minc_pipeline_rejects_other_maps(self, capsys):
         code, _, err = run(

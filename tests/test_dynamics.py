@@ -10,7 +10,6 @@ from plzig.cli import analysis_report
 from plzig.factorize import certificate_to_dict, certify_general, minc_map, verify_certificate
 from plzig.plmap import BudgetExceededError, IterateCache, compose, is_onto, iterate, laps, make_plmap
 from conftest import (
-    critical_set,
     dense_is_primitive,
     format_orbit,
     image_interval,
@@ -268,6 +267,86 @@ class TestKeyOrbitPass:
         den, _, yk = f._keys
         assert f(f.xs[7]) == F(yk[7], den)
         assert "points" not in vars(f) and "ys" not in vars(f)
+
+
+def bounded_orbits(f, budget):
+    """Reference :class:`OrbitEntry` rows for the whole contract of the
+    orbit pass: a ``Fraction`` walk with :func:`naive_eval` of at most
+    ``budget`` steps, which ends an orbit as open before the first value
+    whose denominator over the map's common denominator is longer than the
+    size bound."""
+    den = f._keys[0]
+    limit = dynamics._size_bound(den)
+    rows = []
+    for start, orbit, k, period in naive_orbits(f, budget):
+        if k is None:
+            cut = next((i for i, v in enumerate(orbit) if (v * den).denominator.bit_length() > limit), None)
+            orbit = orbit[:cut]
+        rows.append(OrbitEntry(start, orbit, k, period, k is not None))
+    return tuple(rows)
+
+
+def oracle_maps():
+    """(map, orbit budget) pairs: the 120 random Markov maps, OFF_GRID and
+    minc^1..5 at the default budget, and maps with open orbits at 200."""
+    rng = random.Random(21)
+    maps = [random_markov_map(rng, rng.randint(2, 5)) for _ in range(120)]
+    maps += [make_plmap(OFF_GRID), *(iterate(minc_map(), k) for k in range(1, 6))]
+    pairs = [(f, dynamics.DEFAULT_ORBIT_BUDGET) for f in maps]
+    rng = random.Random(5)
+    wandering = [make_plmap([(0, F(1, 7)), (1, F(6, 7))]), make_plmap([(0, 0), (F(1, 2), 1), (1, F(1, 3))])]
+    wandering += [random_map(rng, rng.choice([3, 5, 8]), rng.choice([4, 6, 12, 64])) for _ in range(60)]
+    return pairs + [(f, 200) for f in wandering]
+
+
+class TestLazyOrbitView:
+    """The walk is keys only; the OrbitEntry and Fraction view is made by
+    one converter for post_critical_orbits, and for the map's facts on the
+    first read of their orbits or Markov partition."""
+
+    def test_view_matches_the_reference_walk(self):
+        opened = 0
+        for f, budget in oracle_maps():
+            rows = bounded_orbits(f, budget)
+            facts = map_facts(f, budget)
+            assert post_critical_orbits(f, budget) == rows == facts.orbits, (f, budget)
+            closed = all(e.closed for e in rows)
+            partition = tuple(sorted({v for e in rows for v in e.orbit})) if closed else None
+            assert facts.markov == partition, (f, budget)
+            assert facts.post_critically_finite == (True if closed else None)
+            opened += not closed
+        assert opened >= 30
+
+    def test_equal_values_are_one_object(self):
+        for f, budget in oracle_maps():
+            facts = map_facts(f, budget)
+            values = [v for e in facts.orbits for v in e.orbit] + list(facts.markov or ())
+            assert len({id(v) for v in values}) == len(set(values)), (f, budget)
+            assert all(e.point is e.orbit[0] for e in facts.orbits)
+            values = [v for e in post_critical_orbits(f, budget) for v in e.orbit]
+            assert len({id(v) for v in values}) == len(set(values)), (f, budget)
+
+    def test_view_is_made_once_on_first_read(self, minc, monkeypatch):
+        made = []
+        convert = dynamics._orbit_entries
+        monkeypatch.setattr(dynamics, "_orbit_entries", lambda *args: made.append(args) or convert(*args))
+        facts = map_facts(iterate(minc, 3))
+        assert facts.leo is True and facts.post_critically_finite is True and made == []
+        markov = facts.markov
+        assert len(made) == 1 and facts.markov is markov
+        orbits = facts.orbits
+        assert len(made) == 1 and facts.orbits is orbits
+        by_value = {v: v for e in orbits for v in e.orbit}
+        assert all(by_value[p] is p for p in markov)
+        assert map_facts(minc, orbit_budget=1).markov is None and len(made) == 1
+
+    def test_certify_and_verify_build_no_entries(self, minc, monkeypatch):
+        made = []
+        convert = dynamics._orbit_entries
+        monkeypatch.setattr(dynamics, "_orbit_entries", lambda *args: made.append(args) or convert(*args))
+        cert = certify_general(minc, BackwardOrbit.constant(F(1, 2)), 4)
+        assert cert.passed and verify_certificate(certificate_to_dict(cert)) == (True, "ok")
+        assert made == []
 
 
 class TestPostCriticallyFinite:

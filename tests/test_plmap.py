@@ -821,6 +821,43 @@ class TestMapFiles:
         for f in maps:
             assert dumps_map(f) == naive_dumps(f), f
 
+    def test_key_text_is_str_of_the_fraction(self, minc):
+        # on the key grid (n over a map's common denominator) and off it
+        # (n over d times it, as the critical orbit keys of OFF_GRID are),
+        # with signs and zero, at lengths up to the digit limit
+        rng = random.Random(37)
+        off_grid = make_plmap([(0, F(1, 3)), (F(1, 6), 1), (F(1, 3), 0), (1, F(1, 2))])
+        pairs = []
+        for f in (iterate(minc, 3), off_grid):
+            den, xk, yk = f._keys
+            pairs += [(k, den) for k in xk + yk]
+        den = off_grid._keys[0]
+        orbit_keys = {key for walk, _ in dynamics._orbit_table(off_grid, 100)[0] for key in walk}
+        assert any(d > 1 for _, d in orbit_keys)
+        pairs += [(n, d * den) for n, d in orbit_keys]
+        for digits in (1, 3, 30, 4300):
+            for _ in range(50):
+                m = rng.randint(1, 10**digits - 1)
+                pairs += [(rng.randint(-(10**digits), 10**digits), m), (0, m), (m * rng.randint(-9, 9), m)]
+        for n, m in pairs:
+            assert plmap._key_text(n, m) == str(F(n, m)), (n, m)
+
+    @pytest.mark.parametrize(
+        "n, m, digits",
+        [(10**4300, 1, 4301), (10**4301 - 1, 1, 4301), (-(10**5000), 3, 5001), (1, 2**26571 + 1, 7999)],
+        ids=["first-past-the-limit", "all-nines", "negative-numerator", "denominator"],
+    )
+    def test_key_text_refuses_a_number_past_the_digit_limit(self, n, m, digits):
+        # str(int) would raise the interpreter's own advice on raising the
+        # limit; the refusal gives the reduced number's exact digit count
+        with pytest.raises(ValueError) as info:
+            plmap._key_text(n, m)
+        message = str(info.value)
+        assert message == (
+            f"output number too long: a numerator or denominator of {digits} digits, "
+            "past the limit of 4300 digits"
+        )
+
     def test_comments_and_blanks(self):
         text = "# tent map\n\n0 0\n1/2 1\n1 0\n"
         f = loads_map(text)
