@@ -161,15 +161,14 @@ def analysis_report(
     f: PLMap, eps: Fraction | None = None, orbit_budget: int = DEFAULT_ORBIT_BUDGET
 ) -> dict:
     facts = map_facts(f, orbit_budget)
-    den = f._keys[0]
-    # the report reads the walk's keys, not the facts' OrbitEntry view:
-    # each distinct shown value is written once from its key, and the
-    # critical set (the turning points' orbit starts) and the Markov
-    # partition, when there is one, are among the shown values
-    shown = [orbit if k is not None else orbit[:16] for orbit, k in facts._walks]
+    den = facts.den
+    # the report is written from the facts' keys: each distinct shown value
+    # once, and the critical set (the turning points' orbit starts) and the
+    # Markov partition, when there is one, are among the shown values
+    shown = [orbit if k is not None else orbit[:16] for orbit, k in facts.walks]
     text = {key: _key_text(key[0], key[1] * den) for key in {key for orbit in shown for key in orbit}}
     orbit_rows = []
-    for (orbit, k), keys in zip(facts._walks, shown):
+    for (orbit, k), keys in zip(facts.walks, shown):
         closed = k is not None
         row = {
             "point": text[orbit[0]],
@@ -181,12 +180,12 @@ def analysis_report(
         if len(keys) < len(orbit):
             row["orbit_truncated"] = True
         orbit_rows.append(row)
-    partition = facts._partition
+    partition = facts.partition
     report = {
         "breakpoints": len(f._keys[1]),
         "laps": len(f._ends) - 1,
         "onto": is_onto(f),
-        "critical_set": [text[orbit[0]] for orbit, _ in facts._walks[1:-1]],
+        "critical_set": [text[orbit[0]] for orbit, _ in facts.walks[1:-1]],
         "zigzag_set": [[_key_text(a, den), _key_text(b, den)] for a, b in _zigzag_runs(f)],
         "post_critical_orbits": orbit_rows,
         "post_critically_finite": facts.post_critically_finite,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 from math import lcm
 from operator import eq, lt, sub
@@ -124,8 +123,7 @@ class OrbitEntry(NamedTuple):
     closed: bool
 
 
-# An orbit value is carried as its key: a reduced pair (n, d) meaning n/d
-# over the map's common denominator, so d == 1 on the key grid.
+# An orbit value carried as its key, in the format :class:`MapFacts` states
 Key = tuple[int, int]
 
 
@@ -148,9 +146,17 @@ Walk = tuple[tuple[Key, ...], Optional[int]]
 def post_critical_orbits(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> tuple[OrbitEntry, ...]:
     """Forward orbit of 0, of every turning point and of 1, in that order,
     with the detected minimal preperiod/period, or an open flag past the
-    budget: the walk of :func:`_orbit_table` made entries by
-    :func:`_orbit_entries`."""
-    return _orbit_entries(f._keys[0], _orbit_table(f, budget)[0])[0]
+    budget: the walk of :func:`_orbit_table`, with one ``Fraction`` made for
+    each distinct key and shared by every entry that holds it."""
+    den = f._keys[0]
+    walks = _orbit_table(f, budget)[0]
+    values = {key: Fraction(key[0], key[1] * den) for key in {key for orbit, _ in walks for key in orbit}}
+    entries = []
+    for keys, k in walks:
+        orbit = tuple(map(values.__getitem__, keys))
+        closed = k is not None
+        entries.append(OrbitEntry(orbit[0], orbit, k, len(orbit) - k if closed else None, closed))
+    return tuple(entries)
 
 
 def _orbit_table(f: PLMap, budget: int) -> tuple[tuple[Walk, ...], Record, dict[Key, Key]]:
@@ -214,74 +220,44 @@ def _orbit_table(f: PLMap, budget: int) -> tuple[tuple[Walk, ...], Record, dict[
     return tuple(walks), record, table
 
 
-def _orbit_entries(den: int, walks: Sequence[Walk]) -> tuple[tuple[OrbitEntry, ...], dict[Key, Fraction]]:
-    """The walks of :func:`_orbit_table` on a map with common denominator
-    ``den`` as :class:`OrbitEntry` values, with the ``Fraction`` made for
-    each distinct key: one per key, n/(d·den), shared by every entry that
-    holds it."""
-    values = {key: Fraction(key[0], key[1] * den) for key in {key for orbit, _ in walks for key in orbit}}
-    entries = []
-    for keys, k in walks:
-        orbit = tuple(map(values.__getitem__, keys))
-        closed = k is not None
-        entries.append(OrbitEntry(orbit[0], orbit, k, len(orbit) - k if closed else None, closed))
-    return tuple(entries), values
-
-
 @dataclass(frozen=True)
 class MapFacts:
     """The hypotheses of the embedding theorem for one map, all read from
-    one :func:`map_facts` pass: ``orbits`` are the critical orbits (of 0,
-    each turning point and 1), ``markov`` is the Markov partition (None
-    when some orbit stays open) and ``leo`` the leo verdict.
+    one :func:`map_facts` pass and kept as keys.  A key is a reduced pair
+    (n, d) meaning n/(d·den) for the map's common denominator ``den``, so
+    d == 1 on the key grid.  ``walks`` holds the critical orbits (of 0,
+    each turning point and 1) as the walk of :func:`_orbit_table` leaves
+    them: each orbit's tuple of keys and its repeat index, None when open.
+    ``partition`` is the Markov partition's keys in increasing order (None
+    when some orbit stays open) and ``leo`` the leo verdict.  The record
+    makes no ``Fraction``: :func:`post_critical_orbits` and
+    :func:`markov_partition` make the values."""
 
-    The record keeps the walk as keys: the map's common denominator, the
-    walks of :func:`_orbit_table` and the partition's keys in order (None
-    when some orbit stays open).  ``orbits`` and ``markov`` are made from
-    them by :func:`_orbit_entries` on the first read of either, and then
-    kept; each ``Fraction`` is one object shared by both.  ``leo`` and
-    ``post_critically_finite`` make none, so the stabilization builds no
-    entry."""
-
-    _den: int
-    _walks: tuple[Walk, ...]
-    _partition: Optional[tuple[Key, ...]]
+    den: int
+    walks: tuple[Walk, ...]
+    partition: Optional[tuple[Key, ...]]
     leo: Optional[bool]
 
     @property
     def post_critically_finite(self) -> Optional[bool]:
-        return True if self._partition is not None else None
-
-    @cached_property
-    def _view(self) -> tuple[tuple[OrbitEntry, ...], dict[Key, Fraction]]:
-        return _orbit_entries(self._den, self._walks)
-
-    @cached_property
-    def orbits(self) -> tuple[OrbitEntry, ...]:
-        return self._view[0]
-
-    @cached_property
-    def markov(self) -> Optional[tuple[Fraction, ...]]:
-        if self._partition is None:
-            return None
-        return tuple(map(self._view[1].__getitem__, self._partition))
+        return True if self.partition is not None else None
 
 
 def map_facts(f: PLMap, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> MapFacts:
     """The one pass over the hypotheses: the critical orbits of f from a
-    single walk, their Markov partition and the leo verdict read from it.
-    :func:`is_leo`, :func:`markov_partition`, the stabilization and
-    ``plzig analyze`` all take their answers from here.
+    single walk, their Markov partition and the leo verdict read from it,
+    as the keys of a :class:`MapFacts`.  :func:`is_leo`,
+    :func:`markov_partition`, the stabilization and ``plzig analyze`` all
+    take their answers from here.
 
     The Markov partition is the sorted union of the orbits of the
     endpoints and the turning points, or None when some orbit stayed open.
     Each closed orbit holds the image of each of its points, so the union
     is forward invariant.  When every orbit closed, the walk's record holds
-    exactly the partition's keys; a key (n, d) means n/(d·den), so the
-    keys sort on n·(L // d) for the least common multiple L of the d's,
-    which is 1 on the key grid.  The successor table holds each point's
-    image key, so primitivity reads each cell's image index from it and f
-    is evaluated nowhere again."""
+    exactly the partition's keys, which sort on n·(L // d) for the least
+    common multiple L of the d's, 1 on the key grid.  The successor table
+    holds each point's image key, so primitivity reads each cell's image
+    index from it and f is evaluated nowhere again."""
     walks, record, table = _orbit_table(f, orbit_budget)
     partition = images = None
     if all(k is not None for _, k in walks):
@@ -294,16 +270,16 @@ def map_facts(f: PLMap, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> MapFacts:
 
 def markov_partition(f: PLMap, budget: int = DEFAULT_ORBIT_BUDGET) -> list[Fraction]:
     """Smallest forward-invariant finite set containing the critical set and
-    the endpoints: the orbit closure of those points, sorted, as
-    :func:`map_facts` reads it; raises BudgetExceededError when some
-    critical orbit stays open."""
-    pts = map_facts(f, budget).markov
-    if pts is None:
+    the endpoints: the orbit closure of those points, sorted, made from the
+    partition keys of :func:`map_facts`; raises BudgetExceededError when
+    some critical orbit stays open."""
+    facts = map_facts(f, budget)
+    if facts.partition is None:
         raise BudgetExceededError(
             "critical orbits did not close within the budget; "
             "no finite Markov partition is available"
         )
-    return list(pts)
+    return [Fraction(n, d * facts.den) for n, d in facts.partition]
 
 
 def is_primitive(f: PLMap, partition: Sequence[Fraction]) -> bool:
@@ -413,13 +389,13 @@ def _growth(f: PLMap) -> Fraction:
 def is_leo(f: PLMap, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> Optional[bool]:
     """Locally eventually onto: every subinterval eventually covers [0, 1].
 
-    The ``leo`` field of :func:`map_facts`.  A map that is not onto, or is
-    monotone, is not leo.  When the map is verifiably post-critically
-    finite this is decided through primitivity of the cell-covering matrix
-    of its Markov partition.  Otherwise a semi-decision runs: when every
-    interval provably grows under iteration, covering is checked for one
-    scale via exact preimage spacing; the result is None when neither
-    route concludes.
+    The ``leo`` field of the :class:`MapFacts` record that :func:`map_facts`
+    returns.  A map that is not onto, or is monotone, is not leo.  When the
+    map is verifiably post-critically finite this is decided through
+    primitivity of the cell-covering matrix of its Markov partition.
+    Otherwise a semi-decision runs: when every interval provably grows under
+    iteration, covering is checked for one scale via exact preimage spacing;
+    the result is None when neither route concludes.
     """
     return map_facts(f, orbit_budget).leo
 

@@ -1,7 +1,9 @@
-"""The public API: the names ``plzig`` exports and each module's
-``__all__``.  The paper's lemma-level checks live in ``tests/conftest.py``
-as oracles, so none of them can be imported from the package."""
+"""The public API: the names ``plzig`` exports, each module's ``__all__``
+and the fields of ``MapFacts``.  The paper's lemma-level checks live in
+``tests/conftest.py`` as oracles, so none of them can be imported from the
+package."""
 
+import dataclasses
 import importlib
 import types
 
@@ -74,3 +76,8 @@ def test_lemma_checks_are_not_in_the_library(modname):
             exec(f"from {modname} import {name}", {})
     assert not hasattr(module, "_KeyXs")
     assert "_extremes" not in vars(plzig.PLMap)
+
+
+def test_map_facts_fields_are_pinned():
+    # plzig analyze writes its report from these fields, in another module
+    assert [f.name for f in dataclasses.fields(plzig.MapFacts)] == ["den", "walks", "partition", "leo"]

@@ -1,14 +1,14 @@
 import random
 import sys
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 import plzig.dynamics as dynamics
 from plzig.cli import analysis_report
 from plzig.factorize import certificate_to_dict, certify_general, minc_map, verify_certificate
-from plzig.plmap import BudgetExceededError, IterateCache, compose, is_onto, iterate, laps, make_plmap
+from plzig.plmap import BudgetExceededError, IterateCache, is_onto, iterate, laps, make_plmap
 from conftest import (
     dense_is_primitive,
     format_orbit,
@@ -252,7 +252,7 @@ class TestKeyOrbitPass:
         monkeypatch.setattr(dynamics, "_key_image", lambda *args: calls.append(args) or image(*args))
         monkeypatch.setattr(dynamics, "_int_keys", lambda *args: keyings.append(args) or int_keys(*args))
         facts = map_facts(iterate(minc, 5))
-        assert facts.leo is True and len(facts.markov) == 1366
+        assert facts.leo is True and len(facts.partition) == 1366
         assert calls == [] and keyings == []
         assert map_facts(make_plmap(OFF_GRID)).leo is True and calls and keyings == []
 
@@ -261,7 +261,7 @@ class TestKeyOrbitPass:
         # and primitivity read no Fraction breakpoint values
         f = iterate(minc, 5)
         facts = map_facts(f)
-        assert facts.leo is True and len(facts.markov) == 1366
+        assert facts.leo is True and len(facts.partition) == 1366
         assert "xs" not in vars(f)
         # nor does evaluation at a breakpoint
         den, _, yk = f._keys
@@ -300,50 +300,58 @@ def oracle_maps():
 
 
 class TestLazyOrbitView:
-    """The walk is keys only; the OrbitEntry and Fraction view is made by
-    one converter for post_critical_orbits, and for the map's facts on the
-    first read of their orbits or Markov partition."""
+    """The walk and the map's facts are keys only; post_critical_orbits and
+    markov_partition make the OrbitEntry and Fraction values on request,
+    and no other path builds an entry."""
 
     def test_view_matches_the_reference_walk(self):
         opened = 0
         for f, budget in oracle_maps():
             rows = bounded_orbits(f, budget)
             facts = map_facts(f, budget)
-            assert post_critical_orbits(f, budget) == rows == facts.orbits, (f, budget)
+            assert post_critical_orbits(f, budget) == rows, (f, budget)
+            den = facts.den
+            assert den == f._keys[0]
+            assert [k for _, k in facts.walks] == [e.preperiod for e in rows], (f, budget)
+            keys = [key for orbit, _ in facts.walks for key in orbit]
+            assert all(gcd(n, d) == 1 for n, d in keys), (f, budget)
+            values = [tuple(F(n, d * den) for n, d in orbit) for orbit, _ in facts.walks]
+            assert values == [e.orbit for e in rows], (f, budget)
             closed = all(e.closed for e in rows)
-            partition = tuple(sorted({v for e in rows for v in e.orbit})) if closed else None
-            assert facts.markov == partition, (f, budget)
             assert facts.post_critically_finite == (True if closed else None)
+            if closed:
+                partition = sorted({v for e in rows for v in e.orbit})
+                assert markov_partition(f, budget) == partition, (f, budget)
+                assert [F(n, d * den) for n, d in facts.partition] == partition, (f, budget)
+            else:
+                assert facts.partition is None, (f, budget)
+                with pytest.raises(BudgetExceededError):
+                    markov_partition(f, budget)
             opened += not closed
         assert opened >= 30
 
     def test_equal_values_are_one_object(self):
         for f, budget in oracle_maps():
-            facts = map_facts(f, budget)
-            values = [v for e in facts.orbits for v in e.orbit] + list(facts.markov or ())
+            entries = post_critical_orbits(f, budget)
+            values = [v for e in entries for v in e.orbit]
             assert len({id(v) for v in values}) == len(set(values)), (f, budget)
-            assert all(e.point is e.orbit[0] for e in facts.orbits)
-            values = [v for e in post_critical_orbits(f, budget) for v in e.orbit]
-            assert len({id(v) for v in values}) == len(set(values)), (f, budget)
+            assert all(e.point is e.orbit[0] for e in entries)
 
-    def test_view_is_made_once_on_first_read(self, minc, monkeypatch):
+    def test_facts_and_report_build_no_entries(self, minc, monkeypatch):
         made = []
-        convert = dynamics._orbit_entries
-        monkeypatch.setattr(dynamics, "_orbit_entries", lambda *args: made.append(args) or convert(*args))
-        facts = map_facts(iterate(minc, 3))
-        assert facts.leo is True and facts.post_critically_finite is True and made == []
-        markov = facts.markov
-        assert len(made) == 1 and facts.markov is markov
-        orbits = facts.orbits
-        assert len(made) == 1 and facts.orbits is orbits
-        by_value = {v: v for e in orbits for v in e.orbit}
-        assert all(by_value[p] is p for p in markov)
-        assert map_facts(minc, orbit_budget=1).markov is None and len(made) == 1
+        monkeypatch.setattr(dynamics, "OrbitEntry", lambda *args: made.append(args) or OrbitEntry(*args))
+        f = iterate(minc, 3)
+        facts = map_facts(f)
+        assert facts.leo is True and facts.post_critically_finite is True
+        assert analysis_report(f)["leo"] is True
+        assert map_facts(minc, orbit_budget=1).partition is None
+        assert made == []
+        # the patch does see an entry made
+        assert len(post_critical_orbits(minc)) == 6 and len(made) == 6
 
     def test_certify_and_verify_build_no_entries(self, minc, monkeypatch):
         made = []
-        convert = dynamics._orbit_entries
-        monkeypatch.setattr(dynamics, "_orbit_entries", lambda *args: made.append(args) or convert(*args))
+        monkeypatch.setattr(dynamics, "OrbitEntry", lambda *args: made.append(args) or OrbitEntry(*args))
         cert = certify_general(minc, BackwardOrbit.constant(F(1, 2)), 4)
         assert cert.passed and verify_certificate(certificate_to_dict(cert)) == (True, "ok")
         assert made == []
@@ -514,7 +522,7 @@ class TestLeo:
         # orbit pass runs on each, and neither is onto
         contraction = make_plmap([(0, F(1, 7)), (1, F(6, 7))])
         low_tent = make_plmap([(0, 0), (F(1, 2), F(1, 2)), (1, 0)])
-        assert map_facts(contraction).markov is None and map_facts(low_tent).markov is not None
+        assert map_facts(contraction).partition is None and map_facts(low_tent).partition is not None
         for f in (make_plmap([(0, F(1, 4)), (F(1, 2), F(3, 4)), (1, F(1, 4))]), contraction, low_tent):
             assert is_leo(f) is False
 

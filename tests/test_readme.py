@@ -34,8 +34,10 @@ def test_library_tour():
     assert len(laps(f)) == 5 and f(F(1, 2)) == F(1, 2)
     # t∘s == f2 exactly
     assert f2 == iterate(f, 2) and compose(pair.t, pair.s) == f2
-    # zigzag_set(f), the rebonded verdict at 1/2, cert.passed, the window
-    assert shown == [((F(4, 9), F(5, 9)),), False, True, (F(1, 3), F(2, 3))]
+    # zigzag_set(f), the leo verdict, the Markov partition, the rebonded
+    # verdict at 1/2, cert.passed, the window
+    markov = [F(0), F(1, 3), F(4, 9), F(5, 9), F(2, 3), F(1)]
+    assert shown == [((F(4, 9), F(5, 9)),), True, markov, False, True, (F(1, 3), F(2, 3))]
     # the Minc and the general certificate both pass
     assert [c.passed for c in certs] == [True, True]
     assert certs[0].stabilization is None and certs[1].stabilization is not None
