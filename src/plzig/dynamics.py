@@ -23,7 +23,6 @@ from .plmap import (
     IterateCache,
     PLMap,
     _as_rational,
-    _int_keys,
     _key_image,
     _laps_around,
     is_onto,
@@ -291,26 +290,19 @@ def is_primitive(f: PLMap, partition: Sequence[Fraction]) -> bool:
     decision is :func:`_primitive` on the partition index of each point's
     image; :func:`map_facts` reads those indexes off its orbit walk instead.
 
-    The partition is keyed by :func:`plzig.plmap._int_keys` over its own
-    least common denominator L, so the cells are found in a dict of ints,
-    and f's keys are reached by cross-multiplying with f's common
-    denominator den: the critical point with x key k is the partition key
-    k·L/den when that is an int, and the point p/L has the x key p·den/L.
+    Each point's image is ``f(p)``, looked up in a dict of the partition's
+    points.  No pipeline or command calls this, so it keeps that plain
+    evaluation and no keying of its own.
     """
     den, xk, _ = f._keys
-    L, pts = _int_keys([_as_rational(p) for p in partition])
+    pts = [_as_rational(p) for p in partition]
     increasing = all(map(lt, pts, islice(pts, 1, None)))
-    if not pts or not increasing or pts[0] != 0 or pts[-1] != L:
+    if not pts or not increasing or pts[0] != ZERO or pts[-1] != ONE:
         raise ValueError("partition must be a sorted point set spanning [0, 1]")
     index = {p: i for i, p in enumerate(pts)}
-    if any(xk[i] * L % den or xk[i] * L // den not in index for i in f._ends[1:-1]):
+    if any(Fraction(xk[i], den) not in index for i in f._ends[1:-1]):
         raise ValueError("partition must contain every critical point")
-    images = []  # the partition index of each point's image, or None
-    for p in pts:
-        m, d = _key_image(f._keys, p * den, L)  # the image m/(d·den), read over L
-        q, rem = divmod(m * L, d * den)
-        images.append(None if rem else index.get(q))
-    return _primitive(images)
+    return _primitive([index.get(f(p)) for p in pts])
 
 
 def _primitive(images: Sequence[Optional[int]]) -> bool:

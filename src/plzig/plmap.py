@@ -227,7 +227,9 @@ def _joined(den: int, xk: list[int], yk: list[int], seam: int) -> PLMap:
 
 
 def _check_keys(den: int, xk: Sequence[int], yk: Sequence[int]) -> None:
-    """The map invariants, except normalization, on a breakpoint list's keys."""
+    """The map invariants, except normalization, on a breakpoint list's
+    keys.  One loop over the neighbouring breakpoints names the first pair
+    out of order or on one level."""
     at = lambda k: Fraction(k, den)
     if len(xk) < 2:
         raise ValueError("a piecewise-linear map needs at least two breakpoints")
@@ -235,12 +237,11 @@ def _check_keys(den: int, xk: Sequence[int], yk: Sequence[int]) -> None:
         raise ValueError(f"first breakpoint must have x=0, got x={at(xk[0])}")
     if xk[-1] != den:
         raise ValueError(f"last breakpoint must have x=1, got x={at(xk[-1])}")
-    if not (all(map(lt, xk, islice(xk, 1, None))) and all(map(ne, yk, islice(yk, 1, None)))):
-        for i in range(len(xk) - 1):
-            if xk[i + 1] <= xk[i]:
-                raise ValueError(f"breakpoint x-coordinates must increase: {at(xk[i])} then {at(xk[i + 1])}")
-            if yk[i + 1] == yk[i]:
-                raise ValueError(f"constant segment at level {at(yk[i])}: maps must be piecewise strictly monotone")
+    for i in range(len(xk) - 1):
+        if xk[i + 1] <= xk[i]:
+            raise ValueError(f"breakpoint x-coordinates must increase: {at(xk[i])} then {at(xk[i + 1])}")
+        if yk[i + 1] == yk[i]:
+            raise ValueError(f"constant segment at level {at(yk[i])}: maps must be piecewise strictly monotone")
     if min(yk) < 0 or max(yk) > den:
         i = next(i for i, y in enumerate(yk) if not 0 <= y <= den)
         raise ValueError(f"value {at(yk[i])} at x={at(xk[i])} lies outside [0, 1]")
@@ -249,8 +250,8 @@ def _check_keys(den: int, xk: Sequence[int], yk: Sequence[int]) -> None:
 def _int_keys(values: Collection[Fraction]) -> tuple[int, tuple[int, ...]]:
     """``(den, keys)``: the least common denominator of ``values`` and each
     value times it, as ints.  The keys compare exactly as the values do.
-    The one conversion to keys, for maps and for the partitions that
-    :func:`plzig.dynamics.is_primitive` is given."""
+    The one conversion of ``Fraction`` values to keys, for the points that
+    :func:`make_plmap` is given."""
     den = lcm(*{v.denominator for v in values})
     return den, tuple([v.numerator * (den // v.denominator) for v in values])
 
@@ -438,12 +439,12 @@ def _least_keys(*columns: list[tuple[int, int, Sequence[int], int]]) -> tuple:
     the runs so far, only t = d // gcd(d, den) is new, and the run raises
     den by t // gcd(t, its numerators) (:func:`_common_factor`, which does
     not build them); once d divides den, later runs over d skip the gcd.
-    Then each key is made in one pass.  When d divides the final den, a
-    value's key is its numerator times m = den // d: one product and one
-    sum a·m + b·m·w per key, one product w·m for a run of plain numerators
-    (a = 0, b = 1), and ws itself when m is 1 too.  Otherwise q = d //
-    gcd(d, den) divides every numerator of the run, and its keys take the
-    two steps (a + b·w) // q · (den // gcd(d, den)).
+    Then each key is made in one pass, in one of three ways.  When d
+    divides the final den, a value's key is its numerator times m = den //
+    d: one product and one sum a·m + b·m·w per key, or one product w·m for
+    a run of plain numerators (a = 0, b = 1).  Otherwise q = d // gcd(d,
+    den) divides every numerator of the run, and its keys take the two
+    steps (a + b·w) // q · (den // gcd(d, den)).
     """
     den, covered = 1, set()  # the d that divide den, which only grows
     for column in columns:
@@ -463,18 +464,13 @@ def _least_keys(*columns: list[tuple[int, int, Sequence[int], int]]) -> tuple:
         keys: list[int] = []
         for a, b, ws, d in column:
             q, m = scale[d]
-            if a or b != 1:
-                if q != 1:
-                    keys.extend([(a + b * w) // q * m for w in ws])
-                else:
-                    a, b = a * m, b * m
-                    keys.extend([a + b * w for w in ws])
-            elif q != 1:
-                keys.extend([w // q * m for w in ws])
-            elif m != 1:
-                keys.extend([w * m for w in ws])
+            if q != 1:
+                keys.extend([(a + b * w) // q * m for w in ws])
+            elif a or b != 1:
+                a, b = a * m, b * m
+                keys.extend([a + b * w for w in ws])
             else:
-                keys.extend(ws)
+                keys.extend([w * m for w in ws])
         out.append(keys)
     return (den, *out)
 

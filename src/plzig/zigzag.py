@@ -23,6 +23,7 @@ from .plmap import (
     _as_rational,
     _compose_segments,
     _key_image,
+    _key_text,
     _laps_around,
 )
 
@@ -55,7 +56,9 @@ class ZigzagVerdict:
     failing_lap: Optional[Interval]
 
     def to_dict(self) -> dict:
-        enc = lambda iv: [str(iv[0]), str(iv[1])]
+        """The verdict's JSON object, each rational written by
+        :func:`plzig.plmap._key_text`."""
+        enc = lambda iv: [_key_text(v.numerator, v.denominator) for v in iv]
         return {
             "in_zigzag": self.in_zigzag,
             "applicable_laps": [enc(l) for l in self.applicable_laps],

@@ -745,7 +745,9 @@ def _check_certified_stages(monkeypatch):
     """After each test, check every stage of every certificate the test had
     the stage loop build, through the pipelines or the verifier, and check
     each certificate's encoding with :func:`check_certificate_text`, once
-    per distinct text."""
+    per distinct text.  A certificate with a number past the interpreter's
+    limit on int-string digits has no encoding: encoding it must raise
+    with the size."""
     built = []
     assemble = plzig.factorize._assemble
 
@@ -757,7 +759,11 @@ def _check_certified_stages(monkeypatch):
     yield
     for cert in built:
         check_certificate_stages(cert)
-        text = plzig.factorize.certificate_to_json(cert)
+        try:
+            text = plzig.factorize.certificate_to_json(cert)
+        except ValueError as exc:
+            assert str(exc).startswith("output number too long: "), exc
+            continue
         if text not in _checked_texts:
             check_certificate_text(text)
             _checked_texts.add(text)

@@ -15,6 +15,12 @@ from conftest import critical_set, random_map, random_markov_map
 from reference_curves import MINC_SQUARED_VERTICES
 
 
+# maps written with these have literals under the interpreter's limit on
+# int-string digits and outputs past it
+BIG = 10**3999 + 7
+LONG = 10**600 + 7
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -528,19 +534,32 @@ class TestMapAlgebraCommands:
             "past the limit of 4300 digits\n"
         )
 
-    @pytest.mark.parametrize("argv", [("analyze",), ("iterate", "-n", "2")], ids=["analyze", "iterate"])
-    def test_output_number_past_the_digit_limit(self, capsys, tmp_path, argv):
-        # every literal of this map is under the limit, but the open orbit
+    @pytest.mark.parametrize(
+        "argv, text, digits",
+        [
+            (("analyze",), f"0 0\n1/2 1\n{BIG - 1}/{BIG} 1/2\n1 1/3\n", 7999),
+            (("iterate", "-n", "2"), f"0 0\n1/2 1\n{BIG - 1}/{BIG} 1/2\n1 1/3\n", 7999),
+            (
+                ("certify", "--pipeline", "general", "--orbit", f"const:{2 * LONG}/{3 * LONG - 1}", "--stages", "2"),
+                f"0 0\n{LONG + 1}/{2 * LONG} 1\n1 0\n",
+                4801,
+            ),
+        ],
+        ids=["analyze", "iterate", "certify"],
+    )
+    def test_output_number_past_the_digit_limit(self, capsys, tmp_path, argv, text, digits):
+        # every literal of these maps is under the limit, but the open orbit
         # of 1/2 and the coordinates of f^2 reach a denominator of 7,999
-        # digits: the refusal gives its size, and no file is written
-        p = 10**3999 + 7
+        # digits, and the witnesses of stage 2's zigzag verdict, in g's
+        # coordinates, 4,801: the refusal gives the size, and no file is
+        # written
         path = tmp_path / "big.map"
-        path.write_text(f"0 0\n1/2 1\n{p - 1}/{p} 1/2\n1 1/3\n")
+        path.write_text(text)
         out_path = tmp_path / "out"
         code, out, err = run(capsys, *argv, "--map", str(path), "--out", str(out_path))
         assert (code, out) == (2, "")
         assert err == (
-            "error: output number too long: a numerator or denominator of 7999 digits, "
+            f"error: output number too long: a numerator or denominator of {digits} digits, "
             "past the limit of 4300 digits\n"
         )
         assert not out_path.exists()

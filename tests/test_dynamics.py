@@ -245,16 +245,14 @@ class TestKeyOrbitPass:
     def test_breakpoint_images_are_read_off_the_keys(self, minc, monkeypatch):
         # every critical orbit value and Markov point of minc^5 is a
         # breakpoint, so neither the orbits nor primitivity evaluate f; the
-        # partition and the images are read off the walk's own keys, which
-        # are never converted again
-        calls, keyings = [], []
-        image, int_keys = dynamics._key_image, dynamics._int_keys
+        # partition and the images are read off the walk's own keys
+        calls = []
+        image = dynamics._key_image
         monkeypatch.setattr(dynamics, "_key_image", lambda *args: calls.append(args) or image(*args))
-        monkeypatch.setattr(dynamics, "_int_keys", lambda *args: keyings.append(args) or int_keys(*args))
         facts = map_facts(iterate(minc, 5))
         assert facts.leo is True and len(facts.partition) == 1366
-        assert calls == [] and keyings == []
-        assert map_facts(make_plmap(OFF_GRID)).leo is True and calls and keyings == []
+        assert calls == []
+        assert map_facts(make_plmap(OFF_GRID)).leo is True and calls
 
     def test_no_points_are_built(self, minc):
         # a map composed from keys keeps them: the orbit pass, the partition

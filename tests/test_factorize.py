@@ -1419,6 +1419,27 @@ class TestVerifierNeverRaises:
         ok, msg = verify_certificate(data)
         assert ok is False and msg.startswith("orbit: orbit entry 1 maps to a rational of "), msg
 
+    def test_unprintable_verdict_is_a_rejection(self):
+        # the inputs certify again, but the witnesses of stage 2's zigzag
+        # verdict, in g's coordinates, have 4,801 digits: re-deriving the
+        # encoding is refused with the size, and decoding raises with it
+        p = 10**600 + 7
+        data = {
+            "version": 4,
+            "map": f"0 0\n{p + 1}/{2 * p} 1\n1 0\n",
+            "orbit": {"prefix": [], "period": [f"{2 * p}/{3 * p - 1}"]},
+            "stabilization": {"a": "0"},
+            "stages": [dict.fromkeys(["n_i", "case", "beta", "coordinate", "zigzag_verdict"])] * 2,
+        }
+        reason = (
+            "re-deriving the certificate: output number too long: a numerator or denominator "
+            "of 4801 digits, past the limit of 4300 digits"
+        )
+        assert verify_certificate(data) == (False, reason)
+        with pytest.raises(ValueError) as exc:
+            certificate_from_dict(data)
+        assert str(exc.value) == reason
+
 
 @pytest.mark.parametrize(
     "call, error, message",
