@@ -19,7 +19,6 @@ from .plmap import (
 from .zigzag import ZigzagVerdict, is_in_zigzag, zigzag_set
 from .dynamics import (
     BackwardOrbit,
-    BranchResult,
     MapFacts,
     OrbitValidationError,
     StabilizationData,

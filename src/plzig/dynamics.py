@@ -1,7 +1,7 @@
-"""Branch intervals, post-critical orbits, Markov/leo verification, and
+"""Branch images, post-critical orbits, Markov/leo verification, and
 branch stabilization along backward orbits.
 
-Everything here is exact: orbits are rational sequences, branch intervals
+Everything here is exact: orbits are rational sequences, branch images
 have rational endpoints, and the leo decisions work on the runs of cells
 that a Markov partition's cells cover, or on exact preimage spacing, rather
 than on numerical iteration.
@@ -30,7 +30,6 @@ from .plmap import (
 )
 
 __all__ = [
-    "BranchResult",
     "OrbitEntry",
     "MapFacts",
     "BackwardOrbit",
@@ -69,45 +68,20 @@ class OrbitValidationError(ValueError):
 # Branches
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BranchResult:
-    """Maximal one-to-one interval J around a point and its image B = f(J).
-
-    At a critical point the two adjacent laps compete; the selection keeps
-    the lap whose image is contained in the other's, preferring the left lap
-    when the images coincide (``tie_rule_applied`` marks that exact tie).
-    """
-
-    J: Interval
-    B: Interval
-    at_critical: bool
-    tie_rule_applied: bool
-
-
-def _lap_branch(f: PLMap, p: int, q: int) -> tuple[Interval, Interval]:
-    """The lap of f from breakpoint p to breakpoint q and its image, read
-    from the keys of the breakpoints at its ends."""
-    den, xk, yk = f._keys
-    u, v = sorted((yk[p], yk[q]))
-    return (Fraction(xk[p], den), Fraction(xk[q], den)), (Fraction(u, den), Fraction(v, den))
-
-
-def branch(f: PLMap, y) -> BranchResult:
+def branch(f: PLMap, y) -> Interval:
+    """The branch image B(f, y) = f(J), where J is a maximal interval
+    around y on which f is one-to-one.  Away from the turning points J is
+    the one lap holding y.  At a turning point both laps' images have the
+    turning value as one end, so one image holds the other, and B is the
+    smaller one: their intersection, the largest lower end and the
+    smallest upper end of the laps' end-value keys."""
     y = _as_rational(y)
     if not (ZERO <= y <= ONE):
         raise ValueError(f"point {y} outside [0, 1]")
     den, xk, yk = f._keys
-    containing = [_lap_branch(f, p, q) for p, q in _laps_around(xk, yk, y.numerator * den, y.denominator)]
-    if len(containing) == 1:
-        J, B = containing[0]
-        return BranchResult(J, B, at_critical=False, tie_rule_applied=False)
-    (J1, B1), (J2, B2) = containing
-    contained = B2[0] <= B1[0] and B1[1] <= B2[1]
-    if contained:
-        J, B = J1, B1
-    else:
-        J, B = J2, B2
-    return BranchResult(J, B, at_critical=True, tie_rule_applied=B1 == B2)
+    around = _laps_around(xk, yk, y.numerator * den, y.denominator)
+    lows, highs = zip(*(sorted((yk[p], yk[q])) for p, q in around))
+    return Fraction(max(lows), den), Fraction(min(highs), den)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +580,7 @@ def _stable_branch_limit(
     values: list[Interval] = []
     for j in range(1, probe + 1):
         fj = cache.power(j)
-        values.append(branch(fj, orbit.value_at(start + j)).B)
+        values.append(branch(fj, orbit.value_at(start + j)))
         if len(values) >= window + 1:
             tail = values[-(window + 1):]
             if all(t == tail[0] for t in tail):
@@ -625,11 +599,12 @@ def branch_stabilization(
     Checks every hypothesis of the theorem first: the orbit is a backward
     orbit of f, f is onto, and f is post-critically finite and leo (both
     read from one :func:`map_facts` table); a failed hypothesis raises
-    ValueError.  The branch limit [a, b] is detected along one orbit
-    residue n0, the gap side and epsilon come from the residue's tracked
-    value x_{n0}, and the step is the least period multiple that restores
-    the branch [a, b] and covers [0, 1] from every interval of diameter
-    epsilon/2 (both facts checked exactly on the block map f^step).  The
+    ValueError.  The limit [a, b] of the branch images B(f^j, x_{n0+j})
+    (:func:`branch`) is detected along one orbit residue n0, the gap side
+    and epsilon come from the residue's tracked value x_{n0}, and the step
+    is the least period multiple whose block map f^step has the branch
+    image B(f^step, x_{n0}) = [a, b] and covers [0, 1] from every interval
+    of diameter epsilon/2 (both facts checked exactly on f^step).  The
     block map is taken from the one :class:`IterateCache` that built every
     iterate on the way.
     """
@@ -668,7 +643,7 @@ def branch_stabilization(
     for m in range(1, MAX_BLOCK_MULTIPLE + 1):
         step = m * p
         block = cache.power(step)
-        if uniformly_onto(block, eps / 2) and branch(block, tracked).B == (a, b):
+        if uniformly_onto(block, eps / 2) and branch(block, tracked) == (a, b):
             return StabilizationData(a, b, eps, side, n0, step), block
     raise BudgetExceededError(
         f"no block length up to {MAX_BLOCK_MULTIPLE} periods satisfies the "

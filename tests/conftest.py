@@ -423,6 +423,22 @@ def image_interval(f: PLMap, lo, hi) -> tuple[Fraction, Fraction]:
     return min(vals), max(vals)
 
 
+def naive_branch_image(f: PLMap, y) -> tuple[Fraction, Fraction]:
+    """Reference branch image B(f, y) from its definition: f(J) for a
+    maximal interval J around y on which f is one-to-one.  The laps come
+    from ``f.points`` by :func:`naive_lap_ends`, and the image of each lap
+    whose closed interval holds y by :func:`image_interval`.  Two such laps
+    meet at a turning point; their images must be nested, and B is the
+    smaller one."""
+    y = Fraction(y)
+    xs, ys = zip(*f.points)
+    ends = [xs[i] for i in naive_lap_ends(ys)]
+    images = [image_interval(f, lo, hi) for lo, hi in zip(ends, ends[1:]) if lo <= y <= hi]
+    small = min(images, key=lambda image: image[1] - image[0])
+    assert all(lo <= small[0] and small[1] <= hi for lo, hi in images), ("lap images are not nested", f, y)
+    return small
+
+
 def witness_is_valid(f: PLMap, lap_left: Fraction, lap_right: Fraction, a: Fraction, b: Fraction) -> bool:
     """Re-check a zigzag witness (a, b) of the lap [lap_left, lap_right] by
     direct evaluation: gathers every breakpoint value strictly inside
@@ -689,11 +705,15 @@ def check_certificate_text(text: str) -> None:
       (:func:`check_factor_pair`; both once per distinct pair in a test
       run).  Its coordinate is s(x_(n_i)); before the failing stage, s
       fixes x_(n_i).
+    - The stabilized window [a, b] is the branch image B(f^step, x_(n0))
+      (:func:`naive_branch_image` on f^step from :func:`naive_power`).  The
+      gap is on the left exactly when x_(n0) > a, and epsilon is half of
+      min(x_(n0) - a, b - a) there, else half of min(b - x_(n0), b - a).
     - The repeat index is the first stage whose state (both pairs, as
       (case, beta), and both orbit values) recurs from an earlier stage.
 
-    Raises AssertionError naming the first claim that fails.  Leo, pcf, the
-    stabilized branch and the zigzag verdicts are not checked here.
+    Raises AssertionError naming the first claim that fails.  Leo, pcf and
+    the zigzag verdicts are not checked here.
     """
     data = json.loads(text)
     if data["map"] not in _parsed:
@@ -712,6 +732,15 @@ def check_certificate_text(text: str) -> None:
         n0, step = MINC_PIPELINE
     else:
         (n0,), step = stab["n-sequence"]["head"], stab["n-sequence"]["step"]
+        block = naive_power(f, step)
+        assert block is not None, f"f^{step} has more than NAIVE_CANDIDATE_CAP candidate breakpoints"
+        a, b, eps = (parse_rational(stab[k]) for k in ("a", "b", "epsilon"))
+        xn = x(n0)
+        assert (a, b) == naive_branch_image(block, xn), f"stabilization: [a, b] is not B(f^{step}, x_{n0})"
+        side, gap = ("left-gap", xn - a) if xn > a else ("right-gap", b - xn)
+        assert stab["side"] == side, f"stabilization side: {stab['side']}, not {side}"
+        want = min(gap, b - a) / 2
+        assert eps == want, f"stabilization epsilon: {eps}, not {want}"
     failing = data["failing_stage"]
     assert data["result"] == ("pass" if failing is None else "fail"), "result"
     seen: dict = {}

@@ -169,8 +169,8 @@ def test_acceptance_08_branch_nesting_suite():
             chain.append(rng.choice(naive_solutions(MINC, chain[-1])))
         for i in range(6):
             for j in range(1, 6 - i):
-                outer = branch(iterates[j], chain[i + j]).B
-                inner = branch(iterates[j + 1], chain[i + j + 1]).B
+                outer = branch(iterates[j], chain[i + j])
+                inner = branch(iterates[j + 1], chain[i + j + 1])
                 assert outer[0] <= inner[0] and inner[1] <= outer[1]
                 checked += 1
     elapsed = time.monotonic() - start

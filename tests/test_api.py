@@ -13,7 +13,7 @@ import plzig
 
 EXPORTS = {
     "plzig": [
-        "BackwardOrbit", "BranchResult", "BudgetExceededError", "CASE1", "CASE2", "Certificate",
+        "BackwardOrbit", "BudgetExceededError", "CASE1", "CASE2", "Certificate",
         "CertifyError", "FactorPair", "Lap", "MapFacts", "OrbitValidationError", "PLMap",
         "StabilizationData", "ZigzagVerdict", "branch", "branch_stabilization",
         "certificate_from_dict", "certificate_to_json", "certify_general", "certify_minc",
@@ -30,7 +30,7 @@ EXPORTS = {
     ],
     "plzig.zigzag": ["ZigzagVerdict", "is_in_zigzag", "composite_verdict", "zigzag_set"],
     "plzig.dynamics": [
-        "BranchResult", "OrbitEntry", "MapFacts", "BackwardOrbit", "OrbitValidationError",
+        "OrbitEntry", "MapFacts", "BackwardOrbit", "OrbitValidationError",
         "StabilizationData", "branch", "post_critical_orbits", "map_facts", "markov_partition",
         "is_primitive", "is_leo", "uniformly_onto", "leo_uniform_N", "branch_stabilization",
         "validate_orbit", "parse_orbit", "load_orbit",

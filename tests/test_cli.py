@@ -9,7 +9,8 @@ import pytest
 import plzig.cli as cli
 from plzig.cli import _json_text, _report_text, analysis_report, build_parser, main, render_svg
 from plzig.plmap import dumps_map, iterate, load_map, loads_map, make_plmap
-from plzig.factorize import minc_map, verify_certificate
+import plzig.factorize
+from plzig.factorize import _assemble, minc_map, verify_certificate
 
 from conftest import critical_set, random_map, random_markov_map
 from reference_curves import MINC_SQUARED_VERTICES
@@ -570,3 +571,83 @@ class TestMapAlgebraCommands:
             "--orbit", "const:1/2",
         )
         assert code == 2 and "built-in map" in err
+
+
+# The outputs that the installed-cli CI job pins with sha256sum, each
+# written by the job's command, run here through cli.main in a directory
+# that holds the job's map and orbit files.  A certificate is hashed from
+# the file its --out names, any other output from stdout.
+PIN_INPUTS = {
+    "cycle.orbit": "prefix: ; period: 8/19 9/19\n",
+    "cycle3.orbit": "prefix: ; period: 4/11 5/11 9/11\n",
+    "cycle4.orbit": "prefix: ; period: 4/163 108/163 36/163 12/163\n",
+    "m19.map": "0 0\n1/3 1/3\n2/3 1\n1 0\n",
+    "outer.map": "0 0\n1/7 1\n2/5 1/3\n5/9 5/6\n3/4 0\n1 2/3\n",
+    "inner.map": "0 1/2\n1/6 1\n3/8 0\n11/20 1\n4/5 1/9\n1 1\n",
+}
+
+OUTPUT_PINS = [
+    (
+        "minc.json",
+        "certify --pipeline minc --orbit const:1/2 --stages 4 --out minc.json",
+        "f0bf0250c2b7cc797e7ca539f1e78865361588fdc698149d9f10df1ad9de472a",
+    ),
+    (
+        "general.json",
+        "certify --pipeline general --builtin minc --orbit const:1/2 --stages 4 --out general.json",
+        "34d36581b08c6080326eecbd1f14ab956adf4ff88c203803858372a7b6613a32",
+    ),
+    (
+        "cycle.json",
+        "certify --pipeline general --builtin minc --orbit cycle.orbit --out cycle.json",
+        "c3778a535b4e60b660e8b8c6415b1fdb6c4f54436135411166757566af74f978",
+    ),
+    (
+        "cycle3.json",
+        "certify --pipeline general --builtin minc --orbit cycle3.orbit --out cycle3.json",
+        "291ce43f40a393e51b3df2750d9024607bfa940acda6fb8dc73b84e17582def6",
+    ),
+    (
+        "cycle4.json",
+        "certify --pipeline general --builtin minc --orbit cycle4.orbit --out cycle4.json",
+        "3243e076a39dca58a4c0034727361bbdbcc26324e2618a46fecf7d0171fe3565",
+    ),
+    (
+        "m19-12.txt",
+        "iterate --map m19.map -n 12",
+        "f8b6d112260e28adfeb2c99276413ea28c3236efba5f9b91ae826b24c1fc91af",
+    ),
+    (
+        "outer-inner.txt",
+        "compose --outer outer.map --inner inner.map",
+        "c785606864a82c0b1bbee7d4e55510fa31f6100a70f6de25ff65e21da74b76d7",
+    ),
+    (
+        "inner-outer.txt",
+        "compose --outer inner.map --inner outer.map",
+        "7529fab7088c27a8f43abe40b743c1802c14a6bb295422935f1d9fe59d2a8fe4",
+    ),
+    (
+        "analyze4-budget2.json",
+        "analyze --builtin minc --iterate 4 --orbit-budget 2",
+        "f4c72e47fffd5e2a18e7888499dfd3bc958ae28e8b775ad7121d55a7fbd228c8",
+    ),
+]
+
+
+class TestOutputPins:
+    @pytest.mark.parametrize("name, command, digest", OUTPUT_PINS, ids=[pin[0] for pin in OUTPUT_PINS])
+    def test_output_is_byte_identical(self, capsys, tmp_path, monkeypatch, name, command, digest):
+        if name == "cycle4.json":
+            # its block map is minc^8, past the reference composition that
+            # the tests' certificate checker rebuilds block maps with, so
+            # the stage loop runs unrecorded
+            monkeypatch.setattr(plzig.factorize, "_assemble", _assemble)
+        for file, text in PIN_INPUTS.items():
+            (tmp_path / file).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        argv = command.split()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        data = (tmp_path / name).read_bytes() if "--out" in argv else out.encode()
+        assert hashlib.sha256(data).hexdigest() == digest

@@ -10,9 +10,11 @@ from plzig.cli import analysis_report
 from plzig.factorize import certificate_to_dict, certify_general, minc_map, verify_certificate
 from plzig.plmap import BudgetExceededError, IterateCache, is_onto, iterate, laps, make_plmap
 from conftest import (
+    critical_set,
     dense_is_primitive,
     format_orbit,
     image_interval,
+    naive_branch_image,
     naive_eval,
     naive_is_leo,
     naive_solutions,
@@ -42,34 +44,39 @@ from plzig.dynamics import (
 
 class TestBranch:
     def test_minc_fixed_point(self, minc):
-        r = branch(minc, F(1, 2))
-        assert r.J == (F(4, 9), F(5, 9))
-        assert r.B == (F(1, 3), F(2, 3))
-        assert not r.at_critical
-        assert branch(minc, "1/2") == r
+        assert branch(minc, F(1, 2)) == (F(1, 3), F(2, 3))
+        assert branch(minc, "1/2") == branch(minc, F(1, 2))
 
     def test_identity_whole_interval(self, identity):
-        r = branch(identity, F(3, 7))
-        assert r.J == (F(0), F(1)) and r.B == (F(0), F(1))
+        assert branch(identity, F(3, 7)) == (F(0), F(1))
 
     def test_minc_critical_selection(self, minc):
-        # left lap image [1/3, 1] is not inside right lap image [1/3, 2/3],
-        # so the right lap wins
-        r = branch(minc, F(4, 9))
-        assert r.at_critical
-        assert r.J == (F(4, 9), F(5, 9))
-        assert r.B == (F(1, 3), F(2, 3))
-        assert not r.tie_rule_applied
+        # the left lap's image [1/3, 1] holds the right lap's [1/3, 2/3], and
+        # the branch image is their intersection
+        assert branch(minc, F(4, 9)) == (F(1, 3), F(2, 3))
 
     def test_equal_images_prefer_left(self, tent):
-        r = branch(tent, F(1, 2))
-        assert r.at_critical and r.tie_rule_applied
-        assert r.J == (F(0), F(1, 2))
-        assert r.B == (F(0), F(1))
+        # at the tent's turning point both laps have the image [0, 1]
+        assert branch(tent, F(1, 2)) == (F(0), F(1))
 
     def test_endpoints_use_single_lap(self, minc):
-        assert branch(minc, 0).J == (F(0), F(1, 3))
-        assert branch(minc, 1).J == (F(2, 3), F(1))
+        # the end laps [0, 1/3] and [2/3, 1] both map onto [0, 1]
+        assert branch(minc, 0) == (F(0), F(1))
+        assert branch(minc, 1) == (F(0), F(1))
+
+    def test_image_matches_its_definition(self, minc):
+        # at every breakpoint and segment midpoint of minc^1..4 and 300
+        # random maps, the image equals the one the reference laps give
+        rng = random.Random(41)
+        maps = [iterate(minc, k) for k in range(1, 5)] + [random_map(rng) for _ in range(300)]
+        points = turning = 0
+        for f in maps:
+            turns = set(critical_set(f))
+            for y in f.xs + tuple((u + v) / 2 for u, v in zip(f.xs, f.xs[1:])):
+                assert branch(f, y) == naive_branch_image(f, y), (f, y)
+                points += 1
+                turning += y in turns
+        assert (points, turning) == (3636, 1056)
 
 
 class TestPostCriticalOrbits:
@@ -705,7 +712,7 @@ class TestBranchStabilization:
     def test_branch_window_reproduced_by_block_map(self, minc):
         stab, block = branch_stabilization(minc, BackwardOrbit.constant(F(1, 2)))
         assert block == iterate(minc, stab.step)
-        assert branch(block, F(1, 2)).B == (stab.a, stab.b)
+        assert branch(block, F(1, 2)) == (stab.a, stab.b)
 
     @pytest.mark.parametrize(
         "name, orbit, side",
@@ -726,7 +733,7 @@ class TestBranchStabilization:
         assert stab.side == side
         for i in (1, 2, 3):
             x = orbit.value_at(stab.n0 + i * stab.step)
-            assert branch(block, x).B == (stab.a, stab.b)
+            assert branch(block, x) == (stab.a, stab.b)
             if side == "left-gap":
                 assert not stab.a <= x < stab.a + stab.epsilon
             else:
@@ -768,7 +775,7 @@ class TestBranchStructure:
         for n in range(1, 5):
             fn = iterate(minc, n)
             for _ in range(25):
-                lo, hi = branch(fn, F(rng.randint(0, 97), 97)).B
+                lo, hi = branch(fn, F(rng.randint(0, 97), 97))
                 assert lo in closure and hi in closure
 
     def test_markov_rows_are_exact_images(self, minc):
@@ -817,8 +824,8 @@ class TestBranchNesting:
                 chain.append(rng.choice(naive_solutions(minc, chain[-1])))
             for i in range(6):
                 for j in range(1, 6 - i):
-                    outer = branch(iterates[j], chain[i + j]).B
-                    inner = branch(iterates[j + 1], chain[i + j + 1]).B
+                    outer = branch(iterates[j], chain[i + j])
+                    inner = branch(iterates[j + 1], chain[i + j + 1])
                     assert outer[0] <= inner[0] and inner[1] <= outer[1]
 
 

@@ -1294,6 +1294,11 @@ TEXT_EDITS = [
         lambda d: d["stages"][0].update(case="case3"),
         "stage 1: unknown case 'case3'",
     ),
+    # the general certificate's window is [0, 1] at x_0 = 2/3, with the gap
+    # on the left and epsilon 1/3
+    ("window", ("general",), lambda d: d["stabilization"].update(a="1/3"), "stabilization: [a, b] is not B(f^4, x_0)"),
+    ("gap-side", ("general",), lambda d: d["stabilization"].update(side="right-gap"), "stabilization side"),
+    ("epsilon", ("general",), lambda d: d["stabilization"].update(epsilon="1/6"), "stabilization epsilon: 1/6"),
     (
         "case2-at-const-1",
         ("minc",),
@@ -1355,7 +1360,7 @@ class TestCertificateTextChecker:
                     assert where not in PRODUCER_MODULES, (fn.__name__, name, where)
                     if where == "conftest":
                         todo.append(obj)
-        assert {"check_factor_pair", "fold_pair", "naive_compose", "naive_eval"} <= {
+        assert {"check_factor_pair", "fold_pair", "naive_branch_image", "naive_compose", "naive_eval"} <= {
             fn.__name__ for fn in seen
         }
 

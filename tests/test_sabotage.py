@@ -111,8 +111,11 @@ FAULTS = {
     "the leo check is skipped": module_mutant(
         factorize, "branch_stabilization", dynamics.branch_stabilization, "if facts.leo is not True:", "if False:"
     ),
+    # branch takes the hull of the two laps' images; at a turning point the
+    # images are nested, so the hull is the other lap's image
     "branch keeps the other lap at a turning point": module_mutant(
-        dynamics, "branch", dynamics.branch, "if contained:", "if not contained:"
+        dynamics, "branch", dynamics.branch,
+        "max(lows), den), Fraction(min(highs)", "min(lows), den), Fraction(max(highs)",
     ),
     "the stage rule is skipped": module_mutant(factorize, "_assemble", ASSEMBLE, "if coordinate != x:", "if False:"),
 }
@@ -127,8 +130,8 @@ UNCAUGHT = {
     ),
     "the leo check is skipped": "minc and the tent map are leo, and no check decides leo from its definition",
     "branch keeps the other lap at a turning point": (
-        "no value of either certified orbit is a turning point of a power, so branch never "
-        "chooses between two laps, and no check computes the branch from its definition"
+        "no value of either certified orbit is a turning point of a power, so branch always "
+        "meets one lap, whose image is both the hull and the intersection"
     ),
 }
 
