@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache
@@ -174,9 +175,9 @@ def two_pointer_witness(xs, ys, p: int, q: int):
 
 
 def two_pointer_lap_witness(f: PLMap, lap):
-    """:func:`two_pointer_witness` for a lap of f in either orientation."""
-    p = f.xs.index(lap.left)
-    q = f.xs.index(lap.right)
+    """:func:`two_pointer_witness` for the lap (left, right) of f in either
+    orientation."""
+    p, q = (f.xs.index(x) for x in lap)
     ys = f.ys if f.ys[p] > f.ys[q] else tuple(-y for y in f.ys)
     return two_pointer_witness(f.xs, ys, p, q)
 
@@ -263,6 +264,22 @@ def dense_is_primitive(matrix: list[list[int]]) -> bool:
 NAIVE_ORBIT_STEPS = 1000
 
 
+def naive_orbit_closure(f: PLMap, points) -> set:
+    """The union of the forward orbits of ``points`` under f, walked with
+    :func:`naive_eval`.  Raises AssertionError when an orbit does not close
+    within ``NAIVE_ORBIT_STEPS`` steps."""
+    closure = set()
+    for x in points:
+        for _ in range(NAIVE_ORBIT_STEPS):
+            if x in closure:
+                break
+            closure.add(x)
+            x = naive_eval(f, x)
+        else:
+            raise AssertionError(f"an orbit of {f} stays open")
+    return closure
+
+
 def naive_is_leo(f: PLMap) -> bool:
     """Reference leo verdict: False unless f is onto with at least two
     laps; otherwise primitivity of the dense cell-covering matrix on the
@@ -273,16 +290,23 @@ def naive_is_leo(f: PLMap) -> bool:
     ys = [y for _, y in f.points]
     if min(ys) != 0 or max(ys) != 1 or not critical_set(f):
         return False
-    closure = set()
-    for x in f.xs:
-        for _ in range(NAIVE_ORBIT_STEPS):
-            if x in closure:
-                break
-            closure.add(x)
-            x = naive_eval(f, x)
-        else:
-            raise AssertionError(f"the orbit of a breakpoint of {f} stays open")
-    return dense_is_primitive(transition_matrix(f, sorted(closure)))
+    return dense_is_primitive(transition_matrix(f, sorted(naive_orbit_closure(f, f.xs))))
+
+
+def map_hypothesis_failure(f: PLMap):
+    """Why f fails the certificate's hypotheses on its map, or None when it
+    is post-critically finite (the orbits of 0, 1 and every turning point
+    close, by :func:`naive_orbit_closure`) and leo (:func:`naive_is_leo`).
+    When the orbit of another breakpoint stays open, the oracle cannot
+    decide leo, and that is a failure too."""
+    try:
+        naive_orbit_closure(f, [0, 1, *critical_set(f)])
+    except AssertionError:
+        return "map: not post-critically finite"
+    try:
+        return None if naive_is_leo(f) else "map: not leo"
+    except AssertionError:
+        return "map: leo undecided, the orbit of a breakpoint that is not a turning point stays open"
 
 
 def compose_candidates(outer: PLMap, inner: PLMap) -> set[Fraction]:
@@ -345,15 +369,21 @@ def naive_uniformly_onto(f: PLMap, eps) -> bool:
     them exactly when a piece is longer than eps, or when there are none
     and eps <= 1.  Above 1 no J exists; the library's test still asks that
     f take both values there, and so does this oracle."""
-    eps = Fraction(eps)
+    return naive_covering_scale(f) <= Fraction(eps)
+
+
+def naive_covering_scale(f: PLMap):
+    """The least eps at which :func:`naive_uniformly_onto` holds: the
+    longest piece that the solutions of f = 0, or those of f = 1, cut
+    [0, 1] into, or inf when f misses 0 or 1."""
+    pieces = []
     for v in (0, 1):
         cuts = naive_solutions(f, v)
         if not cuts:
-            return False
+            return inf
         ends = [Fraction(0), *cuts, Fraction(1)]
-        if any(b - a > eps for a, b in zip(ends, ends[1:])):
-            return False
-    return True
+        pieces += [b - a for a, b in zip(ends, ends[1:])]
+    return max(pieces)
 
 
 def naive_normalize(points) -> list[tuple[Fraction, Fraction]]:
@@ -553,56 +583,47 @@ def naive_composable(outer: PLMap, inner: PLMap) -> bool:
     return candidate_count(outer, inner) <= NAIVE_CANDIDATE_CAP
 
 
-def check_rebonded_verdict(s: PLMap, t: PLMap, g: PLMap, c: Fraction, verdict, previous=None) -> None:
-    """Check a stage's zigzag verdict at c under g = s ∘ t, given as
-    ``naive_compose(s, t)``.  The verdict must equal ``is_in_zigzag(g, c)``.
-    When g has at most SMALL_MAP breakpoints, the conftest oracles alone
-    check it too: every stored witness is valid, every failing interior lap
-    has no witness in the all-pairs search, and, given the previous stage's
-    coordinate, g(c) equals it by nested evaluation."""
-    assert verdict == is_in_zigzag(g, c), (s, t, c)
-    if len(g.xs) > SMALL_MAP:
-        return
-    for (left, right), w in zip(verdict.applicable_laps, verdict.witnesses):
-        assert w is None or witness_is_valid(g, left, right, *w), (g, c, w)
-    lap_list = laps(g)
-    boundary = {(lap.left, lap.right) for lap in (lap_list[0], lap_list[-1])}
-    if verdict.failing_lap is not None and verdict.failing_lap not in boundary:
-        assert naive_lap_witness(g, *verdict.failing_lap) is None, (g, c)
-    if previous is not None:
-        assert naive_eval(s, naive_eval(t, c)) == previous, (g, c, previous)
-
-
-# stage claims already checked in this test run; the same claim recurs in
-# many tests, and checking it again could only repeat the same result
-_checked_stages: set = set()
+def naive_verdict(g: PLMap, c) -> dict:
+    """Reference zigzag verdict of g at c, in the stored form of
+    ``ZigzagVerdict.to_dict``, from the definition.  The laps holding c come
+    from ``g.points`` by :func:`naive_lap_ends`.  A lap that reaches 0 or 1
+    is a boundary lap, which no witness can bracket, and the first one
+    holding c fails.  Otherwise each lap's witness is the nearest one that
+    :func:`two_pointer_lap_witness` finds, and the first lap without one
+    fails.
+    c lies in a zigzag exactly when no lap fails.  When g has at most
+    SMALL_MAP breakpoints, every witness must pass :func:`witness_is_valid`
+    and the all-pairs :func:`naive_lap_witness` must find none for a failing
+    interior lap."""
+    c = Fraction(c)
+    xs, ys = zip(*g.points)
+    ends = naive_lap_ends(ys)
+    last = len(xs) - 1
+    holding = [(p, q) for p, q in zip(ends, ends[1:]) if xs[p] <= c <= xs[q]]
+    interior = [(p, q) for p, q in holding if 0 < p and q < last]
+    if len(interior) < len(holding):  # c lies on a boundary lap
+        witnesses = [None] * len(interior)
+        failing = next((xs[p], xs[q]) for p, q in holding if (p, q) not in interior)
+    else:
+        witnesses = [two_pointer_lap_witness(g, (xs[p], xs[q])) for p, q in holding]
+        failing = next(((xs[p], xs[q]) for (p, q), w in zip(holding, witnesses) if w is None), None)
+        if failing is not None and len(xs) <= SMALL_MAP:
+            assert naive_lap_witness(g, *failing) is None, (g, c, failing)
+    if len(xs) <= SMALL_MAP:
+        for (p, q), w in zip(interior, witnesses):
+            assert w is None or witness_is_valid(g, xs[p], xs[q], *w), (g, c, w)
+    text = lambda pair: [str(v) for v in pair]
+    return {
+        "in_zigzag": failing is None,
+        "applicable_laps": [text((xs[p], xs[q])) for p, q in interior],
+        "witnesses": [None if w is None else text(w) for w in witnesses],
+        "failing_lap": None if failing is None else text(failing),
+    }
 
 
 def rotation_period(block) -> int:
     """The least d > 0 such that rotating ``block`` by d gives it back."""
     return next(d for d in range(1, len(block) + 1) if block[d:] + block[:d] == block)
-
-
-def check_certificate_stages(cert) -> None:
-    """:func:`check_rebonded_verdict` on every rebonded stage of a
-    certificate whose composite is :func:`naive_composable`, once per
-    distinct claim.  Stages before the failing one must carry the previous
-    coordinate.  The stage state recurs once the orbit has turned by a
-    multiple of its period p: stage 2's state is repeated at stage
-    2 + p / gcd(step, p)."""
-    p = rotation_period(cert.orbit.period_block)
-    step = cert.stages[1].n - cert.stages[0].n
-    assert cert.repeat_index == 2 + p // gcd(step, p), (cert.orbit, step, cert.repeat_index)
-    end = cert.failing_stage or len(cert.stages) + 1
-    for prev, st in zip(cert.stages, cert.stages[1:]):
-        s, t = prev.pair.s, st.pair.t
-        previous = prev.coordinate if st.index < end else None
-        claim = (s, t, st.coordinate, st.verdict, previous)
-        if claim in _checked_stages:
-            continue
-        _checked_stages.add(claim)
-        if naive_composable(s, t):
-            check_rebonded_verdict(s, t, naive_compose(s, t), st.coordinate, st.verdict, previous)
 
 
 # Independent checks of factor pairs and of whole certificates.  They read
@@ -614,9 +635,13 @@ def check_certificate_stages(cert) -> None:
 MINC_PIPELINE = (0, 2)
 
 _powers: dict = {}  # (f, k) -> f^k by naive_compose, or None past the cap
-_parsed: dict = {}  # map text -> PLMap
-# (map text, step, case, beta) -> s, of pairs already rebuilt and checked
+_scales: dict = {}  # (map text, step) -> naive_covering_scale of f^step
+_parsed: dict = {}  # map text -> (PLMap, its map_hypothesis_failure)
+# (map text, step, case, beta) -> (s, t), of pairs already rebuilt and checked
 _checked_pairs: dict = {}
+# (stage pair key, previous pair, coordinate) -> naive_verdict of g at it,
+# or None past the cap
+_verdicts: dict = {}
 _checked_texts: set = set()  # certificate texts already checked
 
 
@@ -694,8 +719,14 @@ def fold_pair(block: PLMap, case: str, beta: Fraction) -> tuple[PLMap, PLMap]:
 
 
 def check_certificate_text(text: str) -> None:
-    """Check a certificate's claims from its JSON text alone.
+    """Check every claim of a certificate from its JSON text alone, each
+    from its definition.
 
+    - The map is post-critically finite and leo
+      (:func:`map_hypothesis_failure`, once per distinct map text): the
+      orbits of 0, 1 and every turning point close, and so does every
+      other breakpoint's, and the cell-covering matrix on their closure is
+      primitive.
     - The orbit relation f(x_(n+1)) = x_n, by :func:`naive_eval`, across
       the prefix, the seam and the wrap-around of the period block.
     - Stage i sits at n_i = n0 + i·step, with (n0, step) from the
@@ -703,22 +734,34 @@ def check_certificate_text(text: str) -> None:
     - Every stage's (case, beta) is a fold of f^step, and the pair
       :func:`fold_pair` rebuilds from it has t∘s = f^step
       (:func:`check_factor_pair`; both once per distinct pair in a test
-      run).  Its coordinate is s(x_(n_i)); before the failing stage, s
-      fixes x_(n_i).
+      run).  Its coordinate c_i is s(x_(n_i)).
     - The stabilized window [a, b] is the branch image B(f^step, x_(n0))
       (:func:`naive_branch_image` on f^step from :func:`naive_power`).  The
       gap is on the left exactly when x_(n0) > a, and epsilon is half of
       min(x_(n0) - a, b - a) there, else half of min(b - x_(n0), b - a).
+      f^step covers [0, 1] from every interval of diameter epsilon/2
+      (:func:`naive_covering_scale`, once per block map in a test run).
+    - Stage 1 stores no zigzag verdict.  Each later stage stores the verdict
+      of g = s_(i-1)∘t_i at c_i: :func:`naive_verdict` on g from
+      :func:`naive_compose`, once per distinct claim in a test run, where g
+      is :func:`naive_composable`; past that cap the stored verdict is read
+      as it is.
+    - Before the failing stage, s fixes x_(n_i) and g(c_i) = c_(i-1) by
+      nested :func:`naive_eval`.  The failing stage is the first whose s
+      moves x_(n_i) or whose c_i lies in a zigzag of g.
     - The repeat index is the first stage whose state (both pairs, as
       (case, beta), and both orbit values) recurs from an earlier stage.
+      The state recurs once the orbit has turned by a multiple of its
+      period p, so that index is 2 + p/gcd(step, p).
 
-    Raises AssertionError naming the first claim that fails.  Leo, pcf and
-    the zigzag verdicts are not checked here.
+    Raises AssertionError naming the first claim that fails.
     """
     data = json.loads(text)
     if data["map"] not in _parsed:
-        _parsed[data["map"]] = loads_map(data["map"])
-    f = _parsed[data["map"]]
+        f = loads_map(data["map"])
+        _parsed[data["map"]] = f, map_hypothesis_failure(f)
+    f, failure = _parsed[data["map"]]
+    assert failure is None, failure
     prefix, period = ([parse_rational(v) for v in data["orbit"][k]] for k in ("prefix", "period"))
 
     def x(n):
@@ -741,10 +784,15 @@ def check_certificate_text(text: str) -> None:
         assert stab["side"] == side, f"stabilization side: {stab['side']}, not {side}"
         want = min(gap, b - a) / 2
         assert eps == want, f"stabilization epsilon: {eps}, not {want}"
+        if (data["map"], step) not in _scales:
+            _scales[data["map"], step] = naive_covering_scale(block)
+        assert _scales[data["map"], step] <= eps / 2, (
+            f"stabilization: f^{step} does not cover [0, 1] from every interval of diameter epsilon/2"
+        )
     failing = data["failing_stage"]
     assert data["result"] == ("pass" if failing is None else "fail"), "result"
     seen: dict = {}
-    repeat = prev = None
+    repeat = prev = first = None
     for i, st in enumerate(data["stages"], start=1):
         n = n0 + i * step
         assert st["n_i"] == n, f"stage {i} n_i: {st['n_i']}, not {n}"
@@ -758,25 +806,44 @@ def check_certificate_text(text: str) -> None:
             except AssertionError as exc:
                 raise AssertionError(f"stage {i}: {exc}") from None
             check_factor_pair(f, step, s, t)
-            _checked_pairs[key] = s
+            _checked_pairs[key] = s, t
+        s, t = _checked_pairs[key]
         c = parse_rational(st["coordinate"])
-        assert c == naive_eval(_checked_pairs[key], x(n)), f"stage {i} coordinate: {c} is not s(x_{n})"
-        assert failing is not None and i >= failing or c == x(n), f"stage {i}: s moves x_{n}"
-        if prev is not None and repeat is None:
-            if seen.setdefault((prev, pair, x(n - step), x(n)), i) != i:
+        assert c == naive_eval(s, x(n)), f"stage {i} coordinate: {c} is not s(x_{n})"
+        before_failing = failing is None or i < failing
+        assert not before_failing or c == x(n), f"stage {i}: s moves x_{n}"
+        verdict = st["zigzag_verdict"]
+        if prev is None:
+            assert verdict is None, "stage 1 zigzag_verdict: not null"
+        else:
+            prev_pair, prev_s, prev_c = prev
+            claim = (key, prev_pair, c)
+            if claim not in _verdicts:
+                _verdicts[claim] = naive_verdict(naive_compose(prev_s, t), c) if naive_composable(prev_s, t) else None
+            want = _verdicts[claim]
+            assert want is None or verdict == want, f"stage {i} zigzag_verdict: {verdict}, not {want}"
+            assert not before_failing or naive_eval(prev_s, naive_eval(t, c)) == prev_c, (
+                f"stage {i}: g(c_{i}) is not c_{i - 1}"
+            )
+            if repeat is None and seen.setdefault((prev_pair, pair, x(n - step), x(n)), i) != i:
                 repeat = i
-        prev = pair
+        if first is None and (c != x(n) or verdict is not None and verdict["in_zigzag"]):
+            first = i
+        prev = pair, s, c
+    assert failing == first, f"failing_stage: {failing}, not {first}"
     assert data["repeat_index"] == repeat, f"repeat_index: {data['repeat_index']}, not {repeat}"
+    p = rotation_period(period)
+    assert repeat == 2 + p // gcd(step, p), f"repeat_index: {repeat}, not 2 + p/gcd(step, p) for p = {p}"
 
 
 @pytest.fixture(autouse=True)
-def _check_certified_stages(monkeypatch):
-    """After each test, check every stage of every certificate the test had
-    the stage loop build, through the pipelines or the verifier, and check
-    each certificate's encoding with :func:`check_certificate_text`, once
-    per distinct text.  A certificate with a number past the interpreter's
-    limit on int-string digits has no encoding: encoding it must raise
-    with the size."""
+def _check_built_certificates(monkeypatch):
+    """After each test, check with :func:`check_certificate_text` every
+    certificate the test had the stage loop build, through the pipelines or
+    the verifier, once per distinct text.  A certificate with a number past
+    the interpreter's limit on int-string digits has no encoding at that
+    limit: encoding it must raise with the size, and it is encoded and
+    checked with the limit lifted."""
     built = []
     assemble = plzig.factorize._assemble
 
@@ -786,14 +853,18 @@ def _check_certified_stages(monkeypatch):
 
     monkeypatch.setattr(plzig.factorize, "_assemble", recording)
     yield
-    for cert in built:
-        check_certificate_stages(cert)
-        try:
-            text = plzig.factorize.certificate_to_json(cert)
-        except ValueError as exc:
-            assert str(exc).startswith("output number too long: "), exc
-            continue
-        if text not in _checked_texts:
-            check_certificate_text(text)
-            _checked_texts.add(text)
-
+    limit = sys.get_int_max_str_digits()
+    try:
+        for cert in built:
+            sys.set_int_max_str_digits(limit)
+            try:
+                text = plzig.factorize.certificate_to_json(cert)
+            except ValueError as exc:
+                assert str(exc).startswith("output number too long: "), exc
+                sys.set_int_max_str_digits(0)
+                text = plzig.factorize.certificate_to_json(cert)
+            if text not in _checked_texts:
+                check_certificate_text(text)
+                _checked_texts.add(text)
+    finally:
+        sys.set_int_max_str_digits(limit)

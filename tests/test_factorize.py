@@ -45,15 +45,14 @@ from plzig.factorize import (
 
 from conftest import (
     candidate_count,
-    check_certificate_stages,
     check_certificate_text,
     check_factor_pair,
     check_factor_pair_pointwise,
-    check_rebonded_verdict,
     image_interval,
     lemma_witness,
     naive_compose,
     naive_solutions,
+    naive_verdict,
     periodic_cycles,
     random_map,
     witness_is_valid,
@@ -313,9 +312,9 @@ def _foldable_map(rng):
 
 
 class TestWindowedVerdict:
-    """composite_verdict(s, t, c) is is_in_zigzag(s ∘ t, c), decided on a
-    window of the composite; every stage the suite certifies is checked the
-    same way by conftest's _check_certified_stages."""
+    """composite_verdict(s, t, c) is the verdict of s ∘ t at c, decided on a
+    window of the composite; conftest's check_certificate_text checks every
+    stage the suite certifies against the same oracle, naive_verdict."""
 
     def test_random_pairs(self):
         # half the pairs are two random maps, half an s and a t from splits
@@ -332,7 +331,7 @@ class TestWindowedVerdict:
             g = naive_compose(s, t)
             xs = g.xs
             for c in xs + tuple((a + b) / 2 for a, b in zip(xs, xs[1:])):
-                check_rebonded_verdict(s, t, g, c, composite_verdict(s, t, c))
+                assert composite_verdict(s, t, c).to_dict() == naive_verdict(g, c), (s, t, c)
                 queries += 1
         assert queries > 4000
 
@@ -465,7 +464,7 @@ def minc_block_certificate(case: str, beta, x, stages: int = 4):
 class TestStagesThatFail:
     """One certificate for each way a stage fails, both true records of the
     stage loop on another fold of minc^2 than the pipeline's, which the
-    tests' checkers accept; ``test_other_folds_are_not_the_pipeline_output``
+    tests' checker accepts; ``test_other_folds_are_not_the_pipeline_output``
     pins the verifier's reasons for rejecting them."""
 
     def test_coordinate_in_a_zigzag(self):
@@ -480,7 +479,6 @@ class TestStagesThatFail:
         g = naive_compose(cert.stages[0].pair.s, cert.stages[1].pair.t)
         assert witness_is_valid(g, *lap, *witness)
         check_certificate_text(certificate_to_json(cert))
-        check_certificate_stages(cert)
 
     def test_s_moves_the_tracked_point(self):
         cert = minc_block_certificate(CASE2, "11/18", 1)
@@ -489,7 +487,6 @@ class TestStagesThatFail:
         assert [st.coordinate for st in cert.stages] == [F(11, 18)] * 4
         assert not any(st.verdict.in_zigzag for st in cert.stages[1:])
         check_certificate_text(certificate_to_json(cert))
-        check_certificate_stages(cert)
 
 
 class TestCertifyGeneral:
@@ -1265,6 +1262,11 @@ class TestTamperSuite:
 
 # (name, certificates it applies to, edit, text the checker's rejection must contain)
 TEXT_EDITS = [
+    # the orbit of 1/2 never closes: 1, 1/3, 2/3, 7/9, 17/27, 67/81, ...
+    ("not-pcf", ("general",), lambda d: d.update(map="0 0\n1/2 1\n1 1/3\n"), "map: not post-critically finite"),
+    # the turning point 1/2 goes to 1 and 0, but the orbit of 3/4 never
+    # closes: 1/3, 2/3, 5/9, 23/27, 16/81, ...
+    ("leo-undecided", ("general",), lambda d: d.update(map="0 0\n1/2 1\n3/4 1/3\n1 0\n"), "map: leo undecided"),
     ("repeat-99", ("minc", "general"), lambda d: d.update(repeat_index=99), "repeat_index"),
     ("result-flip", ("minc", "general"), lambda d: d.update(result="fail"), "result"),
     ("orbit", ("minc", "general"), lambda d: d["orbit"].update(period=["1/3"]), "orbit"),
@@ -1299,25 +1301,80 @@ TEXT_EDITS = [
     ("window", ("general",), lambda d: d["stabilization"].update(a="1/3"), "stabilization: [a, b] is not B(f^4, x_0)"),
     ("gap-side", ("general",), lambda d: d["stabilization"].update(side="right-gap"), "stabilization side"),
     ("epsilon", ("general",), lambda d: d["stabilization"].update(epsilon="1/6"), "stabilization epsilon: 1/6"),
+    # the tent map at 2/3 keeps its window [0, 1] at step 1, but its zeros
+    # 0 and 1 are further apart than epsilon/2 = 1/6
+    ("step-1", ("general",), lambda d: _restep(d, 1), "stabilization: f^1 does not cover [0, 1]"),
     (
         "case2-at-const-1",
         ("minc",),
         lambda d: _refold(d, [F(1)], split_case2(MINC_BLOCK, MINC_BETA_HIGH)),
         "stage 1: s moves x_2",
     ),
+    (
+        "verdict-at-stage-1",
+        ("minc", "general", "in-zigzag"),
+        lambda d: d["stages"][0].update(zigzag_verdict=d["stages"][1]["zigzag_verdict"]),
+        "stage 1 zigzag_verdict: not null",
+    ),
+    (
+        "in-zigzag-flip",
+        ("minc", "general", "in-zigzag"),
+        lambda d: (verdict := d["stages"][1]["zigzag_verdict"]).update(in_zigzag=not verdict["in_zigzag"]),
+        "stage 2 zigzag_verdict",
+    ),
+    # the stage 2 verdicts of minc and general fail on their one lap, which
+    # has no witness; in-zigzag's lap has the witness (4/9, 44/81)
+    (
+        "failing-lap",
+        ("minc", "general"),
+        lambda d: d["stages"][1]["zigzag_verdict"].update(failing_lap=["0", "1"]),
+        "stage 2 zigzag_verdict",
+    ),
+    (
+        "witness",
+        ("minc", "general", "in-zigzag"),
+        lambda d: d["stages"][1]["zigzag_verdict"].update(witnesses=[["0", "1"]]),
+        "stage 2 zigzag_verdict",
+    ),
+    # in-zigzag first fails at stage 2, whose coordinate lies in a zigzag
+    ("failing-stage", ("in-zigzag",), lambda d: d.update(failing_stage=3), "failing_stage: 3, not 2"),
+]
+
+# Certificates that verify_certificate accepts although their map is not
+# leo: is_leo wrongly says True on the first map of
+# test_dynamics.KNOWN_LEO_DEFECTS, and certify_general certifies it.  A sound
+# leo verdict empties this list.  This one is `plzig certify --pipeline
+# general --map <that map> --orbit const:2/3 --stages 3`.
+KNOWN_UNSOUND_CERTIFICATES = [
+    '{"failing_stage":null,"map":"0 0\\n1/10 1/10\\n1/2 1\\n1 0\\n","orbit":{"period":["2/3"],"prefix":[]},'
+    '"repeat_index":3,"result":"pass","stabilization":{"a":"0","b":"1","epsilon":"1/3",'
+    '"n-sequence":{"head":[0],"step":5},"side":"left-gap"},"stages":[{"beta":"197/1458","case":"case1",'
+    '"coordinate":"2/3","n_i":5,"zigzag_verdict":null},{"beta":"197/1458","case":"case1","coordinate":"2/3",'
+    '"n_i":10,"zigzag_verdict":{"applicable_laps":[["21/32","287167/419904"]],'
+    '"failing_lap":["21/32","287167/419904"],"in_zigzag":false,"witnesses":[null]}},'
+    '{"beta":"197/1458","case":"case1","coordinate":"2/3","n_i":15,"zigzag_verdict":'
+    '{"applicable_laps":[["21/32","287167/419904"]],"failing_lap":["21/32","287167/419904"],'
+    '"in_zigzag":false,"witnesses":[null]}}],"version":4}\n',
 ]
 
 
 PRODUCER_MODULES = {"plzig", "plzig.factorize", "plzig.dynamics", "plzig.zigzag", "plzig.cli"}
 
 
+@pytest.fixture(scope="module")
+def checked_certificates(passing_certificates):
+    """The passing certificates and one whose stage 2 lies in a zigzag."""
+    in_zigzag = minc_block_certificate(CASE1, "2/9", "1/2")
+    return {**passing_certificates, "in-zigzag": certificate_to_dict(in_zigzag)}
+
+
 class TestCertificateTextChecker:
     """conftest's check_certificate_text decides a certificate's claims from
     its text, with oracles that share no code with the pipelines."""
 
-    @pytest.mark.parametrize("kind", ["minc", "general"])
-    def test_accepts_the_pipeline_output(self, passing_certificates, kind):
-        check_certificate_text(json.dumps(passing_certificates[kind]))
+    @pytest.mark.parametrize("kind", ["minc", "general", "in-zigzag"])
+    def test_accepts_the_pipeline_output(self, checked_certificates, kind):
+        check_certificate_text(json.dumps(checked_certificates[kind]))
 
     @pytest.mark.parametrize(
         "kind, edit, reason",
@@ -1327,11 +1384,20 @@ class TestCertificateTextChecker:
             for kind in kinds
         ],
     )
-    def test_rejects_an_edit(self, passing_certificates, kind, edit, reason):
-        data = copy.deepcopy(passing_certificates[kind])
+    def test_rejects_an_edit(self, checked_certificates, kind, edit, reason):
+        data = copy.deepcopy(checked_certificates[kind])
         edit(data)
         with pytest.raises(AssertionError, match=re.escape(reason)):
             check_certificate_text(json.dumps(data))
+
+    @pytest.mark.parametrize("text", KNOWN_UNSOUND_CERTIFICATES)
+    def test_rejects_a_map_that_is_not_leo(self, monkeypatch, text):
+        # verify certifies again; its stage loop runs unrecorded, or the
+        # autouse fixture would check the certificate it re-derives
+        monkeypatch.setattr(plzig.factorize, "_assemble", _assemble)
+        assert verify_certificate(json.loads(text)) == (True, "ok")
+        with pytest.raises(AssertionError, match="map: not leo"):
+            check_certificate_text(text)
 
     def test_reads_no_producer_code(self):
         # no global that the checker or a conftest function it calls names
@@ -1360,9 +1426,10 @@ class TestCertificateTextChecker:
                     assert where not in PRODUCER_MODULES, (fn.__name__, name, where)
                     if where == "conftest":
                         todo.append(obj)
-        assert {"check_factor_pair", "fold_pair", "naive_branch_image", "naive_compose", "naive_eval"} <= {
-            fn.__name__ for fn in seen
-        }
+        assert {
+            "check_factor_pair", "fold_pair", "naive_branch_image", "naive_compose", "naive_eval",
+            "naive_is_leo", "naive_verdict",
+        } <= {fn.__name__ for fn in seen}
 
 
 # values an edit puts in; the long denominator has 4,300 digits, the most

@@ -10,18 +10,16 @@ caller looks it up: the stabilization's mutants replace
 ``dynamics``.  A fault counts as caught when
 :class:`test_zigzag.TestWitnessIdentity`'s comparison with
 ``conftest.two_pointer_lap_witness`` fails on its maps, when building one
-of four certificates raises, or when a check of conftest rejects one of
-them.  The certificates are minc at the constant orbit 1/2 and the tent
-map at the constant orbit 2/3, both certified, and two that fail on
-minc^2 with another fold than the pipeline's
-(:func:`test_factorize.minc_block_certificate`): case 1 at beta 2/9 at
-the constant orbit 1/2, whose stage 2 lies in a zigzag, which
-``conftest.check_certificate_stages`` checks, and case 2 at beta 11/18 at
-the constant orbit 1, whose s moves x_2, which
-``conftest.check_certificate_text`` checks.  They are built under the
-fault with the verifier's own code, so ``verify_certificate`` would
-accept the first two: only checks that share no code with the producer
-count.
+of four certificates raises, or when ``conftest.check_certificate_text``
+rejects the text of one of them.  The certificates are minc at the
+constant orbit 1/2 and the tent map at the constant orbit 2/3, both
+certified, and two that fail on minc^2 with another fold than the
+pipeline's (:func:`test_factorize.minc_block_certificate`): case 1 at beta
+2/9 at the constant orbit 1/2, whose stage 2 lies in a zigzag, and case 2
+at beta 11/18 at the constant orbit 1, whose s moves x_2.  They are built
+under the fault with the verifier's own code, so ``verify_certificate``
+would accept the first two: only checks that share no code with the
+producer count.
 
 Faults that no check catches yet are listed in ``UNCAUGHT`` with the
 reason, and each test asserts that its fault is caught exactly when it is
@@ -43,7 +41,7 @@ from plzig.dynamics import BackwardOrbit
 from plzig.factorize import CASE1, CASE2
 
 import test_zigzag
-from conftest import check_certificate_stages, check_certificate_text
+from conftest import check_certificate_text
 from test_factorize import minc_block_certificate
 
 # The stage loop, bound when this module is imported, before conftest's
@@ -120,15 +118,16 @@ FAULTS = {
     "the stage rule is skipped": module_mutant(factorize, "_assemble", ASSEMBLE, "if coordinate != x:", "if False:"),
 }
 
+# check_certificate_text decides leo and pcf from their definitions, but the
+# first three faults only let through a map that is not leo or not pcf, and
+# all four certificates are on maps that are both, so their claims stay
+# true.  They wait for an input that is not leo, which needs certify to
+# refuse it without a fault first: is_leo's known defect lets the 1/10 map
+# of test_factorize.KNOWN_UNSOUND_CERTIFICATES through today.
 UNCAUGHT = {
-    "is_primitive always returns True": (
-        "minc and the tent map are leo, so the verdict is right anyway, "
-        "and no check decides leo from its definition"
-    ),
-    "the pcf check is skipped": (
-        "minc and the tent map are post-critically finite, and no check decides pcf from its definition"
-    ),
-    "the leo check is skipped": "minc and the tent map are leo, and no check decides leo from its definition",
+    "is_primitive always returns True": "minc and the tent map are leo, so the verdict is right anyway",
+    "the pcf check is skipped": "minc and the tent map are post-critically finite, so the check passes anyway",
+    "the leo check is skipped": "minc and the tent map are leo, so the check passes anyway",
     "branch keeps the other lap at a turning point": (
         "no value of either certified orbit is a turning point of a power, so branch always "
         "meets one lap, whose image is both the hull and the intersection"
@@ -150,7 +149,6 @@ def caught(minc, tent) -> bool:
     try:
         for cert in certified + [in_zigzag, moved]:
             check_certificate_text(factorize.certificate_to_json(cert))
-        check_certificate_stages(in_zigzag)
         test_zigzag.TestWitnessIdentity().test_pairs_match_two_pointer_oracle(minc)
     except AssertionError:
         return True
